@@ -9,9 +9,8 @@ checked with zero tolerance; searches that cannot be exhaustive return
 explicit certificates instead of claims.
 """
 
-from .exact import (FinVec, Rat, TriangularBasisChange, UniverseMismatch,
-                    from_d_coordinates, l1_norm, linf_norm, pair, rat,
-                    to_d_coordinates, unit)
+from .exact import (FinVec, TriangularBasisChange, UniverseMismatch, l1_norm,
+                    linf_norm, pair, unit)
 from .families import (RegularFamily, chain_compactness_probe, explicit,
                        is_admissible, is_member, is_spread, max_union,
                        schreier, singleton_plus_pair)

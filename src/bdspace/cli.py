@@ -7,17 +7,13 @@ JSON report plus one human-readable line each; the exit code is nonzero
 exactly when some check FAILED (INCONCLUSIVE and AT-CAP results exit zero
 with warnings, since a finite stage can fail to witness a bound without
 refuting it).
-
-The worker count for verification fan-out is read from BDSPACE_WORKERS.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +28,7 @@ from .decomp import (SeedSpace, build_norming_set_D,
                      tsirelson_seed)
 from .exact import FinVec
 from .families import RegularFamily, chain_compactness_probe, schreier
-from .tsirelson import TsirelsonSpec, build_dual_norming_set, tsirelson_norm
+from .tsirelson import TsirelsonSpec, tsirelson_norm
 
 
 def _frac(s) -> Fraction:
@@ -123,16 +119,9 @@ def realize_seed(cfg: dict) -> SeedSpace:
     if s["kind"] == "tsirelson":
         fam = parse_family(s.get("family", "schreier:1"))
         blocks = int(s.get("blocks", 3))
-        if s.get("unconditional", True):
-            seed = tsirelson_seed(s.get("name", "tsirelson"), fam, c, blocks,
-                                  eps=eps)
-        else:
-            spec = TsirelsonSpec(fam, c)
-            dns = build_dual_norming_set(spec, blocks, blocks)
-            uni = f"seed:{s.get('name', 'tsirelson')}"
-            norming = [FinVec(uni, dict(v.items())) for v in dns.members()]
-            seed = SeedSpace(s.get("name", "tsirelson"), [1] * blocks,
-                             norming, c, eps, unconditional=False)
+        seed = tsirelson_seed(s.get("name", "tsirelson"), fam, c, blocks,
+                              eps=eps,
+                              unconditional=s.get("unconditional", True))
     else:
         uni = f"seed:{s['name']}"
         norming = [FinVec.from_json_obj({"universe": uni, "entries": e})
@@ -379,16 +368,10 @@ def cmd_verify(args) -> int:
     for n in names:
         if n not in runners:
             raise SystemExit(f"unknown suite {n!r}; have {sorted(runners)}")
-    workers = int(os.environ.get("BDSPACE_WORKERS", "1"))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda n: (n, runners[n]()), names))
-    else:
-        results = [(n, runners[n]()) for n in names]
     failed = False
     out_reports = []
-    for n, reps in results:
-        for rep in reps:
+    for n in names:
+        for rep in runners[n]():
             status = "PASS" if rep.ok else "FAIL"
             if n == "embedding" and rep.ok:
                 w, t = rep.details.get("witness_rate", (0, 0))

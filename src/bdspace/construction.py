@@ -137,6 +137,28 @@ def _tuple_blocks(D: NormingSetD, entries: tuple) -> tuple[int, ...]:
     return tuple(sorted(blocks))
 
 
+def _recode(D: NormingSetD, t: tuple):
+    """Recoding case of a coded tuple: (case, xi_t, eta_t, alpha, beta).
+
+    The correction functional is alpha e*_xi + beta e*_eta, with xi and eta
+    the coded tuples referenced; a single-block tuple is case "i" and
+    references nothing.
+    """
+    if len(_tuple_blocks(D, t)) == 1:
+        return "i", None, None, None, None
+    head = D.members[t[0][1]]
+    if len(t) == 1:
+        dec = tuple(head.decomp)
+        r1, sm = t[0][0], dec[-1][0]
+        return ("ii", dec[:-1], tuple(D.members[dec[-1][1]].decomp),
+                r1, r1 * sm)
+    if len(t) == 2 and head.block_lo == head.block_hi:
+        return ("iii", ((Fraction(1), t[0][1]),),
+                tuple(D.members[t[1][1]].decomp), t[0][0], t[1][0])
+    return ("iv", t[:-1], tuple(D.members[t[-1][1]].decomp),
+            Fraction(1), t[-1][0])
+
+
 def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
                     stage_caps: dict[int, int] | int | None = None
                     ) -> EmbeddingBuild:
@@ -169,25 +191,6 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
             return stage_caps
         return stage_caps.get(n)
 
-    def references(t: tuple) -> list[tuple]:
-        ln = len(t)
-        blocks = _tuple_blocks(D, t)
-        rk = ranked[t]
-        if len(blocks) == 1:
-            return []
-        out = []
-        if ln == 1:
-            dec = tuple(D.members[t[0][1]].decomp)
-            out.append(dec[:-1])
-            out.append(tuple(D.members[dec[-1][1]].decomp))
-        elif ln == 2 and D.members[t[0][1]].block_lo == D.members[t[0][1]].block_hi:
-            out.append(((Fraction(1), t[0][1]),))
-            out.append(tuple(D.members[t[1][1]].decomp))
-        else:
-            out.append(t[:-1])
-            out.append(tuple(D.members[t[-1][1]].decomp))
-        return out
-
     pruned = False
     prune_log = []
     if stage_caps is not None:
@@ -207,8 +210,8 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
         frontier = list(chosen)
         while frontier:
             t = frontier.pop()
-            for ref in references(t):
-                if ref not in chosen:
+            for ref in _recode(D, t)[1:3]:
+                if ref is not None and ref not in chosen:
                     if ranked.get(ref) is None:
                         ranked[ref] = rank_of(ref)
                     chosen.add(ref)
@@ -223,31 +226,14 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
         rk = ranked[t]
         blocks = _tuple_blocks(D, t)
         vecsum = _tuple_vecsum(D, t)
-        ln = len(t)
-        if len(blocks) == 1:
-            if not is_block_rank(rk) or ln != 1:
+        case, xi_t, eta_t, alpha, beta = _recode(D, t)
+        if case == "i":
+            if not is_block_rank(rk) or len(t) != 1:
                 raise BuildError(f"coded element {t} misclassified")
             g = bd.add_type0(rk, 0, FinVec(bd.universe), free=t)
             info[g] = CodedInfo(t, "i", rk, vecsum, blocks)
             code_of[t] = g
             continue
-        if ln == 1:
-            case = "ii"
-            dec = tuple(D.members[t[0][1]].decomp)
-            xi_t, eta_t = dec[:-1], tuple(D.members[dec[-1][1]].decomp)
-            r1 = t[0][0]
-            sm = dec[-1][0]
-            alpha, beta = r1, r1 * sm
-        elif ln == 2 and D.members[t[0][1]].block_lo == D.members[t[0][1]].block_hi:
-            case = "iii"
-            xi_t = ((Fraction(1), t[0][1]),)
-            eta_t = tuple(D.members[t[1][1]].decomp)
-            alpha, beta = t[0][0], t[1][0]
-        else:
-            case = "iv"
-            xi_t = t[:-1]
-            eta_t = tuple(D.members[t[-1][1]].decomp)
-            alpha, beta = Fraction(1), t[-1][0]
         xi_id, eta_id = code_of[xi_t], code_of[eta_t]
         k = bd.rank[xi_id]
         if not (k < bd.rank[eta_id] <= rk - 1):
@@ -256,8 +242,8 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
                 f"rk(xi)={k}, rk(eta)={bd.rank[eta_id]}, rk={rk}")
         if case == "ii":
             bstar = FinVec(bd.universe, {xi_id: Fraction(1, 2),
-                                         eta_id: sm / 2})
-            g = bd.add_type0(rk, 2 * r1, bstar, free=t)
+                                         eta_id: beta / (2 * alpha)})
+            g = bd.add_type0(rk, 2 * alpha, bstar, free=t)
         else:
             g = bd.add_type1(rk, alpha, k, xi_id,
                              beta, FinVec(bd.universe, {eta_id: 1}), free=t)

@@ -269,7 +269,7 @@ class SeedSpace:
 
 
 def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
-                   eps=None) -> SeedSpace:
+                   eps=None, unconditional: bool = True) -> SeedSpace:
     """Truncation of the Tsirelson space to [1, nblocks], one block per basis
     vector, normed exactly by its admissible tree functionals."""
     c = Fraction(c)
@@ -279,7 +279,8 @@ def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
     norming = [FinVec(uni, dict(v.items())) for v in dns.members()]
     if eps is None:
         eps = c / 2
-    return SeedSpace(name, [1] * nblocks, norming, c, eps, unconditional=True)
+    return SeedSpace(name, [1] * nblocks, norming, c, eps,
+                     unconditional=unconditional)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +469,26 @@ class _DBuilder:
         return tuple(entries), lo
 
 
+def unit_restrictions(seed: SeedSpace,
+                      intervals: Sequence[tuple[int, int]]) -> list[FinVec]:
+    """Distinct restrictions of +-G to the block intervals with dual norm 1.
+
+    These are the norming targets: D gets a member for each, and the
+    norming certificate measures D against each, so both enumerate them
+    here.  Order: generator, then sign, then interval.
+    """
+    out: list[FinVec] = []
+    seen = set()
+    for g in seed.norming:
+        for sg in (g, -g):
+            for lo, hi in intervals:
+                r = seed.restrict_blocks(sg, lo, hi)
+                if r and r not in seen and seed.dual_norm(r) == 1:
+                    seen.add(r)
+                    out.append(r)
+    return out
+
+
 def build_norming_set_D(seed: SeedSpace, depth_bound: int | None = None,
                         size_cap: int = 20_000,
                         extra_targets: Iterable[FinVec] = ()) -> NormingSetD:
@@ -488,18 +509,10 @@ def build_norming_set_D(seed: SeedSpace, depth_bound: int | None = None,
                 b.atom(blk, aidx)
         # only unit restrictions matter: the extreme points of every section
         # dual ball lie among them, and they 1-norm the section
-        targets: list[FinVec] = []
-        seen = set()
-        for g in seed.norming:
-            for sg in (g, -g):
-                for lo in range(1, nb + 1):
-                    for hi in range(lo, nb + 1):
-                        r = seed.restrict_blocks(sg, lo, hi)
-                        if r and r not in seen:
-                            rng = seed.block_range(r)
-                            if rng[1] <= nb and seed.dual_norm(r) == 1:
-                                seen.add(r)
-                                targets.append(r)
+        targets = unit_restrictions(
+            seed, [(lo, hi) for lo in range(1, nb + 1)
+                   for hi in range(lo, nb + 1)])
+        seen = set(targets)
         for t in extra_targets:
             if t not in seen:
                 seen.add(t)
@@ -601,14 +614,7 @@ def norming_certificate(D: NormingSetD, lo: int, hi: int):
     """
     s = D.seed
     idxs = D.indices_in(lo, hi)
-    targets = []
-    seen = set()
-    for g in s.norming:
-        for sg in (g, -g):
-            r = s.restrict_blocks(sg, lo, hi)
-            if r and r not in seen and s.dual_norm(r) == 1:
-                seen.add(r)
-                targets.append(r)
+    targets = unit_restrictions(s, [(lo, hi)])
     worst = Fraction(0)
     detail = []
     for g in targets:

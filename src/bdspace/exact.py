@@ -17,13 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-Rat = Fraction
-
-
-def rat(num, den=1) -> Fraction:
-    """Build an exact rational; accepts ints, strings like '3/10', Fractions."""
-    return Fraction(num, den) if den != 1 else Fraction(num)
-
 
 class UniverseMismatch(ValueError):
     """Raised when two vectors from different index universes are combined."""
@@ -244,11 +237,3 @@ class TriangularBasisChange:
     def project(self, v: FinVec, keep: Callable[[int], bool]) -> FinVec:
         """Project onto the span of the kept d-basis vectors, exactly."""
         return self.from_d(self.to_d(v).restrict(keep))
-
-
-def to_d_coordinates(v: FinVec, bc: TriangularBasisChange) -> FinVec:
-    return bc.to_d(v)
-
-
-def from_d_coordinates(a: FinVec, bc: TriangularBasisChange) -> FinVec:
-    return bc.from_d(a)

@@ -119,10 +119,6 @@ def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     obj = [Fraction(0)] * (ncols + 1)
     for j in range(n):
         obj[j] = c[j]
-    for r in range(m):
-        if basis[r] < n and obj[basis[r]]:
-            f = obj[basis[r]]
-            obj = [a - f * b for a, b in zip(obj, T[r])]
     # reduced costs must be zero on all basic columns
     for r in range(m):
         if obj[basis[r]]:

@@ -21,9 +21,11 @@ the defining recursion and both tested against a brute-force oracle:
 
 Functionals realizing the norm are admissible trees: a leaf is
 (sign, coordinate), an inner node scales the sum of its successive children
-by c.  The trees with k >= 2 children built level by level form the natural
-dual norming set; its members 1-norm every vector supported in the
-enumerated range.
+by c.  There is one search: the memo holds values only, and a witness tree
+is read off top-down by re-running the search on each chosen block, where
+every norm it needs is already memoized.  The trees with k >= 2 children
+built level by level form the natural dual norming set; its members 1-norm
+every vector supported in the enumerated range.
 """
 
 from __future__ import annotations
@@ -76,16 +78,26 @@ def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
               items: tuple[tuple[int, Fraction], ...]) -> Fraction:
     memo_key = (spec_key, items)
     got = _norm_memo.get(memo_key)
-    if got is not None:
-        return got
+    if got is None:
+        got, _ = _best_split(spec_key, fam, c, items)
+        _norm_memo[memo_key] = got
+    return got
+
+
+def _best_split(spec_key, fam: RegularFamily, c: Fraction,
+                items: tuple[tuple[int, Fraction], ...]):
+    """(norm, breakpoints) of a canonical vector.  The breakpoints are the
+    positions in ``items`` where the blocks of the first optimal split found
+    start, or None when no split beats the sup norm."""
     best = max((v for _, v in items), default=Fraction(0))
+    best_split = None
     n = len(items)
     coords = [i for i, _ in items]
 
     # DFS over breakpoint position sets; prefixes of admissible minima sets
     # are admissible (hereditary), so dead prefixes prune the whole branch.
     def extend(chosen: list[int], minima: list[int]):
-        nonlocal best
+        nonlocal best, best_split
         start = chosen[-1] + 1 if chosen else 0
         for s in range(start, n):
             if not is_member(minima + [coords[s]], fam):
@@ -98,15 +110,14 @@ def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
                     total += _norm_rec(spec_key, fam, c, items[a:b])
                 val = c * total
                 if val > best:
-                    best = val
+                    best, best_split = val, tuple(chosen)
             extend(chosen, minima)
             chosen.pop()
             minima.pop()
 
     if n >= 2:
         extend([], [])
-    _norm_memo[memo_key] = best
-    return best
+    return best, best_split
 
 
 def tsirelson_norm(x, spec: TsirelsonSpec) -> Fraction:
@@ -138,44 +149,15 @@ def tree_vec(tree, spec: TsirelsonSpec, universe: str = NAT) -> FinVec:
     return acc.scale(spec.c)
 
 
-def _witness_rec(spec_key, fam, c, items):
-    """Like _norm_rec but also returns an optimal all-plus tree."""
-    best = Fraction(0)
-    tree = None
-    for i, v in items:
-        if v > best:
-            best, tree = v, ("leaf", 1, i)
-    if tree is None and items:
-        tree = ("leaf", 1, items[0][0])
-    n = len(items)
-    coords = [i for i, _ in items]
-    out = [best, tree]
-
-    def extend(chosen, minima):
-        start = chosen[-1] + 1 if chosen else 0
-        for s in range(start, n):
-            if not is_member(minima + [coords[s]], fam):
-                continue
-            chosen.append(s)
-            minima.append(coords[s])
-            if len(chosen) >= 2:
-                total = Fraction(0)
-                kids = []
-                for a, b in zip(chosen, chosen[1:] + [n]):
-                    sub_v, sub_t = _witness_rec(spec_key, fam, c, items[a:b])
-                    total += sub_v
-                    kids.append(sub_t)
-                val = c * total
-                if val > out[0]:
-                    out[0] = val
-                    out[1] = ("node", tuple(kids))
-            extend(chosen, minima)
-            chosen.pop()
-            minima.pop()
-
-    if n >= 2:
-        extend([], [])
-    return out[0], out[1]
+def _witness_tree(spec_key, fam, c, items):
+    """(norm, optimal all-plus tree), read off the splits of the memoized
+    search: below the top every norm it needs is a memo hit."""
+    value, split = _best_split(spec_key, fam, c, items)
+    if split is None:
+        return value, ("leaf", 1, next(i for i, v in items if v == value))
+    return value, ("node", tuple(
+        _witness_tree(spec_key, fam, c, items[a:b])[1]
+        for a, b in zip(split, split[1:] + (len(items),))))
 
 
 def _flip_signs(tree, sign_of: Callable[[int], int]):
@@ -193,9 +175,9 @@ def norming_functional(x, spec: TsirelsonSpec, universe: str = NAT):
     items = _items_of(x)
     signs = {i: (1 if v >= 0 else -1) for i, v in items}
     abs_items = tuple((i, abs(v)) for i, v in items)
-    value, tree = _witness_rec(spec.key(), spec.family, spec.c, abs_items)
-    if tree is None:
+    if not abs_items:
         return Fraction(0), None, FinVec(universe)
+    value, tree = _witness_tree(spec.key(), spec.family, spec.c, abs_items)
     tree = _flip_signs(tree, lambda i: signs.get(i, 1))
     vec = tree_vec(tree, spec, universe)
     return value, tree, vec

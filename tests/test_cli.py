@@ -95,13 +95,6 @@ def test_verify_single_suite(built, capsys):
     assert "projection-norms" in capsys.readouterr().out
 
 
-def test_verify_worker_fanout(built, capsys, monkeypatch):
-    _, _, out = built
-    monkeypatch.setenv("BDSPACE_WORKERS", "3")
-    assert main(["verify", "--build", str(out), "--suite", "schema"]) == 0
-    assert "[PASS] schema" in capsys.readouterr().out
-
-
 def test_verify_detects_tampering(built, tmp_path):
     root, cfg, out = built
     out3 = tmp_path / "tampered"

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdspace.exact import FinVec
-from bdspace.families import schreier
+from bdspace.families import is_admissible, schreier
 from bdspace.tsirelson import (CapExceeded, TsirelsonSpec,
                                build_dual_norming_set, certify_domination,
-                               norming_functional, tree_vec, tsirelson_norm)
+                               norming_functional, tree_support, tree_vec,
+                               tsirelson_norm)
 from oracles import bf_tsirelson
 
 F = Fraction
@@ -64,17 +65,32 @@ def test_oracle_equivalence_deeper_family():
             items, schreier(2), F(1, 3), memo)
 
 
-def test_norming_functional_attains():
+def _admissible_tree(tree, fam):
+    if tree[0] == "leaf":
+        return tree[1] in (1, -1)
+    kids = tree[1]
+    return (len(kids) >= 2 and all(_admissible_tree(k, fam) for k in kids)
+            and is_admissible([tree_support(k) for k in kids], fam))
+
+
+@pytest.mark.parametrize("spec", [HALF, TsirelsonSpec(schreier(2), F(1, 3))],
+                         ids=["S1-half", "S2-third"])
+def test_norming_functional_attains(spec):
     rng = random.Random(11)
+    xs = []
     for _ in range(25):
         sup = rng.sample(range(1, 9), rng.randint(1, 4))
-        x = nat({i: F(rng.randint(-8, 8), 8) for i in sup})
+        xs.append(nat({i: F(rng.randint(-8, 8), 8) for i in sup}))
+    # flat vectors whose witnesses are wide (S_2) or nested (S_1) trees
+    xs += [nat({i: 1 for i in range(a, b + 1)}) for a, b in ((3, 8), (3, 10))]
+    for x in xs:
         if not x:
             continue
-        n, tree, vec = norming_functional(x, HALF)
-        assert n == tsirelson_norm(x, HALF)
+        n, tree, vec = norming_functional(x, spec)
+        assert n == tsirelson_norm(x, spec)
         assert vec.pair(x) == n
         assert set(vec.support()) <= set(x.support())
+        assert _admissible_tree(tree, spec.family)
 
 
 def test_dual_norming_set_examples():
