@@ -567,7 +567,8 @@ def verify_dual_norms(build: BDBuild, mbound, samples: int = 100,
     the exact interval [ l1/M , l1 ]: the upper end is the trivial bound,
     the lower end is witnessed by pairing with (1/M) J_n(sign pattern),
     re-evaluated exactly through the actual extension operator.  The
-    factored interval representation is reconstructed and checked exactly.
+    factored interval representation is reconstructed and checked exactly,
+    and the interval projection is held to l1(P*_(m,n] y*) <= 2M^2 l1(y*).
     """
     mbound = Fraction(mbound)
     rep = Report("dual-norm-band", details={"M": mbound})
@@ -594,12 +595,14 @@ def verify_dual_norms(build: BDBuild, mbound, samples: int = 100,
                 f"||J_n(sign)|| = {jx.linf()} exceeds M = {mbound}")
         # factored representation through an interval m < n
         m = rng.randint(1, n - 1) if n > 1 else 0
-        yint = build.project(y, m, n)
-        coeffs = yint  # e*-coordinates of the projected functional
-        inner = coeffs.restrict(lambda i: m < build.rank[i] <= n)
+        yint = build.project(y, m, n)  # e*-coordinates of P*_(m,n] y*
+        inner = yint.restrict(lambda i: m < build.rank[i] <= n)
         if build.project(inner, m, n) != yint:
             rep.violations.append(
                 "factored interval representation fails to reproduce y*")
-        if inner.l1() > coeffs.l1():
-            rep.violations.append("factored representation grew in l1")
+        # ||P_(m,n]|| <= 2M and the band give
+        # l1(P*y) <= M ||P*y||_* <= 2M^2 ||y||_* <= 2M^2 l1(y)
+        if yint.l1() > 2 * mbound ** 2 * l1:
+            rep.violations.append(
+                f"l1(P*_({m},{n}] y*) = {yint.l1()} exceeds 2M^2 l1(y*)")
     return rep

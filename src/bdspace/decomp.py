@@ -3,10 +3,12 @@
 A *seed space* is a finite-dimensional space with a blocked coordinate
 system: blocks E_1, ..., E_N (dimensions given), a finite symmetric set G of
 dual functionals defining the norm ||x|| = max_{g in G} |g(x)|, per-block
-dense subsets of the dual spheres, and implicit dyadic scalar nets.  Primal
-norms are finite maxima; dual norms are exact minimal-l1 representations
-over +-G, computed by rational linear programming.  Bimonotonicity (every
-interval coordinate projection has norm one) is validated exactly.
+dense subsets of the dual spheres, and implicit dyadic scalar nets.  G is
+stored reduced to its members of dual norm one, the only ones that attain
+the maximum, so `seed.json` lists only those.  Primal norms are finite
+maxima; dual norms are exact minimal-l1 representations over +-G, computed
+by rational linear programming.  Bimonotonicity (every interval coordinate
+projection has norm one) is validated exactly.
 
 From a seed space the norming-set builder produces a finite set D of dual
 functionals in the band 1/2 <= ||f|| <= 1 together with a recorded *special
@@ -52,7 +54,26 @@ class SeedSpaceError(ValueError):
 
 
 class SeedSpace:
-    """Blocked finite-dimensional space with exact primal and dual norms."""
+    """Blocked finite-dimensional space with exact primal and dual norms.
+
+    The given generators are reduced to G' = { g in G : ||g||_* = 1 }, each
+    measured by one dual-norm LP over the full +-G; the kept ones stay in
+    their order, and ``norming`` holds only them.  This changes no norm and
+    no output:
+
+     * a g with ||g||_* < 1 never attains max |g(x)| in ``primal_norm``
+       (|g(x)| <= ||g||_* ||x|| < ||x|| for x != 0), so the primal norm, the
+       dual norm and the dual norms cached while pruning are unchanged;
+     * the dual ball is conv(+-G) = conv(+-G'), because its extreme points
+       lie in +-G and have dual norm 1, so checking bimonotonicity on G'
+       alone is complete;
+     * in a bimonotone seed every restriction of a dropped g has dual norm
+       at most ||g||_* < 1, so the unit restrictions, and with them D and
+       every dump built from it, are the same as over G.
+
+    The dual-norm LP has one column per member of +-G' and its equality
+    matrix is built once.
+    """
 
     def __init__(self, name: str, block_dims: Sequence[int],
                  norming: Sequence[FinVec], c, eps,
@@ -90,13 +111,17 @@ class SeedSpace:
                 g = FinVec(self.universe, dict(g.items()))
             vecs.append(g)
         seen = set()
-        self.norming: list[FinVec] = []
+        gens: list[FinVec] = []
         for g in sorted(vecs, key=lambda v: tuple(v.items())):
             if g and g not in seen:
                 seen.add(g)
-                self.norming.append(g)
-        if not self.norming:
+                gens.append(g)
+        if not gens:
             raise SeedSpaceError("norming set must be nonempty")
+        self._dual_cache: dict[FinVec, Fraction] = {}
+        self._set_lp(gens)
+        self.norming: list[FinVec] = [g for g in gens if self.dual_norm(g) == 1]
+        self._set_lp(self.norming)
 
         # scalar nets R_i = { k / K_i : 1 <= k <= K_i }, step <= eps_i / 8
         self.net_den = [_pow2_at_least(8 / e) for e in self.eps_seq]
@@ -111,8 +136,6 @@ class SeedSpace:
                 atilde.append([FinVec(self.universe, {i: 1}),
                                FinVec(self.universe, {i: -1})])
         self.atilde = [list(a) for a in atilde]
-
-        self._dual_cache: dict[FinVec, Fraction] = {}
         self._validated = False
 
     # -- coordinates ------------------------------------------------------
@@ -144,6 +167,20 @@ class SeedSpace:
     def primal_norm(self, x: FinVec) -> Fraction:
         return max((abs(g.pair(x)) for g in self.norming), default=Fraction(0))
 
+    def _set_lp(self, gens: Sequence[FinVec]):
+        """Equality matrix of the dual-norm LP, one column per member of
+        +-gens (g and -g each once, also when gens holds both)."""
+        cols: list[FinVec] = []
+        seen = set()
+        for g in gens:
+            for sg in (g, -g):
+                if sg not in seen:
+                    seen.add(sg)
+                    cols.append(sg)
+        self._lp_coords = sorted({i for g in cols for i in g.support()})
+        self._lp_A = [[g[i] for g in cols] for i in self._lp_coords]
+        self._lp_cost = [Fraction(1)] * len(cols)
+
     def dual_norm(self, f: FinVec) -> Fraction:
         """Exact dual norm: minimal l1 weight representing f over +-G."""
         got = self._dual_cache.get(f)
@@ -152,19 +189,11 @@ class SeedSpace:
         if not f:
             self._dual_cache[f] = Fraction(0)
             return Fraction(0)
-        gens = self.norming
-        coords = sorted({i for g in gens for i in g.support()} | set(f.support()))
-        cindex = {i: r for r, i in enumerate(coords)}
-        A = [[Fraction(0)] * (2 * len(gens)) for _ in coords]
-        for j, g in enumerate(gens):
-            for i, v in g.items():
-                A[cindex[i]][2 * j] = v
-                A[cindex[i]][2 * j + 1] = -v
-        b = [Fraction(0)] * len(coords)
-        for i, v in f.items():
-            b[cindex[i]] = v
         try:
-            val, _ = lp.minimize([Fraction(1)] * (2 * len(gens)), A_eq=A, b_eq=b)
+            if any(i not in self._lp_coords for i in f.support()):
+                raise lp.Infeasible  # a coordinate no generator reaches
+            b = [f[i] for i in self._lp_coords]
+            val, _ = lp.minimize(self._lp_cost, A_eq=self._lp_A, b_eq=b)
         except lp.Infeasible:
             raise SeedSpaceError(
                 "functional outside the span of the norming set") from None

@@ -177,6 +177,24 @@ def test_dual_norm_band():
     assert rep.ok, rep.violations
 
 
+def test_dual_norm_band_projection_fault_injection(monkeypatch):
+    # a faulty P*_(m,n] that adds mass on rank 1 <= m: the factored check
+    # cannot see it (the restriction to (m,n] drops the mass, the faulty
+    # projection adds it back); the bound l1(P* y*) <= 2M^2 l1(y*) does
+    bd, ids = tiny_build()
+    m = bdcore.decomposition_bound(bd, F(1, 4))
+    project = bd.project
+
+    def faulty(v, k, n):
+        out = project(v, k, n)
+        return out + FinVec("bd:tiny", {ids[0]: 1000}) if k >= 1 else out
+
+    monkeypatch.setattr(bd, "project", faulty)
+    rep = bdcore.verify_dual_norms(bd, m, samples=60)
+    assert rep.violations
+    assert all("exceeds 2M^2 l1(y*)" in v for v in rep.violations)
+
+
 def test_block_components_sum_back():
     bd, ids = tiny_build()
     rng = random.Random(10)

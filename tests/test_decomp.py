@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bdspace import lp
 from bdspace.decomp import (SeedSpace, SeedSpaceError, build_norming_set_D,
                             check_subsequential_upper,
                             decomposition_closure_report, default_eps_seq,
@@ -11,7 +12,7 @@ from bdspace.decomp import (SeedSpace, SeedSpaceError, build_norming_set_D,
                             tsirelson_seed, vstar_norm)
 from bdspace.exact import FinVec
 from bdspace.families import schreier
-from bdspace.tsirelson import TsirelsonSpec
+from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
 from oracles import polytope_vertices
 
 F = Fraction
@@ -96,12 +97,18 @@ def test_tsirelson_seed_norm_matches_module(acc_seed):
             FinVec("nat", entries), spec)
 
 
+def tree_functionals(universe, c, nblocks=4):
+    """The unpruned generators of a Tsirelson seed: its tree functionals."""
+    dns = build_dual_norming_set(TsirelsonSpec(S1, F(c)), nblocks, nblocks)
+    return [FinVec(universe, dict(v.items())) for v in dns.members()]
+
+
 def test_dual_norm_against_vertex_oracle(acc_seed):
     # dual norm = max over the vertices of the primal ball, cross-checked
-    # on the two-block section
-    gens = [acc_seed.restrict_blocks(g, 1, 2) for g in acc_seed.norming]
-    gens = [g for g in gens if g and set(g.support()) <= {1, 2}]
-    rows = [[g[1], g[2]] for g in gens]
+    # on the two-block section; the ball comes from the unpruned tree
+    # functionals, not from the generators the seed kept
+    rows = [[g[1], g[2]] for g in tree_functionals(acc_seed.universe, F(1, 16))
+            if g[1] or g[2]]
     verts = polytope_vertices(rows, 2)
     rng = random.Random(2)
     for _ in range(10):
@@ -111,6 +118,75 @@ def test_dual_norm_against_vertex_oracle(acc_seed):
             continue
         by_vertex = max(abs(f[1] * v[0] + f[2] * v[1]) for v in verts)
         assert acc_seed.dual_norm(f) == by_vertex
+
+
+def full_dual_norm(gens, f):
+    """Minimal l1 weight representing f over the whole +-gens, g and -g as
+    two columns per generator, nothing dropped."""
+    coords = sorted({i for g in gens for i in g.support()} | set(f.support()))
+    A = [[s * g[i] for g in gens for s in (1, -1)] for i in coords]
+    return lp.minimize([1] * (2 * len(gens)), A_eq=A,
+                       b_eq=[f[i] for i in coords])[0]
+
+
+@pytest.mark.parametrize("c, kept", [(F(1, 16), 8), (F(1, 2), 36)],
+                         ids=["acc-pruned", "S1-half-dedup"])
+def test_reduced_generators_keep_norms(c, kept):
+    # the acceptance generators lose 28 of 36 to pruning; the (S_1, 1/2)
+    # generators are all dual-unit, so only the +-g dedup acts on them
+    gens = tree_functionals("seed:ref", c)
+    seed = SeedSpace("ref", [1] * 4, gens, F(1, 16), F(1, 32))
+    assert len(gens) == 36 and len(seed.norming) == kept
+    rng = random.Random(7)
+    for _ in range(30):
+        entries = {i: F(rng.randint(-8, 8), 8)
+                   for i in rng.sample(range(1, 5), rng.randint(1, 4))}
+        x = FinVec(seed.universe, entries)
+        assert seed.primal_norm(x) == max(abs(g.pair(x)) for g in gens)
+        if x:
+            assert seed.dual_norm(x) == full_dual_norm(gens, x)
+
+
+def test_pruning_keeps_bimonotone_failure():
+    # ||(3/5, 3/10)||_* = 9/10 drops it, though its block-1 restriction
+    # has dual norm 6/5; the unit generator (1, 1) still exposes the seed
+    uni = "seed:nb"
+    gens = [FinVec(uni, v) for v in ({1: 1, 2: 1}, {2: 1},
+                                     {1: F(3, 5), 2: F(3, 10)})]
+    seed = SeedSpace("nb", [1, 1], gens + [-g for g in gens],
+                     F(1, 16), F(1, 32))
+    dropped = gens[2]
+    assert seed.dual_norm(dropped) == F(9, 10)
+    assert dropped not in seed.norming and -dropped not in seed.norming
+    assert seed.dual_norm(seed.restrict_blocks(dropped, 1, 1)) == F(6, 5)
+    # (the dense sets +-e*_1, +-e*_2 are off the sphere too, reported apart)
+    issues = [i for i in seed.validate() if "not bimonotone" in i]
+    assert issues == [f"norming[{seed.norming.index(g)}] restricted to blocks "
+                      "[1,1] exceeds the dual ball (seed not bimonotone)"
+                      for g in (-gens[0], gens[0])]
+
+
+def test_dual_norm_lp_has_one_column_per_generator(acc_seed, monkeypatch):
+    # the acceptance seed keeps exactly the 8 +-e_i, and each enters the
+    # dual-norm LP once: 8 structural columns, not 2 x 36
+    units = {FinVec(acc_seed.universe, {i: s}) for i in range(1, 5)
+             for s in (1, -1)}
+    assert set(acc_seed.norming) == units and len(acc_seed.norming) == 8
+    seen = []
+    maximize = lp.maximize
+
+    def spy(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
+        seen.append((len(c), A_eq))
+        return maximize(c, A_ub, b_ub, A_eq, b_eq)
+
+    monkeypatch.setattr(lp, "maximize", spy)
+    f = FinVec(acc_seed.universe, {1: F(3, 997), 4: F(-5, 991)})
+    assert acc_seed.dual_norm(f) == F(3, 997) + F(5, 991)
+    (ncols, A), = seen
+    assert ncols == 8
+    columns = {FinVec(acc_seed.universe, dict(zip(range(1, 5), col)))
+               for col in zip(*A)}
+    assert columns == units
 
 
 def test_seed_bimonotone_validation(acc_seed):
