@@ -25,7 +25,11 @@ elements to the right).  Four finitely described shapes are supported:
 
 * ``max_union(families)``: the union of finitely many regular families.
 
-Membership is decided recursively and memoized; all tests are exact.
+Schreier membership runs a budget automaton over the sorted elements (see
+``_open`` and ``_step``); the other shapes are decided by their definitions.
+``member_start`` and ``member_step`` expose membership one element at a
+time, which is how the Tsirelson norm and the dual norming set walk the
+minima of admissible block sequences.  All tests are exact.
 """
 
 from __future__ import annotations
@@ -147,42 +151,54 @@ def _dominated(F: tuple[int, ...], A: frozenset) -> bool:
 
 
 def _schreier_member(cnf: tuple[tuple[int, int], ...], F: tuple[int, ...]) -> bool:
-    if not cnf:  # S_0
-        return len(F) <= 1
-    k, m = cnf[-1]
-    if k == 0:  # successor ordinal: peel one from the last coefficient
-        pred = cnf[:-1] + (((0, m - 1),) if m > 1 else ())
-        return _chunked(pred, F, F[0])
-    # limit ordinal: lambda = mu + omega^k, fundamental sequence
-    # lambda_n = mu + omega^(k-1) * n
-    mu = cnf[:-1] + (((k, m - 1),) if m > 1 else ())
-    for n in range(1, F[0] + 1):
-        approx = mu + ((k - 1, n),)
-        # normalize: mu's last exponent is > k-1 by CNF shape, so approx is CNF
-        if _schreier_member(approx, F):
-            return True
-    return False
+    state = _open(cnf, F[0])
+    for x in F[1:]:
+        state = _step(state, x)
+        if state is None:
+            return False
+    return True
 
 
-def _chunked(pred_cnf, F: tuple[int, ...], budget: int) -> bool:
-    """Can F be cut into at most ``budget`` consecutive chunks, each in S_pred?"""
+# The Schreier automaton.  A state is a stack of frames (beta, r), outermost
+# first: frame j says "we are inside an S_(beta+1) set, its current chunk is
+# an S_beta set (described by the frames below), and r more chunks may be
+# opened".  A frame without budget is dropped: it can never open a chunk,
+# and using a frame above it reopens everything below that one anyway.  So
+# the bottom frame is the lowest one that can still open a chunk, and the
+# empty stack accepts nothing more.  The automaton is exact for two reasons:
+#
+# * longest-chunk greedy is optimal: S_beta is hereditary, so a shorter first
+#   chunk leaves a larger remainder, which needs at least as many chunks;
+#   hence F is in S_(beta+1) iff greedily maximal S_beta chunks number at
+#   most min F, and a chunk ends exactly where the frames below stop
+#   accepting;
+# * at a limit lambda = mu + omega^k only n = min F needs testing, because
+#   the approximants S_(mu + omega^(k-1) * n) are nested in n.
 
-    n = len(F)
+def _open(cnf: tuple[tuple[int, int], ...], m: int) -> tuple:
+    """The state of the one-element set {m} in S_cnf."""
+    if m == 1:  # every frame would open with no budget
+        return ()
+    frames = []
+    while cnf:
+        k, c = cnf[-1]
+        head = cnf[:-1] + (((k, c - 1),) if c > 1 else ())
+        if k == 0:  # successor: this chunk is in S_head, m - 1 more may follow
+            cnf = head
+            frames.append((cnf, m - 1))
+        else:       # limit: the approximant mu + omega^(k-1) * m
+            cnf = head + ((k - 1, m),)
+    return tuple(frames)
 
-    @lru_cache(maxsize=None)
-    def best(i: int) -> int:
-        # minimal number of chunks covering F[i:], or a large sentinel
-        if i == n:
-            return 0
-        m = n + 1
-        for j in range(i + 1, n + 1):
-            if _schreier_member(pred_cnf, F[i:j]):
-                sub = best(j)
-                if 1 + sub < m:
-                    m = 1 + sub
-        return m
 
-    return best(0) <= budget
+def _step(state: tuple, x: int) -> tuple | None:
+    """The state after appending x > max F, or None when F u {x} is not a
+    member: the bottom frame opens a new chunk at x and reopens the frames
+    below it there."""
+    if not state:
+        return None
+    beta, r = state[-1]
+    return state[:-1] + (((beta, r - 1),) if r > 1 else ()) + _open(beta, x)
 
 
 def _pairplus_member(base: RegularFamily, F: tuple[int, ...]) -> bool:
@@ -220,6 +236,27 @@ def _pairplus_member(base: RegularFamily, F: tuple[int, ...]) -> bool:
 def is_member(F: Iterable[int], fam: RegularFamily) -> bool:
     """Exact membership test for a finite set of naturals."""
     return _member(fam, tuple(sorted(set(map(int, F)))))
+
+
+def member_start(fam: RegularFamily, m: int):
+    """Membership state of the one-element set {m}, a member of every
+    regular family.  Feed later elements to ``member_step``."""
+    if m < 1:
+        raise ValueError("family members are subsets of {1, 2, ...}")
+    return _open(fam.payload, m) if fam.kind == "schreier" else (m,)
+
+
+def member_step(fam: RegularFamily, state, x: int):
+    """The state of F u {x} for x > max F, or None when it is not a member.
+
+    Schreier families step their automaton; the other shapes carry F itself
+    and test it.  States are hashable, and equal states accept the same
+    continuations.
+    """
+    if fam.kind == "schreier":
+        return _step(state, x)
+    F = state + (x,)
+    return F if _member(fam, F) else None
 
 
 def is_spread(A: Iterable[int], B: Iterable[int]) -> bool:

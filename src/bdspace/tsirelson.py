@@ -6,18 +6,38 @@ The norm is the implicit fixed point
                                 A_1 < ... < A_n admissible for the family },
 
 computed here by recursion over interval decompositions of the support with
-memoization.  Two exact reductions are used, both provable by induction on
-the defining recursion and both tested against a brute-force oracle:
+memoization.  Three exact reductions are used, each provable by induction on
+the defining recursion and tested against a brute-force oracle:
 
 * the value of any admissible partition tree depends only on the coordinate
   magnitudes (leaves contribute absolute values, inner nodes nonnegative
   sums), so vectors are canonicalized to their entrywise absolute value;
+
+* the norm is positively homogeneous, so the magnitudes are scaled to
+  primitive positive integers (gcd 1) and the memo is keyed by
+  (spec key, coordinates, integer magnitudes); x and every positive
+  multiple of x share one entry.  With c = p/q, q^(n-1) times the norm of
+  an integer vector on n coordinates is an integer (a norming tree has
+  depth at most n - 1), so the memo stores that integer and the search
+  adds and compares ints, not fractions;
 
 * the supremum is attained on blocks that are contiguous runs of the
   support from each chosen breakpoint to just before the next one; interior
   gaps never help (absorbing skipped points into the preceding block keeps
   every block minimum and can only increase block norms), while dropping an
   initial segment of the support can help and is enumerated.
+
+The best split is a dynamic program over (position, family state): G(s, q)
+is the largest sum of block norms over the splits of the support from
+position s on whose first block starts at s, where q is the membership
+state (``families.member_start``/``member_step``) of the breakpoint minima
+so far.  Equal states accept the same further minima, so G depends on
+nothing else; for Schreier families the state is a short stack of chunk
+budgets and the program is polynomial.  Its memo lives for one call; block
+norms come from the global memo.  Candidates are scanned in the preorder of
+the depth-first search over breakpoint sets (a split before its extensions,
+next breakpoints in increasing order) and replaced only on a strictly
+larger value, so the split returned is the first optimal one in that order.
 
 Functionals realizing the norm are admissible trees: a leaf is
 (sign, coordinate), an inner node scales the sum of its successive children
@@ -32,12 +52,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .exact import FinVec
-from .families import RegularFamily, is_member
+from .families import RegularFamily, member_start, member_step
 
 NAT = "nat"  # universe tag for c00(N) vectors
 
@@ -54,7 +76,8 @@ class TsirelsonSpec:
             raise ValueError("weight must satisfy 0 < c < 1")
 
     def key(self):
-        return (self.family, self.c)
+        # c as two ints: memo keys are hashed on every lookup
+        return (self.family, self.c.numerator, self.c.denominator)
 
 
 class CapExceeded(RuntimeError):
@@ -65,65 +88,107 @@ class CapExceeded(RuntimeError):
 # the norm
 # ---------------------------------------------------------------------------
 
+# (spec key, coords, primitive magnitudes) -> q^(n-1) * norm, see _norm_rec
 _norm_memo: dict = {}
 
 
 def _items_of(x) -> tuple[tuple[int, Fraction], ...]:
     if isinstance(x, FinVec):
         return tuple(x.items())
-    return tuple(sorted((int(i), Fraction(v)) for i, v in dict(x).items() if v))
+    return tuple(sorted((int(i), v if type(v) is Fraction else Fraction(v))
+                        for i, v in dict(x).items() if v))
+
+
+def _canonical(items) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(coords, mags, den): the magnitudes of nonempty ``items`` are
+    ``mags / den`` with ``mags`` positive integers."""
+    den = lcm(*(v.denominator for _, v in items))
+    return (tuple(i for i, _ in items),
+            tuple(abs(v.numerator) * (den // v.denominator) for _, v in items),
+            den)
 
 
 def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
-              items: tuple[tuple[int, Fraction], ...]) -> Fraction:
-    memo_key = (spec_key, items)
+              coords: tuple[int, ...], mags: tuple[int, ...]) -> int:
+    """q^(n-1) times the norm of the vector with positive integer magnitudes
+    ``mags``, where c = p/q and n = len(mags): an integer, because leaves of
+    a norming tree on n coordinates sit at depth at most n - 1.  The norm is
+    positively homogeneous, so the memo holds primitive directions only."""
+    g = gcd(*mags)
+    if g > 1:
+        mags = tuple(m // g for m in mags)
+    memo_key = (spec_key, coords, mags)
     got = _norm_memo.get(memo_key)
     if got is None:
-        got, _ = _best_split(spec_key, fam, c, items)
+        got, _ = _best_split(spec_key, fam, c, coords, mags)
         _norm_memo[memo_key] = got
-    return got
+    return g * got
 
 
 def _best_split(spec_key, fam: RegularFamily, c: Fraction,
-                items: tuple[tuple[int, Fraction], ...]):
-    """(norm, breakpoints) of a canonical vector.  The breakpoints are the
-    positions in ``items`` where the blocks of the first optimal split found
-    start, or None when no split beats the sup norm."""
-    best = max((v for _, v in items), default=Fraction(0))
-    best_split = None
-    n = len(items)
-    coords = [i for i, _ in items]
+                coords: tuple[int, ...], mags: tuple[int, ...]):
+    """(q^(n-1) * norm, breakpoints) of the vector with positive integer
+    magnitudes ``mags`` on ``coords``, as in ``_norm_rec``.  The breakpoints
+    are the positions where the blocks of the first optimal split in
+    preorder start, or None when no split beats the sup norm."""
+    n = len(mags)
+    p, q = c.numerator, c.denominator
+    best, best_split = max(mags) * q ** (n - 1), None
+    if n < 2:
+        return best, best_split
+    # a block of a split has at most n - 1 coordinates, so q^(n-2) times its
+    # norm is an integer: sums and comparisons below are exact int arithmetic
+    unit = [q ** (n - 1 - length) for length in range(n)]
+    blocks: dict = {}
+    tails: dict = {}
 
-    # DFS over breakpoint position sets; prefixes of admissible minima sets
-    # are admissible (hereditary), so dead prefixes prune the whole branch.
-    def extend(chosen: list[int], minima: list[int]):
-        nonlocal best, best_split
-        start = chosen[-1] + 1 if chosen else 0
-        for s in range(start, n):
-            if not is_member(minima + [coords[s]], fam):
+    def block(s: int, t: int) -> int:
+        v = blocks.get((s, t))
+        if v is None:
+            v = blocks[s, t] = unit[t - s] * _norm_rec(
+                spec_key, fam, c, coords[s:t], mags[s:t])
+        return v
+
+    def later(s: int, state):
+        # best (sum, breakpoints) over splits of [s, n) whose first block
+        # starts at s with family state ``state`` and is followed by another
+        found = None
+        for t in range(s + 1, n):
+            nxt = member_step(fam, state, coords[t])
+            if nxt is None:
                 continue
-            chosen.append(s)
-            minima.append(coords[s])
-            if len(chosen) >= 2:
-                total = Fraction(0)
-                for a, b in zip(chosen, chosen[1:] + [n]):
-                    total += _norm_rec(spec_key, fam, c, items[a:b])
-                val = c * total
-                if val > best:
-                    best, best_split = val, tuple(chosen)
-            extend(chosen, minima)
-            chosen.pop()
-            minima.pop()
+            v, rest = tail(t, nxt)
+            v += block(s, t)
+            if found is None or v > found[0]:
+                found = v, (t,) + rest
+        return found
 
-    if n >= 2:
-        extend([], [])
+    def tail(s: int, state):
+        # G(s, state): as ``later``, but the block at s may also be the last
+        got = tails.get((s, state))
+        if got is None:
+            got = block(s, n), ()
+            found = later(s, state)
+            if found is not None and found[0] > got[0]:
+                got = found
+            tails[s, state] = got
+        return got
+
+    for s in range(n - 1):
+        found = later(s, member_start(fam, coords[s]))
+        if found is not None and p * found[0] > best:
+            best, best_split = p * found[0], (s,) + found[1]
     return best, best_split
 
 
 def tsirelson_norm(x, spec: TsirelsonSpec) -> Fraction:
     """Exact norm of a finitely supported vector."""
-    items = tuple((i, abs(v)) for i, v in _items_of(x))
-    return _norm_rec(spec.key(), spec.family, spec.c, items)
+    items = _items_of(x)
+    if not items:
+        return Fraction(0)
+    coords, mags, den = _canonical(items)
+    scaled = _norm_rec(spec.key(), spec.family, spec.c, coords, mags)
+    return Fraction(scaled, den * spec.c.denominator ** (len(mags) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +214,16 @@ def tree_vec(tree, spec: TsirelsonSpec, universe: str = NAT) -> FinVec:
     return acc.scale(spec.c)
 
 
-def _witness_tree(spec_key, fam, c, items):
-    """(norm, optimal all-plus tree), read off the splits of the memoized
-    search: below the top every norm it needs is a memo hit."""
-    value, split = _best_split(spec_key, fam, c, items)
+def _witness_tree(spec_key, fam, c, coords, mags):
+    """(q^(n-1) * norm, optimal all-plus tree) as in ``_norm_rec``, read off
+    the splits of the memoized search: below the top every norm it needs is
+    a memo hit."""
+    value, split = _best_split(spec_key, fam, c, coords, mags)
     if split is None:
-        return value, ("leaf", 1, next(i for i, v in items if v == value))
+        return value, ("leaf", 1, coords[mags.index(max(mags))])
     return value, ("node", tuple(
-        _witness_tree(spec_key, fam, c, items[a:b])[1]
-        for a, b in zip(split, split[1:] + (len(items),))))
+        _witness_tree(spec_key, fam, c, coords[a:b], mags[a:b])[1]
+        for a, b in zip(split, split[1:] + (len(mags),))))
 
 
 def _flip_signs(tree, sign_of: Callable[[int], int]):
@@ -173,11 +239,12 @@ def norming_functional(x, spec: TsirelsonSpec, universe: str = NAT):
     the dual norming set (or a signed unit vector).
     """
     items = _items_of(x)
-    signs = {i: (1 if v >= 0 else -1) for i, v in items}
-    abs_items = tuple((i, abs(v)) for i, v in items)
-    if not abs_items:
+    if not items:
         return Fraction(0), None, FinVec(universe)
-    value, tree = _witness_tree(spec.key(), spec.family, spec.c, abs_items)
+    signs = {i: (1 if v >= 0 else -1) for i, v in items}
+    coords, mags, den = _canonical(items)
+    value, tree = _witness_tree(spec.key(), spec.family, spec.c, coords, mags)
+    value = Fraction(value, den * spec.c.denominator ** (len(mags) - 1))
     tree = _flip_signs(tree, lambda i: signs.get(i, 1))
     vec = tree_vec(tree, spec, universe)
     return value, tree, vec
@@ -212,48 +279,50 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
     fam = spec.family
     level_of: dict = {}
     vec_of: dict = {}
+    span_of: dict = {}   # tree -> (min, max) of its support
     trees: list = []
 
-    def admit(tree, level):
+    def admit(tree, level, span):
         if tree in level_of:
             return
         if len(trees) >= member_cap:
             raise CapExceeded(f"dual norming set cap {member_cap} hit")
         level_of[tree] = level
         vec_of[tree] = tree_vec(tree, spec)
+        span_of[tree] = span
         trees.append(tree)
 
     for j in range(1, support_bound + 1):
         for s in signs:
-            admit(("leaf", s, j), 0)
+            admit(("leaf", s, j), 0, (j, j))
 
+    # every member has support in [1, support_bound]: leaves do, and a node's
+    # support is the union of its children's
     pool = list(trees)
     for level in range(1, depth + 1):
         # members available to combine: everything from lower levels
-        by_min = sorted(pool, key=lambda t: tree_support(t)[0])
+        by_min = sorted(pool, key=lambda t: span_of[t][0])
+        spans = [span_of[t] for t in by_min]
+        mins = [lo for lo, _ in spans]
         fresh = []
 
-        def grow(seq, minima, max_supp):
-            for t in by_min:
-                sup = tree_support(t)
-                if sup[0] <= max_supp:
+        def grow(seq, state, max_supp):
+            for k in range(bisect_right(mins, max_supp), len(by_min)):
+                lo, hi = spans[k]
+                nxt = (member_step(fam, state, lo) if seq
+                       else member_start(fam, lo))
+                if nxt is None:
                     continue
-                if sup[-1] > support_bound:
-                    continue
-                if not is_member(minima + [sup[0]], fam):
-                    continue
-                seq.append(t)
-                minima.append(sup[0])
+                seq.append(by_min[k])
                 if len(seq) >= 2:
                     node = ("node", tuple(seq))
                     if node not in level_of:
-                        admit(node, level)
+                        admit(node, level, (span_of[seq[0]][0], hi))
                         fresh.append(node)
-                grow(seq, minima, sup[-1])
+                grow(seq, nxt, hi)
                 seq.pop()
-                minima.pop()
 
-        grow([], [], 0)
+        grow([], None, 0)
         if not fresh:
             break
         pool.extend(fresh)

@@ -1,10 +1,13 @@
 """Independent oracles the tests check the library against.
 
-These deliberately avoid the library's algorithmic shortcuts: the Tsirelson
-oracle enumerates arbitrary successive block subsets (not only interval
-runs), the triangular-solve oracle runs dense Gaussian elimination, and the
-dual-norm oracle enumerates polytope vertices.  Values computed here are
-exact.
+These deliberately avoid the library's algorithmic shortcuts: membership
+follows the defining recursion of the regular families (every chunk split,
+every approximant at limits), the Tsirelson oracle enumerates arbitrary
+successive block subsets (not only interval runs), the split oracle runs
+the depth-first search over breakpoint sets that the library's dynamic
+program replaced, the triangular-solve oracle runs dense Gaussian
+elimination, and the dual-norm oracle enumerates polytope vertices.  Values
+computed here are exact.
 """
 
 from __future__ import annotations
@@ -12,7 +15,82 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from bdspace.families import is_member
+from bdspace.tsirelson import tsirelson_norm
+
+_member_memo: dict = {}    # (family, F) -> bool
+_schreier_memo: dict = {}  # (cnf, F) -> bool
+_chunks_memo: dict = {}    # (cnf, F) -> fewest chunks
+
+
+def bf_member(F, family) -> bool:
+    """Membership by the definitions in ``bdspace.families``, memoized.
+
+    Schreier successors try every cut into consecutive chunks, limits try
+    every approximant n <= min F, explicit families every subset of every
+    listed set, and ``singleton_plus_pair`` every point and 2-coloring.
+    """
+    F = tuple(sorted(set(F)))
+    key = (family, F)
+    got = _member_memo.get(key)
+    if got is None:
+        got = _member_memo[key] = _bf_member(F, family)
+    return got
+
+
+def _bf_member(F: tuple, family) -> bool:
+    if not F:
+        return True
+    kind, payload = family.kind, family.payload
+    if kind == "schreier":
+        return _bf_schreier(payload, F)
+    if kind == "union":
+        return any(bf_member(F, f) for f in payload)
+    if kind == "explicit":
+        return len(F) == 1 or any(
+            all(a <= f for a, f in zip(B, F)) for A in payload
+            for B in itertools.combinations(sorted(A), len(F)))
+    if kind == "pairplus":
+        for x in F:
+            rest = [y for y in F if y != x]
+            for colors in itertools.product((0, 1), repeat=len(rest)):
+                parts = ([y for y, k in zip(rest, colors) if k == side]
+                         for side in (0, 1))
+                if all(bf_member(B, payload) for B in parts):
+                    return True
+        return False
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
+def _bf_schreier(cnf: tuple, F: tuple) -> bool:
+    key = (cnf, F)
+    got = _schreier_memo.get(key)
+    if got is not None:
+        return got
+    if not cnf:  # S_0
+        got = len(F) <= 1
+    elif cnf[-1][0] == 0:  # successor: at most min F chunks in S_pred
+        m = cnf[-1][1]
+        pred = cnf[:-1] + (((0, m - 1),) if m > 1 else ())
+        got = _bf_chunks(pred, F) <= F[0]
+    else:  # limit lambda = mu + omega^k: some n <= min F
+        k, m = cnf[-1]
+        mu = cnf[:-1] + (((k, m - 1),) if m > 1 else ())
+        got = any(_bf_schreier(mu + ((k - 1, n),), F)
+                  for n in range(1, F[0] + 1))
+    _schreier_memo[key] = got
+    return got
+
+
+def _bf_chunks(pred: tuple, F: tuple) -> int:
+    """Fewest consecutive chunks in S_pred covering F (len(F) + 1 if none)."""
+    key = (pred, F)
+    got = _chunks_memo.get(key)
+    if got is None:
+        got = 0 if not F else min(
+            (1 + _bf_chunks(pred, F[j:]) for j in range(1, len(F) + 1)
+             if _bf_schreier(pred, F[:j])), default=len(F) + 1)
+        _chunks_memo[key] = got
+    return got
 
 
 def bf_tsirelson(items: tuple, family, c: Fraction, memo: dict) -> Fraction:
@@ -43,7 +121,7 @@ def bf_tsirelson(items: tuple, family, c: Fraction, memo: dict) -> Fraction:
                     else:
                         parts[-1].append(T[i])
                 minima = [items[p[0]][0] for p in parts]
-                if not is_member(minima, family):
+                if not bf_member(minima, family):
                     continue
                 total = Fraction(0)
                 for p in parts:
@@ -54,6 +132,39 @@ def bf_tsirelson(items: tuple, family, c: Fraction, memo: dict) -> Fraction:
                     best = val
     memo[items] = best
     return best
+
+
+def bf_best_split(items: tuple, spec) -> tuple:
+    """(norm, breakpoints) by depth-first search over breakpoint sets.
+
+    The breakpoints are the positions in ``items`` where the blocks of the
+    first optimal split in preorder start, or None when no split beats the
+    sup norm.  Blocks run from one breakpoint to just before the next; their
+    norms come from the library.
+    """
+    best = max((v for _, v in items), default=Fraction(0))
+    best_split = None
+    n = len(items)
+
+    def extend(chosen: list, minima: list):
+        nonlocal best, best_split
+        for s in range(chosen[-1] + 1 if chosen else 0, n):
+            if not bf_member(minima + [items[s][0]], spec.family):
+                continue
+            chosen.append(s)
+            minima.append(items[s][0])
+            if len(chosen) >= 2:
+                val = spec.c * sum(
+                    (tsirelson_norm(dict(items[a:b]), spec)
+                     for a, b in zip(chosen, chosen[1:] + [n])), Fraction(0))
+                if val > best:
+                    best, best_split = val, tuple(chosen)
+            extend(chosen, minima)
+            chosen.pop()
+            minima.pop()
+
+    extend([], [])
+    return best, best_split
 
 
 def dense_unitriangular_solve(order: list, cstar_rows: dict, target: dict

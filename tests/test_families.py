@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bdspace.families import (RegularFamily, chain_compactness_probe,
                               explicit, is_admissible, is_member, is_spread,
                               max_union, schreier, singleton_plus_pair)
-from oracles import count_schreier1
+from oracles import bf_member, count_schreier1
 
 S1 = schreier(1)
 S2 = schreier(2)
@@ -117,3 +117,18 @@ def test_json_round_trip():
 def test_union_is_or(F):
     u = max_union([S1, S2])
     assert is_member(F, u) == (is_member(F, S1) or is_member(F, S2))
+
+
+@pytest.mark.parametrize("fam", [
+    schreier(0), S1, S2, schreier(3), SW, SW2,
+    schreier(((1, 2),)),                       # omega * 2
+    schreier(((2, 1),)),                       # omega^2
+    singleton_plus_pair(S1),
+    max_union([explicit([{2, 5}, {3, 4, 9}]), S1])],
+    ids=["S0", "S1", "S2", "S3", "Sw", "Sw+1", "Sw2", "Sww", "pairplus-S1",
+         "explicit-or-S1"])
+def test_membership_matches_definition_exhaustive(fam):
+    # the budget automaton against the defining recursion, on every subset
+    for size in range(12):
+        for F in itertools.combinations(range(1, 12), size):
+            assert is_member(F, fam) == bf_member(F, fam), F

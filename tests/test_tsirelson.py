@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdspace import tsirelson
 from bdspace.exact import FinVec
-from bdspace.families import is_admissible, schreier
+from bdspace.families import explicit, is_admissible, max_union, schreier
 from bdspace.tsirelson import (CapExceeded, TsirelsonSpec,
                                build_dual_norming_set, certify_domination,
                                norming_functional, tree_support, tree_vec,
                                tsirelson_norm)
-from oracles import bf_tsirelson
+from oracles import bf_best_split, bf_tsirelson
 
 F = Fraction
 S1 = schreier(1)
@@ -63,6 +65,46 @@ def test_oracle_equivalence_deeper_family():
         items = tuple((i, abs(v)) for i, v in sorted(x.items()))
         assert tsirelson_norm(nat(x), spec) == bf_tsirelson(
             items, schreier(2), F(1, 3), memo)
+
+
+@pytest.mark.parametrize("spec", [
+    HALF, TsirelsonSpec(S1, F(1, 16)), TsirelsonSpec(schreier(2), F(1, 3)),
+    TsirelsonSpec(schreier(((1, 1),)), F(1, 2)),
+    TsirelsonSpec(max_union([explicit([{1, 4}, {2, 3, 5}]), S1]), F(1, 2))],
+    ids=["S1-half", "S1-sixteenth", "S2-third", "Sw-half", "explicit-or-S1"])
+def test_best_split_matches_dfs(spec):
+    # the dynamic program returns the value and the breakpoints of the first
+    # optimal split in the depth-first preorder; ties are frequent here, and
+    # flat vectors tie a block with its own splits
+    rng = random.Random(13)
+    cases = []
+    for _ in range(250):
+        coords = tuple(sorted(rng.sample(range(1, 10), rng.randint(1, 6))))
+        # magnitudes (1|2|4|8)/(1|2), doubled to integers
+        halves = tuple(rng.choice((1, 2, 4, 8)) * rng.choice((1, 2))
+                       for _ in coords)
+        cases.append((coords, halves))
+    cases += [(coords, (2,) * size) for size in range(2, 7)
+              for coords in itertools.combinations(range(1, 10), size)]
+    for coords, halves in cases:
+        items = tuple((i, F(h, 2)) for i, h in zip(coords, halves))
+        value, split = tsirelson._best_split(spec.key(), spec.family, spec.c,
+                                             coords, halves)
+        value = F(value, 2 * spec.c.denominator ** (len(coords) - 1))
+        assert (value, split) == bf_best_split(items, spec), items
+
+
+def test_norm_homogeneous_and_memo_keyed_by_direction():
+    rng = random.Random(17)
+    for _ in range(30):
+        x = {i: F(rng.randint(-8, 8) or 1, rng.randint(1, 6))
+             for i in rng.sample(range(1, 12), rng.randint(1, 7))}
+        n = tsirelson_norm(x, HALF)
+        entries = len(tsirelson._norm_memo)
+        for lam in (F(3), F(1, 7), F(5, 2)):
+            assert tsirelson_norm({i: lam * v for i, v in x.items()},
+                                  HALF) == lam * n
+        assert len(tsirelson._norm_memo) == entries
 
 
 def _admissible_tree(tree, fam):
@@ -116,6 +158,21 @@ def test_dual_norming_set_norms_from_below():
     # the deepest level attains the norm on vectors inside the bound
     x = nat({3: 1, 4: 1, 5: 1})
     assert max(abs(v.pair(x)) for v in d2.members()) == tsirelson_norm(x, HALF)
+
+
+def test_dual_norming_set_pinned_at_six_and_seven_blocks():
+    spec = TsirelsonSpec(S1, F(1, 16))
+    d6 = build_dual_norming_set(spec, 6, 6)
+    assert len(d6.trees) == 1460
+    # trees, their order, levels and vectors as first generated by the
+    # search that recomputed every support inside its loop
+    listing = repr([(t, d6.level_of[t]) for t in d6.trees]).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "78db572509efb66c96f7a4782bfcdfd13a9f0d80de84b6fcbc4a9e2dda9b90be")
+    vectors = repr([d6.vec_of[t] for t in d6.trees]).encode()
+    assert hashlib.sha256(vectors).hexdigest() == (
+        "42243d41aff64da7b819415f4d6da5abdf30f869c75cd595016ee95204431dae")
+    assert len(build_dual_norming_set(spec, 7, 7).trees) == 12202
 
 
 def test_dual_norming_set_cap():
