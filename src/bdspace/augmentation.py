@@ -126,7 +126,6 @@ class AugmentedBuild:
         self.bd = BDBuild(base.bd.universe + ":aug")
         self.theta: dict[int, ThetaInfo] = {}
         self.bentries: list[BEntry] = []
-        self._psi_cache: dict[FinVec, FinVec] = {}
         self._epoch = -1
         self._replay()
         self.spanning_seed = [base.seed.basis_vector(i)
@@ -159,7 +158,6 @@ class AugmentedBuild:
         existing coordinates are stable, but new coordinates appear."""
         if self._epoch == len(self.bd.rank):
             return
-        self._psi_cache.clear()
         self._spanning = [self.psi(x) for x in self._spanning_base]
         self._epoch = len(self.bd.rank)
 
@@ -184,23 +182,14 @@ class AugmentedBuild:
         """Blockwise reembedding of a base-span vector into the augmentation.
 
         x is given by its coordinates over the merged universe but supported
-        on base indices; each base block component is restricted to the base
-        stage and extended through the merged operators.
+        on base indices.  The rank-j d*-coordinates of x in the base build
+        are the stage pattern of its j-th block component, and J_j of that
+        pattern in the merged build is its synthesis there (see ``bdcore``),
+        so psi x is the merged synthesis of the base d*-coordinates of x.
         """
-        got = self._psi_cache.get(x)
-        if got is not None:
-            return got
         src = self.base.bd
-        xb = FinVec(src.universe, dict(x.items()))
-        out = FinVec(self.bd.universe)
-        top = self.bd.max_rank()
-        for j in sorted(src.stages):
-            comp = src.block_component(xb, j)
-            u = comp.restrict(lambda i: src.rank[i] == j)
-            if u:
-                out = out + self.bd.apply_Jm(self.to_merged(u), j, top)
-        self._psi_cache[x] = out
-        return out
+        return self.bd.synthesize(
+            src.dcoords(FinVec(src.universe, dict(x.items()))))
 
     def psi_of_seed(self, x_seed: FinVec) -> FinVec:
         return self.psi(self.to_merged(embed_phi(self.base, x_seed)))
@@ -561,10 +550,8 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
                 rep.violations.append(f"{g}: admission recheck fails: {why}")
     # psi is isometric blockwise: exhaustive sign patterns on small stages
     for j in sorted(aug.base.bd.stages):
-        stage = aug.base.bd.stage(j)
-        if len(stage) > 10:
-            stage = stage[:10]
-        for signs in itertools.product((1, -1), repeat=min(len(stage), 6)):
+        stage = aug.base.bd.stage(j)[:6]
+        for signs in itertools.product((1, -1), repeat=len(stage)):
             u = FinVec(aug.base.bd.universe, dict(zip(stage, signs)))
             x = aug.base.bd.apply_Jm(u, j)
             mx = aug.to_merged(x)

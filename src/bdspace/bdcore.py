@@ -12,6 +12,20 @@ stages, the d* family is a unitriangular basis of l1(Gamma_n): interval
 projections, norm constants and the stagewise analysis of each e*_gamma are
 all exact rational computations.
 
+A vector x of the space is handled through its d*-coordinates
+a_t = <d*_t, x> = x(t) - <c*_t, x> (``dcoords``) and rebuilt by the
+synthesis x = sum_t a_t d_t, whose value at g is sum_t <e*_g, d_t> a_t,
+read off the memoized d-expansion of e*_g (``synthesize``).  Every
+extension-operator helper is a filter on these coordinates:
+J_m x keeps the ranks <= m, the j-th FDD component keeps rank j, and the
+stage pattern of block j is the rank-j coordinates themselves.  This is
+exact because ``add_type0``/``add_type1`` keep c*_g on ranks strictly below
+rank(g): then e*_g = d*_g + (terms of lower rank), so the d-expansion of
+e*_g restricted to rank(g) is {g: 1}.  Hence the synthesis of coordinates
+carried by Delta_j equals them on Delta_j, and a pattern u on Delta_j has
+d*-coordinates u in ranks <= j (x(t) = 0 and <c*_t, u> = 0 below j), so
+J_j u is its synthesis.
+
 Verified here, stage by stage and with zero tolerance:
  * schema conformance (shapes, ball memberships, support constraints,
    consistency of the stored c* table with the defining fields);
@@ -187,69 +201,70 @@ class BDBuild:
 
     # -- extension operators ----------------------------------------------------
 
-    def pair_dstar(self, x: FinVec) -> dict[int, Fraction]:
-        """<d*_t, x> for every t, one pass: x(t) - <c*_t, x>."""
+    def dcoords(self, x: FinVec) -> dict[int, Fraction]:
+        """The nonzero d*-coordinates of x: <d*_t, x> = x(t) - <c*_t, x>."""
         out = {}
-        for t in self.rank:
-            out[t] = x[t] - self.cstar_table[t].pair(x)
+        for t, cs in self.cstar_table.items():
+            v = x[t] - cs.pair(x)
+            if v:
+                out[t] = v
         return out
 
+    def synthesize(self, a, upto: int | None = None) -> FinVec:
+        """sum_t a_t d_t on Gamma_upto: g -> sum_t <e*_g, d_t> a_t, read off
+        the memoized dexp(g); ``a`` maps indices to coefficients."""
+        if upto is None:
+            upto = self.max_rank()
+        vals = {}
+        for g, r in self.rank.items():
+            if r <= upto:
+                acc = sum((c * a[t] for t, c in self.dexp(g).items()
+                           if t in a), Fraction(0))
+                if acc:
+                    vals[g] = acc
+        return FinVec(self.universe, vals)
+
     def apply_Jm(self, x: FinVec, m: int, target_stage: int | None = None) -> FinVec:
-        """Extension of x from Gamma_m: (J_m x)(g) = <P*_[1,m] e*_g, x>."""
+        """Extension of x from Gamma_m: (J_m x)(g) = <P*_[1,m] e*_g, x>, the
+        synthesis of the d*-coordinates of x of rank <= m."""
         for i in x.support():
             if self.rank.get(i, m + 1) > m:
                 raise BuildError(f"x not supported on Gamma_{m}")
-        if target_stage is None:
-            target_stage = self.max_rank()
-        dpair = self.pair_dstar(x)
-        vals = {}
-        for g in self.rank:
-            if self.rank[g] > target_stage:
-                continue
-            acc = Fraction(0)
-            for t, a in self.dexp(g).items():
-                if self.rank[t] <= m:
-                    acc += a * dpair[t]
-            if acc:
-                vals[g] = acc
-        return FinVec(self.universe, vals)
+        return self.synthesize({t: v for t, v in self.dcoords(x).items()
+                                if self.rank[t] <= m}, target_stage)
 
     def block_component(self, x: FinVec, j: int, upto: int | None = None) -> FinVec:
-        """The j-th coordinate of x for the finite-dimensional decomposition."""
-        if upto is None:
-            upto = self.max_rank()
-        rj = x.restrict(lambda i: self.rank[i] <= j)
-        rj1 = x.restrict(lambda i: self.rank[i] <= j - 1)
-        return (self.apply_Jm(rj, j, upto) -
-                self.apply_Jm(rj1, j - 1, upto))
+        """The j-th coordinate of x for the finite-dimensional decomposition:
+        the synthesis of its d*-coordinates of rank j."""
+        return self.synthesize({t: v for t, v in self.dcoords(x).items()
+                                if self.rank[t] == j}, upto)
 
     def fdd_support(self, x: FinVec, upto: int | None = None) -> list[int]:
-        if upto is None:
-            upto = self.max_rank()
-        return [j for j in range(1, upto + 1)
-                if self.block_component(x, j, upto)]
+        return [j for j, _ in self.stage_patterns(x, upto)]
 
     def stage_patterns(self, x: FinVec, upto: int | None = None
                        ) -> list[tuple[int, FinVec]]:
         """The defining stage data of x: per block j, the restriction of its
-        j-th component to Delta_j (each component is the extension of it)."""
+        j-th component to Delta_j, which is its d*-coordinates of rank j."""
         if upto is None:
             upto = self.max_rank()
-        out = []
-        for j in range(1, upto + 1):
-            comp = self.block_component(x, j, upto)
-            if comp:
-                out.append((j, comp.restrict(lambda i: self.rank[i] == j)))
-        return out
+        by_rank: dict[int, dict[int, Fraction]] = {}
+        for t, v in self.dcoords(x).items():
+            if self.rank[t] <= upto:
+                by_rank.setdefault(self.rank[t], {})[t] = v
+        return [(j, FinVec(self.universe, by_rank[j])) for j in sorted(by_rank)]
 
     def reextend(self, patterns: list[tuple[int, FinVec]],
                  target_stage: int | None = None) -> FinVec:
         """Rebuild a vector from stage patterns over a grown coordinate
         system; values at preexisting coordinates are unchanged."""
-        acc = FinVec(self.universe)
+        a = {}
         for j, u in patterns:
-            acc = acc + self.apply_Jm(u, j, target_stage)
-        return acc
+            for t, v in u.items():
+                if self.rank.get(t) != j:
+                    raise BuildError(f"pattern not supported on Delta_{j}")
+                a[t] = a.get(t, 0) + v
+        return self.synthesize(a, target_stage)
 
     # -- analysis ------------------------------------------------------------------
 

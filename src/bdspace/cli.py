@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     p.add_argument("--v-family", default="schreier:1")
     p.add_argument("--v-c", default="1/2")
     p.add_argument("--c", default=None, help="augmentation weight (default: seed c)")
-    p.add_argument("--mode", default="fdd", choices=["fdd", "free", "skipped"])
+    p.add_argument("--mode", default="fdd", choices=["fdd", "free"])
     p.add_argument("--carriers", default="2,6,11",
                    help="comma-separated carrier ranks ('' for none)")
     p.set_defaults(fn=cmd_augment)

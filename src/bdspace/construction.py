@@ -106,9 +106,6 @@ class EmbeddingBuild:
     pruned: bool = False
     prune_log: list = field(default_factory=list)
 
-    def tuple_of(self, g: int) -> tuple:
-        return self.info[g].entries
-
     def full_code(self, member_index: int) -> tuple:
         return tuple(self.D.members[member_index].decomp)
 
@@ -323,28 +320,23 @@ def check_block_rank_order(eb: EmbeddingBuild, j: int) -> Report:
 
 def embed_phi(eb: EmbeddingBuild, x: FinVec) -> FinVec:
     """Image of a seed vector: block i acts on the rank-m_i stage and is
-    extended by J_{m_i}; the images are summed over the built stages."""
+    extended by J_{m_i}.  The stage-m_i patterns are d*-coordinates, so the
+    image is one synthesis of them over the built stages."""
     s, bd, D = eb.seed, eb.bd, eb.D
     if x.universe != s.universe:
         raise BuildError("vector not over the seed space")
-    out = FinVec(bd.universe)
-    top = bd.max_rank()
+    u = {}
     for blk in range(1, s.nblocks + 1):
         xb = s.restrict_blocks(x, blk, blk)
         if not xb:
             continue
-        mi = m_seq(blk)
-        stage = bd.stage(mi)
+        stage = bd.stage(m_seq(blk))
         if not stage:
             raise BuildError(f"stage bound too low for block {blk}")
-        u = {}
         for g in stage:
             (r, j), = eb.info[g].entries
-            val = r * D.members[j].vec.pair(xb)
-            if val:
-                u[g] = val
-        out = out + bd.apply_Jm(FinVec(bd.universe, u), mi, top)
-    return out
+            u[g] = r * D.members[j].vec.pair(xb)
+    return bd.synthesize(u)
 
 
 def phi_functional_identity(eb: EmbeddingBuild, x: FinVec,

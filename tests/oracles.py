@@ -6,8 +6,10 @@ every approximant at limits), the Tsirelson oracle enumerates arbitrary
 successive block subsets (not only interval runs), the split oracle runs
 the depth-first search over breakpoint sets that the library's dynamic
 program replaced, the triangular-solve oracle runs dense Gaussian
-elimination, and the dual-norm oracle enumerates polytope vertices.  Values
-computed here are exact.
+elimination, the extension-operator oracles apply the defining formulas of
+J_m, the FDD components and psi to d-coordinates from that dense solve, and
+the dual-norm oracle enumerates polytope vertices.  Values computed here are
+exact.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from bdspace.exact import FinVec
 from bdspace.tsirelson import tsirelson_norm
 
 _member_memo: dict = {}    # (family, F) -> bool
@@ -194,6 +197,72 @@ def dense_unitriangular_solve(order: list, cstar_rows: dict, target: dict
                 if M[i][j]:
                     b[i] -= M[i][j] * aj
     return {order[j]: a[j] for j in range(n) if a[j]}
+
+
+
+_estar_memo: dict = {}  # (build, size) -> {g: d-coordinates of e*_g}
+
+
+def bf_estar_dcoords(bd) -> dict:
+    """{g: a} with e*_g = sum_t a_t d*_t for every element of a build, by
+    dense elimination over its stored c* table (memoized per build size)."""
+    key = (bd, len(bd.rank))
+    got = _estar_memo.get(key)
+    if got is None:
+        order = sorted(bd.rank, key=lambda g: (bd.rank[g], g))
+        got = _estar_memo[key] = {
+            g: dense_unitriangular_solve(order, bd.cstar_table, {g: 1})
+            for g in order}
+    return got
+
+
+def bf_apply_Jm(bd, x, m: int, upto: int):
+    """(J_m x)(g) = <P*_[1,m] e*_g, x> for every g of rank <= upto, with
+    P*_[1,m] e*_g = sum over rank t <= m of a_t (e*_t - c*_t)."""
+    out = {}
+    for g, a in bf_estar_dcoords(bd).items():
+        if bd.rank[g] > upto:
+            continue
+        f: dict = {}
+        for t, at in a.items():
+            if bd.rank[t] <= m:
+                f[t] = f.get(t, 0) + at
+                for i, c in bd.cstar_table[t].items():
+                    f[i] = f.get(i, 0) - at * c
+        out[g] = sum((v * x[i] for i, v in f.items()), Fraction(0))
+    return FinVec(bd.universe, out)
+
+
+def bf_block_component(bd, x, j: int, upto: int):
+    """The j-th FDD component J_j R_j x - J_{j-1} R_{j-1} x."""
+    rj = x.restrict(lambda i: bd.rank[i] <= j)
+    rj1 = x.restrict(lambda i: bd.rank[i] <= j - 1)
+    return bf_apply_Jm(bd, rj, j, upto) - bf_apply_Jm(bd, rj1, j - 1, upto)
+
+
+def bf_stage_patterns(bd, x, upto: int) -> list:
+    """(j, restriction of the j-th component to Delta_j) for each nonzero
+    component."""
+    out = []
+    for j in range(1, upto + 1):
+        comp = bf_block_component(bd, x, j, upto)
+        if comp:
+            out.append((j, comp.restrict(lambda i: bd.rank[i] == j)))
+    return out
+
+
+def bf_psi(aug, x):
+    """psi of a base-span vector as the per-block loop: each base component
+    restricted to its base stage, extended by J_j of the merged build."""
+    src, bd = aug.base.bd, aug.bd
+    xb = FinVec(src.universe, dict(x.items()))
+    out = FinVec(bd.universe)
+    for j in sorted(src.stages):
+        comp = bf_block_component(src, xb, j, src.max_rank())
+        u = FinVec(bd.universe, {i: v for i, v in comp.items()
+                                 if src.rank[i] == j})
+        out = out + bf_apply_Jm(bd, u, j, bd.max_rank())
+    return out
 
 
 def count_schreier1(n: int) -> int:

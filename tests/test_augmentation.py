@@ -14,6 +14,7 @@ from bdspace.construction import embed_phi
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec
+from oracles import bf_psi
 
 F = Fraction
 S1 = schreier(1)
@@ -61,6 +62,21 @@ def test_psi_blockwise_isometry(aug_half):
                        {g: rng.choice((1, -1)) for g in stage})
             x = base.bd.apply_Jm(u, j)
             assert aug_half.psi(aug_half.to_merged(x)).linf() == x.linf()
+
+
+def test_psi_matches_blockwise_oracle(acc_lifted):
+    aug = acc_lifted
+    base = aug.base
+    rng = random.Random(3)
+    for _ in range(6):
+        x = FinVec(base.seed.universe,
+                   {i: F(rng.randint(-8, 8), 8) for i in range(1, 5)})
+        img = aug.to_merged(embed_phi(base, x))
+        assert aug.psi(img) == bf_psi(aug, img)
+        # any base vector, not only the image of the seed
+        ids = rng.sample(base.bd.ids(), 6)
+        z = FinVec(aug.bd.universe, {g: F(rng.randint(-8, 8), 8) for g in ids})
+        assert aug.psi(z) == bf_psi(aug, z)
 
 
 def test_new_elements_annihilate_psi(aug_half):

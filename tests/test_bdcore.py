@@ -6,6 +6,7 @@ import pytest
 from bdspace import bdcore
 from bdspace.bdcore import BDBuild, BuildError, Gamma1
 from bdspace.exact import FinVec
+from oracles import bf_apply_Jm, bf_block_component, bf_stage_patterns
 
 F = Fraction
 
@@ -212,3 +213,41 @@ def test_stage_patterns_reextend():
     x = bd.apply_Jm(FinVec("bd:tiny", {ids[2]: 1, ids[0]: F(-1, 2)}), 2)
     pats = bd.stage_patterns(x)
     assert bd.reextend(pats) == x
+
+
+@pytest.fixture(params=["acc", "lifted"])
+def big_build(request):
+    if request.param == "acc":
+        return request.getfixturevalue("acc_build").bd
+    return request.getfixturevalue("acc_lifted").bd
+
+
+def test_dexp_is_unit_on_own_rank(big_build):
+    bd = big_build
+    for g in bd.ids():
+        own = bd.dexp(g).restrict(lambda t: bd.rank[t] == bd.rank[g])
+        assert own == FinVec(bd.universe, {g: 1})
+
+
+def test_extension_operators_match_oracles(big_build):
+    bd = big_build
+    N, ids = bd.max_rank(), bd.ids()
+    rng = random.Random(11)
+    for _ in range(6):
+        m = rng.randint(1, N)
+        upto = rng.randint(m, N)
+        x = FinVec(bd.universe, {g: F(rng.randint(-8, 8), 8)
+                                 for g in bd.gamma_upto(m)})
+        assert bd.apply_Jm(x, m, upto) == bf_apply_Jm(bd, x, m, upto)
+        # an arbitrary vector, not an extension of its restrictions
+        y = FinVec(bd.universe, {g: F(rng.randint(-8, 8), 8)
+                                 for g in rng.sample(ids, rng.randint(1, 12))})
+        for j in range(1, N + 1):
+            assert bd.block_component(y, j) == bf_block_component(bd, y, j, N)
+        pats = bf_stage_patterns(bd, y, upto)
+        assert bd.stage_patterns(y, upto) == pats
+        assert bd.fdd_support(y, upto) == [j for j, _ in pats]
+        again = FinVec(bd.universe)
+        for j, u in pats:
+            again = again + bf_apply_Jm(bd, u, j, N)
+        assert bd.reextend(pats) == again

@@ -147,3 +147,12 @@ def test_augment_command(built, tmp_path, capsys):
     manifest = json.loads((aout / "manifest.json").read_text())
     assert manifest["verification_ok"]
     assert manifest["certificate"]["status"] == "PASS"
+
+
+def test_augment_rejects_skipped_mode(built, tmp_path):
+    # skipped mode needs a lower-estimate constant the CLI does not take
+    _, _, out = built
+    with pytest.raises(SystemExit) as exc:
+        main(["augment", "--build", str(out), "--out", str(tmp_path / "a"),
+              "--mode", "skipped"])
+    assert exc.value.code == 2

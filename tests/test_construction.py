@@ -9,6 +9,7 @@ from bdspace.construction import (build_embedding, check_block_rank_order,
                                   verify_embedding)
 from bdspace.exact import FinVec
 from bdspace.families import chain_compactness_probe
+from oracles import bf_apply_Jm
 
 F = Fraction
 
@@ -145,6 +146,24 @@ def test_phi_block_action(acc_build):
     for g in bd.stage(m_seq(2)):
         (r, j), = acc_build.info[g].entries
         assert img[g] == r * D.members[j].vec.pair(x)
+
+
+def test_phi_matches_blockwise_oracle(acc_build):
+    # phi x = sum over blocks i of J_{m_i} of the stage-m_i pattern
+    s, bd, D = acc_build.seed, acc_build.bd, acc_build.D
+    rng = random.Random(6)
+    for _ in range(8):
+        x = FinVec(s.universe, {i: F(rng.randint(-8, 8), 8)
+                                for i in range(1, s.ncoords + 1)})
+        expect = FinVec(bd.universe)
+        for blk in range(1, s.nblocks + 1):
+            xb = s.restrict_blocks(x, blk, blk)
+            mi = m_seq(blk)
+            u = FinVec(bd.universe, {
+                g: r * D.members[j].vec.pair(xb) for g in bd.stage(mi)
+                for r, j in acc_build.info[g].entries})
+            expect = expect + bf_apply_Jm(bd, u, mi, bd.max_rank())
+        assert embed_phi(acc_build, x) == expect
 
 
 def test_embedding_bounds_and_witnesses(acc_build):
