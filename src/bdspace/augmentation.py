@@ -655,7 +655,7 @@ def _annihilating_witness(aug: AugmentedBuild, p: int, q: int,
                 row[2 * j + 1] = -val
             A_eq.append(row)
             b_eq.append(Fraction(0))
-    val, sol = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    val, sol, _ = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     f = FinVec(bd.universe)
     for j, g in enumerate(span):
         a = sol[2 * j] - sol[2 * j + 1]
@@ -668,18 +668,26 @@ def _annihilating_witness(aug: AugmentedBuild, p: int, q: int,
 def _hull_distance(aug: AugmentedBuild, z: FinVec, resolution: int = 2
                    ) -> Fraction:
     """Best truncated distance from z to the rational hull of the spanning
-    set at the given denominator resolution (upper end of the interval)."""
-    best = z.linf()
-    span = aug.spanning
-    if len(span) > 3:
-        span = span[:3]
+    set at the given denominator resolution (upper end of the interval).
+
+    Off the union U of the spanning vectors' supports no combination moves
+    z, so max |z_i| there is a floor under every distance, and each grid
+    point only recomputes |z_i - h_i| for i in U."""
+    span = aug.spanning[:3]
+    U = sorted({i for sx in span for i in sx.support()})
+    inU = set(U)
+    floor = max((abs(v) for i, v in z.items() if i not in inU),
+                default=Fraction(0))
+    zU = [z[i] for i in U]
     grid = [Fraction(k, resolution) for k in range(-resolution, resolution + 1)]
-    for coeffs in itertools.product(grid, repeat=len(span)):
-        h = FinVec(aug.bd.universe)
-        for a, sx in zip(coeffs, span):
-            if a:
-                h = h + sx.scale(a)
-        d = (z - h).linf()
+    scaled = [[[a * sx[i] for i in U] for a in grid] for sx in span]
+    best = z.linf()
+    for parts in itertools.product(*scaled):
+        d = floor
+        for zi, *hs in zip(zU, *parts):
+            r = abs(zi - sum(hs))
+            if r > d:
+                d = r
         if d < best:
             best = d
     return best

@@ -6,9 +6,14 @@ dual functionals defining the norm ||x|| = max_{g in G} |g(x)|, per-block
 dense subsets of the dual spheres, and implicit dyadic scalar nets.  G is
 stored reduced to its members of dual norm one, the only ones that attain
 the maximum, so `seed.json` lists only those.  Primal norms are finite
-maxima; dual norms are exact minimal-l1 representations over +-G, computed
-by rational linear programming.  Bimonotonicity (every interval coordinate
-projection has norm one) is validated exactly.
+maxima; dual norms are exact minimal-l1 representations over +-G.  Two
+exact bounds come first, l1(f) from above and f(y)/||y|| at y = sign(f)
+from below; when they are equal they are the value.  Otherwise a rational
+LP gives it, and its answer is certified on both sides: the primal weights
+represent f with total weight equal to the value, and the dual point lies
+in the unit ball and pairs with f to the value, so a wrong LP answer
+raises.  Bimonotonicity (every interval coordinate projection has norm one)
+is validated exactly.
 
 From a seed space the norming-set builder produces a finite set D of dual
 functionals in the band 1/2 <= ||f|| <= 1 together with a recorded *special
@@ -56,10 +61,31 @@ class SeedSpaceError(ValueError):
 class SeedSpace:
     """Blocked finite-dimensional space with exact primal and dual norms.
 
+    ``dual_norm(f)`` first computes two exact bounds.
+
+     * Upper: when +-e*_i is among the generators for every i in supp f,
+       then ||f||_* <= sum |f_i| ||e*_i||_* <= l1(f).  For any other f
+       there is no upper bound, and the LP runs at once.
+     * Lower: y = sign(f) has ||y|| = ``primal_norm(y)``, and y/||y|| lies
+       in the unit ball, so ||f||_* >= f(y)/||y|| = l1(f)/||y||.
+
+    The two are equal exactly when ||sign f|| = 1, and then the common value
+    is ||f||_*: it is as exact as the LP, not an approximation.  Only when
+    they differ does an LP run, with one column per member of +-G (its
+    equality matrix built once per generator set).  Its answer is checked
+    exactly on both sides before it is returned: the primal weights are
+    >= 0, represent f and sum to the value v (so ||f||_* <= v), and the dual
+    point y has |g(y)| <= 1 for every generator and f(y) = v (so y is in
+    the unit ball and ||f||_* >= v).  A mismatch raises
+    ``lp.CertificateError``.
+
     The given generators are reduced to G' = { g in G : ||g||_* = 1 }, each
-    measured by one dual-norm LP over the full +-G; the kept ones stay in
-    their order, and ``norming`` holds only them.  This changes no norm and
-    no output:
+    decided over the full +-G: dropped when its upper bound is < 1 (its
+    lower bound is then never computed, which matters when G is large),
+    kept when its lower bound is >= 1 (g in G already gives ||g||_* <= 1),
+    and measured by the LP only when neither bound decides.  The kept ones stay
+    in their order, and ``norming`` holds only them.  This changes no norm
+    and no output:
 
      * a g with ||g||_* < 1 never attains max |g(x)| in ``primal_norm``
        (|g(x)| <= ||g||_* ||x|| < ||x|| for x != 0), so the primal norm, the
@@ -70,9 +96,6 @@ class SeedSpace:
      * in a bimonotone seed every restriction of a dropped g has dual norm
        at most ||g||_* < 1, so the unit restrictions, and with them D and
        every dump built from it, are the same as over G.
-
-    The dual-norm LP has one column per member of +-G' and its equality
-    matrix is built once.
     """
 
     def __init__(self, name: str, block_dims: Sequence[int],
@@ -119,9 +142,8 @@ class SeedSpace:
         if not gens:
             raise SeedSpaceError("norming set must be nonempty")
         self._dual_cache: dict[FinVec, Fraction] = {}
-        self._set_lp(gens)
-        self.norming: list[FinVec] = [g for g in gens if self.dual_norm(g) == 1]
-        self._set_lp(self.norming)
+        self._set_generators(gens)
+        self._set_generators([g for g in gens if self._dual_unit(g)])
 
         # scalar nets R_i = { k / K_i : 1 <= k <= K_i }, step <= eps_i / 8
         self.net_den = [_pow2_at_least(8 / e) for e in self.eps_seq]
@@ -167,9 +189,11 @@ class SeedSpace:
     def primal_norm(self, x: FinVec) -> Fraction:
         return max((abs(g.pair(x)) for g in self.norming), default=Fraction(0))
 
-    def _set_lp(self, gens: Sequence[FinVec]):
-        """Equality matrix of the dual-norm LP, one column per member of
-        +-gens (g and -g each once, also when gens holds both)."""
+    def _set_generators(self, gens: Sequence[FinVec]):
+        """Norm the space by gens: ``norming``, the columns of the dual-norm
+        LP, one per member of +-gens (g and -g each once, also when gens
+        holds both), and the coordinates i with +-e*_i among them."""
+        self.norming: list[FinVec] = list(gens)
         cols: list[FinVec] = []
         seen = set()
         for g in gens:
@@ -177,9 +201,33 @@ class SeedSpace:
                 if sg not in seen:
                     seen.add(sg)
                     cols.append(sg)
+        self._lp_cols = cols
         self._lp_coords = sorted({i for g in cols for i in g.support()})
         self._lp_A = [[g[i] for g in cols] for i in self._lp_coords]
         self._lp_cost = [Fraction(1)] * len(cols)
+        self._unit_coords = {g.support()[0] for g in cols
+                             if len(g) == 1 and g.l1() == 1}
+
+    def _dual_upper(self, f: FinVec) -> Fraction | None:
+        """l1(f) >= ||f||_* when every +-e*_i on supp f is a generator, else
+        None (no upper bound); the argument is in the class docstring."""
+        if all(i in self._unit_coords for i in f.support()):
+            return f.l1()
+        return None
+
+    def _dual_lower(self, f: FinVec) -> Fraction:
+        """l1(f)/||sign f|| <= ||f||_*; the argument is in the class
+        docstring.  Asked only where ||sign f|| > 0: for a generator f, or
+        when every +-e*_i on supp f is one."""
+        sign = FinVec(self.universe, {i: v / abs(v) for i, v in f.items()})
+        return f.l1() / self.primal_norm(sign)
+
+    def _dual_unit(self, g: FinVec) -> bool:
+        """Whether a generator g, which has ||g||_* <= 1, has ||g||_* = 1."""
+        hi = self._dual_upper(g)
+        if hi is not None and hi < 1:
+            return False
+        return self._dual_lower(g) >= 1 or self.dual_norm(g) == 1
 
     def dual_norm(self, f: FinVec) -> Fraction:
         """Exact dual norm: minimal l1 weight representing f over +-G."""
@@ -192,12 +240,31 @@ class SeedSpace:
         try:
             if any(i not in self._lp_coords for i in f.support()):
                 raise lp.Infeasible  # a coordinate no generator reaches
-            b = [f[i] for i in self._lp_coords]
-            val, _ = lp.minimize(self._lp_cost, A_eq=self._lp_A, b_eq=b)
+            val = self._dual_upper(f)
+            if val is None or self._dual_lower(f) != val:
+                val = self._lp_dual_norm(f)
         except lp.Infeasible:
             raise SeedSpaceError(
                 "functional outside the span of the norming set") from None
         self._dual_cache[f] = val
+        return val
+
+    def _lp_dual_norm(self, f: FinVec) -> Fraction:
+        """The dual-norm LP, its answer checked exactly on both sides."""
+        b = [f[i] for i in self._lp_coords]
+        val, lam, y = lp.minimize(self._lp_cost, A_eq=self._lp_A, b_eq=b)
+        if any(w < 0 for w in lam):
+            raise lp.CertificateError("dual-norm LP: a negative weight")
+        if [sum(a * w for a, w in zip(row, lam)) for row in self._lp_A] != b:
+            raise lp.CertificateError("dual-norm LP: weights miss f")
+        if sum(lam) != val:
+            raise lp.CertificateError("dual-norm LP: weights miss the value")
+        yv = FinVec(self.universe, zip(self._lp_coords, y))
+        if any(g.pair(yv) > 1 for g in self._lp_cols):
+            raise lp.CertificateError(
+                "dual-norm LP: dual point outside the unit ball")
+        if f.pair(yv) != val:
+            raise lp.CertificateError("dual-norm LP: dual point misses the value")
         return val
 
     # -- nets ------------------------------------------------------------------
@@ -685,7 +752,7 @@ def vstar_norm(coeffs: dict[int, Fraction], vspec: TsirelsonSpec) -> Fraction:
     A = [[f[i] for i in coords] for f in cons]
     b = [Fraction(1)] * len(cons)
     obj = [coeffs.get(i, Fraction(0)) for i in coords]
-    val, _ = lp.maximize(obj, A_ub=A, b_ub=b)
+    val, _, _ = lp.maximize(obj, A_ub=A, b_ub=b)
     return val
 
 

@@ -10,6 +10,14 @@ Problems are stated as
 
     maximize    c . x
     subject to  A_ub x <= b_ub,   A_eq x = b_eq,   x >= 0.
+
+Every solve also returns an optimal solution y of the dual problem
+
+    minimize    b . y
+    subject to  y_ub >= 0,   A^T y >= c   (A = A_ub over A_eq),
+
+read off the final tableau, so a caller can check the answer exactly:
+x and y are feasible and c . x = b . y certify that both are optimal.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ class Infeasible(Exception):
 
 class Unbounded(Exception):
     pass
+
+
+class CertificateError(ArithmeticError):
+    """An LP answer failed the exact check of its primal or dual side."""
 
 
 def _pivot(T, basis, row, col):
@@ -60,7 +72,8 @@ def _simplex(T, basis, ncols):
 
 
 def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
-    """Solve the LP; returns (optimal value, solution list).
+    """Solve the LP; returns (optimal value, primal solution x, dual
+    solution y), y listing the rows of A_ub and then those of A_eq.
 
     Raises Infeasible or Unbounded.  All inputs may be ints or Fractions.
     """
@@ -78,8 +91,10 @@ def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     ncols = n + slack_count + m
     T = []
     basis = []
+    flipped = []
     si = 0
     for r, (a, b, kind) in enumerate(rows):
+        flipped.append(b < 0)
         if b < 0:
             a = [-v for v in a]
             b = -b
@@ -132,9 +147,16 @@ def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
         if basis[r] < n:
             x[basis[r]] = T[r][-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, x
+    # Artificial column r starts as the unit vector of (possibly negated)
+    # row r at cost 0, so its final reduced cost is -(c_B B^-1)_r; the
+    # dual of the original row undoes the negation.
+    obj, art = T[-1], n + slack_count
+    y = [obj[art + r] if flipped[r] else -obj[art + r] for r in range(m)]
+    return value, x, y
 
 
 def minimize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
-    value, x = maximize([-Fraction(v) for v in c], A_ub, b_ub, A_eq, b_eq)
-    return -value, x
+    """min c . x under the same constraints; returns (value, x, y) with y
+    optimal for  maximize b . y  subject to y_ub <= 0, A^T y <= c."""
+    value, x, y = maximize([-Fraction(v) for v in c], A_ub, b_ub, A_eq, b_eq)
+    return -value, x, [-v for v in y]

@@ -7,7 +7,8 @@ successive block subsets (not only interval runs), the split oracle runs
 the depth-first search over breakpoint sets that the library's dynamic
 program replaced, the triangular-solve oracle runs dense Gaussian
 elimination, the extension-operator oracles apply the defining formulas of
-J_m, the FDD components and psi to d-coordinates from that dense solve, and
+J_m, the FDD components and psi to d-coordinates from that dense solve, the
+hull-distance oracle forms every grid combination as a whole vector, and
 the dual-norm oracle enumerates polytope vertices.  Values computed here are
 exact.
 """
@@ -263,6 +264,21 @@ def bf_psi(aug, x):
                                  if src.rank[i] == j})
         out = out + bf_apply_Jm(bd, u, j, bd.max_rank())
     return out
+
+
+def bf_hull_distance(aug, z, resolution: int = 2):
+    """min over the grid {k/resolution : |k| <= resolution}^3 of
+    ||z - sum a_j sx_j||_inf over the first three spanning vectors, each
+    combination formed as a whole vector."""
+    span = aug.spanning[:3]
+    grid = [Fraction(k, resolution) for k in range(-resolution, resolution + 1)]
+    best = z.linf()
+    for coeffs in itertools.product(grid, repeat=len(span)):
+        h = FinVec(aug.bd.universe)
+        for a, sx in zip(coeffs, span):
+            h = h + sx.scale(a)
+        best = min(best, (z - h).linf())
+    return best
 
 
 def count_schreier1(n: int) -> int:

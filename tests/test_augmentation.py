@@ -5,7 +5,7 @@ import pytest
 
 from bdspace import bdcore
 from bdspace.augmentation import (AugmentedBuild, Window,
-                                  _annihilating_witness,
+                                  _annihilating_witness, _hull_distance,
                                   certify_lower_estimate,
                                   lift_dual_functional, verify_augmentation,
                                   verify_lift_identities, wtree_coefficients)
@@ -14,7 +14,7 @@ from bdspace.construction import embed_phi
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec
-from oracles import bf_psi
+from oracles import bf_hull_distance, bf_psi
 
 F = Fraction
 S1 = schreier(1)
@@ -202,6 +202,26 @@ def test_certificate_passes(aug_half):
     assert cert.exact_value >= cert.bound
     assert cert.delta0.lower <= cert.delta0.upper <= 1
     assert cert.detail == ""
+
+
+def test_hull_distance_matches_whole_vector_oracle(acc_lifted):
+    # carrier blocks, blocks inside psi(X) (distance 0 at the grid point)
+    # and random vectors on and off the spanning supports
+    aug = acc_lifted
+    span = aug.spanning[:3]
+    rng = random.Random(5)
+    zs = [aug.carrier_block(t) for t, th in aug.theta.items()
+          if th.klass == "01"]
+    zs += [span[0] + span[1].scale(F(-1, 2)), span[2].scale(F(3, 2))]
+    ids = aug.bd.ids()
+    for _ in range(6):
+        zs.append(FinVec(aug.bd.universe, {g: F(rng.randint(-8, 8), 8)
+                                           for g in rng.sample(ids, 8)}))
+        zs.append(zs[-1] + span[rng.randrange(3)])
+    assert any(_hull_distance(aug, z) == 0 for z in zs)
+    for z in zs:
+        for res in (1, 2):
+            assert _hull_distance(aug, z, res) == bf_hull_distance(aug, z, res)
 
 
 def test_certificate_single_block(aug_half):

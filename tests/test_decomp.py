@@ -147,12 +147,16 @@ def test_reduced_generators_keep_norms(c, kept):
             assert seed.dual_norm(x) == full_dual_norm(gens, x)
 
 
+def nb_generators(uni="seed:nb"):
+    """(1, 1), (0, 1) and (3/5, 3/10): e*_1 is not among them."""
+    return [FinVec(uni, v) for v in ({1: 1, 2: 1}, {2: 1},
+                                     {1: F(3, 5), 2: F(3, 10)})]
+
+
 def test_pruning_keeps_bimonotone_failure():
     # ||(3/5, 3/10)||_* = 9/10 drops it, though its block-1 restriction
     # has dual norm 6/5; the unit generator (1, 1) still exposes the seed
-    uni = "seed:nb"
-    gens = [FinVec(uni, v) for v in ({1: 1, 2: 1}, {2: 1},
-                                     {1: F(3, 5), 2: F(3, 10)})]
+    gens = nb_generators()
     seed = SeedSpace("nb", [1, 1], gens + [-g for g in gens],
                      F(1, 16), F(1, 32))
     dropped = gens[2]
@@ -166,12 +170,8 @@ def test_pruning_keeps_bimonotone_failure():
                       for g in (-gens[0], gens[0])]
 
 
-def test_dual_norm_lp_has_one_column_per_generator(acc_seed, monkeypatch):
-    # the acceptance seed keeps exactly the 8 +-e_i, and each enters the
-    # dual-norm LP once: 8 structural columns, not 2 x 36
-    units = {FinVec(acc_seed.universe, {i: s}) for i in range(1, 5)
-             for s in (1, -1)}
-    assert set(acc_seed.norming) == units and len(acc_seed.norming) == 8
+def lp_spy(monkeypatch):
+    """Record the column count and equality matrix of every LP solved."""
     seen = []
     maximize = lp.maximize
 
@@ -180,13 +180,112 @@ def test_dual_norm_lp_has_one_column_per_generator(acc_seed, monkeypatch):
         return maximize(c, A_ub, b_ub, A_eq, b_eq)
 
     monkeypatch.setattr(lp, "maximize", spy)
+    return seen
+
+
+def test_dual_norm_lp_has_one_column_per_generator(acc_seed, monkeypatch):
+    # the acceptance seed keeps exactly the 8 +-e_i, and each enters the
+    # dual-norm LP once: 8 structural columns, not 2 x 36.  Its norm is the
+    # sup norm, so ||sign f|| = 1 and the bounds settle dual_norm without it
+    units = {FinVec(acc_seed.universe, {i: s}) for i in range(1, 5)
+             for s in (1, -1)}
+    assert set(acc_seed.norming) == units and len(acc_seed.norming) == 8
+    seen = lp_spy(monkeypatch)
     f = FinVec(acc_seed.universe, {1: F(3, 997), 4: F(-5, 991)})
     assert acc_seed.dual_norm(f) == F(3, 997) + F(5, 991)
+    assert seen == []
+    assert acc_seed._lp_dual_norm(f) == F(3, 997) + F(5, 991)
     (ncols, A), = seen
     assert ncols == 8
     columns = {FinVec(acc_seed.universe, dict(zip(range(1, 5), col)))
                for col in zip(*A)}
     assert columns == units
+
+
+@pytest.mark.parametrize("kind", ["acc", "S1-three-quarters", "nb"])
+def test_dual_norm_bounds_match_full_lp(kind, monkeypatch):
+    # acc: the sup norm, every call settled by the bounds; (S_1, 3/4) tree
+    # functionals: ||sign f|| > 1 on some supports, so bounds and LPs mix;
+    # nb: e*_1 is no generator, so a functional touching coordinate 1 has
+    # no upper bound and always takes the LP
+    if kind == "nb":
+        gens = nb_generators("seed:ref")
+        gens += [-g for g in gens]
+    else:
+        gens = tree_functionals("seed:ref", F(1, 16) if kind == "acc"
+                                else F(3, 4))
+    n = 2 if kind == "nb" else 4
+    seed = SeedSpace("ref", [1] * n, gens, F(1, 16), F(1, 32))
+    seen = lp_spy(monkeypatch)
+    rng = random.Random(11)
+    settled = solved = 0
+    done = set()
+    for _ in range(60):
+        x = FinVec(seed.universe, {i: F(rng.randint(-8, 8), 8) for i in
+                                   rng.sample(range(1, n + 1),
+                                              rng.randint(1, n))})
+        if not x or x in done:
+            continue
+        done.add(x)
+        before = len(seen)
+        val = seed.dual_norm(x)
+        made = len(seen) - before
+        assert made <= 1
+        assert val == full_dual_norm(gens, x)
+        if kind == "nb":
+            assert made == (1 in x)
+        settled += not made
+        solved += made
+    if kind == "acc":
+        assert solved == 0
+    else:
+        assert settled and solved
+
+
+def test_functional_outside_span_raises():
+    # every coordinate is reached, but no combination of +-(1, 1) gives
+    # e*_1 or (1, -1); sign(1, -1) even has norm 0
+    seed = SeedSpace("sp", [1, 1], [FinVec("seed:sp", {1: 1, 2: 1})],
+                     F(1, 16), F(1, 32))
+    for f in ({1: 1}, {1: 1, 2: -1}):
+        with pytest.raises(SeedSpaceError, match="outside the span"):
+            seed.dual_norm(FinVec(seed.universe, f))
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("negative weight", "a negative weight"),
+    ("moved weight", "weights miss f"),
+    ("wrong value", "weights miss the value"),
+    ("dual scaled up", "outside the unit ball"),
+    ("dual scaled down", "dual point misses the value"),
+])
+def test_dual_norm_lp_certificate_fault_injection(fault, match, monkeypatch):
+    # on the (S_1, 3/4) tree functionals e*_2 + e*_3 has bounds 4/3 (sign
+    # vector of norm 3/2) and 2, so its dual norm takes the LP; each fault
+    # breaks one side of the certificate and must raise
+    gens = tree_functionals("seed:ref", F(3, 4))
+    f = FinVec("seed:ref", {2: 1, 3: 1})
+    clean = SeedSpace("ref", [1] * 4, gens, F(1, 16), F(1, 32))
+    assert clean.dual_norm(f) == F(4, 3)
+    seed = SeedSpace("ref", [1] * 4, gens, F(1, 16), F(1, 32))
+    maximize = lp.maximize
+
+    def faulty(*args, **kw):
+        v, x, y = maximize(*args, **kw)
+        j = next(j for j, w in enumerate(x) if w > 0)
+        if fault == "negative weight":
+            x = x[:j] + [-x[j]] + x[j + 1:]
+        elif fault == "moved weight":
+            x = x[:j] + [x[j] + 1] + x[j + 1:]
+        elif fault == "wrong value":
+            v -= F(1, 7)
+        else:
+            y = [w * (2 if fault == "dual scaled up" else F(1, 2)) for w in y]
+        return v, x, y
+
+    monkeypatch.setattr(lp, "maximize", faulty)
+    with pytest.raises(lp.CertificateError, match=match):
+        seed.dual_norm(f)
 
 
 def test_seed_bimonotone_validation(acc_seed):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,12 @@ F = Fraction
 
 
 def test_basic_maximize():
-    v, x = lp.maximize([3, 2], A_ub=[[1, 1], [1, 0]], b_ub=[4, 2])
+    v, x, _ = lp.maximize([3, 2], A_ub=[[1, 1], [1, 0]], b_ub=[4, 2])
     assert v == 10 and x == [F(2), F(2)]
 
 
 def test_equality_constraints():
-    v, x = lp.minimize([1, 1], A_eq=[[1, -1]], b_eq=[0], A_ub=[[-1, 0]],
+    v, x, _ = lp.minimize([1, 1], A_eq=[[1, -1]], b_eq=[0], A_ub=[[-1, 0]],
                        b_ub=[-2])
     assert v == 4 and x == [F(2), F(2)]
 
@@ -30,7 +31,7 @@ def test_unbounded():
 
 def test_degenerate_cycling_guard():
     # classical Beale-style degeneracy; Bland's rule must terminate
-    v, _ = lp.maximize(
+    v, _, _ = lp.maximize(
         [F(3, 4), -150, F(1, 50), -6],
         A_ub=[[F(1, 4), -60, F(-1, 25), 9],
               [F(1, 2), -90, F(-1, 50), 3],
@@ -42,6 +43,69 @@ def test_degenerate_cycling_guard():
 def test_exactness_no_drift():
     # tiny coefficients that would misbehave in floating point
     eps = F(1, 10**12)
-    v, x = lp.maximize([1, 1], A_ub=[[1, 0], [eps, 1]], b_ub=[eps, eps])
+    v, x, _ = lp.maximize([1, 1], A_ub=[[1, 0], [eps, 1]], b_ub=[eps, eps])
     assert x[0] == eps and x[1] == eps - eps * eps
     assert v == 2 * eps - eps * eps
+
+
+def certified(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
+    """Solve and check the answer exactly: x primal feasible, y dual
+    feasible (y_ub >= 0, A^T y >= c) and c.x = b.y = value."""
+    v, x, y = lp.maximize(c, A_ub, b_ub, A_eq, b_eq)
+    A, b = list(A_ub) + list(A_eq), list(b_ub) + list(b_eq)
+    ax = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+    assert all(xi >= 0 for xi in x)
+    assert all(l <= r for l, r in zip(ax, b_ub))
+    assert ax[len(A_ub):] == list(b_eq)
+    assert len(y) == len(A) and all(yi >= 0 for yi in y[:len(A_ub)])
+    assert all(sum(A[r][j] * y[r] for r in range(len(A))) >= c[j]
+               for j in range(len(c)))
+    assert v == sum(ci * xi for ci, xi in zip(c, x)) == sum(
+        bi * yi for bi, yi in zip(b, y))
+    return v
+
+
+def test_dual_certifies_basic_and_degenerate():
+    assert certified([3, 2], A_ub=[[1, 1], [1, 0]], b_ub=[4, 2]) == 10
+    assert certified(
+        [F(3, 4), -150, F(1, 50), -6],
+        A_ub=[[F(1, 4), -60, F(-1, 25), 9],
+              [F(1, 2), -90, F(-1, 50), 3],
+              [0, 0, 1, 0]],
+        b_ub=[0, 0, 1]) == F(1, 20)
+    # a redundant equality row keeps an artificial in the basis
+    assert certified([1, 2, 1], A_ub=[[1, 1, 1]], b_ub=[3],
+                     A_eq=[[1, -1, 0], [2, -2, 0]], b_eq=[0, 0]) == F(9, 2)
+
+
+def test_strong_duality_on_random_bounded_lps():
+    # feasible by construction (x0 satisfies every row), bounded by the
+    # last row; zero slacks make many of them degenerate, and negative
+    # right-hand sides exercise the flipped rows
+    rng = random.Random(20)
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        x0 = [F(rng.randint(0, 4), rng.choice((1, 2))) for _ in range(n)]
+        A_ub = [[rng.randint(-3, 3) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        b_ub = [sum(a * xi for a, xi in zip(row, x0)) + rng.choice((0, 0, 1, 2))
+                for row in A_ub]
+        A_ub.append([1] * n)
+        b_ub.append(sum(x0) + rng.randint(0, 3))
+        A_eq = [[rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(rng.randint(0, 2))]
+        if A_eq and rng.random() < 0.5:
+            A_eq.append([2 * a for a in A_eq[0]])
+        b_eq = [sum(a * xi for a, xi in zip(row, x0)) for row in A_eq]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        certified(c, A_ub, b_ub, A_eq, b_eq)
+
+
+def test_minimize_returns_its_own_dual():
+    # min c.x has the dual  max b.y  with y_ub <= 0 and A^T y <= c
+    A_ub, b_ub, A_eq, b_eq = [[-1, 0]], [-2], [[1, -1]], [0]
+    v, x, y = lp.minimize([1, 1], A_ub, b_ub, A_eq, b_eq)
+    A, b = A_ub + A_eq, b_ub + b_eq
+    assert y[0] <= 0
+    assert all(sum(A[r][j] * y[r] for r in range(2)) <= 1 for j in range(2))
+    assert v == sum(x) == sum(bi * yi for bi, yi in zip(b, y)) == 4
