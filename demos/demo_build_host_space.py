@@ -44,7 +44,8 @@ print(f"\nprojection norms exact: {const.ok}; computed decomposition bound "
 
 for m in (1, 2, 4, 7):
     rep = bdcore.verify_extension_isometry(eb.bd, m)
-    print(f"extension isometry on stage {m}: {rep.ok} ({rep.details['mode']})")
+    print(f"extension isometry on stage {m}: {rep.ok} "
+          f"(||J_{m} on l_inf(Delta_{m})|| = {rep.details['norm']})")
 
 x = FinVec(seed.universe, {1: 1, 2: Fraction(-1, 2), 3: Fraction(1, 4)})
 img = embed_phi(eb, x)

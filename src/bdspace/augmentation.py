@@ -39,7 +39,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp
-from .bdcore import BDBuild, BuildError, Gamma0, Report
+from .bdcore import (BDBuild, BuildError, Gamma0, Report,
+                     extension_columns, row_l1_max)
 from .construction import EmbeddingBuild, embed_phi
 from .exact import FinVec
 from .families import is_member, is_spread
@@ -548,16 +549,16 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
             ok, why = aug._admission_ok(bd.cstar(g))
             if not ok:
                 rep.violations.append(f"{g}: admission recheck fails: {why}")
-    # psi is isometric blockwise: exhaustive sign patterns on small stages
-    for j in sorted(aug.base.bd.stages):
-        stage = aug.base.bd.stage(j)[:6]
-        for signs in itertools.product((1, -1), repeat=len(stage)):
-            u = FinVec(aug.base.bd.universe, dict(zip(stage, signs)))
-            x = aug.base.bd.apply_Jm(u, j)
-            mx = aug.to_merged(x)
-            if aug.psi(mx).linf() != x.linf():
-                rep.violations.append(f"psi not isometric on a stage-{j} pattern")
-                break
+    # psi is isometric on each block: psi(J_j u) agrees with J_j u, which
+    # has norm ||u||, on base coordinates, and the columns psi(J_j e_t),
+    # t in Delta_j, have largest row l1 <= 1, so ||psi(J_j u)|| = ||u||
+    src = aug.base.bd
+    for j in sorted(src.stages):
+        cols = extension_columns(src, j, src.stage(j))
+        images = [aug.psi(aug.to_merged(x)) for x in cols]
+        if (any(aug.pi(y) != x for x, y in zip(cols, images))
+                or row_l1_max(images) > 1):
+            rep.violations.append(f"psi not isometric on a stage-{j} pattern")
     return rep
 
 
@@ -655,7 +656,8 @@ def _annihilating_witness(aug: AugmentedBuild, p: int, q: int,
                 row[2 * j + 1] = -val
             A_eq.append(row)
             b_eq.append(Fraction(0))
-    val, sol, _ = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    val, sol, y = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    lp.check(obj, val, sol, y, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     f = FinVec(bd.universe)
     for j, g in enumerate(span):
         a = sol[2 * j] - sol[2 * j + 1]

@@ -274,7 +274,7 @@ def _suite_runners(seed, D, eb, cfg):
 
     def s_dual():
         m = bdcore.decomposition_bound(eb.bd, theta)
-        return [bdcore.verify_dual_norms(eb.bd, m, samples=samples)]
+        return [bdcore.verify_dual_norms(eb.bd, m)]
 
     def s_coding():
         reps = [verify_coding(eb)]

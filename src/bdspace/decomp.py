@@ -752,8 +752,8 @@ def vstar_norm(coeffs: dict[int, Fraction], vspec: TsirelsonSpec) -> Fraction:
     A = [[f[i] for i in coords] for f in cons]
     b = [Fraction(1)] * len(cons)
     obj = [coeffs.get(i, Fraction(0)) for i in coords]
-    val, _, _ = lp.maximize(obj, A_ub=A, b_ub=b)
-    return val
+    val, x, y = lp.maximize(obj, A_ub=A, b_ub=b)
+    return lp.check(obj, val, x, y, A_ub=A, b_ub=b)
 
 
 @dataclass

@@ -18,6 +18,7 @@ Every solve also returns an optimal solution y of the dual problem
 
 read off the final tableau, so a caller can check the answer exactly:
 x and y are feasible and c . x = b . y certify that both are optimal.
+``check`` does that and raises ``CertificateError`` when it fails.
 """
 
 from __future__ import annotations
@@ -153,6 +154,26 @@ def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     obj, art = T[-1], n + slack_count
     y = [obj[art + r] if flipped[r] else -obj[art + r] for r in range(m)]
     return value, x, y
+
+
+def check(c, value, x, y, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> Fraction:
+    """Check an answer of ``maximize`` exactly and return its value: x >= 0,
+    A_ub x <= b_ub, A_eq x = b_eq; y_ub >= 0, A^T y >= c; and c . x = value
+    = b . y, which makes both optimal.  Raises CertificateError otherwise."""
+    A, b = list(A_ub) + list(A_eq), list(b_ub) + list(b_eq)
+    ax = [sum(a * v for a, v in zip(row, x)) for row in A]
+    if (len(x) != len(c) or any(v < 0 for v in x)
+            or any(l > r for l, r in zip(ax, b_ub))
+            or ax[len(A_ub):] != b[len(A_ub):]):
+        raise CertificateError("LP answer: x is not primal feasible")
+    aty = [sum(row[j] * v for row, v in zip(A, y)) for j in range(len(c))]
+    if (len(y) != len(A) or any(v < 0 for v in y[:len(A_ub)])
+            or any(l < r for l, r in zip(aty, c))):
+        raise CertificateError("LP answer: y is not dual feasible")
+    if not sum(ci * v for ci, v in zip(c, x)) == value == sum(
+            bi * v for bi, v in zip(b, y)):
+        raise CertificateError("LP answer: objective values differ")
+    return value
 
 
 def minimize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):

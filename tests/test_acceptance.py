@@ -90,22 +90,28 @@ def test_criterion_3_extension_isometry(acc_build, aug_paper):
     checked = 0
     for bd in (acc_build.bd, aug_paper.bd):
         for m in sorted(bd.stages):
-            rep = bdcore.verify_extension_isometry(bd, m,
-                                                   exhaustive_limit=12,
-                                                   samples=1000)
+            rep = bdcore.verify_extension_isometry(bd, m)
             assert rep.ok, (m, rep.violations[:3])
             checked += 1
     report(3, f"J_m isometric on stage patterns, zero violations over "
-              f"{checked} stages (exhaustive <= 12, else 1000 samples)")
+              f"{checked} stages (exact: restriction on a basis, "
+              f"||J_m on l_inf(Delta_m)|| = 1)")
 
 
 def test_criterion_4_dual_norm_band(acc_build, aug_paper):
+    theta = 2 * acc_build.seed.c
+    jmax = []
     for bd in (acc_build.bd, aug_paper.bd):
-        rep = bdcore.verify_dual_norms(bd, 2, samples=100)
+        rep = bdcore.verify_dual_norms(bd, 2)
         assert rep.ok, rep.violations[:3]
+        jmax.append(max(rep.details["||J_n||"].values()))
+        assert jmax[-1] == bdcore.compute_constants(
+            bd, theta).details["M_computed"]
+    assert jmax[0] == F(64553, 32768)
     report(4, "dual-norm inequalities and the factored interval "
-              "representation hold exactly on 100 sampled functionals "
-              "per build")
+              "representation hold exactly (||J_n|| <= 2 from columns, "
+              "2M^2 on every column) on both builds; max ||J_n|| = "
+              "M_computed")
 
 
 def test_criterion_5_norming_set_suite(acc_seed, acc_D):

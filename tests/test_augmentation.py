@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bdspace import bdcore
+from bdspace import bdcore, lp
 from bdspace.augmentation import (AugmentedBuild, Window,
                                   _annihilating_witness, _hull_distance,
                                   certify_lower_estimate,
@@ -37,6 +37,21 @@ def window_for(aug, theta, z=None):
         z = aug.carrier_block(theta)
     v, bvec, f = _annihilating_witness(aug, r - 1, r + 1, z)
     return Window(r - 1, r + 1, bvec, f), v, z
+
+
+def test_annihilating_witness_lp_certificate_fault_injection(aug_half,
+                                                             monkeypatch):
+    # an LP answer with a primal point moved off its constraints
+    maximize = lp.maximize
+
+    def faulty(*args, **kw):
+        v, x, y = maximize(*args, **kw)
+        return v, [w + 1 for w in x], y
+
+    theta = aug_half.make_carrier(2)
+    monkeypatch.setattr(lp, "maximize", faulty)
+    with pytest.raises(lp.CertificateError, match="not primal feasible"):
+        window_for(aug_half, theta)
 
 
 # -- psi -----------------------------------------------------------------------
@@ -77,6 +92,19 @@ def test_psi_matches_blockwise_oracle(acc_lifted):
         ids = rng.sample(base.bd.ids(), 6)
         z = FinVec(aug.bd.universe, {g: F(rng.randint(-8, 8), 8) for g in ids})
         assert aug.psi(z) == bf_psi(aug, z)
+
+
+def test_psi_isometry_check_fault_injection(aug_half, monkeypatch):
+    # a psi that adds 1 at a new coordinate still agrees with x on the base
+    # coordinates; the row l1 of the columns psi(J_j e_t) exposes it
+    theta = aug_half.make_carrier(2)
+    assert verify_augmentation(aug_half).ok
+    psi = aug_half.psi
+    monkeypatch.setattr(aug_half, "psi", lambda x: psi(x) + FinVec(
+        aug_half.bd.universe, {theta: 1}))
+    rep = verify_augmentation(aug_half)
+    assert rep.violations == [f"psi not isometric on a stage-{j} pattern"
+                              for j in sorted(aug_half.base.bd.stages)]
 
 
 def test_new_elements_annihilate_psi(aug_half):

@@ -77,8 +77,23 @@ def test_projection_examples():
 
 def test_projection_idempotence_random():
     bd, _ = tiny_build()
-    rep = bdcore.verify_projection_idempotence(bd, samples=60)
+    rep = bdcore.verify_projection_idempotence(bd)
     assert rep.ok, rep.violations
+
+
+def test_projection_idempotence_fault_injection(monkeypatch):
+    # a to_d that drops the first entry of its input: to_d(from_d(e_t))
+    # misses e_t wherever c*_t != 0
+    bd, ids = tiny_build()
+    to_d = bd.bc.to_d
+
+    def faulty(v):
+        return to_d(v.restrict(lambda i: i != v.support()[0]))
+
+    monkeypatch.setattr(bd.bc, "to_d", faulty)
+    rep = bdcore.verify_projection_idempotence(bd)
+    assert rep.violations
+    assert all(v.startswith("to_d(from_d(e_") for v in rep.violations)
 
 
 def test_projection_is_dstar_filter():
@@ -128,12 +143,46 @@ def test_extension_isometry_on_stage_patterns():
     for m in sorted(bd.stages):
         rep = bdcore.verify_extension_isometry(bd, m)
         assert rep.ok, rep.violations
+        assert rep.details["norm"] == 1
+
+
+def test_extension_isometry_fault_injection():
+    # one changed dexp entry: <e*_f, d_d> gains 1, so row f of the
+    # columns J_2 e_t, t in Delta_2, has l1 above 1; only stage 2 sees it
+    bd, ids = tiny_build()
+    a, b, c, d, e, f, g, h = ids
+    bd._dexp[f] = bd.dexp(f) + FinVec("bd:tiny", {d: 1})
+    for m in sorted(bd.stages):
+        rep = bdcore.verify_extension_isometry(bd, m)
+        if m == 2:
+            assert rep.violations == [
+                f"||J_2 on l_inf(Delta_2)|| = {rep.details['norm']} != 1"]
+            assert rep.details["norm"] > 1
+        else:
+            assert rep.ok, (m, rep.violations)
 
 
 def test_extension_compatibility():
     bd, _ = tiny_build()
-    rep = bdcore.verify_extension_compatibility(bd, samples=40)
+    rep = bdcore.verify_extension_compatibility(bd)
     assert rep.ok, rep.violations
+
+
+def test_extension_compatibility_fault_injection(monkeypatch):
+    # J_2 off by e_e, e of rank 3: R_2 J_2 = id still holds, but
+    # J_2 R_2 J_1 = J_1 and J_3 R_3 J_2 = J_2 fail on every basis vector
+    bd, ids = tiny_build()
+    apply_Jm = bd.apply_Jm
+
+    def faulty(x, m, target_stage=None):
+        out = apply_Jm(x, m, target_stage)
+        return out + FinVec("bd:tiny", {ids[4]: 1}) if m == 2 else out
+
+    monkeypatch.setattr(bd, "apply_Jm", faulty)
+    rep = bdcore.verify_extension_compatibility(bd)
+    assert sorted(v[:10] for v in rep.violations) == (
+        ["J_2 R_2 J_"] * len(bd.gamma_upto(1))
+        + ["J_3 R_3 J_"] * len(bd.gamma_upto(2)))
 
 
 def test_extension_norm_bound():
@@ -174,8 +223,11 @@ def test_analysis_partial_coefficients():
 def test_dual_norm_band():
     bd, _ = tiny_build()
     m = bdcore.decomposition_bound(bd, F(1, 4))
-    rep = bdcore.verify_dual_norms(bd, m, samples=60)
+    rep = bdcore.verify_dual_norms(bd, m)
     assert rep.ok, rep.violations
+    jn = rep.details["||J_n||"]
+    assert max(jn.values()) == bdcore.compute_constants(
+        bd, F(1, 4)).details["M_computed"]
 
 
 def test_dual_norm_band_projection_fault_injection(monkeypatch):
@@ -191,7 +243,7 @@ def test_dual_norm_band_projection_fault_injection(monkeypatch):
         return out + FinVec("bd:tiny", {ids[0]: 1000}) if k >= 1 else out
 
     monkeypatch.setattr(bd, "project", faulty)
-    rep = bdcore.verify_dual_norms(bd, m, samples=60)
+    rep = bdcore.verify_dual_norms(bd, m)
     assert rep.violations
     assert all("exceeds 2M^2 l1(y*)" in v for v in rep.violations)
 

@@ -381,6 +381,19 @@ def test_vstar_norm_examples():
     assert vstar_norm({3: F(1), 4: F(1), 5: F(1)}, spec) == 2
 
 
+def test_vstar_norm_lp_certificate_fault_injection(monkeypatch):
+    # an LP answer whose value is off: lp.check must refuse it
+    maximize = lp.maximize
+
+    def faulty(*args, **kw):
+        v, x, y = maximize(*args, **kw)
+        return v + F(1, 7), x, y
+
+    monkeypatch.setattr(lp, "maximize", faulty)
+    with pytest.raises(lp.CertificateError, match="objective values differ"):
+        vstar_norm({3: F(1), 4: F(1), 5: F(1)}, TsirelsonSpec(S1, F(1, 2)))
+
+
 def test_upper_estimate_single_coordinate(acc_seed):
     spec = TsirelsonSpec(S1, F(1, 2))
     z = FinVec(acc_seed.universe, {2: F(1, 2)})

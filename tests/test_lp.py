@@ -101,6 +101,28 @@ def test_strong_duality_on_random_bounded_lps():
         certified(c, A_ub, b_ub, A_eq, b_eq)
 
 
+@pytest.mark.parametrize("fault, match", [
+    ("x off a row", "not primal feasible"),
+    ("y negative", "not dual feasible"),
+    ("y too small", "not dual feasible"),
+    ("value off", "objective values differ"),
+])
+def test_check_fault_injection(fault, match):
+    c, A_ub, b_ub = [3, 2], [[1, 1], [1, 0]], [4, 2]
+    v, x, y = lp.maximize(c, A_ub=A_ub, b_ub=b_ub)
+    assert lp.check(c, v, x, y, A_ub=A_ub, b_ub=b_ub) == 10
+    if fault == "x off a row":
+        x = [x[0] + 1, x[1]]
+    elif fault == "y negative":
+        y = [-y[0], y[1]]
+    elif fault == "y too small":
+        y = [w / 2 for w in y]
+    else:
+        v += 1
+    with pytest.raises(lp.CertificateError, match=match):
+        lp.check(c, v, x, y, A_ub=A_ub, b_ub=b_ub)
+
+
 def test_minimize_returns_its_own_dual():
     # min c.x has the dual  max b.y  with y_ub <= 0 and A^T y <= c
     A_ub, b_ub, A_eq, b_eq = [[-1, 0]], [-2], [[1, -1]], [0]
