@@ -41,10 +41,16 @@ from typing import Sequence
 from . import lp
 from .bdcore import (BDBuild, BuildError, Gamma0, Report,
                      extension_columns, row_l1_max)
-from .construction import EmbeddingBuild, embed_phi
+from .construction import EmbeddingBuild, embed_phi, is_block_rank
 from .exact import FinVec
 from .families import is_member, is_spread
 from .tsirelson import TsirelsonSpec, tree_support
+
+# The decomposition constant M of the base build that the dense-set bound
+# and the lower-estimate certificate assume.  It is not derived from the
+# build: on the acceptance lift compute_constants gives M_computed =
+# 64553/32768, below it.
+M_BOUND = Fraction(2)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +205,10 @@ class AugmentedBuild:
 
     def density_bound(self, n: int) -> Fraction:
         """Registered vectors must approximate their targets to within
-        eps_{n+1} / (2 M + 4) where M bounds the base decomposition."""
+        eps_{n+1} / (2 M + 4), M = ``M_BOUND``."""
         eps_seq = self.base.seed.eps_seq
         e = eps_seq[min(n, len(eps_seq) - 1)]
-        M = Fraction(2)
-        return e / (2 * M + 4)
+        return e / (2 * M_BOUND + 4)
 
     def register_b(self, k: int, n: int, vec: FinVec,
                    target: FinVec | None = None) -> int:
@@ -335,7 +340,7 @@ class AugmentedBuild:
 
     # -- carriers -------------------------------------------------------------------
 
-    def make_carrier(self, rank: int, seed_rng: int = 0) -> int:
+    def make_carrier(self, rank: int) -> int:
         """A class-(0,1) element whose coordinate is far from psi(X).
 
         The dense-set vector is an exact kernel combination of earlier unit
@@ -399,12 +404,6 @@ class Window:
     q: int
     bvec: FinVec      # dense-set member, unit-vector support in (p, q-1]
     zstar: FinVec     # its projection onto the open window, d-supported inside
-
-
-def _tree_leaves(tree) -> int:
-    if tree[0] == "leaf":
-        return 1
-    return sum(_tree_leaves(ch) for ch in tree[1])
 
 
 def _tree_coeffs(tree, c: Fraction, acc: Fraction, out: dict):
@@ -696,8 +695,8 @@ def _hull_distance(aug: AugmentedBuild, z: FinVec, resolution: int = 2
 
 
 def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
-                           alphas: Sequence | None = None,
-                           hull_resolution: int = 2) -> LowerEstimateCertificate:
+                           alphas: Sequence | None = None
+                           ) -> LowerEstimateCertificate:
     """Certify that a separated normalized block sequence dominates the
     corresponding target basis vectors at the guaranteed constant.
 
@@ -705,7 +704,7 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     coefficient functional of the target combination through the chain
     constructor, and compares the exact pairing against
 
-        c (1 - eps) delta_0' / (2 M) * || sum alpha_j v_{q_j} ||.
+        c (1 - eps) delta_0' / (2 M) * || sum alpha_j v_{q_j} ||,  M = M_BOUND.
 
     Blocks must carry their values on every currently built coordinate
     (recompute extensions after adding elements); the growth caused by the
@@ -725,16 +724,12 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     ps = [s[0] - 1 for s in sup]
     qs = [s[-1] + 1 for s in sup]
 
-    if aug.mode == "skipped":
-        # placement of the skipped variant: each block sits strictly between
-        # consecutive block-hosting ranks of the interval well order
-        from .construction import m_seq
-        hosting = {m_seq(j) for j in range(1, 64)}
-        for z in blocks:
-            s = bd.fdd_support(z)
-            if not s or (s[0] - 1) not in hosting or (s[-1] + 1) not in hosting:
-                raise BuildError(
-                    "skipped mode requires blocks between hosting ranks")
+    # placement of the skipped variant: each block sits strictly between
+    # consecutive block-hosting ranks of the interval well order
+    if aug.mode == "skipped" and not all(
+            p >= 1 and is_block_rank(p) and is_block_rank(q)
+            for p, q in zip(ps, qs)):
+        raise BuildError("skipped mode requires blocks between hosting ranks")
 
     patterns = [bd.stage_patterns(z) for z in blocks]
     witnesses = []
@@ -748,7 +743,7 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
         witnesses.append((bvec, f))
         vals.append(v)
     delta_lower = min(vals)
-    delta_upper = min(_hull_distance(aug, z, hull_resolution) for z in blocks)
+    delta_upper = min(_hull_distance(aug, z) for z in blocks)
     d0 = DistanceInterval(delta_lower, delta_upper,
                           witnesses[vals.index(delta_lower)][1])
 
@@ -777,10 +772,9 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     detail = ""
     if exact != cross:
         detail = f"pairing expansion mismatch: {exact} vs {cross}"
-    M = Fraction(2)
     eps = aug.base.seed.eps
     d0p = delta_lower / (1 + eps)
-    bound = aug.c_aug * (1 - eps) * d0p / (2 * M) * vnorm
+    bound = aug.c_aug * (1 - eps) * d0p / (2 * M_BOUND) * vnorm
     status = "PASS" if exact >= bound and not detail else "FAIL"
     return LowerEstimateCertificate(status, g, exact, bound, d0,
                                     tuple(alphas),

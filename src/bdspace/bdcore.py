@@ -185,9 +185,6 @@ class BDBuild:
             return FinVec(self.universe)
         return self.bc.project(v, lambda g: k < self.rank[g] <= m)
 
-    def project_prefix(self, v: FinVec, m: int) -> FinVec:
-        return self.bc.project(v, lambda g: self.rank[g] <= m)
-
     def dexp(self, g: int) -> FinVec:
         """d-coordinates of e*_g (memoized; this is the analysis skeleton)."""
         got = self._dexp.get(g)
@@ -353,7 +350,19 @@ class Report:
     def to_json_obj(self) -> dict:
         return {"name": self.name, "ok": self.ok,
                 "violations": [str(v) for v in self.violations],
-                "details": {k: str(v) for k, v in self.details.items()}}
+                "details": _detail_json(self.details)}
+
+
+def _detail_json(v):
+    """A report detail as JSON: dicts with string keys (a tuple key as
+    "m,n"), tuples and lists as lists, every other value as its str, so a
+    Fraction reads "p/q"."""
+    if isinstance(v, dict):
+        return {(",".join(map(str, k)) if isinstance(k, tuple) else str(k)):
+                _detail_json(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [_detail_json(x) for x in v]
+    return str(v)
 
 
 def validate_schema(build: BDBuild) -> Report:
@@ -460,7 +469,7 @@ def prefix_norms(build: BDBuild) -> dict[tuple[int, int], Fraction]:
     """||P*_[1,m]|_{l1(Gamma_n)}|| for 0 <= m < n <= N, as exact column
     maxima: the largest l1(P*_[1,m] e*_g) over g in Gamma_n."""
     N = build.max_rank()
-    col = {g: [build.project_prefix(build.estar(g), m).l1() for m in range(N)]
+    col = {g: [build.project(build.estar(g), 0, m).l1() for m in range(N)]
            for g in build.ids()}
     return {(m, n): max((col[g][m] for g in build.gamma_upto(n)),
                         default=Fraction(0))

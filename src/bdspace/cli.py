@@ -144,6 +144,19 @@ def realize_build(cfg: dict):
     return seed, D, eb
 
 
+def _load_manifest(build: str) -> dict:
+    """The build's manifest, after checking every dump against its hash."""
+    manifest_path = Path(build) / "manifest.json"
+    if not manifest_path.exists():
+        raise SystemExit(f"no manifest in {build}")
+    manifest = json.loads(manifest_path.read_text())
+    for name, h in manifest.get("hashes", {}).items():
+        data = (Path(build) / name).read_text()
+        if hashlib.sha256(data.encode()).hexdigest() != h:
+            raise SystemExit(f"corrupt dump: {name} hash mismatch")
+    return manifest
+
+
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
@@ -190,10 +203,7 @@ def cmd_build(args) -> int:
 def cmd_augment(args) -> int:
     from .augmentation import (AugmentedBuild, certify_lower_estimate,
                                verify_augmentation)
-    manifest_path = Path(args.build) / "manifest.json"
-    if not manifest_path.exists():
-        raise SystemExit(f"no manifest in {args.build}")
-    cfg = json.loads(manifest_path.read_text())["config"]
+    cfg = _load_manifest(args.build)["config"]
     seed, D, eb = realize_build(cfg)
     vfam = parse_family(args.v_family)
     vspec = TsirelsonSpec(vfam, Fraction(args.v_c))
@@ -352,16 +362,7 @@ def _suite_runners(seed, D, eb, cfg):
 
 
 def cmd_verify(args) -> int:
-    manifest_path = Path(args.build) / "manifest.json"
-    if not manifest_path.exists():
-        raise SystemExit(f"no manifest in {args.build}")
-    manifest = json.loads(manifest_path.read_text())
-    cfg = manifest["config"]
-    # integrity of the dumps
-    for name, h in manifest.get("hashes", {}).items():
-        data = (Path(args.build) / name).read_text()
-        if hashlib.sha256(data.encode()).hexdigest() != h:
-            raise SystemExit(f"corrupt dump: {name} hash mismatch")
+    cfg = _load_manifest(args.build)["config"]
     seed, D, eb = realize_build(cfg)
     runners = _suite_runners(seed, D, eb, cfg)
     names = [args.suite] if args.suite else sorted(runners)

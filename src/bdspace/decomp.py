@@ -9,11 +9,11 @@ the maximum, so `seed.json` lists only those.  Primal norms are finite
 maxima; dual norms are exact minimal-l1 representations over +-G.  Two
 exact bounds come first, l1(f) from above and f(y)/||y|| at y = sign(f)
 from below; when they are equal they are the value.  Otherwise a rational
-LP gives it, and its answer is certified on both sides: the primal weights
-represent f with total weight equal to the value, and the dual point lies
-in the unit ball and pairs with f to the value, so a wrong LP answer
-raises.  Bimonotonicity (every interval coordinate projection has norm one)
-is validated exactly.
+LP gives it, and ``lp.check`` certifies its answer on both sides: the
+primal weights represent f with total weight equal to the value, and the
+dual point lies in the unit ball and pairs with f to the value, so a wrong
+LP answer raises.  Bimonotonicity (every interval coordinate projection has
+norm one) is validated exactly.
 
 From a seed space the norming-set builder produces a finite set D of dual
 functionals in the band 1/2 <= ||f|| <= 1 together with a recorded *special
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import lp
 from .exact import FinVec
@@ -72,12 +72,13 @@ class SeedSpace:
     The two are equal exactly when ||sign f|| = 1, and then the common value
     is ||f||_*: it is as exact as the LP, not an approximation.  Only when
     they differ does an LP run, with one column per member of +-G (its
-    equality matrix built once per generator set).  Its answer is checked
-    exactly on both sides before it is returned: the primal weights are
-    >= 0, represent f and sum to the value v (so ||f||_* <= v), and the dual
-    point y has |g(y)| <= 1 for every generator and f(y) = v (so y is in
-    the unit ball and ||f||_* >= v).  A mismatch raises
-    ``lp.CertificateError``.
+    equality matrix built once per generator set), posed as maximizing
+    -sum(lambda) so that ``lp.check`` certifies the answer before it is
+    returned: the primal weights are >= 0, represent f and sum to the value
+    v (so ||f||_* <= v), and the dual point y has g(y) >= -1 for every
+    column g, that is |g(y)| <= 1 since the columns are symmetric, and
+    f(y) = -v (so -y is in the unit ball and ||f||_* >= v).  A mismatch
+    raises ``lp.CertificateError``.
 
     The given generators are reduced to G' = { g in G : ||g||_* = 1 }, each
     decided over the full +-G: dropped when its upper bound is < 1 (its
@@ -158,7 +159,6 @@ class SeedSpace:
                 atilde.append([FinVec(self.universe, {i: 1}),
                                FinVec(self.universe, {i: -1})])
         self.atilde = [list(a) for a in atilde]
-        self._validated = False
 
     # -- coordinates ------------------------------------------------------
 
@@ -201,10 +201,9 @@ class SeedSpace:
                 if sg not in seen:
                     seen.add(sg)
                     cols.append(sg)
-        self._lp_cols = cols
         self._lp_coords = sorted({i for g in cols for i in g.support()})
         self._lp_A = [[g[i] for g in cols] for i in self._lp_coords]
-        self._lp_cost = [Fraction(1)] * len(cols)
+        self._lp_cost = [Fraction(-1)] * len(cols)
         self._unit_coords = {g.support()[0] for g in cols
                              if len(g) == 1 and g.l1() == 1}
 
@@ -250,22 +249,11 @@ class SeedSpace:
         return val
 
     def _lp_dual_norm(self, f: FinVec) -> Fraction:
-        """The dual-norm LP, its answer checked exactly on both sides."""
+        """The dual-norm LP, max -sum(lambda) over lambda >= 0 with
+        A lambda = f, its answer certified by ``lp.check``."""
         b = [f[i] for i in self._lp_coords]
-        val, lam, y = lp.minimize(self._lp_cost, A_eq=self._lp_A, b_eq=b)
-        if any(w < 0 for w in lam):
-            raise lp.CertificateError("dual-norm LP: a negative weight")
-        if [sum(a * w for a, w in zip(row, lam)) for row in self._lp_A] != b:
-            raise lp.CertificateError("dual-norm LP: weights miss f")
-        if sum(lam) != val:
-            raise lp.CertificateError("dual-norm LP: weights miss the value")
-        yv = FinVec(self.universe, zip(self._lp_coords, y))
-        if any(g.pair(yv) > 1 for g in self._lp_cols):
-            raise lp.CertificateError(
-                "dual-norm LP: dual point outside the unit ball")
-        if f.pair(yv) != val:
-            raise lp.CertificateError("dual-norm LP: dual point misses the value")
-        return val
+        val, lam, y = lp.maximize(self._lp_cost, A_eq=self._lp_A, b_eq=b)
+        return -lp.check(self._lp_cost, val, lam, y, A_eq=self._lp_A, b_eq=b)
 
     # -- nets ------------------------------------------------------------------
 
@@ -323,7 +311,6 @@ class SeedSpace:
                         issues.append(
                             f"norming[{gi}] restricted to blocks [{lo},{hi}] "
                             "exceeds the dual ball (seed not bimonotone)")
-        self._validated = not issues
         return issues
 
     # -- construction helpers ---------------------------------------------------
@@ -585,19 +572,18 @@ def unit_restrictions(seed: SeedSpace,
     return out
 
 
-def build_norming_set_D(seed: SeedSpace, depth_bound: int | None = None,
-                        size_cap: int = 20_000,
-                        extra_targets: Iterable[FinVec] = ()) -> NormingSetD:
+def build_norming_set_D(seed: SeedSpace,
+                        size_cap: int = 20_000) -> NormingSetD:
     """Target-driven construction of D with recorded decompositions.
 
     Materializes every dense-set atom, one member per interval restriction
-    of the (symmetrized) norming set, one full-support member per block
-    interval, and members for any extra targets.  All members referenced by
-    a recorded decomposition are materialized too, so pruning is
-    dependency-closed by construction.
+    of the (symmetrized) norming set, and a full-support and a head-light
+    member per block interval.  All members referenced by a recorded
+    decomposition are materialized too, so pruning is dependency-closed by
+    construction.
     """
     b = _DBuilder(seed, size_cap)
-    nb = seed.nblocks if depth_bound is None else min(depth_bound, seed.nblocks)
+    nb = seed.nblocks
     pruned = False
     try:
         for blk in range(1, nb + 1):
@@ -609,10 +595,6 @@ def build_norming_set_D(seed: SeedSpace, depth_bound: int | None = None,
             seed, [(lo, hi) for lo in range(1, nb + 1)
                    for hi in range(lo, nb + 1)])
         seen = set(targets)
-        for t in extra_targets:
-            if t not in seen:
-                seen.add(t)
-                targets.append(t)
         for lo in range(1, nb + 1):
             for hi in range(lo + 1, nb + 1):
                 full = FinVec(seed.universe,
@@ -765,19 +747,21 @@ class UpperEstimateCertificate:
     witness: tuple | None    # (member index, cut tuple, value)
 
 
+CUT_BUDGET = 500  # cut sequences checked before PASS-AT-BUDGET
+
+
 def check_subsequential_upper(functionals: Sequence[FinVec], seed: SeedSpace,
-                              vspec: TsirelsonSpec, constant,
-                              cut_budget: int = 500, seed_rng: int = 0
+                              vspec: TsirelsonSpec, constant
                               ) -> UpperEstimateCertificate:
     """For each functional and cut sequence, evaluate exactly
 
         || sum_i ||z* o P_[n_i, n_{i+1})|| v*_{n_i} ||_{V*}  <=  C.
 
     Cuts at all support-block boundaries come first, then random coarser
-    subdivisions up to the budget.
+    subdivisions (a fixed-seed draw), CUT_BUDGET sequences in all.
     """
     constant = Fraction(constant)
-    rng = random.Random(seed_rng)
+    rng = random.Random(0)
     checked = 0
     max_value = Fraction(0)
     for zi, z in enumerate(functionals):
@@ -796,7 +780,7 @@ def check_subsequential_upper(functionals: Sequence[FinVec], seed: SeedSpace,
             if len(t) >= 2 and t not in cut_sets:
                 cut_sets.append(t)
         for cuts in cut_sets:
-            if checked >= cut_budget:
+            if checked >= CUT_BUDGET:
                 return UpperEstimateCertificate("PASS-AT-BUDGET", constant,
                                                 checked, max_value, None)
             checked += 1

@@ -330,8 +330,7 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
     return DualNormingSet(spec, depth, support_bound, trees, level_of, vec_of)
 
 
-def plus_tree_vectors(spec: TsirelsonSpec, support_bound: int,
-                      member_cap: int = 200_000) -> list[FinVec]:
+def plus_tree_vectors(spec: TsirelsonSpec, support_bound: int) -> list[FinVec]:
     """All-plus admissible tree functionals with support in [1, bound].
 
     Depth ``support_bound`` saturates: every node has >= 2 children with
@@ -340,7 +339,7 @@ def plus_tree_vectors(spec: TsirelsonSpec, support_bound: int,
     [1, bound] (as one-sided constraints on the positive cone).
     """
     dns = build_dual_norming_set(spec, support_bound, support_bound,
-                                 member_cap=member_cap, signs=(1,))
+                                 signs=(1,))
     return dns.members()
 
 
@@ -360,12 +359,12 @@ class DominationCertificate:
 def certify_domination(lhs: Sequence[FinVec], rhs_indices: Sequence[int],
                        spec: TsirelsonSpec, constant, trial_budget: int = 200,
                        lhs_norm: Callable[[FinVec], Fraction] | None = None,
-                       seed: int = 0,
                        raw_support_check: bool = True) -> DominationCertificate:
     """Bounded search for a violation of ||sum a_i z_i|| <= C ||sum a_i t_{m_i}||.
 
-    PASS-AT-BUDGET lists only that the checked coefficient families passed;
-    it is a bounded-search certificate, not a proof.  The left norm defaults
+    PASS-AT-BUDGET lists only that the checked coefficient families (unit
+    vectors, signs, then rationals from a fixed-seed draw) passed; it is a
+    bounded-search certificate, not a proof.  The left norm defaults
     to the same Tsirelson norm (for blocks living in c00(N)); pass
     ``lhs_norm`` to certify blocks of another space, and disable the raw
     coordinate successiveness check when blocks are successive with respect
@@ -384,7 +383,7 @@ def certify_domination(lhs: Sequence[FinVec], rhs_indices: Sequence[int],
         lhs_norm = lambda v: tsirelson_norm(v, spec)  # noqa: E731
     universe = lhs[0].universe if lhs else NAT
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     candidates: list[tuple] = []
     for i in range(k):
         e = [0] * k

@@ -105,6 +105,40 @@ def test_verify_detects_tampering(built, tmp_path):
         main(["verify", "--build", str(out3)])
 
 
+def test_augment_detects_tampering(built, tmp_path):
+    root, cfg, out = built
+    out3 = tmp_path / "tampered"
+    assert main(["build", "--config", str(cfg), "--out", str(out3)]) == 0
+    stages = out3 / "stages.json"
+    stages.write_text(stages.read_text().replace('"1"', '"1 "', 1))
+    with pytest.raises(SystemExit, match="corrupt dump"):
+        main(["augment", "--build", str(out3), "--out", str(tmp_path / "a")])
+
+
+def test_report_details_are_json(tmp_path):
+    # the acceptance config: details are JSON, Fractions "p/q" strings
+    cfg = {"schema": "bdspace-config-v1",
+           "seed": {"kind": "tsirelson", "name": "acc",
+                    "family": "schreier:1", "c": "1/16", "blocks": 4,
+                    "unconditional": False},
+           "eps": "1/32", "stage_bound": 8}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "build"
+    assert main(["build", "--config", str(p), "--out", str(out)]) == 0
+    assert main(["verify", "--build", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    assert "Fraction(" not in text
+    reports = {r["name"]: r["details"]
+               for r in json.loads(text)["reports"]}
+    mcomp = reports["projection-norms"]["M_computed"]
+    assert mcomp == "64553/32768"
+    assert reports["projection-norms"]["prefix_norms"]["0,1"] == "0"
+    jn = reports["dual-norm-band"]["||J_n||"]
+    assert max(jn.values(), key=Fraction) == mcomp
+    assert reports["embedding-bounds"]["witness_rate"] == ["97", "97"]
+
+
 def test_norm_command(capsys):
     assert main(["norm", "--family", "schreier:1", "--c", "1/2",
                  "3:1,4:1,5:1"]) == 0

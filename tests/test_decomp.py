@@ -253,16 +253,22 @@ def test_functional_outside_span_raises():
 
 
 @pytest.mark.parametrize("fault, match", [
-    ("negative weight", "a negative weight"),
-    ("moved weight", "weights miss f"),
-    ("wrong value", "weights miss the value"),
-    ("dual scaled up", "outside the unit ball"),
-    ("dual scaled down", "dual point misses the value"),
+    # each id names the fault and the side of the certificate it breaks
+    pytest.param("negative weight", "not primal feasible",
+                 id="negative weight-a negative weight"),
+    pytest.param("moved weight", "not primal feasible",
+                 id="moved weight-weights miss f"),
+    pytest.param("wrong value", "objective values differ",
+                 id="wrong value-weights miss the value"),
+    pytest.param("dual scaled up", "not dual feasible",
+                 id="dual scaled up-outside the unit ball"),
+    pytest.param("dual scaled down", "objective values differ",
+                 id="dual scaled down-dual point misses the value"),
 ])
 def test_dual_norm_lp_certificate_fault_injection(fault, match, monkeypatch):
     # on the (S_1, 3/4) tree functionals e*_2 + e*_3 has bounds 4/3 (sign
     # vector of norm 3/2) and 2, so its dual norm takes the LP; each fault
-    # breaks one side of the certificate and must raise
+    # breaks one side of the certificate, and lp.check must refuse it
     gens = tree_functionals("seed:ref", F(3, 4))
     f = FinVec("seed:ref", {2: 1, 3: 1})
     clean = SeedSpace("ref", [1] * 4, gens, F(1, 16), F(1, 32))

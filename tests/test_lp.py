@@ -131,3 +131,18 @@ def test_minimize_returns_its_own_dual():
     assert y[0] <= 0
     assert all(sum(A[r][j] * y[r] for r in range(2)) <= 1 for j in range(2))
     assert v == sum(x) == sum(bi * yi for bi, yi in zip(b, y)) == 4
+
+
+def test_check_on_equality_only_minimization():
+    # the dual-norm LP shape: min sum(lambda) over lambda >= 0 with
+    # A lambda = f, columns +-g, posed as max -sum(lambda) for lp.check;
+    # here g = (1, 1), (1, -1), (0, 1) and f = (2, 1) has ||f||_* = 2
+    gens = [[1, 1], [1, -1], [0, 1]]
+    cols = [[s * v for v in g] for g in gens for s in (1, -1)]
+    A = [[col[i] for col in cols] for i in range(2)]
+    b = [2, 1]
+    c = [-1] * len(cols)
+    v, x, y = lp.maximize(c, A_eq=A, b_eq=b)
+    assert -lp.check(c, v, x, y, A_eq=A, b_eq=b) == 2
+    with pytest.raises(lp.CertificateError, match="not dual feasible"):
+        lp.check(c, v, x, [2 * w for w in y], A_eq=A, b_eq=b)
