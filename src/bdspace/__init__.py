@@ -21,7 +21,7 @@ from .decomp import (CDecomposition, NormingSetD, SeedSpace,
                      build_norming_set_D, check_subsequential_upper,
                      norming_certificate, optimal_c_decomposition,
                      tsirelson_seed, vstar_norm)
-from .bdcore import (AnalysisRecord, BDBuild, BuildError, Report,
+from .bdcore import (AnalysisRecord, BDBuild, BuildError, Report, Verdict,
                      compute_constants, condition_weight_split,
                      decomposition_bound, validate_schema, verify_analysis,
                      verify_dual_norms, verify_extension_compatibility,

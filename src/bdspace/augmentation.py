@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp
-from .bdcore import (BDBuild, BuildError, Gamma0, Report,
+from .bdcore import (BDBuild, BuildError, Gamma0, Report, Verdict,
                      extension_columns, row_l1_max)
 from .construction import EmbeddingBuild, embed_phi, is_block_rank
 from .exact import FinVec
@@ -47,8 +47,9 @@ from .families import is_member, is_spread
 from .tsirelson import TsirelsonSpec, tree_support
 
 # The decomposition constant M of the base build that the dense-set bound
-# and the lower-estimate certificate assume.  It is not derived from the
-# build: on the acceptance lift compute_constants gives M_computed =
+# and the lower-estimate certificate assume: bdcore.apriori_bound(theta),
+# max(1/(1 - 2 theta), 2), is 2 for every theta <= 1/4.  It is not derived
+# from the build: on the acceptance lift compute_constants gives M_computed =
 # 64553/32768, below it.
 M_BOUND = Fraction(2)
 
@@ -574,13 +575,13 @@ class DistanceInterval:
 
 @dataclass
 class LowerEstimateCertificate:
-    status: str                      # "PASS" | "FAIL" | "NOT-APPLICABLE"
-    gamma: int | None
-    exact_value: Fraction | None
-    bound: Fraction | None
-    delta0: DistanceInterval | None
-    coefficients: tuple | None
-    betas: tuple | None
+    status: Verdict                  # PASS, FAIL or INCONCLUSIVE
+    gamma: int | None = None
+    exact_value: Fraction | None = None
+    bound: Fraction | None = None
+    delta0: DistanceInterval | None = None
+    coefficients: tuple | None = None
+    betas: tuple | None = None
     detail: str = ""
 
     def to_json_obj(self) -> dict:
@@ -716,8 +717,8 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     sup = [bd.fdd_support(z) for z in blocks]
     for s in sup:
         if not s:
-            return LowerEstimateCertificate("NOT-APPLICABLE", None, None, None,
-                                            None, None, None, "empty block")
+            return LowerEstimateCertificate(Verdict.INCONCLUSIVE,
+                                            detail="empty block")
     for n, (a, b) in enumerate(zip(sup, sup[1:]), start=1):
         if a[-1] + n + 2 >= b[0]:
             raise BuildError("blocks violate the separation condition")
@@ -737,9 +738,8 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     for z, p, q in zip(blocks, ps, qs):
         v, bvec, f = _annihilating_witness(aug, p, q, z)
         if v <= 0:
-            return LowerEstimateCertificate(
-                "NOT-APPLICABLE", None, None, None, None, None, None,
-                "block indistinguishable from psi(X): distance lower bound 0")
+            return LowerEstimateCertificate(Verdict.INCONCLUSIVE, detail=(
+                "block indistinguishable from psi(X): distance lower bound 0"))
         witnesses.append((bvec, f))
         vals.append(v)
     delta_lower = min(vals)
@@ -775,7 +775,7 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     eps = aug.base.seed.eps
     d0p = delta_lower / (1 + eps)
     bound = aug.c_aug * (1 - eps) * d0p / (2 * M_BOUND) * vnorm
-    status = "PASS" if exact >= bound and not detail else "FAIL"
+    status = Verdict.PASS if exact >= bound and not detail else Verdict.FAIL
     return LowerEstimateCertificate(status, g, exact, bound, d0,
                                     tuple(alphas),
                                     tuple(sorted(betas.items())), detail)

@@ -47,6 +47,7 @@ linear identities on a basis, operator norms exactly from columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from .exact import FinVec, TriangularBasisChange
 
@@ -337,18 +338,40 @@ class BDBuild:
 # verification
 # ---------------------------------------------------------------------------
 
+class Verdict(str, Enum):
+    """A check's outcome.  INCONCLUSIVE and AT-CAP: a finite stage or a
+    capped search settled nothing past itself, and so refuted nothing."""
+    PASS = "PASS"
+    FAIL = "FAIL"
+    INCONCLUSIVE = "INCONCLUSIVE"
+    AT_CAP = "AT-CAP"
+
+    def __str__(self) -> str:
+        return self.value
+
+
 @dataclass
 class Report:
+    """A check's violations and details; a check that cannot settle its
+    property records INCONCLUSIVE or AT-CAP as ``unsettled``, and why."""
     name: str
     violations: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
+    unsettled: Verdict | None = None
+    reason: str = ""
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.FAIL if self.violations else (
+            self.unsettled or Verdict.PASS)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def to_json_obj(self) -> dict:
-        return {"name": self.name, "ok": self.ok,
+        return {"name": self.name, "ok": self.ok, "verdict": str(self.verdict),
+                "reason": self.reason,
                 "violations": [str(v) for v in self.violations],
                 "details": _detail_json(self.details)}
 
@@ -459,8 +482,7 @@ def compute_constants(build: BDBuild, theta) -> Report:
     mbound = max(prefix_norm.values(), default=Fraction(0))
     rep.details.update({
         "C_n(theta)": cn_theta, "C_n": cn, "prefix_norms": prefix_norm,
-        "M_computed": mbound,
-        "M_bound_apriori": max(1 / (1 - 2 * theta), Fraction(2)),
+        "M_computed": mbound, "M_bound_apriori": apriori_bound(theta),
     })
     return rep
 
@@ -476,13 +498,18 @@ def prefix_norms(build: BDBuild) -> dict[tuple[int, int], Fraction]:
             for n in range(1, N + 1) for m in range(n)}
 
 
+def apriori_bound(theta: Fraction) -> Fraction:
+    """The a priori bound max(1/(1 - 2 theta), 2) on the decomposition
+    constant of a build whose weight split holds at theta."""
+    return max(1 / (1 - 2 * theta), Fraction(2))
+
+
 def decomposition_bound(build: BDBuild, theta) -> Fraction:
-    """A priori bound on the decomposition constant when the weight split
-    holds: max(1/(1 - 2 theta), 2)."""
+    """``apriori_bound(theta)``, after checking the weight split."""
     theta = Fraction(theta)
     if not condition_weight_split(build, theta).ok:
         raise BuildError("weight split fails; no a priori bound applies")
-    return max(1 / (1 - 2 * theta), Fraction(2))
+    return apriori_bound(theta)
 
 
 def extension_columns(build: BDBuild, m: int, ts) -> list[FinVec]:

@@ -2,11 +2,14 @@
 
 Builds are reproducible byte for byte: every artifact is canonical JSON
 (sorted keys, fixed separators) derived from the config and a fixed sampling
-seed, and the manifest records content hashes.  Verification suites emit a
-JSON report plus one human-readable line each; the exit code is nonzero
-exactly when some check FAILED (INCONCLUSIVE and AT-CAP results exit zero
-with warnings, since a finite stage can fail to witness a bound without
-refuting it).
+seed, and the manifest records content hashes.  Each verification suite is
+one library call whose reports carry their own verdict (``bdcore.Verdict``:
+PASS, FAIL, INCONCLUSIVE or AT-CAP).  ``verify`` prints one line per report,
+``[VERDICT] suite: name :: first violation or reason``, and stores the
+reports with their verdicts and reasons in ``report.json``, from which
+``report`` prints the same lines.  The exit code is nonzero exactly when
+some check FAILED: INCONCLUSIVE and AT-CAP exit zero, since a finite stage
+can fail to witness a bound without refuting it.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from pathlib import Path
 
 from . import bdcore
 from .construction import (build_embedding, check_block_rank_order,
-                           cuts_family, verify_coding, verify_embedding)
+                           verify_coding, verify_cuts, verify_embedding)
 from .decomp import (SeedSpace, build_norming_set_D,
-                     check_subsequential_upper, decomposition_closure_report,
-                     member_band_report, norming_certificate,
-                     optimal_c_decomposition, rounding_error_report,
-                     tsirelson_seed)
+                     check_subsequential_upper, optimal_c_decomposition,
+                     tsirelson_seed, verify_norming_set)
 from .exact import FinVec
-from .families import RegularFamily, chain_compactness_probe, schreier
+from .families import RegularFamily, schreier
 from .tsirelson import TsirelsonSpec, tsirelson_norm
 
 
@@ -249,7 +250,7 @@ def cmd_augment(args) -> int:
     status = cert.status if cert else "NO-CERT"
     print(f"augmentation written to {out} (certificate: {status}, "
           f"verification {'ok' if rep.ok else 'FAILED'})")
-    return 0 if rep.ok and (cert is None or cert.status != "FAIL") else 1
+    return 1 if not rep.ok or status is bdcore.Verdict.FAIL else 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,131 +258,56 @@ def cmd_augment(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_runners(seed, D, eb, cfg):
+    """Suite name -> a call returning the suite's reports.  Each report
+    carries its own verdict; nothing here judges one."""
+    bd = eb.bd
     theta = _frac(cfg.get("theta", 2 * seed.c))
-    samples = int(cfg.get("samples", 100))
-
-    def s_schema():
-        return [bdcore.validate_schema(eb.bd)]
-
-    def s_weight():
-        return [bdcore.condition_weight_split(eb.bd, theta)]
-
-    def s_projection():
-        return [bdcore.compute_constants(eb.bd, theta)]
-
-    def s_isometry():
-        return [bdcore.verify_extension_isometry(eb.bd, m)
-                for m in sorted(eb.bd.stages)]
-
-    def s_compat():
-        return [bdcore.verify_extension_compatibility(eb.bd)]
-
-    def s_analysis():
-        return [bdcore.verify_analysis(eb.bd)]
-
-    def s_idempotence():
-        return [bdcore.verify_projection_idempotence(eb.bd)]
-
-    def s_dual():
-        m = bdcore.decomposition_bound(eb.bd, theta)
-        return [bdcore.verify_dual_norms(eb.bd, m)]
-
-    def s_coding():
-        reps = [verify_coding(eb)]
-        reps += [check_block_rank_order(eb, j)
-                 for j in range(1, eb.nblocks_covered() + 1)]
-        return reps
-
-    def s_norming():
-        rep = bdcore.Report("norming-set")
-        rep.violations += member_band_report(D)
-        rep.violations += rounding_error_report(D)
-        rep.violations += decomposition_closure_report(D)
-        nb = eb.nblocks_covered()
-        for lo in range(1, nb + 1):
-            for hi in range(lo, nb + 1):
-                w, _ = norming_certificate(D, lo, hi)
-                rep.details[f"delta[{lo},{hi}]"] = w
-                if w > seed.eps:
-                    rep.violations.append(
-                        f"norming margin {w} exceeds eps on [{lo},{hi}]")
-        return [rep]
-
-    def s_embedding():
-        rep, samp = verify_embedding(eb, samples)
-        if rep.details["total"]:
-            rep.details["witness_rate"] = (
-                rep.details["witnessed"], rep.details["total"])
-        return [rep]
-
-    def s_cuts():
-        # the probe is one-sided: prefix pairs occur structurally (a coded
-        # tuple and its extension), so a False here does not refute
-        # compactness; report the probe result and the longest prefix chain
-        rep = bdcore.Report("cuts-compact")
-        fam = sorted(set(cuts_family(eb)))
-        rep.details["probe"] = chain_compactness_probe(fam, eb.stage_bound)
-        longest = 1
-        for a in fam:
-            chain = 1
-            cur = a
-            grew = True
-            while grew:
-                grew = False
-                for b in fam:
-                    if len(b) > len(cur) and b[: len(cur)] == cur:
-                        cur, chain, grew = b, chain + 1, True
-                        break
-            longest = max(longest, chain)
-        rep.details["longest_prefix_chain"] = longest
-        rep.details["distinct_cut_sets"] = len(fam)
-        return [rep]
-
-    def s_upper():
-        spec = TsirelsonSpec(parse_family(cfg.get("upper_family", "schreier:1")),
-                             _frac(cfg.get("upper_c", "1/2")))
-        members = [m.vec for m in D.members][: int(cfg.get("upper_members", 12))]
-        cert = check_subsequential_upper(members, seed, spec,
-                                         _frac(cfg.get("upper_C", 4)))
-        rep = bdcore.Report("upper-estimates")
-        rep.details["status"] = cert.status
-        rep.details["max_value"] = cert.max_value
-        if cert.status == "FAIL":
-            rep.violations.append(f"witness: {cert.witness}")
-        return [rep]
-
+    upper = TsirelsonSpec(parse_family(cfg.get("upper_family", "schreier:1")),
+                          _frac(cfg.get("upper_c", "1/2")))
+    upper_members = [m.vec for m in D.members][:int(cfg.get("upper_members", 12))]
     return {
-        "schema": s_schema, "weight-split": s_weight,
-        "projection-norms": s_projection, "isometry": s_isometry,
-        "compat": s_compat, "analysis": s_analysis,
-        "idempotence": s_idempotence, "dual-norms": s_dual,
-        "coding": s_coding, "norming-set": s_norming,
-        "embedding": s_embedding, "cuts": s_cuts,
-        "upper-estimates": s_upper,
+        "schema": lambda: [bdcore.validate_schema(bd)],
+        "weight-split": lambda: [bdcore.condition_weight_split(bd, theta)],
+        "projection-norms": lambda: [bdcore.compute_constants(bd, theta)],
+        "isometry": lambda: [bdcore.verify_extension_isometry(bd, m)
+                             for m in sorted(bd.stages)],
+        "compat": lambda: [bdcore.verify_extension_compatibility(bd)],
+        "analysis": lambda: [bdcore.verify_analysis(bd)],
+        "idempotence": lambda: [bdcore.verify_projection_idempotence(bd)],
+        "dual-norms": lambda: [bdcore.verify_dual_norms(
+            bd, bdcore.decomposition_bound(bd, theta))],
+        "coding": lambda: [verify_coding(eb)] + [
+            check_block_rank_order(eb, j)
+            for j in range(1, eb.nblocks_covered() + 1)],
+        "norming-set": lambda: [verify_norming_set(D, eb.nblocks_covered())],
+        "embedding": lambda: [
+            verify_embedding(eb, int(cfg.get("samples", 100)))[0]],
+        "cuts": lambda: [verify_cuts(eb)],
+        "upper-estimates": lambda: [check_subsequential_upper(
+            upper_members, seed, upper, _frac(cfg.get("upper_C", 4))).report()],
     }
+
+
+def _verdict_line(r: dict) -> str:
+    """A report.json entry as one line, ending in a violation or reason."""
+    note = r["violations"][0] if r["violations"] else r["reason"]
+    return (f"[{r['verdict']}] {r['suite']}: {r['name']}"
+            + (f" :: {note}" if note else ""))
 
 
 def cmd_verify(args) -> int:
     cfg = _load_manifest(args.build)["config"]
     seed, D, eb = realize_build(cfg)
     runners = _suite_runners(seed, D, eb, cfg)
+    if args.suite and args.suite not in runners:
+        raise SystemExit(f"unknown suite {args.suite!r}; have {sorted(runners)}")
     names = [args.suite] if args.suite else sorted(runners)
-    for n in names:
-        if n not in runners:
-            raise SystemExit(f"unknown suite {n!r}; have {sorted(runners)}")
-    failed = False
     out_reports = []
     for n in names:
         for rep in runners[n]():
-            status = "PASS" if rep.ok else "FAIL"
-            if n == "embedding" and rep.ok:
-                w, t = rep.details.get("witness_rate", (0, 0))
-                if w < t:
-                    status = "PASS (with INCONCLUSIVE samples)"
-            print(f"[{status}] {n}: {rep.name}"
-                  + (f" :: {rep.violations[0]}" if rep.violations else ""))
-            failed = failed or not rep.ok
             out_reports.append(rep.to_json_obj() | {"suite": n})
+            print(_verdict_line(out_reports[-1]))
+    failed = any(r["verdict"] == bdcore.Verdict.FAIL for r in out_reports)
     report = {"schema": "bdspace-report-v1", "build": str(args.build),
               "reports": out_reports, "failed": failed}
     _write(Path(args.build) / "report.json", report)
@@ -394,10 +320,7 @@ def cmd_report(args) -> int:
         raise SystemExit(f"no report.json in {args.build}; run verify first")
     rep = json.loads(path.read_text())
     for r in rep["reports"]:
-        mark = "PASS" if r["ok"] else "FAIL"
-        print(f"[{mark}] {r['suite']}/{r['name']}")
-        for v in r["violations"][:5]:
-            print(f"       {v}")
+        print(_verdict_line(r))
     print("overall:", "FAIL" if rep["failed"] else "PASS")
     return 1 if rep["failed"] else 0
 
@@ -467,7 +390,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("dump", help="pretty-print a build artifact")
     p.add_argument("--build", required=True)
     p.add_argument("--what", default="manifest",
-                   choices=["manifest", "stages", "seed", "normingset", "report"])
+                   choices=["manifest", "stages", "seed", "normingset",
+                            "coding", "report"])
     p.set_defaults(fn=cmd_dump)
 
     p = sub.add_parser("norm", help="exact Tsirelson norm of a vector")

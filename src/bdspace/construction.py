@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bdcore import BDBuild, BuildError, Report
+from .bdcore import BDBuild, BuildError, Report, Verdict
 from .decomp import NormingSetD, SeedSpace
 from .exact import FinVec
+from .families import chain_compactness_probe, longest_prefix_chain
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +405,10 @@ def verify_embedding(eb: EmbeddingBuild, samples: Sequence[FinVec] | int = 100,
         if up >= bound * nx:
             out.append(EmbeddingSample(x, nx, up, "WITNESSED"))
             continue
-        # locate the best functional in D and the stage of its coded element
-        best = None
-        for j, mem in enumerate(D.members):
-            v = abs(mem.vec.pair(x))
-            if best is None or v > best[0]:
-                best = (v, j)
-        val, j = best
+        # the first best functional in D, and the stage of its coded element
+        j = max(range(len(D.members)),
+                key=lambda k: abs(D.members[k].vec.pair(x)))
+        val = abs(D.members[j].vec.pair(x))
         full = eb.full_code(j)
         blocks = _tuple_blocks(D, full)
         stage = interval_rank(blocks[0], blocks[-1])
@@ -420,11 +418,32 @@ def verify_embedding(eb: EmbeddingBuild, samples: Sequence[FinVec] | int = 100,
             out.append(EmbeddingSample(x, nx, up, "FAIL", stage))
             rep.violations.append(
                 f"no norming member reaches (1-eps)||x|| for {x}")
-    rep.details["witnessed"] = sum(1 for o in out if o.status == "WITNESSED")
-    rep.details["inconclusive"] = sum(1 for o in out if o.status == "INCONCLUSIVE")
-    rep.details["total"] = len(out)
+    witnessed = sum(1 for o in out if o.status == "WITNESSED")
+    unseen = sum(1 for o in out if o.status == "INCONCLUSIVE")
+    rep.details.update(witnessed=witnessed, inconclusive=unseen,
+                       total=len(out))
+    if out:
+        rep.details["witness_rate"] = (witnessed, len(out))
+    if unseen:
+        rep.unsettled = Verdict.INCONCLUSIVE
+        rep.reason = (f"lower bound not witnessed on the built stages for "
+                      f"{unseen} of {len(out)} samples")
     return rep, out
 
 
 def cuts_family(eb: EmbeddingBuild) -> list[tuple[int, ...]]:
     return [eb.bd.cuts(g) for g in eb.bd.ids()]
+
+
+def verify_cuts(eb: EmbeddingBuild) -> Report:
+    """The cut sets of the built elements, probed for compactness.  The
+    verdict is INCONCLUSIVE: the probe is one-sided, and prefix pairs occur
+    by construction (a coded tuple and its extension), so no finite stage
+    settles compactness either way."""
+    fam = sorted(set(cuts_family(eb)))
+    chain = longest_prefix_chain(fam)
+    return Report("cuts-compact", details={
+        "probe": chain_compactness_probe(fam, eb.stage_bound),
+        "longest_prefix_chain": chain, "distinct_cut_sets": len(fam)},
+        unsettled=Verdict.INCONCLUSIVE, reason=f"no finite stage settles "
+        f"compactness of the cut family (longest prefix chain {chain})")

@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import lp
+from .bdcore import Report, Verdict
 from .exact import FinVec
 from .families import RegularFamily
 from .tsirelson import (TsirelsonSpec, build_dual_norming_set,
@@ -681,6 +682,21 @@ def decomposition_closure_report(D: NormingSetD) -> list[str]:
     return out
 
 
+def verify_norming_set(D: NormingSetD, nblocks: int) -> Report:
+    """The three member checks above, and the (1 - eps)-norming certificate
+    on every block interval [lo, hi] inside the first nblocks blocks."""
+    rep = Report("norming-set", member_band_report(D)
+                 + rounding_error_report(D) + decomposition_closure_report(D))
+    for lo in range(1, nblocks + 1):
+        for hi in range(lo, nblocks + 1):
+            w, _ = norming_certificate(D, lo, hi)
+            rep.details[f"delta[{lo},{hi}]"] = w
+            if w > D.seed.eps:
+                rep.violations.append(
+                    f"norming margin {w} exceeds eps on [{lo},{hi}]")
+    return rep
+
+
 def norming_certificate(D: NormingSetD, lo: int, hi: int):
     """Exact (1 - eps)-norming certificate for blocks [lo, hi].
 
@@ -740,14 +756,26 @@ def vstar_norm(coeffs: dict[int, Fraction], vspec: TsirelsonSpec) -> Fraction:
 
 @dataclass
 class UpperEstimateCertificate:
-    status: str              # "FAIL" | "PASS-AT-BUDGET"
+    status: Verdict          # FAIL or AT_CAP
     constant: Fraction
     checked: int
     max_value: Fraction
     witness: tuple | None    # (member index, cut tuple, value)
 
+    def report(self) -> Report:
+        """The upper-estimates suite: FAIL with the witness, or else
+        AT-CAP, since finitely many cut sequences prove no estimate."""
+        details = {"status": self.status, "max_value": self.max_value}
+        if self.status is Verdict.FAIL:
+            return Report("upper-estimates", [f"witness: {self.witness}"],
+                          details)
+        return Report("upper-estimates", details=details,
+                      unsettled=Verdict.AT_CAP,
+                      reason=f"no violation in {self.checked} cut sequences; "
+                      f"max value {self.max_value} <= C = {self.constant}")
 
-CUT_BUDGET = 500  # cut sequences checked before PASS-AT-BUDGET
+
+CUT_BUDGET = 500  # cut sequences checked before AT-CAP
 
 
 def check_subsequential_upper(functionals: Sequence[FinVec], seed: SeedSpace,
@@ -781,7 +809,7 @@ def check_subsequential_upper(functionals: Sequence[FinVec], seed: SeedSpace,
                 cut_sets.append(t)
         for cuts in cut_sets:
             if checked >= CUT_BUDGET:
-                return UpperEstimateCertificate("PASS-AT-BUDGET", constant,
+                return UpperEstimateCertificate(Verdict.AT_CAP, constant,
                                                 checked, max_value, None)
             checked += 1
             coeffs = {}
@@ -793,7 +821,8 @@ def check_subsequential_upper(functionals: Sequence[FinVec], seed: SeedSpace,
             if val > max_value:
                 max_value = val
             if val > constant:
-                return UpperEstimateCertificate("FAIL", constant, checked,
-                                                max_value, (zi, cuts, val))
-    return UpperEstimateCertificate("PASS-AT-BUDGET", constant, checked,
+                return UpperEstimateCertificate(Verdict.FAIL, constant,
+                                                checked, max_value,
+                                                (zi, cuts, val))
+    return UpperEstimateCertificate(Verdict.AT_CAP, constant, checked,
                                     max_value, None)

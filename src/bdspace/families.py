@@ -287,11 +287,17 @@ def chain_compactness_probe(members: Sequence[Iterable[int]], bound: int) -> boo
     listed set, both contained in [1, bound].  (An infinite strictly
     increasing chain would produce such a pair at every finite scale.)
     """
-    sets = [tuple(sorted(set(m))) for m in members]
-    sets = [s for s in sets if not s or s[-1] <= bound]
-    pool = set(sets)
-    for s in pool:
-        for t in pool:
-            if s != t and len(s) < len(t) and t[: len(s)] == s:
-                return False
-    return True
+    sets = {tuple(sorted(set(m))) for m in members}
+    return longest_prefix_chain(
+        [s for s in sets if not s or s[-1] <= bound]) == 1
+
+
+def longest_prefix_chain(members: Sequence[tuple[int, ...]]) -> int:
+    """The longest chain of listed tuples, each a proper initial segment of
+    the next, that always takes the first listed extension.  One-sided like
+    the probe: a long chain suggests, but cannot show, noncompactness."""
+    def chain(cur) -> int:
+        nxt = next((b for b in members
+                    if len(b) > len(cur) and b[: len(cur)] == cur), None)
+        return 1 if nxt is None else 1 + chain(nxt)
+    return max(map(chain, members), default=1)

@@ -174,10 +174,3 @@ def check(c, value, x, y, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> Fraction:
             bi * v for bi, v in zip(b, y)):
         raise CertificateError("LP answer: objective values differ")
     return value
-
-
-def minimize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
-    """min c . x under the same constraints; returns (value, x, y) with y
-    optimal for  maximize b . y  subject to y_ub <= 0, A^T y <= c."""
-    value, x, y = maximize([-Fraction(v) for v in c], A_ub, b_ub, A_eq, b_eq)
-    return -value, x, [-v for v in y]

@@ -58,6 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
+from .bdcore import Verdict
 from .exact import FinVec
 from .families import RegularFamily, member_start, member_step
 
@@ -349,7 +350,7 @@ def plus_tree_vectors(spec: TsirelsonSpec, support_bound: int) -> list[FinVec]:
 
 @dataclass
 class DominationCertificate:
-    status: str                  # "FAIL" | "PASS-AT-BUDGET"
+    status: Verdict              # FAIL or AT_CAP
     constant: Fraction
     trials: int
     witness: tuple | None        # coefficient tuple violating the bound
@@ -362,8 +363,8 @@ def certify_domination(lhs: Sequence[FinVec], rhs_indices: Sequence[int],
                        raw_support_check: bool = True) -> DominationCertificate:
     """Bounded search for a violation of ||sum a_i z_i|| <= C ||sum a_i t_{m_i}||.
 
-    PASS-AT-BUDGET lists only that the checked coefficient families (unit
-    vectors, signs, then rationals from a fixed-seed draw) passed; it is a
+    AT-CAP states only that the checked coefficient families (unit vectors,
+    signs, then rationals from a fixed-seed draw) passed; it is a
     bounded-search certificate, not a proof.  The left norm defaults
     to the same Tsirelson norm (for blocks living in c00(N)); pass
     ``lhs_norm`` to certify blocks of another space, and disable the raw
@@ -410,6 +411,6 @@ def certify_domination(lhs: Sequence[FinVec], rhs_indices: Sequence[int],
         left = lhs_norm(zsum)
         right = tsirelson_norm(vsum, spec)
         if left > constant * right:
-            return DominationCertificate("FAIL", constant, trials, a,
+            return DominationCertificate(Verdict.FAIL, constant, trials, a,
                                          (left, right))
-    return DominationCertificate("PASS-AT-BUDGET", constant, trials, None, None)
+    return DominationCertificate(Verdict.AT_CAP, constant, trials, None, None)

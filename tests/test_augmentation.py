@@ -269,7 +269,7 @@ def test_certificate_not_applicable_inside_psi(aug_half):
     z = aug_half.psi_of_seed(x)
     comp = aug_half.bd.block_component(z, 1)
     cert = certify_lower_estimate(aug_half, [comp])
-    assert cert.status == "NOT-APPLICABLE"
+    assert cert.status == "INCONCLUSIVE"
 
 
 def test_certificate_gap_condition(aug_half):
@@ -322,7 +322,7 @@ def test_domination_after_augmentation(acc_build):
     dom = certify_domination(
         blocks_ext, qs, VHALF, constant, trial_budget=40,
         lhs_norm=lambda v: v.linf(), raw_support_check=False)
-    assert dom.status == "PASS-AT-BUDGET"
+    assert dom.status == "AT-CAP"
 
 
 def test_skipped_mode_constructs(acc_build):
@@ -337,7 +337,7 @@ def test_skipped_mode_constructs(acc_build):
     # block at rank 3 = q sits between hosting ranks 2 and 4
     blk = aug.carrier_block(aug.make_carrier(3))
     cert = certify_lower_estimate(aug, [blk])
-    assert cert.status in ("PASS", "NOT-APPLICABLE")
+    assert cert.status in ("PASS", "INCONCLUSIVE")
 
 
 def test_skipped_mode_guards(acc_build):

@@ -128,6 +128,30 @@ def test_weight_split_and_apriori_bound():
     assert not rep.ok  # 1/8 > 1/16 and its b* is not exempt
 
 
+def test_apriori_bound_has_one_home():
+    bd, _ = tiny_build()
+    theta = F(1, 4)
+    assert bdcore.apriori_bound(theta) == 2
+    assert bdcore.apriori_bound(F(3, 8)) == 4  # 1/(1 - 3/4)
+    rep = bdcore.compute_constants(bd, theta)
+    assert rep.details["M_bound_apriori"] == bdcore.decomposition_bound(
+        bd, theta) == bdcore.apriori_bound(theta)
+
+
+def test_report_verdict():
+    V = bdcore.Verdict
+    assert bdcore.Report("r").verdict is V.PASS
+    rep = bdcore.Report("r", unsettled=V.AT_CAP, reason="capped")
+    assert rep.verdict is V.AT_CAP and rep.ok
+    assert rep.to_json_obj()["verdict"] == "AT-CAP"
+    assert rep.to_json_obj()["reason"] == "capped"
+    # a violation overrides a recorded unsettled verdict
+    rep.violations.append("witness")
+    assert rep.verdict is V.FAIL and not rep.ok
+    assert rep.to_json_obj()["verdict"] == "FAIL"
+    assert {str(v) for v in V} == {"PASS", "FAIL", "INCONCLUSIVE", "AT-CAP"}
+
+
 def test_extension_restriction_identity():
     bd, ids = tiny_build()
     rng = random.Random(8)

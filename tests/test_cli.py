@@ -1,10 +1,23 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bdspace import cli
+from bdspace.bdcore import Report
 from bdspace.cli import main, parse_family, parse_vector
 from bdspace.families import is_member
+
+REPO = Path(__file__).resolve().parents[1]
+SUITES = ["analysis", "coding", "compat", "cuts", "dual-norms", "embedding",
+          "idempotence", "isometry", "norming-set", "projection-norms",
+          "schema", "upper-estimates", "weight-split"]
+VERDICTS = {"PASS", "FAIL", "INCONCLUSIVE", "AT-CAP"}
 
 
 CONFIG = {
@@ -88,6 +101,57 @@ def test_verify_all_suites(built, capsys):
     assert rc == 0
 
 
+def test_verdict_lines(built, capsys):
+    # a finite stage settles neither compactness of the cuts nor the upper
+    # estimates: their verdicts are INCONCLUSIVE and AT-CAP, and exit 0
+    _, _, out = built
+    assert main(["verify", "--build", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("[INCONCLUSIVE] ")] == [
+        ln for ln in lines if " cuts: " in ln]
+    assert [ln for ln in lines if ln.startswith("[AT-CAP] ")] == [
+        ln for ln in lines if " upper-estimates: " in ln]
+    assert all(ln.startswith("[PASS] ") for ln in lines
+               if " cuts: " not in ln and " upper-estimates: " not in ln)
+    assert all(" :: " in ln for ln in lines if not ln.startswith("[PASS] "))
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    assert {r["suite"] for r in reports} == set(SUITES)
+    assert {r["verdict"] for r in reports} <= VERDICTS
+    assert all(r["ok"] == (r["verdict"] != "FAIL") for r in reports)
+    assert main(["report", "--build", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines + ["overall: PASS"]
+
+
+def test_verify_fail_exits_nonzero(built, tmp_path, monkeypatch, capsys):
+    _, _, out = built
+    copy = tmp_path / "build"
+    shutil.copytree(out, copy)
+    monkeypatch.setattr(cli, "verify_coding",
+                        lambda eb: Report("coding", violations=["injected"]))
+    assert main(["verify", "--build", str(copy), "--suite", "coding"]) == 1
+    assert "[FAIL] coding: coding :: injected" in capsys.readouterr().out
+    report = json.loads((copy / "report.json").read_text())
+    assert report["failed"]
+    assert report["reports"][0]["verdict"] == "FAIL"
+    assert main(["report", "--build", str(copy)]) == 1
+
+
+def test_trace_harness_loads(built, tmp_path):
+    # the benchmark's tracer patches cli names by getattr; a traced verify
+    # must still run and time every suite
+    _, _, out = built
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "bench" / "tracing.py"), str(spans),
+         "verify", "--build", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = json.loads(spans.read_text())["spans"]
+    assert all(f"cli.suite.{n}" in names for n in SUITES)
+
+
 def test_verify_single_suite(built, capsys):
     _, _, out = built
     assert main(["verify", "--build", str(out), "--suite",
@@ -169,6 +233,13 @@ def test_dump_command(built, capsys):
     _, _, out = built
     assert main(["dump", "--build", str(out), "--what", "manifest"]) == 0
     assert "stage_cardinalities" in capsys.readouterr().out
+
+
+def test_dump_coding(built, capsys):
+    _, _, out = built
+    assert main(["dump", "--build", str(out), "--what", "coding"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert dumped == json.loads((out / "coding.json").read_text())
 
 
 def test_augment_command(built, tmp_path, capsys):

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
-from bdspace import bdcore
+from bdspace import bdcore, construction
+from bdspace.bdcore import Verdict
 from bdspace.construction import (build_embedding, check_block_rank_order,
                                   cuts_family, embed_phi, i0_of_rank,
                                   interval_from_rank, interval_rank, m_seq,
                                   phi_functional_identity, verify_coding,
-                                  verify_embedding)
+                                  verify_cuts, verify_embedding)
 from bdspace.exact import FinVec
-from bdspace.families import chain_compactness_probe
+from bdspace.families import chain_compactness_probe, longest_prefix_chain
 from oracles import bf_apply_Jm
 
 F = Fraction
@@ -207,6 +208,45 @@ def test_cuts_probe_value_is_derivable(acc_build):
                 if len(tb) == len(ta) + 1 and tb[: len(ta)] == ta:
                     found = True
     assert found
+
+
+def test_embedding_unwitnessed_sample_is_inconclusive(acc_build,
+                                                      monkeypatch):
+    # with phi replaced by 0 (and its identity check by an empty report),
+    # no built coordinate witnesses the lower bound, while the best norming
+    # member still reaches it: INCONCLUSIVE, not FAIL
+    monkeypatch.setattr(construction, "embed_phi",
+                        lambda eb, x: FinVec(acc_build.bd.universe))
+    monkeypatch.setattr(construction, "phi_functional_identity",
+                        lambda eb, x, img: bdcore.Report("embedding-identity"))
+    units = [FinVec(acc_build.seed.universe, {i: 1}) for i in (1, 2)]
+    rep, samples = verify_embedding(acc_build, units)
+    assert [x.status for x in samples] == ["INCONCLUSIVE"] * 2
+    assert rep.ok and rep.verdict is Verdict.INCONCLUSIVE
+    assert "2 of 2 samples" in rep.reason
+
+
+def test_embedding_verdict_pass_when_witnessed(acc_build):
+    rep, samples = verify_embedding(acc_build, 20)
+    assert rep.verdict is Verdict.PASS and rep.reason == ""
+    assert rep.details["witness_rate"] == (len(samples), len(samples))
+
+
+def test_cuts_verdict_is_inconclusive(acc_build):
+    rep = verify_cuts(acc_build)
+    assert rep.ok and rep.verdict is Verdict.INCONCLUSIVE and rep.reason
+    fam = sorted(set(cuts_family(acc_build)))
+    assert rep.details["probe"] is False
+    assert rep.details["distinct_cut_sets"] == len(fam)
+    assert rep.details["longest_prefix_chain"] == longest_prefix_chain(fam)
+
+
+def test_longest_prefix_chain():
+    assert longest_prefix_chain([(1,), (2,)]) == 1
+    assert longest_prefix_chain([(1,), (1, 3), (1, 3, 4), (2,), (2, 5)]) == 3
+    # chains take the first listed extension: from (1,) that is (1, 2),
+    # so (1,) < (1, 3) < (1, 3, 4) is not found
+    assert longest_prefix_chain([(1,), (1, 2), (1, 3), (1, 3, 4)]) == 2
 
 
 def test_pruned_build_keeps_references():

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from bdspace import lp
+from bdspace import decomp, lp
+from bdspace.bdcore import Verdict
 from bdspace.decomp import (SeedSpace, SeedSpaceError, build_norming_set_D,
                             check_subsequential_upper,
                             decomposition_closure_report, default_eps_seq,
                             member_band_report, norming_certificate,
                             optimal_c_decomposition, rounding_error_report,
-                            tsirelson_seed, vstar_norm)
+                            tsirelson_seed, verify_norming_set, vstar_norm)
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
@@ -125,8 +126,8 @@ def full_dual_norm(gens, f):
     two columns per generator, nothing dropped."""
     coords = sorted({i for g in gens for i in g.support()} | set(f.support()))
     A = [[s * g[i] for g in gens for s in (1, -1)] for i in coords]
-    return lp.minimize([1] * (2 * len(gens)), A_eq=A,
-                       b_eq=[f[i] for i in coords])[0]
+    return -lp.maximize([-1] * (2 * len(gens)), A_eq=A,
+                        b_eq=[f[i] for i in coords])[0]
 
 
 @pytest.mark.parametrize("c, kept", [(F(1, 16), 8), (F(1, 2), 36)],
@@ -353,6 +354,20 @@ def test_norming_certificates_all_intervals(acc_seed, acc_D):
             assert detail
 
 
+def test_verify_norming_set(acc_seed, acc_D, monkeypatch):
+    rep = verify_norming_set(acc_D, acc_seed.nblocks)
+    assert rep.verdict is Verdict.PASS
+    assert len(rep.details) == 10  # the intervals [lo, hi] of 4 blocks
+    assert rep.details["delta[1,4]"] == norming_certificate(acc_D, 1, 4)[0]
+    # a margin above eps on any interval fails the suite
+    monkeypatch.setattr(decomp, "norming_certificate",
+                        lambda D, lo, hi: (acc_seed.eps + F(1, 1000), []))
+    rep = verify_norming_set(acc_D, 2)
+    assert rep.verdict is Verdict.FAIL
+    assert len(rep.violations) == 3
+    assert rep.violations[0].startswith("norming margin")
+
+
 def test_unconditional_variant_atoms():
     seed = tsirelson_seed("u", S1, F(1, 16), 3)
     D = build_norming_set_D(seed)
@@ -404,7 +419,7 @@ def test_upper_estimate_single_coordinate(acc_seed):
     spec = TsirelsonSpec(S1, F(1, 2))
     z = FinVec(acc_seed.universe, {2: F(1, 2)})
     cert = check_subsequential_upper([z], acc_seed, spec, 1)
-    assert cert.status == "PASS-AT-BUDGET"
+    assert cert.status == "AT-CAP"
     assert cert.max_value <= 1
 
 
@@ -429,5 +444,19 @@ def test_upper_estimate_logged_constant(acc_seed, acc_D):
     probe = check_subsequential_upper(members, acc_seed, spec, 10 ** 6)
     logged = probe.max_value
     cert = check_subsequential_upper(members, acc_seed, spec, logged)
-    assert cert.status == "PASS-AT-BUDGET"
+    assert cert.status == "AT-CAP"
     assert cert.max_value == logged
+
+
+def test_upper_estimate_report_verdicts(acc_seed):
+    # finitely many cut sequences prove no estimate: AT-CAP, never PASS;
+    # a witness gives FAIL
+    spec = TsirelsonSpec(S1, F(1, 2))
+    z = FinVec(acc_seed.universe, {2: F(1, 2)})
+    rep = check_subsequential_upper([z], acc_seed, spec, 1).report()
+    assert rep.ok and rep.verdict is Verdict.AT_CAP
+    assert rep.reason.startswith("no violation in 1 cut sequences")
+    z = FinVec(acc_seed.universe, {1: 1, 2: 1, 3: 1})
+    rep = check_subsequential_upper([z], acc_seed, spec, F(1, 2)).report()
+    assert rep.verdict is Verdict.FAIL
+    assert rep.violations[0].startswith("witness: (0, ")

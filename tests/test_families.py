@@ -40,6 +40,19 @@ def test_probe_examples():
     assert chain_compactness_probe([{1}, {2, 3}], 5)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=6),
+       st.integers(0, 6))
+def test_probe_matches_pairwise_definition(members, bound):
+    # False iff some listed set inside [1, bound] is a proper initial
+    # segment of another, as the docstring defines it
+    sets = {tuple(sorted(m)) for m in members}
+    sets = [t for t in sets if not t or t[-1] <= bound]
+    pair = any(len(a) < len(b) and b[: len(a)] == a
+               for a in sets for b in sets)
+    assert chain_compactness_probe(members, bound) is (not pair)
+
+
 def test_s1_cardinality_vs_bruteforce():
     for n in range(1, 13):
         members = sum(

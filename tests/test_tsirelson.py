@@ -188,7 +188,7 @@ def test_tree_vec_scaling():
 def test_domination_identity_and_scaling():
     blocks = [nat({3: 1}), nat({4: 1}), nat({5: 1})]
     cert = certify_domination(blocks, [3, 4, 5], HALF, 1, trial_budget=60)
-    assert cert.status == "PASS-AT-BUDGET"
+    assert cert.status == "AT-CAP"
     doubled = [b.scale(2) for b in blocks]
     cert = certify_domination(doubled, [3, 4, 5], HALF, 1, trial_budget=60)
     assert cert.status == "FAIL"
