@@ -7,7 +7,8 @@ one library call whose reports carry their own verdict (``bdcore.Verdict``:
 PASS, FAIL, INCONCLUSIVE or AT-CAP).  ``verify`` prints one line per report,
 ``[VERDICT] suite: name :: first violation or reason``, and stores the
 reports with their verdicts and reasons in ``report.json``, from which
-``report`` prints the same lines.  The exit code is nonzero exactly when
+``report`` prints the same lines and an ``overall:`` line naming the
+INCONCLUSIVE and AT-CAP counts.  The exit code is nonzero exactly when
 some check FAILED: INCONCLUSIVE and AT-CAP exit zero, since a finite stage
 can fail to witness a bound without refuting it.
 """
@@ -319,9 +320,18 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise SystemExit(f"no report.json in {args.build}; run verify first")
     rep = json.loads(path.read_text())
+    if not all("verdict" in r and "reason" in r for r in rep["reports"]):
+        raise SystemExit(f"{path} has no verdicts (written before they were "
+                         "recorded); run verify again")
     for r in rep["reports"]:
         print(_verdict_line(r))
-    print("overall:", "FAIL" if rep["failed"] else "PASS")
+    verdicts = [r["verdict"] for r in rep["reports"]]
+    unsettled = ", ".join(
+        f"{verdicts.count(v.value)} {v}"
+        for v in (bdcore.Verdict.INCONCLUSIVE, bdcore.Verdict.AT_CAP)
+        if v.value in verdicts)
+    print("overall:", ("FAIL" if rep["failed"] else "PASS")
+          + (f" with {unsettled}" if unsettled else ""))
     return 1 if rep["failed"] else 0
 
 

@@ -293,11 +293,12 @@ def chain_compactness_probe(members: Sequence[Iterable[int]], bound: int) -> boo
 
 
 def longest_prefix_chain(members: Sequence[tuple[int, ...]]) -> int:
-    """The longest chain of listed tuples, each a proper initial segment of
-    the next, that always takes the first listed extension.  One-sided like
-    the probe: a long chain suggests, but cannot show, noncompactness."""
+    """The length of the longest chain of listed tuples, each a proper
+    initial segment of the next.  One-sided like the probe: a long chain
+    suggests, but cannot show, noncompactness."""
+    @lru_cache(maxsize=None)
     def chain(cur) -> int:
-        nxt = next((b for b in members
-                    if len(b) > len(cur) and b[: len(cur)] == cur), None)
-        return 1 if nxt is None else 1 + chain(nxt)
+        return 1 + max((chain(b) for b in members
+                        if len(b) > len(cur) and b[: len(cur)] == cur),
+                       default=0)
     return max(map(chain, members), default=1)

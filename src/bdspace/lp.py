@@ -1,10 +1,15 @@
 """Small exact linear programming over the rationals.
 
-Two-phase primal simplex with Bland's rule, every pivot carried out in
-`fractions.Fraction` arithmetic.  Intended for the modest problem sizes this
-package produces (dozens of variables); termination is guaranteed by Bland's
-rule and results are exact, which is what the certificate-style checks
-require.  scipy's solvers are floating point and therefore unusable here.
+Two-phase primal simplex with Bland's rule on an integer-row tableau: each
+row is a list of Python ints over one positive row denominator, and a pivot
+updates a row by integer cross-multiplication, cut by one gcd per row
+(Edmonds 1967, Bareiss 1968).  Only the inputs and the returned answer are
+``Fraction``s.  The rows are a ``Fraction`` tableau's rows scaled by their
+denominators, so the pivots and the answers are that tableau's.  Intended
+for the modest problem sizes this package produces (dozens of variables);
+termination is guaranteed by Bland's rule and results are exact, which is
+what the certificate-style checks require.  scipy's solvers are floating
+point and therefore unusable here.
 
 Problems are stated as
 
@@ -24,6 +29,7 @@ x and y are feasible and c . x = b . y certify that both are optimal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -39,20 +45,41 @@ class CertificateError(ArithmeticError):
     """An LP answer failed the exact check of its primal or dual side."""
 
 
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    inv = Fraction(1) / piv
-    T[row] = [v * inv for v in T[row]]
+def _row(values) -> tuple[list[int], int]:
+    """Rationals as (integer numerators, positive common denominator)."""
+    values = [Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _reduced(nums, d):
+    """nums/d with the gcd of d and all of nums cancelled."""
+    g = gcd(d, *nums)
+    return ([v // g for v in nums], d // g) if g > 1 else (nums, d)
+
+
+def _eliminate(line, den, prow, d, col):
+    """line/den minus line[col]/den times the pivot row prow/d, whose entry
+    at col is d."""
+    f = line[col]
+    return _reduced([a * d - f * b for a, b in zip(line, prow)], den * d)
+
+
+def _pivot(T, D, basis, row, col):
+    prow, d = T[row], T[row][col]
+    if d < 0:
+        prow, d = [-v for v in prow], -d
+    prow, d = _reduced(prow, d)
+    T[row], D[row] = prow, d
     for r, line in enumerate(T):
         if r != row and line[col]:
-            f = line[col]
-            prow = T[row]
-            T[r] = [a - f * b for a, b in zip(line, prow)]
+            T[r], D[r] = _eliminate(line, D[r], prow, d, col)
     basis[row] = col
 
 
-def _simplex(T, basis, ncols):
-    """Maximize with objective in the last row; Bland's rule throughout."""
+def _simplex(T, D, basis, ncols):
+    """Maximize with objective in the last row; Bland's rule throughout.
+    Denominators are positive, so signs and ratios read off numerators."""
     m = len(T) - 1
     while True:
         obj = T[-1]
@@ -61,15 +88,18 @@ def _simplex(T, basis, ncols):
             return
         best = None
         for r in range(m):
-            a = T[r][col]
+            line = T[r]
+            a = line[col]
             if a > 0:
-                ratio = T[r][-1] / a
-                if best is None or ratio < best[0] or (
-                        ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
+                if best is None:
+                    best = r
+                    continue
+                lhs, rhs = line[-1] * T[best][col], T[best][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                    best = r
         if best is None:
             raise Unbounded()
-        _pivot(T, basis, best[1], col)
+        _pivot(T, D, basis, best, col)
 
 
 def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
@@ -80,79 +110,73 @@ def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     """
     c = [Fraction(v) for v in c]
     n = len(c)
-    rows = []
     slack_count = len(A_ub)
-    for a, b in zip(A_ub, b_ub):
-        rows.append(([Fraction(v) for v in a], Fraction(b), "ub"))
-    for a, b in zip(A_eq, b_eq):
-        rows.append(([Fraction(v) for v in a], Fraction(b), "eq"))
+    rows = [(a, b, "ub") for a, b in zip(A_ub, b_ub)]
+    rows += [(a, b, "eq") for a, b in zip(A_eq, b_eq)]
     m = len(rows)
 
     # columns: n structural, slack_count slacks, m artificials, rhs
     ncols = n + slack_count + m
-    T = []
+    T, D = [], []
     basis = []
     flipped = []
     si = 0
     for r, (a, b, kind) in enumerate(rows):
-        flipped.append(b < 0)
-        if b < 0:
-            a = [-v for v in a]
-            b = -b
-            kind = "eq" if kind == "eq" else "lb"  # flipped <= becomes >=
-        line = a + [Fraction(0)] * (slack_count + m) + [b]
+        nums, d = _row(list(a) + [b])
+        flipped.append(nums[-1] < 0)
+        if flipped[-1]:  # a flipped <= becomes >=
+            nums = [-v for v in nums]
+        line = nums[:n] + [0] * (slack_count + m) + nums[n:]
         if kind == "ub":
-            line[n + si] = Fraction(1)
+            line[n + si] = -d if flipped[-1] else d
             si += 1
-        elif kind == "lb":
-            line[n + si] = Fraction(-1)
-            si += 1
-        line[n + slack_count + r] = Fraction(1)
+        line[n + slack_count + r] = d
         T.append(line)
+        D.append(d)
         basis.append(n + slack_count + r)
 
     # phase 1: minimize sum of artificials
-    obj = [Fraction(0)] * (ncols + 1)
-    for r in range(m):
-        for j in range(ncols + 1):
-            obj[j] += T[r][j]
+    L = lcm(*D)
+    obj = [sum(line[j] * (L // d) for line, d in zip(T, D))
+           for j in range(ncols + 1)]
     for j in range(n + slack_count, ncols):
-        obj[j] = Fraction(0)
+        obj[j] = 0
     T.append(obj)
-    _simplex(T, basis, n + slack_count)
+    D.append(L)
+    _simplex(T, D, basis, n + slack_count)
     if T[-1][-1] != 0:
         raise Infeasible()
     T.pop()
+    D.pop()
 
     # drive artificials out of the basis where possible
     for r in range(m):
         if basis[r] >= n + slack_count:
             col = next((j for j in range(n + slack_count) if T[r][j] != 0), None)
             if col is not None:
-                _pivot(T, basis, r, col)
+                _pivot(T, D, basis, r, col)
 
     # phase 2
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        obj[j] = c[j]
+    obj, den = _row(c + [0] * (ncols - n + 1))
     # reduced costs must be zero on all basic columns
     for r in range(m):
         if obj[basis[r]]:
-            f = obj[basis[r]]
-            obj = [a - f * b for a, b in zip(obj, T[r])]
+            obj, den = _eliminate(obj, den, T[r], D[r], basis[r])
     T.append(obj)
-    _simplex(T, basis, n + slack_count)
+    D.append(den)
+    _simplex(T, D, basis, n + slack_count)
 
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = T[r][-1]
+            x[basis[r]] = Fraction(T[r][-1], D[r])
     value = sum(ci * xi for ci, xi in zip(c, x))
     # Artificial column r starts as the unit vector of (possibly negated)
     # row r at cost 0, so its final reduced cost is -(c_B B^-1)_r; the
     # dual of the original row undoes the negation.
     obj, art = T[-1], n + slack_count
-    y = [obj[art + r] if flipped[r] else -obj[art + r] for r in range(m)]
+    y = [Fraction(obj[art + r] if flipped[r] else -obj[art + r], D[-1])
+         for r in range(m)]
     return value, x, y
 
 

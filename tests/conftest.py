@@ -49,13 +49,17 @@ def acc_aug(acc_build):
                           Fraction(1, 16), mode="fdd")
 
 
-@pytest.fixture(scope="session")
-def acc_lifted(acc_build):
+def lift_acceptance(build):
     """The acceptance augmentation toward (S_1, 1/2): carriers at ranks 2, 6
     and 11, and the chain element that certifying their blocks lifts."""
     from bdspace.augmentation import AugmentedBuild, certify_lower_estimate
-    aug = AugmentedBuild(acc_build, TsirelsonSpec(schreier(1), Fraction(1, 2)),
+    aug = AugmentedBuild(build, TsirelsonSpec(schreier(1), Fraction(1, 2)),
                          Fraction(1, 16), mode="fdd")
     blocks = [aug.carrier_block(aug.make_carrier(r)) for r in (2, 6, 11)]
     assert certify_lower_estimate(aug, blocks).status == "PASS"
     return aug
+
+
+@pytest.fixture(scope="session")
+def acc_lifted(acc_build):
+    return lift_acceptance(acc_build)

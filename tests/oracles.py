@@ -8,9 +8,10 @@ the depth-first search over breakpoint sets that the library's dynamic
 program replaced, the triangular-solve oracle runs dense Gaussian
 elimination, the extension-operator oracles apply the defining formulas of
 J_m, the FDD components and psi to d-coordinates from that dense solve, the
-hull-distance oracle forms every grid combination as a whole vector, and
-the dual-norm oracle enumerates polytope vertices.  Values computed here are
-exact.
+hull-distance oracle forms every grid combination as a whole vector, the
+dual-norm oracle enumerates polytope vertices, and the LP oracle pivots a
+``Fraction`` tableau where the library keeps integer rows.  Values computed
+here are exact.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 from fractions import Fraction
 
 from bdspace.exact import FinVec
+from bdspace.lp import Infeasible, Unbounded
 from bdspace.tsirelson import tsirelson_norm
 
 _member_memo: dict = {}    # (family, F) -> bool
@@ -327,3 +329,118 @@ def _solve_square(A, b):
                 f = M[r][col]
                 M[r] = [v - f * w for v, w in zip(M[r], M[col])]
     return [M[r][n] for r in range(n)]
+
+
+def _bf_pivot(T, basis, row, col):
+    piv = T[row][col]
+    inv = Fraction(1) / piv
+    T[row] = [v * inv for v in T[row]]
+    for r, line in enumerate(T):
+        if r != row and line[col]:
+            f = line[col]
+            prow = T[row]
+            T[r] = [a - f * b for a, b in zip(line, prow)]
+    basis[row] = col
+
+
+def _bf_simplex(T, basis, ncols):
+    """Maximize with objective in the last row; Bland's rule throughout."""
+    m = len(T) - 1
+    while True:
+        obj = T[-1]
+        col = next((j for j in range(ncols) if obj[j] > 0), None)
+        if col is None:
+            return
+        best = None
+        for r in range(m):
+            a = T[r][col]
+            if a > 0:
+                ratio = T[r][-1] / a
+                if best is None or ratio < best[0] or (
+                        ratio == best[0] and basis[r] < basis[best[1]]):
+                    best = (ratio, r)
+        if best is None:
+            raise Unbounded()
+        _bf_pivot(T, basis, best[1], col)
+
+
+def bf_maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
+    """``lp.maximize`` as a two-phase simplex in ``Fraction`` arithmetic:
+    the same columns, Bland's rule and dual read-off, so it returns the
+    same (value, x, y) or raises the same exception."""
+    c = [Fraction(v) for v in c]
+    n = len(c)
+    rows = []
+    slack_count = len(A_ub)
+    for a, b in zip(A_ub, b_ub):
+        rows.append(([Fraction(v) for v in a], Fraction(b), "ub"))
+    for a, b in zip(A_eq, b_eq):
+        rows.append(([Fraction(v) for v in a], Fraction(b), "eq"))
+    m = len(rows)
+
+    # columns: n structural, slack_count slacks, m artificials, rhs
+    ncols = n + slack_count + m
+    T = []
+    basis = []
+    flipped = []
+    si = 0
+    for r, (a, b, kind) in enumerate(rows):
+        flipped.append(b < 0)
+        if b < 0:
+            a = [-v for v in a]
+            b = -b
+            kind = "eq" if kind == "eq" else "lb"  # flipped <= becomes >=
+        line = a + [Fraction(0)] * (slack_count + m) + [b]
+        if kind == "ub":
+            line[n + si] = Fraction(1)
+            si += 1
+        elif kind == "lb":
+            line[n + si] = Fraction(-1)
+            si += 1
+        line[n + slack_count + r] = Fraction(1)
+        T.append(line)
+        basis.append(n + slack_count + r)
+
+    # phase 1: minimize sum of artificials
+    obj = [Fraction(0)] * (ncols + 1)
+    for r in range(m):
+        for j in range(ncols + 1):
+            obj[j] += T[r][j]
+    for j in range(n + slack_count, ncols):
+        obj[j] = Fraction(0)
+    T.append(obj)
+    _bf_simplex(T, basis, n + slack_count)
+    if T[-1][-1] != 0:
+        raise Infeasible()
+    T.pop()
+
+    # drive artificials out of the basis where possible
+    for r in range(m):
+        if basis[r] >= n + slack_count:
+            col = next((j for j in range(n + slack_count) if T[r][j] != 0), None)
+            if col is not None:
+                _bf_pivot(T, basis, r, col)
+
+    # phase 2
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(n):
+        obj[j] = c[j]
+    # reduced costs must be zero on all basic columns
+    for r in range(m):
+        if obj[basis[r]]:
+            f = obj[basis[r]]
+            obj = [a - f * b for a, b in zip(obj, T[r])]
+    T.append(obj)
+    _bf_simplex(T, basis, n + slack_count)
+
+    x = [Fraction(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = T[r][-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    # Artificial column r starts as the unit vector of (possibly negated)
+    # row r at cost 0, so its final reduced cost is -(c_B B^-1)_r; the
+    # dual of the original row undoes the negation.
+    obj, art = T[-1], n + slack_count
+    y = [obj[art + r] if flipped[r] else -obj[art + r] for r in range(m)]
+    return value, x, y

@@ -119,7 +119,8 @@ def test_verdict_lines(built, capsys):
     assert {r["verdict"] for r in reports} <= VERDICTS
     assert all(r["ok"] == (r["verdict"] != "FAIL") for r in reports)
     assert main(["report", "--build", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines() == lines + ["overall: PASS"]
+    assert capsys.readouterr().out.splitlines() == lines + [
+        "overall: PASS with 1 INCONCLUSIVE, 1 AT-CAP"]
 
 
 def test_verify_fail_exits_nonzero(built, tmp_path, monkeypatch, capsys):
@@ -134,6 +135,19 @@ def test_verify_fail_exits_nonzero(built, tmp_path, monkeypatch, capsys):
     assert report["failed"]
     assert report["reports"][0]["verdict"] == "FAIL"
     assert main(["report", "--build", str(copy)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
+
+
+def test_report_without_verdicts_asks_for_verify(tmp_path):
+    # a report.json written before verdicts were recorded carries the same
+    # schema tag but no verdict or reason fields
+    old = {"schema": "bdspace-report-v1", "build": str(tmp_path),
+           "failed": False, "reports": [{
+               "suite": "coding", "name": "coding", "ok": True,
+               "violations": [], "details": {}}]}
+    (tmp_path / "report.json").write_text(json.dumps(old))
+    with pytest.raises(SystemExit, match="run verify again"):
+        main(["report", "--build", str(tmp_path)])
 
 
 def test_trace_harness_loads(built, tmp_path):

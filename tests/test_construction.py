@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -244,9 +245,21 @@ def test_cuts_verdict_is_inconclusive(acc_build):
 def test_longest_prefix_chain():
     assert longest_prefix_chain([(1,), (2,)]) == 1
     assert longest_prefix_chain([(1,), (1, 3), (1, 3, 4), (2,), (2, 5)]) == 3
-    # chains take the first listed extension: from (1,) that is (1, 2),
-    # so (1,) < (1, 3) < (1, 3, 4) is not found
-    assert longest_prefix_chain([(1,), (1, 2), (1, 3), (1, 3, 4)]) == 2
+    # the longest chain need not take the first listed extension: from
+    # (1,) it runs through (1, 3), not (1, 2)
+    assert longest_prefix_chain([(1,), (1, 2), (1, 3), (1, 3, 4)]) == 3
+    assert longest_prefix_chain([(1, 3, 4), (1, 3), (1, 2), (1,)]) == 3
+    # against every subset that is a chain, on small seeded families
+    rng = random.Random(3)
+    for _ in range(200):
+        fam = list({tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 3))))
+                    for _ in range(rng.randint(1, 7))})
+        by_len = sorted(fam, key=len)
+        best = max(len(s) for k in range(1, len(fam) + 1)
+                   for s in itertools.combinations(by_len, k)
+                   if all(len(a) < len(b) and b[:len(a)] == a
+                          for a, b in zip(s, s[1:])))
+        assert longest_prefix_chain(fam) == best, fam
 
 
 def test_pruned_build_keeps_references():

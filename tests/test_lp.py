@@ -4,6 +4,11 @@ from fractions import Fraction
 import pytest
 
 from bdspace import lp
+from bdspace.decomp import check_subsequential_upper
+from bdspace.families import schreier
+from bdspace.tsirelson import TsirelsonSpec
+from conftest import lift_acceptance
+from oracles import bf_maximize
 
 F = Fraction
 
@@ -137,3 +142,75 @@ def test_check_on_equality_only_minimization():
     assert -lp.check(c, v, x, y, A_eq=A, b_eq=b) == 2
     with pytest.raises(lp.CertificateError, match="not dual feasible"):
         lp.check(c, v, x, [2 * w for w in y], A_eq=A, b_eq=b)
+
+
+def outcome(solver, *lp_args):
+    """(value, x, y), or the exception class the solver raised."""
+    try:
+        return solver(*lp_args)
+    except (lp.Infeasible, lp.Unbounded) as exc:
+        return type(exc)
+
+
+def random_lp(rng):
+    """A small LP with no feasibility or boundedness built in: ub and eq
+    rows, integer and fractional entries, negative right-hand sides, and
+    sometimes all-zero ones or a repeated (redundant) equality row."""
+    n = rng.randint(1, 6)
+
+    def coef():
+        return rng.choice((0, rng.randint(-4, 4),
+                           F(rng.randint(-6, 6), rng.randint(1, 5))))
+    A_ub = [[coef() for _ in range(n)] for _ in range(rng.randint(0, 5))]
+    A_eq = [[coef() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    if A_eq and rng.random() < 0.3:
+        A_eq.append([2 * a for a in A_eq[0]])
+    if rng.random() < 0.2:
+        b_ub, b_eq = [0] * len(A_ub), [0] * len(A_eq)
+    else:
+        b_ub = [rng.choice((0, rng.randint(-3, 6),
+                            F(rng.randint(-5, 9), rng.randint(1, 4))))
+                for _ in A_ub]
+        b_eq = [rng.randint(-3, 3) for _ in A_eq]
+        if A_eq and len(A_eq) > 1 and A_eq[-1] == [2 * a for a in A_eq[0]]:
+            b_eq[-1] = 2 * b_eq[0]
+    return [coef() for _ in range(n)], A_ub, b_ub, A_eq, b_eq
+
+
+def test_maximize_matches_fraction_oracle_on_random_lps():
+    # the integer-row tableau makes the same Bland pivots as the Fraction
+    # one, so every answer and every exception is the same
+    rng = random.Random(10)
+    seen = {"optimal": 0, lp.Infeasible: 0, lp.Unbounded: 0,
+            "negative rhs": 0, "zero rhs": 0}
+    for _ in range(600):
+        args = random_lp(rng)
+        got = outcome(lp.maximize, *args)
+        assert got == outcome(bf_maximize, *args), args
+        seen[got if isinstance(got, type) else "optimal"] += 1
+        rhs = args[2] + args[4]
+        seen["negative rhs"] += any(b < 0 for b in rhs)
+        seen["zero rhs"] += bool(rhs) and not any(rhs)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_pipeline_lps_match_fraction_oracle(acc_build, acc_lifted, acc_seed,
+                                            acc_D, monkeypatch):
+    # every LP of the acceptance lower-estimate certificate and of the
+    # upper-estimates suite, checked against the oracle
+    calls = []
+    solve = lp.maximize
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(lp, "maximize", spy)
+    aug = lift_acceptance(acc_build)
+    assert aug.bd.to_json_obj() == acc_lifted.bd.to_json_obj()
+    assert len(calls) == 3
+    members = [m.vec for m in acc_D.members][:12]
+    check_subsequential_upper(members, acc_seed,
+                              TsirelsonSpec(schreier(1), F(1, 2)), 4).report()
+    assert len(calls) == 20
+    for args, kwargs in calls:
+        assert solve(*args, **kwargs) == bf_maximize(*args, **kwargs)
