@@ -5,7 +5,8 @@ segment of a member's special c-decomposition, ranked by the position of
 its block span in the interval well order.  Every element is recoded into
 the two-type schema, the projection-norm ladder is computed exactly, the
 extension operators are isometric on stage patterns, and the embedding of
-the seed space satisfies its functional identity coordinate by coordinate.
+the seed space satisfies its functional identity coordinate by coordinate,
+which bounds ||phi(x)|| on both sides for every x.
 """
 
 from fractions import Fraction
@@ -54,6 +55,9 @@ print("  ||x||            =", seed.primal_norm(x))
 print("  ||phi(x)||       =", img.linf())
 print("  identity exact   =", phi_functional_identity(eb, x, img).ok)
 
-rep, outcomes = verify_embedding(eb, 25, seed_rng=0)
-witnessed = sum(1 for o in outcomes if o.status == "WITNESSED")
-print(f"  lower bound witnessed on {witnessed}/{len(outcomes)} samples")
+rep = verify_embedding(eb)
+print(f"\nembedding bounds for every x: {rep.verdict}; "
+      f"||phi|| = {rep.details['||phi||']}")
+for k, v in rep.details.items():
+    if k.startswith("delta"):
+        print(f"  x on blocks {k[5:]}: ||phi(x)|| >= (1 - {v})||x||")

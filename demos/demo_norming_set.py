@@ -54,7 +54,7 @@ for r, j in m.decomp:
 worst = Fraction(0)
 for lo in range(1, 5):
     for hi in range(lo, 5):
-        w, _ = norming_certificate(D, lo, hi)
+        w, _ = norming_certificate(D, lo, hi, D.indices_in(lo, hi))
         worst = max(worst, w)
 print(f"\n(1 - eps)-norming certificate: worst margin {worst} "
       f"<= eps = {seed.eps}: {worst <= seed.eps}")

@@ -21,21 +21,21 @@ J operators; the identity
 
     e*_gamma(phi(x)) = sum_j r_j x*_j(x)
 
-is re-verified exactly for every built element, which pins the upper bound
-||phi(x)|| <= ||x||, while the lower bound (1 - eps)||x|| is witnessed by
-the coded element of a near-optimal norming functional (or reported
-INCONCLUSIVE with the first stage that would contain it).
+holds exactly for every built element on a basis, hence for every x.  It
+gives the two-sided bound (1 - eps)||x|| <= ||phi(x)|| <= ||x|| for every x
+on the covered blocks: the upper bound from the dual norms of the coded
+functionals, the lower bound from a norming certificate over the members
+of D whose full code is built (or INCONCLUSIVE, naming the first stage
+whose codes would certify it).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .bdcore import BDBuild, BuildError, Report, Verdict
-from .decomp import NormingSetD, SeedSpace
+from .decomp import NormingSetD, SeedSpace, norming_certificate
 from .exact import FinVec
 from .families import chain_compactness_probe, longest_prefix_chain
 
@@ -77,7 +77,8 @@ def i0_of_rank(n: int) -> int:
 
 
 def is_block_rank(n: int) -> bool:
-    return interval_from_rank(n)[0] == interval_from_rank(n)[1]
+    a, b = interval_from_rank(n)
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +112,7 @@ class EmbeddingBuild:
         return tuple(self.D.members[member_index].decomp)
 
     def nblocks_covered(self) -> int:
-        i = 1
-        while m_seq(i + 1) <= self.stage_bound:
-            i += 1
-        return min(i, self.seed.nblocks)
+        return min(i0_of_rank(self.stage_bound), self.seed.nblocks)
 
 
 def _tuple_vecsum(D: NormingSetD, entries: tuple) -> FinVec:
@@ -133,6 +131,12 @@ def _tuple_blocks(D: NormingSetD, entries: tuple) -> tuple[int, ...]:
             if s.restrict_blocks(m.vec, b, b):
                 blocks.add(b)
     return tuple(sorted(blocks))
+
+
+def _tuple_rank(D: NormingSetD, entries: tuple) -> int:
+    """The rank of a coded tuple: the position of its block span."""
+    blocks = _tuple_blocks(D, entries)
+    return interval_rank(blocks[0], blocks[-1])
 
 
 def _recode(D: NormingSetD, t: tuple):
@@ -175,11 +179,7 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
         for j in range(1, len(dec) + 1):
             tuples.add(dec[:j])
 
-    def rank_of(entries: tuple) -> int:
-        blocks = _tuple_blocks(D, entries)
-        return interval_rank(blocks[0], blocks[-1])
-
-    ranked: dict[tuple, int] = {t: rank_of(t) for t in tuples}
+    ranked: dict[tuple, int] = {t: _tuple_rank(D, t) for t in tuples}
     kept = {t for t, r in ranked.items() if r <= stage_bound}
 
     def cap_of(n: int):
@@ -211,7 +211,7 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
             for ref in _recode(D, t)[1:3]:
                 if ref is not None and ref not in chosen:
                     if ranked.get(ref) is None:
-                        ranked[ref] = rank_of(ref)
+                        ranked[ref] = _tuple_rank(D, ref)
                     chosen.add(ref)
                     frontier.append(ref)
         kept = chosen
@@ -355,80 +355,62 @@ def phi_functional_identity(eb: EmbeddingBuild, x: FinVec,
     return rep
 
 
-@dataclass
-class EmbeddingSample:
-    x: FinVec
-    norm: Fraction
-    image_norm: Fraction
-    status: str          # "WITNESSED" | "INCONCLUSIVE" | "FAIL"
-    witness_stage: int | None = None
+def verify_embedding(eb: EmbeddingBuild) -> Report:
+    """(1 - eps)||x|| <= ||phi(x)|| <= ||x|| for every x on the covered
+    blocks, from three exact checks.
 
-
-def verify_embedding(eb: EmbeddingBuild, samples: Sequence[FinVec] | int = 100,
-                     seed_rng: int = 0) -> tuple[Report, list[EmbeddingSample]]:
-    """Two-sided embedding bounds on sample vectors.
-
-    The upper bound ||phi(x)|| <= ||x|| is exact over the built stages.  The
-    lower bound (1 - eps)||x|| is witnessed when some built coordinate of
-    phi(x) reaches it; otherwise the best norming-set member is located and
-    the first stage containing its coded element is reported, INCONCLUSIVE.
+    Identity: phi is linear, so the functional identity on the basis vectors
+    of the covered blocks gives e*_g(phi x) = v_g(x), v_g = sum_j r_j x*_j,
+    for every x.  Upper: ||phi x|| = max_g |v_g(x)|, so ||phi|| is the
+    largest ||v_g||*.  Lower on blocks [lo, hi]: ||x|| is attained on a unit
+    restriction of +-G; a member f of D within delta of it whose full code g
+    is built with v_g = f gives ||phi x|| >= |f(x)| >= (1 - delta)||x||.
+    PASS when delta <= eps on every interval; otherwise INCONCLUSIVE, naming
+    the first stage whose codes would bring delta to eps.
     """
-    s, bd, D = eb.seed, eb.bd, eb.D
+    s, D = eb.seed, eb.D
     rep = Report("embedding-bounds")
     covered = eb.nblocks_covered()
-    if isinstance(samples, int):
-        rng = random.Random(seed_rng)
-        vecs = []
-        for _ in range(samples):
-            nsup = rng.randint(1, min(3, covered))
-            blocks = rng.sample(range(1, covered + 1), nsup)
-            entries = {}
-            for b in blocks:
-                for i in s.block_coords(b):
-                    entries[i] = Fraction(rng.randint(-8, 8), 8)
-            v = FinVec(s.universe, entries)
-            if v:
-                vecs.append(v)
-    else:
-        vecs = list(samples)
+    for b in range(1, covered + 1):
+        for i in s.block_coords(b):
+            rep.violations.extend(
+                phi_functional_identity(eb, s.basis_vector(i)).violations)
+    norm = max((s.dual_norm(inf.vecsum) for inf in eb.info.values()),
+               default=Fraction(0))
+    rep.details["||phi||"] = norm
+    if norm > 1:
+        rep.violations.append(f"upper bound fails: ||phi|| = {norm} > 1")
 
-    out = []
-    bound = (1 - s.eps)
-    for x in vecs:
-        nx = s.primal_norm(x)
-        img = embed_phi(eb, x)
-        idrep = phi_functional_identity(eb, x, img)
-        rep.violations.extend(idrep.violations)
-        up = img.linf()
-        if up > nx:
-            rep.violations.append(f"upper bound fails: {up} > {nx}")
-        if up >= bound * nx:
-            out.append(EmbeddingSample(x, nx, up, "WITNESSED"))
-            continue
-        # the first best functional in D, and the stage of its coded element
-        j = max(range(len(D.members)),
-                key=lambda k: abs(D.members[k].vec.pair(x)))
-        val = abs(D.members[j].vec.pair(x))
-        full = eb.full_code(j)
-        blocks = _tuple_blocks(D, full)
-        stage = interval_rank(blocks[0], blocks[-1])
-        if val >= bound * nx:
-            out.append(EmbeddingSample(x, nx, up, "INCONCLUSIVE", stage))
-        else:
-            out.append(EmbeddingSample(x, nx, up, "FAIL", stage))
-            rep.violations.append(
-                f"no norming member reaches (1-eps)||x|| for {x}")
-    witnessed = sum(1 for o in out if o.status == "WITNESSED")
-    unseen = sum(1 for o in out if o.status == "INCONCLUSIVE")
-    rep.details.update(witnessed=witnessed, inconclusive=unseen,
-                       total=len(out))
-    if out:
-        rep.details["witness_rate"] = (witnessed, len(out))
-    if unseen:
+    def coded(i: int) -> bool:
+        g = eb.code_of.get(eb.full_code(i))
+        return g is not None and eb.info[g].vecsum == D.members[i].vec
+
+    short = []
+    for lo in range(1, covered + 1):
+        for hi in range(lo, covered + 1):
+            inside = D.indices_in(lo, hi)
+            built = [i for i in inside if coded(i)]
+            delta, _ = norming_certificate(D, lo, hi, built)
+            rep.details[f"delta[{lo},{hi}]"] = delta
+            if delta <= s.eps:
+                continue
+            # the rank of each missing code; the first rank n whose codes
+            # certify the interval is the stage to build
+            missing = {i: _tuple_rank(D, eb.full_code(i))
+                       for i in inside if i not in built}
+            stage = next((n for n in sorted(set(missing.values()))
+                          if norming_certificate(
+                              D, lo, hi, built + [i for i, r in missing.items()
+                                                  if r <= n])[0] <= s.eps),
+                         None)
+            short.append(f"[{lo},{hi}] (delta {delta}; " + (
+                "no stage of codes certifies it)" if stage is None else
+                f"the codes up to stage {stage} would certify it)"))
+    if short:
         rep.unsettled = Verdict.INCONCLUSIVE
-        rep.reason = (f"lower bound not witnessed on the built stages for "
-                      f"{unseen} of {len(out)} samples")
-    return rep, out
+        rep.reason = ("lower bound not certified by the built codes on "
+                      + ", ".join(short))
+    return rep
 
 
 def cuts_family(eb: EmbeddingBuild) -> list[tuple[int, ...]]:

@@ -689,7 +689,7 @@ def verify_norming_set(D: NormingSetD, nblocks: int) -> Report:
                  + rounding_error_report(D) + decomposition_closure_report(D))
     for lo in range(1, nblocks + 1):
         for hi in range(lo, nblocks + 1):
-            w, _ = norming_certificate(D, lo, hi)
+            w, _ = norming_certificate(D, lo, hi, D.indices_in(lo, hi))
             rep.details[f"delta[{lo},{hi}]"] = w
             if w > D.seed.eps:
                 rep.violations.append(
@@ -697,23 +697,24 @@ def verify_norming_set(D: NormingSetD, nblocks: int) -> Report:
     return rep
 
 
-def norming_certificate(D: NormingSetD, lo: int, hi: int):
-    """Exact (1 - eps)-norming certificate for blocks [lo, hi].
+def norming_certificate(D: NormingSetD, lo: int, hi: int,
+                        members: Sequence[int]):
+    """Exact (1 - eps)-norming certificate for blocks [lo, hi] by the given
+    members of D (indices into ``D.members``).
 
     Every x supported there has ||x|| = max |g(x)| over restrictions of the
-    norming set; for each such restriction the built member approximating it
-    is within delta in dual norm, so  max_{f in D} |f(x)| >= (1 - delta)||x||.
-    Returns (delta, per-target distances); the certificate passes when
-    delta <= eps.
+    norming set; for each such restriction some given member is within
+    delta of it in dual norm, so  max_f |f(x)| >= (1 - delta)||x||  over the
+    given f.  Returns (delta, per-target distances); the certificate passes
+    when delta <= eps.
     """
     s = D.seed
-    idxs = D.indices_in(lo, hi)
     targets = unit_restrictions(s, [(lo, hi)])
     worst = Fraction(0)
     detail = []
     for g in targets:
         best = None
-        for i in idxs:
+        for i in members:
             d = s.dual_norm(g - D.members[i].vec)
             if best is None or d < best:
                 best = d

@@ -42,6 +42,34 @@ def acc_build(acc_seed, acc_D):
     return build_embedding(acc_seed, acc_D, stage_bound=8)
 
 
+def make_halfnorm_seed() -> SeedSpace:
+    """Four one-dimensional blocks normed by the (S_1, 1/2) tree
+    functionals: the explicit seed of the ``halfnorm-pipeline`` config."""
+    dns = build_dual_norming_set(TsirelsonSpec(schreier(1), Fraction(1, 2)),
+                                 4, 4)
+    uni = "seed:halfnorm"
+    norming = [FinVec(uni, dict(v.items())) for v in dns.members()]
+    return SeedSpace("halfnorm", [1] * 4, norming, Fraction(1, 16),
+                     Fraction(1, 32), unconditional=False)
+
+
+@pytest.fixture(scope="session")
+def halfnorm_D():
+    seed = make_halfnorm_seed()
+    assert seed.validate() == []
+    return build_norming_set_D(seed)
+
+
+@pytest.fixture(scope="session")
+def halfnorm_build8(halfnorm_D):
+    return build_embedding(halfnorm_D.seed, halfnorm_D, stage_bound=8)
+
+
+@pytest.fixture(scope="session")
+def halfnorm_build10(halfnorm_D):
+    return build_embedding(halfnorm_D.seed, halfnorm_D, stage_bound=10)
+
+
 @pytest.fixture(scope="session")
 def acc_aug(acc_build):
     from bdspace.augmentation import AugmentedBuild

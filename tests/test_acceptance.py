@@ -18,7 +18,9 @@ from bdspace.augmentation import (AugmentedBuild, Window,
                                   certify_lower_estimate,
                                   lift_dual_functional,
                                   verify_lift_identities)
-from bdspace.construction import verify_embedding
+from bdspace.bdcore import Verdict
+from bdspace.construction import (embed_phi, phi_functional_identity,
+                                  verify_embedding)
 from bdspace.decomp import (decomposition_closure_report, member_band_report,
                             norming_certificate, optimal_c_decomposition,
                             rounding_error_report)
@@ -121,7 +123,7 @@ def test_criterion_5_norming_set_suite(acc_seed, acc_D):
     worst = F(0)
     for lo in range(1, acc_seed.nblocks + 1):
         for hi in range(lo, acc_seed.nblocks + 1):
-            w, _ = norming_certificate(acc_D, lo, hi)
+            w, _ = norming_certificate(acc_D, lo, hi, acc_D.indices_in(lo, hi))
             worst = max(worst, w)
             assert w <= acc_seed.eps, (lo, hi, w)
     report(5, f"norming-set band, rounding, closure and (1-eps)-norming "
@@ -130,8 +132,13 @@ def test_criterion_5_norming_set_suite(acc_seed, acc_D):
 
 
 def test_criterion_6_embedding(acc_build):
-    rng = random.Random(2026)
+    rep = verify_embedding(acc_build)
+    assert rep.verdict is Verdict.PASS, (rep.violations[:3], rep.reason)
     s = acc_build.seed
+    delta = max(v for k, v in rep.details.items() if k.startswith("delta"))
+    assert delta <= s.eps
+    # the proven bound, rechecked on 100 seeded vectors
+    rng = random.Random(2026)
     samples = []
     while len(samples) < 100:
         blocks = rng.sample(range(1, 4), rng.randint(1, 3))
@@ -139,14 +146,16 @@ def test_criterion_6_embedding(acc_build):
                    {s.offsets[b - 1]: F(rng.randint(-8, 8), 8) for b in blocks})
         if x:
             samples.append(x)
-    rep, outcomes = verify_embedding(acc_build, samples)
-    assert rep.ok, rep.violations[:3]
-    witnessed = sum(1 for o in outcomes if o.status == "WITNESSED")
-    assert all(o.status in ("WITNESSED", "INCONCLUSIVE") for o in outcomes)
-    assert witnessed >= 90
-    report(6, f"functional identity exact on every built element x 100 "
-              f"samples; upper bound exact; lower bound witnessed on "
-              f"{witnessed}/100 (INCONCLUSIVE otherwise)")
+    for x in samples:
+        img = embed_phi(acc_build, x)
+        assert phi_functional_identity(acc_build, x, img).ok
+        lo, hi = s.block_range(x)
+        nx, up = s.primal_norm(x), img.linf()
+        assert (1 - rep.details[f"delta[{lo},{hi}]"]) * nx <= up <= nx
+    report(6, f"functional identity exact on a basis; ||phi|| = "
+              f"{rep.details['||phi||']} <= 1; lower bound (1 - delta)||x|| "
+              f"for every x, delta <= {delta} <= eps on every interval; "
+              f"both rechecked on 100 samples")
 
 
 def test_criterion_7_chain_identities(acc_build):

@@ -26,7 +26,6 @@ CONFIG = {
              "c": "1/16", "blocks": 3, "unconditional": False},
     "eps": "1/32",
     "stage_bound": 6,
-    "samples": 10,
 }
 
 
@@ -88,6 +87,15 @@ def test_config_rejected_on_eps_seq_sum(tmp_path):
     p.write_text(json.dumps(bad))
     with pytest.raises(SystemExit):
         main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
+
+
+def test_config_ignores_unread_keys(tmp_path):
+    # "samples" sized a sampled embedding suite that no longer exists; a
+    # config that still sets it loads like any key the driver does not read
+    old = dict(CONFIG, samples=10)
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(old))
+    assert cli.load_config(str(p)) == old
 
 
 def test_verify_all_suites(built, capsys):
@@ -214,7 +222,10 @@ def test_report_details_are_json(tmp_path):
     assert reports["projection-norms"]["prefix_norms"]["0,1"] == "0"
     jn = reports["dual-norm-band"]["||J_n||"]
     assert max(jn.values(), key=Fraction) == mcomp
-    assert reports["embedding-bounds"]["witness_rate"] == ["97", "97"]
+    emb = reports["embedding-bounds"]
+    assert emb == {"||phi||": "128/129"} | {
+        f"delta[{lo},{hi}]": "1/129" for lo in range(1, 5)
+        for hi in range(lo, 5)}
 
 
 def test_norm_command(capsys):
@@ -266,6 +277,18 @@ def test_augment_command(built, tmp_path, capsys):
     manifest = json.loads((aout / "manifest.json").read_text())
     assert manifest["verification_ok"]
     assert manifest["certificate"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("carriers, why", [
+    ("1,5,9", "no earlier coordinates to build from"),
+    ("2,3", "blocks violate the separation condition")])
+def test_augment_rejects_unusable_carriers(built, tmp_path, carriers, why):
+    # a carrier the construction cannot use ends the command with one line
+    _, _, out = built
+    with pytest.raises(SystemExit, match=f"^augment rejected: {why}"):
+        main(["augment", "--build", str(out), "--out", str(tmp_path / "a"),
+              "--carriers", carriers])
+    assert not (tmp_path / "a").exists()
 
 
 def test_augment_rejects_skipped_mode(built, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -168,28 +169,55 @@ def test_phi_matches_blockwise_oracle(acc_build):
         assert embed_phi(acc_build, x) == expect
 
 
+def block_samples(eb, count, seed):
+    """Seeded vectors with entries k/8 on at most 3 covered blocks."""
+    s, covered = eb.seed, eb.nblocks_covered()
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        blocks = rng.sample(range(1, covered + 1),
+                            rng.randint(1, min(3, covered)))
+        x = FinVec(s.universe, {i: F(rng.randint(-8, 8), 8) for b in blocks
+                                for i in s.block_coords(b)})
+        if x:
+            out.append(x)
+    return out
+
+
+def assert_two_sided(eb, rep, x):
+    """(1 - delta)||x|| <= ||phi x|| <= ||x||, delta the report's margin on
+    the block span of x."""
+    s = eb.seed
+    lo, hi = s.block_range(x)
+    nx, up = s.primal_norm(x), embed_phi(eb, x).linf()
+    assert (1 - rep.details[f"delta[{lo},{hi}]"]) * nx <= up <= nx, x
+
+
 def test_embedding_bounds_and_witnesses(acc_build):
-    rep, samples = verify_embedding(acc_build, 40, seed_rng=3)
-    assert rep.ok, rep.violations[:3]
-    assert all(s.status in ("WITNESSED", "INCONCLUSIVE") for s in samples)
-    for s in samples:
-        assert s.image_norm <= s.norm
-        if s.status == "INCONCLUSIVE":
-            assert s.witness_stage > acc_build.stage_bound
+    rep = verify_embedding(acc_build)
+    assert rep.verdict is Verdict.PASS, (rep.violations[:3], rep.reason)
+    assert rep.details["||phi||"] <= 1
+    eps = acc_build.seed.eps
+    assert all(v <= eps for k, v in rep.details.items()
+               if k.startswith("delta"))
+    # the proven bound, checked on samples
+    for x in block_samples(acc_build, 40, 3):
+        assert_two_sided(acc_build, rep, x)
 
 
 def test_unit_vectors_witnessed(acc_build):
     s = acc_build.seed
-    units = [FinVec(s.universe, {i: 1}) for i in range(1, 5)]
-    rep, samples = verify_embedding(acc_build, units)
-    assert rep.ok
-    assert all(x.status == "WITNESSED" for x in samples)
+    rep = verify_embedding(acc_build)
+    assert rep.verdict is Verdict.PASS
     # single-block action through the scaled dense set: the image norm is
     # at least 1/(1 + eps/4) >= (1 - eps/4) * ||x||
     factor = 1 + s.eps / 4
-    for x, out in zip(units, samples):
-        assert out.image_norm >= 1 / factor
-        assert out.image_norm >= (1 - s.eps / 4) * out.norm
+    for i in range(1, 5):
+        x = FinVec(s.universe, {i: 1})
+        up = embed_phi(acc_build, x).linf()
+        assert up >= 1 / factor
+        assert up >= (1 - s.eps / 4) * s.primal_norm(x)
+        assert_two_sided(acc_build, rep, x)
 
 
 def test_cuts_probe_value_is_derivable(acc_build):
@@ -211,26 +239,86 @@ def test_cuts_probe_value_is_derivable(acc_build):
     assert found
 
 
-def test_embedding_unwitnessed_sample_is_inconclusive(acc_build,
-                                                      monkeypatch):
-    # with phi replaced by 0 (and its identity check by an empty report),
-    # no built coordinate witnesses the lower bound, while the best norming
-    # member still reaches it: INCONCLUSIVE, not FAIL
+def test_embedding_zero_phi_fails(acc_build, monkeypatch):
+    # with phi replaced by 0 the identity fails on every basis vector
     monkeypatch.setattr(construction, "embed_phi",
                         lambda eb, x: FinVec(acc_build.bd.universe))
-    monkeypatch.setattr(construction, "phi_functional_identity",
-                        lambda eb, x, img: bdcore.Report("embedding-identity"))
-    units = [FinVec(acc_build.seed.universe, {i: 1}) for i in (1, 2)]
-    rep, samples = verify_embedding(acc_build, units)
-    assert [x.status for x in samples] == ["INCONCLUSIVE"] * 2
-    assert rep.ok and rep.verdict is Verdict.INCONCLUSIVE
-    assert "2 of 2 samples" in rep.reason
+    rep = verify_embedding(acc_build)
+    assert rep.verdict is Verdict.FAIL
+    assert all("e*(phi x) = 0 != " in v for v in rep.violations)
 
 
-def test_embedding_verdict_pass_when_witnessed(acc_build):
-    rep, samples = verify_embedding(acc_build, 20)
+def test_embedding_verdict_pass_when_certified(acc_build):
+    rep = verify_embedding(acc_build)
     assert rep.verdict is Verdict.PASS and rep.reason == ""
-    assert rep.details["witness_rate"] == (len(samples), len(samples))
+    # ||phi|| and one margin per interval of the 4 covered blocks
+    assert rep.details == {"||phi||": F(128, 129)} | {
+        f"delta[{lo},{hi}]": F(1, 129)
+        for lo in range(1, 5) for hi in range(lo, 5)}
+
+
+def _with_info(eb, g, **changes):
+    """A copy of the build whose element g carries changed coded data."""
+    info = dict(eb.info)
+    info[g] = dataclasses.replace(info[g], **changes)
+    return dataclasses.replace(eb, info=info)
+
+
+def test_embedding_perturbed_coefficient_fails(acc_build):
+    g = next(g for g, inf in acc_build.info.items() if len(inf.entries) >= 2)
+    (r, j), *rest = acc_build.info[g].entries
+    eb = _with_info(acc_build, g, entries=((r + F(1, 64), j), *rest))
+    rep = verify_embedding(eb)
+    assert rep.verdict is Verdict.FAIL
+    assert all(v.startswith(f"{g}: ") for v in rep.violations)
+
+
+def test_embedding_vecsum_above_dual_unit_fails(acc_build):
+    s = acc_build.seed
+    g = max(acc_build.info, key=lambda g: s.dual_norm(acc_build.info[g].vecsum))
+    eb = _with_info(acc_build, g, vecsum=acc_build.info[g].vecsum.scale(2))
+    rep = verify_embedding(eb)
+    assert rep.verdict is Verdict.FAIL
+    assert rep.details["||phi||"] > 1
+    assert rep.violations == [
+        f"upper bound fails: ||phi|| = {rep.details['||phi||']} > 1"]
+
+
+def test_embedding_dropped_coded_element_is_inconclusive(acc_build):
+    # the norming targets of the acceptance seed are the +-e*_i, so without
+    # the codes of block 1's stage nothing within eps of +-e*_1 is coded;
+    # the stage of the dropped codes is named
+    eb = dataclasses.replace(acc_build, code_of={
+        t: g for t, g in acc_build.code_of.items()
+        if acc_build.info[g].rank != 1})
+    rep = verify_embedding(eb)
+    assert rep.ok and rep.verdict is Verdict.INCONCLUSIVE
+    short = {k for k, v in rep.details.items()
+             if k.startswith("delta") and v > acc_build.seed.eps}
+    assert short == {f"delta[1,{hi}]" for hi in range(1, 5)}
+    assert (f"[1,1] (delta {rep.details['delta[1,1]']}; the codes up to "
+            "stage 1 would certify it)") in rep.reason
+
+
+def test_halfnorm_embedding_inconclusive_at_stage_8(halfnorm_build8):
+    rep = verify_embedding(halfnorm_build8)
+    assert rep.ok and rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.details["||phi||"] == F(128, 129)
+    short = {k for k, v in rep.details.items()
+             if k.startswith("delta") and v > halfnorm_build8.seed.eps}
+    assert short == {"delta[1,4]", "delta[2,4]"}
+    for lo in (1, 2):
+        assert (f"[{lo},4] (delta 128/129; the codes up to stage 9 would "
+                "certify it)") in rep.reason
+
+
+def test_halfnorm_embedding_pass_at_stage_10(halfnorm_build10):
+    rep = verify_embedding(halfnorm_build10)
+    assert rep.verdict is Verdict.PASS, (rep.violations[:3], rep.reason)
+    assert rep.details["||phi||"] == F(128, 129)
+    assert rep.details["delta[1,4]"] == F(87, 11008)
+    for x in block_samples(halfnorm_build10, 40, 4):
+        assert_two_sided(halfnorm_build10, rep, x)
 
 
 def test_cuts_verdict_is_inconclusive(acc_build):

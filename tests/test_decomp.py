@@ -349,19 +349,24 @@ def test_decomposition_closure(acc_D):
 def test_norming_certificates_all_intervals(acc_seed, acc_D):
     for lo in range(1, acc_seed.nblocks + 1):
         for hi in range(lo, acc_seed.nblocks + 1):
-            w, detail = norming_certificate(acc_D, lo, hi)
+            w, detail = norming_certificate(acc_D, lo, hi,
+                                            acc_D.indices_in(lo, hi))
             assert w <= acc_seed.eps, (lo, hi, w)
             assert detail
+            # measured over no member, every target is at distance 1
+            assert norming_certificate(acc_D, lo, hi, [])[0] == 1
 
 
 def test_verify_norming_set(acc_seed, acc_D, monkeypatch):
     rep = verify_norming_set(acc_D, acc_seed.nblocks)
     assert rep.verdict is Verdict.PASS
     assert len(rep.details) == 10  # the intervals [lo, hi] of 4 blocks
-    assert rep.details["delta[1,4]"] == norming_certificate(acc_D, 1, 4)[0]
+    assert rep.details["delta[1,4]"] == norming_certificate(
+        acc_D, 1, 4, acc_D.indices_in(1, 4))[0]
     # a margin above eps on any interval fails the suite
     monkeypatch.setattr(decomp, "norming_certificate",
-                        lambda D, lo, hi: (acc_seed.eps + F(1, 1000), []))
+                        lambda D, lo, hi, members: (acc_seed.eps + F(1, 1000),
+                                                       []))
     rep = verify_norming_set(acc_D, 2)
     assert rep.verdict is Verdict.FAIL
     assert len(rep.violations) == 3
