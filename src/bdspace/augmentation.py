@@ -34,6 +34,7 @@ functionals.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -674,7 +675,9 @@ def _hull_distance(aug: AugmentedBuild, z: FinVec, resolution: int = 2
 
     Off the union U of the spanning vectors' supports no combination moves
     z, so max |z_i| there is a floor under every distance, and each grid
-    point only recomputes |z_i - h_i| for i in U."""
+    point only recomputes |z_i - h_i| for i in U.  The search runs over
+    ints: z on U, the floor, ||z||_inf and every grid multiple a sx_i are
+    scaled to one common denominator, and the best is read back over it."""
     span = aug.spanning[:3]
     U = sorted({i for sx in span for i in sx.support()})
     inU = set(U)
@@ -683,7 +686,16 @@ def _hull_distance(aug: AugmentedBuild, z: FinVec, resolution: int = 2
     zU = [z[i] for i in U]
     grid = [Fraction(k, resolution) for k in range(-resolution, resolution + 1)]
     scaled = [[[a * sx[i] for i in U] for a in grid] for sx in span]
-    best = z.linf()
+    den = math.lcm(floor.denominator, z.linf().denominator,
+                   *(v.denominator for v in zU),
+                   *(v.denominator for s in scaled for row in s for v in row))
+
+    def up(vs):
+        return [v.numerator * (den // v.denominator) for v in vs]
+
+    floor, best = up([floor, z.linf()])
+    zU = up(zU)
+    scaled = [[up(row) for row in s] for s in scaled]
     for parts in itertools.product(*scaled):
         d = floor
         for zi, *hs in zip(zU, *parts):
@@ -692,7 +704,7 @@ def _hull_distance(aug: AugmentedBuild, z: FinVec, resolution: int = 2
                 d = r
         if d < best:
             best = d
-    return best
+    return Fraction(best, den)
 
 
 def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],

@@ -15,7 +15,11 @@ all exact rational computations.
 A vector x of the space is handled through its d*-coordinates
 a_t = <d*_t, x> = x(t) - <c*_t, x> (``dcoords``) and rebuilt by the
 synthesis x = sum_t a_t d_t, whose value at g is sum_t <e*_g, d_t> a_t,
-read off the memoized d-expansion of e*_g (``synthesize``).  Every
+read off the memoized d-expansion of e*_g (``synthesize``).  The c* table
+has one writer, ``BDBuild._set_cstar``, which also lists each s under every
+t in supp c*_s; a_t can be nonzero only for t in supp x or for a row c*_t
+meeting supp x, so ``dcoords`` reads only those rows, and a unit vector
+meets a handful of them.  ``validate_schema`` rebuilds that index.  Every
 extension-operator helper is a filter on these coordinates:
 J_m x keeps the ranks <= m, the j-th FDD component keeps rank j, and the
 stage pattern of block j is the rank-j coordinates themselves.  This is
@@ -29,7 +33,8 @@ J_j u is its synthesis.
 Verified here, stage by stage and with zero tolerance, nothing sampled:
 linear identities on a basis, operator norms exactly from columns.
  * schema conformance (shapes, ball memberships, support constraints,
-   consistency of the stored c* table with the defining fields);
+   consistency of the stored c* table with the defining fields, and of
+   the c*-support index with the table);
  * the projection-norm ladder ||P*_[1,m]|_{l1(Gamma_n)}|| <= 1 + C_n and the
    theta-split bound C_n <= max(2 theta/(1-2 theta), C_n(theta));
  * the weight condition (each type-1 weight is <= theta unless b* is a unit
@@ -89,6 +94,7 @@ class BDBuild:
         self.rank: dict[int, int] = {}
         self.stages: dict[int, list[int]] = {}
         self.cstar_table: dict[int, FinVec] = {}
+        self._cstar_rows: dict[int, list[int]] = {}  # t -> [s : t in supp c*_s]
         self.frozen = False
         self._next = 0
         self._dexp: dict[int, FinVec] = {}
@@ -151,7 +157,7 @@ class BDBuild:
         self.elems[g] = Gamma0(beta, bstar, free)
         self.rank[g] = rank
         self.stages.setdefault(rank, []).append(g)
-        self.cstar_table[g] = bstar.scale(beta)
+        self._set_cstar(g, bstar.scale(beta))
         return g
 
     def add_type1(self, rank: int, alpha, k: int, xi: int, beta,
@@ -171,9 +177,16 @@ class BDBuild:
         self.elems[g] = Gamma1(alpha, k, xi, beta, bstar, free)
         self.rank[g] = rank
         self.stages.setdefault(rank, []).append(g)
-        cs = FinVec(self.universe, {xi: alpha}) + self.project(bstar, k, rank - 1).scale(beta)
-        self.cstar_table[g] = cs
+        self._set_cstar(g, FinVec(self.universe, {xi: alpha})
+                        + self.project(bstar, k, rank - 1).scale(beta))
         return g
+
+    def _set_cstar(self, g: int, cs: FinVec):
+        """The one writer of ``cstar_table``: stores c*_g and lists g under
+        every t in its support.  Ids only grow, so each list is in id order."""
+        self.cstar_table[g] = cs
+        for t in cs.support():
+            self._cstar_rows.setdefault(t, []).append(g)
 
     def freeze(self):
         self.frozen = True
@@ -197,24 +210,35 @@ class BDBuild:
     # -- extension operators ----------------------------------------------------
 
     def dcoords(self, x: FinVec) -> dict[int, Fraction]:
-        """The nonzero d*-coordinates of x: <d*_t, x> = x(t) - <c*_t, x>."""
+        """The nonzero d*-coordinates of x, in id order: <d*_t, x> = x(t) -
+        <c*_t, x>, which can be nonzero only for t in supp x or for a row
+        c*_t meeting supp x, so only those rows are read."""
+        table, rows = self.cstar_table, self._cstar_rows
+        hit = {t for t in x.support() if t in table}
+        for i in x.support():
+            hit.update(rows.get(i, ()))
         out = {}
-        for t, cs in self.cstar_table.items():
-            v = x[t] - cs.pair(x)
+        for t in sorted(hit):
+            v = x[t] - table[t].pair(x)
             if v:
                 out[t] = v
         return out
 
     def synthesize(self, a, upto: int | None = None) -> FinVec:
         """sum_t a_t d_t on Gamma_upto: g -> sum_t <e*_g, d_t> a_t, read off
-        the memoized dexp(g); ``a`` maps indices to coefficients."""
+        the memoized dexp(g), walking the shorter of dexp(g) and ``a``;
+        ``a`` maps indices to coefficients."""
         if upto is None:
             upto = self.max_rank()
         vals = {}
+        n = len(a)
         for g, r in self.rank.items():
             if r <= upto:
-                acc = sum((c * a[t] for t, c in self.dexp(g).items()
-                           if t in a), Fraction(0))
+                d = self.dexp(g)
+                if len(d) <= n:
+                    acc = sum(c * a[t] for t, c in d.items() if t in a)
+                else:
+                    acc = sum(d[t] * v for t, v in a.items() if t in d)
                 if acc:
                     vals[g] = acc
         return FinVec(self.universe, vals)
@@ -425,6 +449,15 @@ def validate_schema(build: BDBuild) -> Report:
             rep.violations.append(f"{g}: stored c* differs from recomputation")
         if n == 1 and build.cstar_table[g]:
             rep.violations.append(f"{g}: rank-1 element with nonzero c*")
+    index: dict[int, list[int]] = {}
+    for s in sorted(build.cstar_table):
+        for t in build.cstar_table[s].support():
+            index.setdefault(t, []).append(s)
+    for t in sorted(index.keys() | build._cstar_rows.keys()):
+        if index.get(t, []) != build._cstar_rows.get(t, []):
+            rep.violations.append(
+                f"c*-support index of {t} lists {build._cstar_rows.get(t, [])}"
+                f", the c* table gives {index.get(t, [])}")
     return rep
 
 

@@ -205,13 +205,18 @@ def cmd_build(args) -> int:
 def cmd_augment(args) -> int:
     from .augmentation import (AugmentedBuild, certify_lower_estimate,
                                verify_augmentation)
+    try:
+        carriers = ([int(r) for r in args.carriers.split(",")]
+                    if args.carriers else [])
+    except ValueError:
+        raise SystemExit("augment rejected: --carriers takes comma-separated "
+                         f"integer ranks, not {args.carriers!r}") from None
     cfg = _load_manifest(args.build)["config"]
     seed, D, eb = realize_build(cfg)
     vfam = parse_family(args.v_family)
     vspec = TsirelsonSpec(vfam, Fraction(args.v_c))
     c_aug = Fraction(args.c) if args.c else seed.c
     aug = AugmentedBuild(eb, vspec, c_aug, mode=args.mode)
-    carriers = [int(r) for r in args.carriers.split(",")] if args.carriers else []
     try:
         thetas = [aug.make_carrier(r) for r in carriers]
         cert = certify_lower_estimate(

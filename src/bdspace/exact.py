@@ -33,10 +33,14 @@ class FinVec:
     __slots__ = ("universe", "_d", "_hash")
 
     def __init__(self, universe: str, entries: Mapping | Iterable = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        # dict first: it answers at once, where the Mapping ABC check is slow
+        items = (entries.items()
+                 if isinstance(entries, dict) or isinstance(entries, Mapping)
+                 else entries)
         d: dict[int, Fraction] = {}
         for i, v in items:
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if not v:
                 continue
             i = int(i)

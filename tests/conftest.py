@@ -71,6 +71,16 @@ def halfnorm_build10(halfnorm_D):
 
 
 @pytest.fixture(scope="session")
+def build_6x16():
+    """The 6-block / stage-16 build of the CLI's Tsirelson config."""
+    from bdspace.cli import realize_build
+    return realize_build({
+        "schema": "bdspace-config-v1", "eps": "1/32", "stage_bound": 16,
+        "seed": {"kind": "tsirelson", "name": "acc", "family": "schreier:1",
+                 "c": "1/16", "blocks": 6, "unconditional": False}})[2]
+
+
+@pytest.fixture(scope="session")
 def acc_aug(acc_build):
     from bdspace.augmentation import AugmentedBuild
     return AugmentedBuild(acc_build, TsirelsonSpec(schreier(1), Fraction(1, 16)),

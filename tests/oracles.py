@@ -8,10 +8,11 @@ the depth-first search over breakpoint sets that the library's dynamic
 program replaced, the triangular-solve oracle runs dense Gaussian
 elimination, the extension-operator oracles apply the defining formulas of
 J_m, the FDD components and psi to d-coordinates from that dense solve, the
-hull-distance oracle forms every grid combination as a whole vector, the
-dual-norm oracle enumerates polytope vertices, and the LP oracle pivots a
-``Fraction`` tableau where the library keeps integer rows.  Values computed
-here are exact.
+d*-coordinate oracle scans the whole c* table, the hull-distance oracle
+forms every grid combination as a whole vector, the dual-norm oracle
+enumerates polytope vertices, and the LP oracle pivots a ``Fraction``
+tableau where the library keeps integer rows.  Values computed here are
+exact.
 """
 
 from __future__ import annotations
@@ -217,6 +218,17 @@ def bf_estar_dcoords(bd) -> dict:
             g: dense_unitriangular_solve(order, bd.cstar_table, {g: 1})
             for g in order}
     return got
+
+
+def bf_dcoords(bd, x) -> dict:
+    """The nonzero <d*_t, x> = x(t) - <c*_t, x>, scanning every row of the
+    c* table in its (id) order."""
+    out = {}
+    for t, cs in bd.cstar_table.items():
+        v = x[t] - cs.pair(x)
+        if v:
+            out[t] = v
+    return out
 
 
 def bf_apply_Jm(bd, x, m: int, upto: int):

@@ -246,9 +246,17 @@ def test_hull_distance_matches_whole_vector_oracle(acc_lifted):
         zs.append(FinVec(aug.bd.universe, {g: F(rng.randint(-8, 8), 8)
                                            for g in rng.sample(ids, 8)}))
         zs.append(zs[-1] + span[rng.randrange(3)])
+    # a z matched exactly on the spanning supports U, with mass off U:
+    # the floor max |z_i| off U is its distance
+    U = {i for sx in span for i in sx.support()}
+    off = [g for g in ids if g not in U]
+    on = span[0].scale(F(1, 2)) + span[1]
+    zs.append(on + FinVec(aug.bd.universe, {off[0]: F(5, 7), off[-1]: F(-1, 3)}))
+    assert _hull_distance(aug, on) == 0
+    assert _hull_distance(aug, zs[-1]) == F(5, 7)
     assert any(_hull_distance(aug, z) == 0 for z in zs)
     for z in zs:
-        for res in (1, 2):
+        for res in (1, 2, 3):
             assert _hull_distance(aug, z, res) == bf_hull_distance(aug, z, res)
 
 

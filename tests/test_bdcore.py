@@ -6,7 +6,8 @@ import pytest
 from bdspace import bdcore
 from bdspace.bdcore import BDBuild, BuildError, Gamma1
 from bdspace.exact import FinVec
-from oracles import bf_apply_Jm, bf_block_component, bf_stage_patterns
+from oracles import (bf_apply_Jm, bf_block_component, bf_dcoords,
+                     bf_stage_patterns)
 
 F = Fraction
 
@@ -53,6 +54,19 @@ def test_schema_fault_injection():
     rep = bdcore.validate_schema(bd)
     assert not rep.ok
     assert any(str(c) in v for v in rep.violations)
+
+
+def test_schema_catches_skewed_cstar_index():
+    # c drops out of the rows listed under a although c*_c(a) = 1/4:
+    # dcoords(e_a) then misses <d*_c, e_a>, and the schema suite names the
+    # entry the c* table disagrees with
+    bd, ids = tiny_build()
+    a, b, c, *_ = ids
+    bd._cstar_rows[a].remove(c)
+    assert bd.dcoords(bd.estar(a)) != bf_dcoords(bd, bd.estar(a))
+    rep = bdcore.validate_schema(bd)
+    assert [v.split(" lists")[0] for v in rep.violations] == [
+        f"c*-support index of {a}"]
 
 
 def test_schema_reports_ball_violation():
@@ -327,3 +341,39 @@ def test_extension_operators_match_oracles(big_build):
         for j, u in pats:
             again = again + bf_apply_Jm(bd, u, j, N)
         assert bd.reextend(pats) == again
+
+
+@pytest.fixture(params=["acc", "halfnorm", "6x16", "lifted"])
+def any_build(request):
+    name = {"acc": "acc_build", "halfnorm": "halfnorm_build8",
+            "6x16": "build_6x16", "lifted": "acc_lifted"}[request.param]
+    return request.getfixturevalue(name).bd
+
+
+def test_dcoords_matches_full_scan(any_build):
+    # every basis vector, seeded random vectors, and one vector with an
+    # index outside the build (no d*-coordinate there); same values, same
+    # (id) order as the scan of the whole c* table
+    bd = any_build
+    ids = bd.ids()
+    rng = random.Random(12)
+    xs = [bd.estar(t) for t in ids]
+    for _ in range(20):
+        xs.append(FinVec(bd.universe, {g: F(rng.randint(-8, 8), 8)
+                                       for g in rng.sample(ids, 12)}))
+    xs.append(xs[-1] + FinVec(bd.universe, {max(ids) + 5: 1}))
+    for x in xs:
+        assert list(bd.dcoords(x).items()) == list(bf_dcoords(bd, x).items())
+
+
+def test_lifted_columns_match_oracle(acc_lifted):
+    # the lift adds elements after the c*-support index exists; every
+    # column J_m e_t, t in Gamma_m, of the lifted build matches the dense
+    # oracle (for t below rank m it reads the rows c*_s that meet t)
+    bd = acc_lifted.bd
+    N = bd.max_rank()
+    assert any(bd.rank[g] == N for g in acc_lifted.theta)
+    for m in sorted(bd.stages):
+        for t in bd.gamma_upto(m):
+            assert bd.apply_Jm(bd.estar(t), m) == bf_apply_Jm(
+                bd, bd.estar(t), m, N)

@@ -281,9 +281,12 @@ def test_augment_command(built, tmp_path, capsys):
 
 @pytest.mark.parametrize("carriers, why", [
     ("1,5,9", "no earlier coordinates to build from"),
-    ("2,3", "blocks violate the separation condition")])
+    ("2,3", "blocks violate the separation condition"),
+    ("abc", "--carriers takes comma-separated integer ranks"),
+    ("2,,6", "--carriers takes comma-separated integer ranks")])
 def test_augment_rejects_unusable_carriers(built, tmp_path, carriers, why):
-    # a carrier the construction cannot use ends the command with one line
+    # a carrier list that does not parse, or a carrier the construction
+    # cannot use, ends the command with one line and writes nothing
     _, _, out = built
     with pytest.raises(SystemExit, match=f"^augment rejected: {why}"):
         main(["augment", "--build", str(out), "--out", str(tmp_path / "a"),

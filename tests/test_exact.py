@@ -45,6 +45,17 @@ def test_zero_entries_never_stored():
     assert not w and w.support() == ()
 
 
+def test_constructor_coerces_every_input_form():
+    # Fraction, int and str values; Fraction zeros dropped; indices made
+    # int; pairs summed per index; a Mapping that is not a dict
+    from types import MappingProxyType
+    v = fv({"3": F(1, 2), 1: 2, 2: F(0), 4: "-1/3"})
+    assert list(v.items()) == [(1, F(2)), (3, F(1, 2)), (4, F(-1, 3))]
+    assert all(type(x) is Fraction for _, x in v.items())
+    assert fv([(1, F(1, 2)), ("1", F(-1, 2)), (2, 1)]).support() == (2,)
+    assert fv(MappingProxyType({5: F(1, 5)})) == fv({5: F(1, 5)})
+
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 vectors = st.dictionaries(st.integers(min_value=1, max_value=12), rationals,
                           max_size=6)
