@@ -46,27 +46,38 @@ def parse_family(text: str) -> RegularFamily:
     if arg.isdigit():
         return schreier(int(arg))
     cnf = []
-    for term in arg.split("+"):
-        term = term.strip()
-        if term.startswith("w^"):
-            e, _, m = term[2:].partition("*")
-            cnf.append((int(e), int(m or 1)))
-        elif term.startswith("w"):
-            _, _, m = term.partition("*")
-            cnf.append((1, int(m or 1)))
-        else:
-            cnf.append((0, int(term)))
+    try:
+        for term in arg.split("+"):
+            term = term.strip()
+            if term.startswith("w^"):
+                e, _, m = term[2:].partition("*")
+                cnf.append((int(e), int(m or 1)))
+            elif term.startswith("w"):
+                _, _, m = term.partition("*")
+                cnf.append((1, int(m or 1)))
+            else:
+                cnf.append((0, int(term)))
+    except ValueError:
+        raise ValueError(f"unknown family {text!r}") from None
     return schreier(tuple(cnf))
 
 
 def parse_vector(text: str, universe: str = "nat") -> FinVec:
-    """Vectors like '3:1,4:1,5:-1/2'."""
+    """Vectors like '3:1,4:1,5:-1/2'.  Raises ValueError on an entry that
+    is not an i:v pair or on a coordinate given twice."""
     entries = {}
     text = text.strip()
     if text:
         for part in text.split(","):
             i, _, v = part.partition(":")
-            entries[int(i)] = Fraction(v)
+            try:
+                i, v = int(i), Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("vector entries are i:v pairs, not "
+                                 f"{part!r}") from None
+            if i in entries:
+                raise ValueError(f"coordinate {i} given twice")
+            entries[i] = v
     return FinVec(universe, entries)
 
 
@@ -353,10 +364,12 @@ def cmd_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_norm(args) -> int:
-    fam = parse_family(args.family)
-    spec = TsirelsonSpec(fam, Fraction(args.c))
-    vec = parse_vector(args.vector)
-    print(tsirelson_norm(vec, spec))
+    try:
+        spec = TsirelsonSpec(parse_family(args.family), Fraction(args.c))
+        norm = tsirelson_norm(parse_vector(args.vector), spec)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SystemExit(f"norm rejected: {exc}") from None
+    print(norm)
     return 0
 
 

@@ -14,6 +14,7 @@ values are approximate.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -92,12 +93,9 @@ class FinVec:
         self._check(other)
         d = dict(self._d)
         for i, v in other._d.items():
-            w = d.get(i, Fraction(0)) + v
-            if w:
-                d[i] = w
-            else:
-                d.pop(i, None)
-        return FinVec(self.universe, d)
+            w = d.get(i)
+            d[i] = v if w is None else w + v
+        return FinVec(self.universe, d)  # drops the entries that cancel
 
     def __sub__(self, other: "FinVec") -> "FinVec":
         return self + (-other)
@@ -198,45 +196,41 @@ class TriangularBasisChange:
         """Coefficients a with v = sum a_g d_g, computed exactly."""
         if v.universe != self.universe:
             raise UniverseMismatch(f"{v.universe!r} vs {self.universe!r}")
+        order_key, cstar_row = self.order_key, self.cstar_row
         work = dict(v.items())
+        # the indices met so far, latest last: a row reaches only strictly
+        # earlier indices, so each is taken once, in decreasing order
+        pending = sorted((order_key(g), g) for g in work)
         out: dict[int, Fraction] = {}
-        while work:
-            g = max(work, key=self.order_key)
+        while pending:
+            kg, g = pending.pop()
             t = work.pop(g)
             if not t:
                 continue
-            out[g] = out.get(g, Fraction(0)) + t
-            row = self.cstar_row(g)
-            for i, cv in row.items():
-                if self.order_key(i) >= self.order_key(g):
+            out[g] = t
+            for i, cv in cstar_row(g).items():
+                ki = order_key(i)
+                if ki >= kg:
                     raise ValueError(
                         f"correction row of {g} touches non-earlier index {i}")
-                w = work.get(i, Fraction(0)) + t * cv
-                if w:
-                    work[i] = w
+                w = work.get(i)
+                if w is None:
+                    work[i] = t * cv
+                    insort(pending, (ki, i))
                 else:
-                    work.pop(i, None)
+                    work[i] = w + t * cv
         return FinVec(self.universe, out)
 
     def from_d(self, a: FinVec) -> FinVec:
         """Inverse of ``to_d``: expand sum a_g d_g back into e-coordinates."""
         if a.universe != self.universe:
             raise UniverseMismatch(f"{a.universe!r} vs {self.universe!r}")
-        acc: dict[int, Fraction] = {}
-        for g, t in a.items():
-            w = acc.get(g, Fraction(0)) + t
-            if w:
-                acc[g] = w
-            else:
-                acc.pop(g, None)
+        acc = dict(a.items())
         for g, t in a.items():
             for i, cv in self.cstar_row(g).items():
-                w = acc.get(i, Fraction(0)) - t * cv
-                if w:
-                    acc[i] = w
-                else:
-                    acc.pop(i, None)
-        return FinVec(self.universe, acc)
+                w = acc.get(i)
+                acc[i] = -t * cv if w is None else w - t * cv
+        return FinVec(self.universe, acc)  # drops the entries that cancel
 
     def project(self, v: FinVec, keep: Callable[[int], bool]) -> FinVec:
         """Project onto the span of the kept d-basis vectors, exactly."""

@@ -27,9 +27,13 @@ elements to the right).  Four finitely described shapes are supported:
 
 Schreier membership runs a budget automaton over the sorted elements (see
 ``_open`` and ``_step``); the other shapes are decided by their definitions.
-``member_start`` and ``member_step`` expose membership one element at a
-time, which is how the Tsirelson norm and the dual norming set walk the
-minima of admissible block sequences.  All tests are exact.
+``member_start`` and the step function from ``member_stepper`` expose
+membership one element at a time, which is how the Tsirelson norm and the
+dual norming set walk the minima of admissible block sequences.  The
+automaton's transitions are pure functions of ints and tuples, so both are
+memoized in bounded LRU caches, as are membership answers; ``cache_info()``
+on ``_open``, ``_step`` and ``_member`` reports their hit rates.  All tests
+are exact.
 """
 
 from __future__ import annotations
@@ -122,7 +126,16 @@ def max_union(fams: Sequence[RegularFamily]) -> RegularFamily:
 # membership
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# The bound of the membership caches.  Their working sets are small: a norm
+# search over coordinates in [1, 16] makes 120 distinct automaton
+# transitions under S_1 and 664 under S_2, and the S_1 dual norming set at
+# N = 7 makes 21.  2^16 entries hold those of many families at once, with
+# the sets the other shapes test; past the bound the least recently used
+# answers are recomputed, so the bound costs time, never correctness.
+_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _member(fam: RegularFamily, F: tuple[int, ...]) -> bool:
     if not F:
         return True
@@ -175,6 +188,7 @@ def _schreier_member(cnf: tuple[tuple[int, int], ...], F: tuple[int, ...]) -> bo
 # * at a limit lambda = mu + omega^k only n = min F needs testing, because
 #   the approximants S_(mu + omega^(k-1) * n) are nested in n.
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _open(cnf: tuple[tuple[int, int], ...], m: int) -> tuple:
     """The state of the one-element set {m} in S_cnf."""
     if m == 1:  # every frame would open with no budget
@@ -191,6 +205,7 @@ def _open(cnf: tuple[tuple[int, int], ...], m: int) -> tuple:
     return tuple(frames)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _step(state: tuple, x: int) -> tuple | None:
     """The state after appending x > max F, or None when F u {x} is not a
     member: the bottom frame opens a new chunk at x and reopens the frames
@@ -240,23 +255,28 @@ def is_member(F: Iterable[int], fam: RegularFamily) -> bool:
 
 def member_start(fam: RegularFamily, m: int):
     """Membership state of the one-element set {m}, a member of every
-    regular family.  Feed later elements to ``member_step``."""
+    regular family.  Feed later elements to ``member_stepper(fam)``."""
     if m < 1:
         raise ValueError("family members are subsets of {1, 2, ...}")
     return _open(fam.payload, m) if fam.kind == "schreier" else (m,)
 
 
-def member_step(fam: RegularFamily, state, x: int):
-    """The state of F u {x} for x > max F, or None when it is not a member.
+def member_stepper(fam: RegularFamily):
+    """The step function of ``fam``: it maps (state of F, x) for x > max F
+    to the state of F u {x}, or to None when that is not a member.
 
     Schreier families step their automaton; the other shapes carry F itself
     and test it.  States are hashable, and equal states accept the same
-    continuations.
+    continuations.  A search fetches the function once, so it dispatches on
+    the family's shape once, not at every step.
     """
     if fam.kind == "schreier":
-        return _step(state, x)
-    F = state + (x,)
-    return F if _member(fam, F) else None
+        return _step
+
+    def step(F: tuple[int, ...], x: int):
+        F = F + (x,)
+        return F if _member(fam, F) else None
+    return step
 
 
 def is_spread(A: Iterable[int], B: Iterable[int]) -> bool:

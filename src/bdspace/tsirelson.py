@@ -30,22 +30,30 @@ the defining recursion and tested against a brute-force oracle:
 The best split is a dynamic program over (position, family state): G(s, q)
 is the largest sum of block norms over the splits of the support from
 position s on whose first block starts at s, where q is the membership
-state (``families.member_start``/``member_step``) of the breakpoint minima
+state (``families.member_start``/``member_stepper``) of the breakpoint minima
 so far.  Equal states accept the same further minima, so G depends on
 nothing else; for Schreier families the state is a short stack of chunk
-budgets and the program is polynomial.  Its memo lives for one call; block
-norms come from the global memo.  Candidates are scanned in the preorder of
+budgets and the program is polynomial.  The step function is fetched from
+the family once per search.  Its memo lives for one call and holds, per
+(s, q), only the value G(s, q) and an argmax pointer (next breakpoint, next
+state); block norms come from the global memo, and a block of one
+coordinate is its magnitude.  Candidates are scanned in the preorder of
 the depth-first search over breakpoint sets (a split before its extensions,
 next breakpoints in increasing order) and replaced only on a strictly
 larger value, so the split returned is the first optimal one in that order.
+The breakpoints are rebuilt by walking the pointers, and only when a
+caller asks for them.
 
 Functionals realizing the norm are admissible trees: a leaf is
 (sign, coordinate), an inner node scales the sum of its successive children
-by c.  There is one search: the memo holds values only, and a witness tree
-is read off top-down by re-running the search on each chosen block, where
-every norm it needs is already memoized.  The trees with k >= 2 children
-built level by level form the natural dual norming set; its members 1-norm
-every vector supported in the enumerated range.
+by c.  There is one search: the global memo holds values only, and a
+witness tree is read off top-down by re-running the search on each chosen
+block and walking its pointers; every norm it needs is already memoized.
+The trees with k >= 2 children built level by level form the natural dual
+norming set; its members 1-norm every vector supported in the enumerated
+range.  A member's vector is c times the merged entries of its children's
+vectors, whose supports are successive, so each member costs one merge,
+not a walk over its leaves.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from typing import Callable, Sequence
 
 from .bdcore import Verdict
 from .exact import FinVec
-from .families import RegularFamily, member_start, member_step
+from .families import RegularFamily, member_start, member_stepper
 
 NAT = "nat"  # universe tag for c00(N) vectors
 
@@ -94,19 +102,27 @@ _norm_memo: dict = {}
 
 
 def _items_of(x) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero entries of x, sorted by coordinate.  Raises ValueError
+    on a coordinate below 1: the space is c00(N) with N = {1, 2, ...}."""
     if isinstance(x, FinVec):
-        return tuple(x.items())
-    return tuple(sorted((int(i), v if type(v) is Fraction else Fraction(v))
-                        for i, v in dict(x).items() if v))
+        items = tuple(x.items())
+    else:
+        items = tuple(sorted((int(i), v if type(v) is Fraction
+                              else Fraction(v))
+                             for i, v in dict(x).items() if v))
+    if items and items[0][0] < 1:
+        raise ValueError(f"coordinate {items[0][0]} is not in N = "
+                         "{1, 2, ...}")
+    return items
 
 
 def _canonical(items) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(coords, mags, den): the magnitudes of nonempty ``items`` are
     ``mags / den`` with ``mags`` positive integers."""
-    den = lcm(*(v.denominator for _, v in items))
-    return (tuple(i for i, _ in items),
-            tuple(abs(v.numerator) * (den // v.denominator) for _, v in items),
-            den)
+    ratios = [v.as_integer_ratio() for _, v in items]
+    den = lcm(*[d for _, d in ratios])
+    return (tuple([i for i, _ in items]),
+            tuple([abs(m) * (den // d) for m, d in ratios]), den)
 
 
 def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
@@ -121,9 +137,72 @@ def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
     memo_key = (spec_key, coords, mags)
     got = _norm_memo.get(memo_key)
     if got is None:
-        got, _ = _best_split(spec_key, fam, c, coords, mags)
-        _norm_memo[memo_key] = got
+        got = _norm_memo[memo_key] = _search(spec_key, fam, c, coords,
+                                             mags)[0]
     return g * got
+
+
+def _search(spec_key, fam: RegularFamily, c: Fraction,
+            coords: tuple[int, ...], mags: tuple[int, ...]):
+    """(q^(n-1) * norm, first, tails) of the vector with positive integer
+    magnitudes ``mags`` on ``coords``, as in ``_norm_rec``.
+
+    The search stores values and argmax pointers only.  ``first`` is
+    (s, t, state) for the first optimal split in preorder: its first block
+    is [s, t), and the family state after the minima at s and t is
+    ``state``; it is None when no split beats the sup norm.  ``tails[t]``
+    maps a state to (G(t, state), next t, next state), where next t is None
+    when the block at t is the last.  ``_best_split`` walks the pointers.
+    """
+    n = len(mags)
+    p, q = c.numerator, c.denominator
+    best, first = max(mags) * q ** (n - 1), None
+    tails: list[dict] = [{} for _ in range(n)]
+    if n < 2:
+        return best, first, tails
+    # a block of a split has at most n - 1 coordinates, so q^(n-2) times its
+    # norm is an integer: sums and comparisons below are exact int arithmetic
+    unit = [q ** (n - 1 - length) for length in range(n)]
+    step = member_stepper(fam)
+    # blocks[s][t]: q^(n-2) times the norm of the block [s, t), filled on
+    # first use; a block of one coordinate has its magnitude as its norm
+    blocks = [[None] * (n + 1) for _ in range(n)]
+    for s in range(n):
+        blocks[s][s + 1] = unit[1] * mags[s]
+
+    def block(s: int, t: int) -> int:
+        v = blocks[s][t] = unit[t - s] * _norm_rec(
+            spec_key, fam, c, coords[s:t], mags[s:t])
+        return v
+
+    def later(s: int, state, found):
+        # the best (sum, next t, next state) of ``found`` and the splits of
+        # [s, n) whose first block starts at s with family state ``state``
+        # and is followed by another; a candidate replaces the best so far
+        # only when it is strictly larger
+        row = blocks[s]
+        for t in range(s + 1, n):
+            nxt = step(state, coords[t])
+            if nxt is None:
+                continue
+            got = tails[t].get(nxt)
+            if got is None:
+                # G(t, nxt): the block at t may also be the last
+                last = blocks[t][n]
+                if last is None:
+                    last = block(t, n)
+                got = tails[t][nxt] = later(t, nxt, (last, None, None))
+            b = row[t]
+            v = got[0] + (b if b is not None else block(s, t))
+            if found is None or v > found[0]:
+                found = v, t, nxt
+        return found
+
+    for s in range(n - 1):
+        found = later(s, member_start(fam, coords[s]), None)
+        if found is not None and p * found[0] > best:
+            best, first = p * found[0], (s,) + found[1:]
+    return best, first, tails
 
 
 def _best_split(spec_key, fam: RegularFamily, c: Fraction,
@@ -132,54 +211,15 @@ def _best_split(spec_key, fam: RegularFamily, c: Fraction,
     magnitudes ``mags`` on ``coords``, as in ``_norm_rec``.  The breakpoints
     are the positions where the blocks of the first optimal split in
     preorder start, or None when no split beats the sup norm."""
-    n = len(mags)
-    p, q = c.numerator, c.denominator
-    best, best_split = max(mags) * q ** (n - 1), None
-    if n < 2:
-        return best, best_split
-    # a block of a split has at most n - 1 coordinates, so q^(n-2) times its
-    # norm is an integer: sums and comparisons below are exact int arithmetic
-    unit = [q ** (n - 1 - length) for length in range(n)]
-    blocks: dict = {}
-    tails: dict = {}
-
-    def block(s: int, t: int) -> int:
-        v = blocks.get((s, t))
-        if v is None:
-            v = blocks[s, t] = unit[t - s] * _norm_rec(
-                spec_key, fam, c, coords[s:t], mags[s:t])
-        return v
-
-    def later(s: int, state):
-        # best (sum, breakpoints) over splits of [s, n) whose first block
-        # starts at s with family state ``state`` and is followed by another
-        found = None
-        for t in range(s + 1, n):
-            nxt = member_step(fam, state, coords[t])
-            if nxt is None:
-                continue
-            v, rest = tail(t, nxt)
-            v += block(s, t)
-            if found is None or v > found[0]:
-                found = v, (t,) + rest
-        return found
-
-    def tail(s: int, state):
-        # G(s, state): as ``later``, but the block at s may also be the last
-        got = tails.get((s, state))
-        if got is None:
-            got = block(s, n), ()
-            found = later(s, state)
-            if found is not None and found[0] > got[0]:
-                got = found
-            tails[s, state] = got
-        return got
-
-    for s in range(n - 1):
-        found = later(s, member_start(fam, coords[s]))
-        if found is not None and p * found[0] > best:
-            best, best_split = p * found[0], (s,) + found[1]
-    return best, best_split
+    value, first, tails = _search(spec_key, fam, c, coords, mags)
+    if first is None:
+        return value, None
+    s, t, state = first
+    split = [s]
+    while t is not None:
+        split.append(t)
+        _, t, state = tails[t][state]
+    return value, tuple(split)
 
 
 def tsirelson_norm(x, spec: TsirelsonSpec) -> Fraction:
@@ -277,25 +317,36 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
     of k >= 2 successive lower-level members whose support minima form a
     member of the family.  Raises CapExceeded past ``member_cap``.
     """
-    fam = spec.family
+    fam, c = spec.family, spec.c
+    step = member_stepper(fam)
     level_of: dict = {}
     vec_of: dict = {}
     span_of: dict = {}   # tree -> (min, max) of its support
     trees: list = []
 
-    def admit(tree, level, span):
+    def admit(tree, level, span, vec):
         if tree in level_of:
             return
         if len(trees) >= member_cap:
             raise CapExceeded(f"dual norming set cap {member_cap} hit")
         level_of[tree] = level
-        vec_of[tree] = tree_vec(tree, spec)
+        vec_of[tree] = vec
         span_of[tree] = span
         trees.append(tree)
 
+    scaled_of: dict = {}  # tree -> entries of c * vec_of[tree], once each
+
+    def scaled(tree):
+        got = scaled_of.get(tree)
+        if got is None:
+            got = scaled_of[tree] = [(i, c * v)
+                                     for i, v in vec_of[tree].items()]
+        return got
+
     for j in range(1, support_bound + 1):
         for s in signs:
-            admit(("leaf", s, j), 0, (j, j))
+            leaf = ("leaf", s, j)
+            admit(leaf, 0, (j, j), tree_vec(leaf, spec))
 
     # every member has support in [1, support_bound]: leaves do, and a node's
     # support is the union of its children's
@@ -310,15 +361,18 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
         def grow(seq, state, max_supp):
             for k in range(bisect_right(mins, max_supp), len(by_min)):
                 lo, hi = spans[k]
-                nxt = (member_step(fam, state, lo) if seq
-                       else member_start(fam, lo))
+                nxt = step(state, lo) if seq else member_start(fam, lo)
                 if nxt is None:
                     continue
                 seq.append(by_min[k])
                 if len(seq) >= 2:
                     node = ("node", tuple(seq))
                     if node not in level_of:
-                        admit(node, level, (span_of[seq[0]][0], hi))
+                        # the children have successive supports, so their
+                        # merged entries times c are tree_vec(node)
+                        vec = FinVec(NAT, [e for ch in seq
+                                           for e in scaled(ch)])
+                        admit(node, level, (span_of[seq[0]][0], hi), vec)
                         fresh.append(node)
                 grow(seq, nxt, hi)
                 seq.pop()

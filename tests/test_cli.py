@@ -242,6 +242,19 @@ def test_norm_empty_vector(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["--c", "2", "1:1"], "weight must satisfy 0 < c < 1"),
+    (["--family", "schreier:x", "1:1"], "unknown family 'schreier:x'"),
+    (["abc"], "vector entries are i:v pairs, not 'abc'"),
+    (["0:1,2:1"], "coordinate 0 is not in N"),
+    (["1:1,1:1"], "coordinate 1 given twice")],
+    ids=["weight", "family", "entry", "coordinate-0", "duplicate"])
+def test_norm_rejects_bad_input(argv, why):
+    # each bad input ends the command with one line, not a traceback
+    with pytest.raises(SystemExit, match=f"^norm rejected: {why}"):
+        main(["norm", *argv])
+
+
 def test_decompose_command(capsys):
     assert main(["decompose", "--c", "1/2", "1:3/10,2:3/10,3:4/5"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,40 @@ def test_round_trip_and_dense_oracle(entries):
     assert bc.from_d(a) == v
     expect = dense_unitriangular_solve(list(range(6)), rows, dict(v.items()))
     assert dict(a.items()) == expect
+
+
+def test_to_d_dense_oracle_on_shuffled_order():
+    # random unitriangular systems on 30-40 indices whose order is a seeded
+    # shuffle of the ids, with ties in rank broken against id order
+    rng = random.Random(23)
+    for _ in range(40):
+        size = rng.randint(30, 40)
+        ids = list(range(size))
+        rng.shuffle(ids)
+        rank = {g: pos // 3 for pos, g in enumerate(ids)}
+        key = {g: (rank[g], -g) for g in ids}
+        order = sorted(ids, key=key.__getitem__)
+        rows = {}
+        for pos, g in enumerate(order):
+            earlier = rng.sample(order[:pos], min(pos, rng.randint(0, 4)))
+            rows[g] = fv({i: F(rng.randint(-3, 3), rng.randint(1, 4))
+                          for i in earlier})
+        bc = TriangularBasisChange("u", key.__getitem__, rows.__getitem__)
+        v = fv({g: F(rng.randint(-5, 5), rng.randint(1, 3))
+                for g in rng.sample(ids, rng.randint(1, 8))})
+        a = bc.to_d(v)
+        assert dict(a.items()) == dense_unitriangular_solve(
+            order, rows, dict(v.items()))
+        assert bc.from_d(a) == v
+
+
+def test_to_d_rejects_row_on_non_earlier_index():
+    rows = {0: fv({}), 1: fv({0: 1}), 2: fv({1: F(1, 2), 3: 1}),
+            3: fv({})}
+    bc = TriangularBasisChange("u", lambda g: (g,), rows.__getitem__)
+    with pytest.raises(ValueError, match="correction row of 2 touches "
+                                         "non-earlier index 3"):
+        bc.to_d(unit("u", 2))
 
 
 def test_projection_through_basis_change():

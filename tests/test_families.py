@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdspace import families
 from bdspace.families import (RegularFamily, chain_compactness_probe,
                               explicit, is_admissible, is_member, is_spread,
-                              max_union, schreier, singleton_plus_pair)
+                              max_union, member_start, member_stepper,
+                              schreier, singleton_plus_pair)
 from oracles import bf_member, count_schreier1
 
 S1 = schreier(1)
@@ -145,3 +148,39 @@ def test_membership_matches_definition_exhaustive(fam):
     for size in range(12):
         for F in itertools.combinations(range(1, 12), size):
             assert is_member(F, fam) == bf_member(F, fam), F
+
+
+def _walk(fam, F):
+    """Membership of every prefix of the increasing tuple F, one step at a
+    time; a prefix after a rejected one is rejected too (hereditary)."""
+    step = member_stepper(fam)
+    state = member_start(fam, F[0])
+    out = [True]
+    for x in F[1:]:
+        state = None if state is None else step(state, x)
+        out.append(state is not None)
+    return out
+
+
+@pytest.mark.parametrize("fam", [
+    S1, S2, SW2, schreier(((2, 1),)),
+    singleton_plus_pair(S1),
+    explicit([{2, 5}, {3, 4, 9}]),
+    max_union([explicit([{2, 5}, {3, 4, 9}]), S1])],
+    ids=["S1", "S2", "Sw+1", "Sww", "pairplus-S1", "explicit",
+         "explicit-or-S1"])
+def test_member_walk_matches_definition(fam):
+    # the cached automaton (or the cached membership of the other shapes)
+    # against the defining recursion, on seeded increasing sequences; the
+    # second round starts from cleared caches halfway through
+    rng = random.Random(29)
+    seqs = [tuple(sorted(rng.sample(range(1, 25), rng.randint(1, 9))))
+            for _ in range(300)]
+    for round_ in range(2):
+        for k, F in enumerate(seqs):
+            if round_ and k == len(seqs) // 2:
+                for cached in (families._open, families._step,
+                               families._member):
+                    cached.cache_clear()
+            assert _walk(fam, F) == [bf_member(F[:j], fam)
+                                     for j in range(1, len(F) + 1)], F

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bdspace import tsirelson
 from bdspace.exact import FinVec
-from bdspace.families import explicit, is_admissible, max_union, schreier
+from bdspace.families import (explicit, is_admissible, max_union, schreier,
+                               singleton_plus_pair)
 from bdspace.tsirelson import (CapExceeded, TsirelsonSpec,
                                build_dual_norming_set, certify_domination,
                                norming_functional, tree_support, tree_vec,
@@ -173,6 +174,22 @@ def test_dual_norming_set_pinned_at_six_and_seven_blocks():
     assert hashlib.sha256(vectors).hexdigest() == (
         "42243d41aff64da7b819415f4d6da5abdf30f869c75cd595016ee95204431dae")
     assert len(build_dual_norming_set(spec, 7, 7).trees) == 12202
+
+
+@pytest.mark.parametrize("spec, n", [
+    (TsirelsonSpec(S1, F(1, 16)), 6),
+    (TsirelsonSpec(schreier(2), F(1, 3)), 6),
+    (TsirelsonSpec(max_union([explicit([{1, 4}, {2, 3, 5}]), S1]), F(1, 2)),
+     6),
+    (TsirelsonSpec(singleton_plus_pair(S1), F(1, 4)), 5)],
+    ids=["S1-sixteenth", "S2-third", "explicit-or-S1", "pairplus-S1"])
+def test_dual_norming_members_match_their_trees(spec, n):
+    # members are built from their children's vectors; tree_vec rebuilds
+    # each one from its leaves
+    dns = build_dual_norming_set(spec, n, n)
+    assert len(dns.trees) > 100
+    for tree in dns.trees:
+        assert dns.vec_of[tree] == tree_vec(tree, spec), tree
 
 
 def test_dual_norming_set_cap():
