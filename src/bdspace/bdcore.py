@@ -14,8 +14,10 @@ all exact rational computations.
 
 A vector x of the space is handled through its d*-coordinates
 a_t = <d*_t, x> = x(t) - <c*_t, x> (``dcoords``) and rebuilt by the
-synthesis x = sum_t a_t d_t, whose value at g is sum_t <e*_g, d_t> a_t,
-read off the memoized d-expansion of e*_g (``synthesize``).  The c* table
+synthesis x = sum_t a_t d_t (``synthesize``): x(g) = a_g + <c*_g, x>, one
+forward pass over the stages in rank order, as c*_g reads only lower ranks.
+It keeps no memo and never calls ``to_d``, so the columns J_n e_t and the
+rows P*_[1,n] e*_g of the dual-norm suite share no code.  The c* table
 has one writer, ``BDBuild._set_cstar``, which also lists each s under every
 t in supp c*_s; a_t can be nonzero only for t in supp x or for a row c*_t
 meeting supp x, so ``dcoords`` reads only those rows, and a unit vector
@@ -97,7 +99,6 @@ class BDBuild:
         self._cstar_rows: dict[int, list[int]] = {}  # t -> [s : t in supp c*_s]
         self.frozen = False
         self._next = 0
-        self._dexp: dict[int, FinVec] = {}
         self.bc = TriangularBasisChange(universe, self.order_key,
                                         self.cstar)
 
@@ -199,14 +200,6 @@ class BDBuild:
             return FinVec(self.universe)
         return self.bc.project(v, lambda g: k < self.rank[g] <= m)
 
-    def dexp(self, g: int) -> FinVec:
-        """d-coordinates of e*_g (memoized; this is the analysis skeleton)."""
-        got = self._dexp.get(g)
-        if got is None:
-            got = self.bc.to_d(self.estar(g))
-            self._dexp[g] = got
-        return got
-
     # -- extension operators ----------------------------------------------------
 
     def dcoords(self, x: FinVec) -> dict[int, Fraction]:
@@ -225,23 +218,25 @@ class BDBuild:
         return out
 
     def synthesize(self, a, upto: int | None = None) -> FinVec:
-        """sum_t a_t d_t on Gamma_upto: g -> sum_t <e*_g, d_t> a_t, read off
-        the memoized dexp(g), walking the shorter of dexp(g) and ``a``;
-        ``a`` maps indices to coefficients."""
+        """sum_t a_t d_t on Gamma_upto by forward substitution, rank by rank:
+        x(g) = a_g + <c*_g, x>; ``a`` maps indices to coefficients."""
         if upto is None:
             upto = self.max_rank()
-        vals = {}
-        n = len(a)
-        for g, r in self.rank.items():
-            if r <= upto:
-                d = self.dexp(g)
-                if len(d) <= n:
-                    acc = sum(c * a[t] for t, c in d.items() if t in a)
-                else:
-                    acc = sum(d[t] * v for t, v in a.items() if t in d)
-                if acc:
-                    vals[g] = acc
-        return FinVec(self.universe, vals)
+        rank, table = self.rank, self.cstar_table
+        x = {}
+        for r in sorted(n for n in self.stages if n <= upto):
+            for g in self.stages[r]:
+                v = a.get(g, 0)
+                for t, c in table[g].items():
+                    if rank[t] >= r:
+                        raise ValueError(f"correction row of {g} touches "
+                                         f"non-earlier index {t}")
+                    w = x.get(t)
+                    if w is not None:
+                        v += c * w
+                if v:
+                    x[g] = v
+        return FinVec(self.universe, x)
 
     def apply_Jm(self, x: FinVec, m: int, target_stage: int | None = None) -> FinVec:
         """Extension of x from Gamma_m: (J_m x)(g) = <P*_[1,m] e*_g, x>, the

@@ -276,7 +276,7 @@ def verify_coding(eb: EmbeddingBuild) -> Report:
         if not (m_seq(i0) <= inf.rank < m_seq(i0 + 1)):
             rep.violations.append(f"{g}: rank window violates the block index")
         # minimal stage touched by e*_g is at least m_{min block}
-        min_rank = min(bd.rank[t] for t in bd.dexp(g).support())
+        min_rank = min(bd.rank[t] for t in bd.bc.to_d(bd.estar(g)).support())
         if min_rank < m_seq(inf.supp_blocks[0]):
             rep.violations.append(f"{g}: d-support starts before m_(min block)")
         if inf.case == "i":

@@ -353,7 +353,8 @@ class SeedSpace:
 
 
 def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
-                   eps=None, unconditional: bool = True) -> SeedSpace:
+                   eps=None, eps_seq=None, unconditional: bool = True
+                   ) -> SeedSpace:
     """Truncation of the Tsirelson space to [1, nblocks], one block per basis
     vector, normed exactly by its admissible tree functionals."""
     c = Fraction(c)
@@ -363,7 +364,7 @@ def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
     norming = [FinVec(uni, dict(v.items())) for v in dns.members()]
     if eps is None:
         eps = c / 2
-    return SeedSpace(name, [1] * nblocks, norming, c, eps,
+    return SeedSpace(name, [1] * nblocks, norming, c, eps, eps_seq=eps_seq,
                      unconditional=unconditional)
 
 
@@ -388,6 +389,8 @@ def optimal_c_decomposition(x: FinVec, c, norm: Callable[[FinVec], Fraction],
     whose single norm exceeds c, otherwise to the first prefix exceeding c,
     otherwise to the end."""
     c = Fraction(c)
+    if not (0 < c < 1):
+        raise ValueError("weight must satisfy 0 < c < 1")
     if block_of is None:
         block_of = lambda i: i  # noqa: E731
     if not x:

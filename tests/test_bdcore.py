@@ -7,7 +7,7 @@ from bdspace import bdcore
 from bdspace.bdcore import BDBuild, BuildError, Gamma1
 from bdspace.exact import FinVec
 from oracles import (bf_apply_Jm, bf_block_component, bf_dcoords,
-                     bf_stage_patterns)
+                     bf_estar_dcoords, bf_stage_patterns)
 
 F = Fraction
 
@@ -185,11 +185,12 @@ def test_extension_isometry_on_stage_patterns():
 
 
 def test_extension_isometry_fault_injection():
-    # one changed dexp entry: <e*_f, d_d> gains 1, so row f of the
-    # columns J_2 e_t, t in Delta_2, has l1 above 1; only stage 2 sees it
+    # one changed c* entry: c*_f gains e*_d, so every synthesis adds x(d)
+    # to x(f) and row f of the columns J_2 e_t, t in Delta_2, has l1 above
+    # 1; only stage 2 sees it (x(d) = 0 in the columns of other stages)
     bd, ids = tiny_build()
     a, b, c, d, e, f, g, h = ids
-    bd._dexp[f] = bd.dexp(f) + FinVec("bd:tiny", {d: 1})
+    bd.cstar_table[f] = bd.cstar(f) + FinVec("bd:tiny", {d: 1})
     for m in sorted(bd.stages):
         rep = bdcore.verify_extension_isometry(bd, m)
         if m == 2:
@@ -286,6 +287,38 @@ def test_dual_norm_band_projection_fault_injection(monkeypatch):
     assert all("exceeds 2M^2 l1(y*)" in v for v in rep.violations)
 
 
+def test_dual_norm_band_to_d_fault_injection(monkeypatch):
+    # a faulty to_d(e*_f) that gains d*_d: the rows P*_[1,n] e*_g read it
+    # and the columns J_n e_t, synthesized from the c* table, do not, so
+    # the two readings of ||J_2|| and ||J_3|| disagree; were both sides
+    # read off to_d, they would agree on norms <= M = 2 and pass
+    bd, ids = tiny_build()
+    a, b, c, d, e, f, g, h = ids
+    to_d = bd.bc.to_d
+
+    def faulty(v):
+        out = to_d(v)
+        return out + FinVec("bd:tiny", {d: 1}) if v == bd.estar(f) else out
+
+    monkeypatch.setattr(bd.bc, "to_d", faulty)
+    rep = bdcore.verify_dual_norms(bd, bdcore.decomposition_bound(bd, F(1, 4)))
+    assert rep.verdict is bdcore.Verdict.FAIL
+    assert rep.violations == ["||J_2|| = 1 != ||P*_[1,2]|| = 2",
+                              "||J_3|| = 221/192 != ||P*_[1,3]|| = 2"]
+
+
+def test_synthesize_rejects_row_on_non_earlier_rank():
+    # c*_e reaching f (same rank, later id) and c*_f reaching e (same rank,
+    # earlier id): forward substitution needs rows on lower ranks only
+    for row, reach in ((4, 5), (5, 4)):
+        bd, ids = tiny_build()
+        g, t = ids[row], ids[reach]
+        bd.cstar_table[g] = bd.cstar(g) + FinVec("bd:tiny", {t: 1})
+        with pytest.raises(ValueError, match=(
+                f"correction row of {g} touches non-earlier index {t}")):
+            bd.synthesize({ids[0]: 1})
+
+
 def test_block_components_sum_back():
     bd, ids = tiny_build()
     rng = random.Random(10)
@@ -315,7 +348,8 @@ def big_build(request):
 def test_dexp_is_unit_on_own_rank(big_build):
     bd = big_build
     for g in bd.ids():
-        own = bd.dexp(g).restrict(lambda t: bd.rank[t] == bd.rank[g])
+        own = bd.bc.to_d(bd.estar(g)).restrict(
+            lambda t: bd.rank[t] == bd.rank[g])
         assert own == FinVec(bd.universe, {g: 1})
 
 
@@ -348,6 +382,25 @@ def any_build(request):
     name = {"acc": "acc_build", "halfnorm": "halfnorm_build8",
             "6x16": "build_6x16", "lifted": "acc_lifted"}[request.param]
     return request.getfixturevalue(name).bd
+
+
+def test_synthesize_matches_dense_oracle(any_build):
+    # coefficient maps over every rank, the top rank included, synthesized
+    # below the top: x(g) = sum_t <e*_g, d_t> a_t, with <e*_g, d_t> the
+    # d*-coordinates of e*_g from dense elimination
+    bd = any_build
+    ids, N = bd.ids(), bd.max_rank()
+    estar_d = bf_estar_dcoords(bd)
+    rng = random.Random(13)
+    for _ in range(12):
+        a = {t: F(rng.randint(-8, 8), rng.randint(1, 4))
+             for t in rng.sample(ids, rng.randint(1, min(30, len(ids))))}
+        upto = rng.randint(1, N - 1)
+        want = FinVec(bd.universe, {
+            g: sum((v * a[t] for t, v in estar_d[g].items() if t in a),
+                   F(0))
+            for g in ids if bd.rank[g] <= upto})
+        assert bd.synthesize(a, upto) == want
 
 
 def test_dcoords_matches_full_scan(any_build):

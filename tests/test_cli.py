@@ -89,6 +89,36 @@ def test_config_rejected_on_eps_seq_sum(tmp_path):
         main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
 
 
+EXPLICIT_SEED = {"kind": "explicit", "name": "linf", "block_dims": [1] * 3,
+                 "c": "1/16", "norming": [[[i, 1, 1]] for i in (1, 2, 3)]}
+
+
+@pytest.mark.parametrize("change, why", [
+    ({"seed": EXPLICIT_SEED, "eps_seq": ["1/600", "1/2000"]},
+     "eps_seq length must match block count"),
+    ({"eps_seq": ["1/600", "1/2000"]}, "eps_seq length must match block count"),
+    ({"seed": dict(CONFIG["seed"], family="schreier:x")},
+     "unknown family 'schreier:x'")],
+    ids=["explicit-eps-seq-length", "tsirelson-eps-seq-length", "family"])
+def test_config_rejected_by_seed_rules(tmp_path, change, why):
+    # the seed construction's own rules end the build in one line and
+    # nothing is written
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(CONFIG, **change)))
+    with pytest.raises(SystemExit, match=f"^seed rejected: {why}"):
+        main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
+def test_tsirelson_seed_reads_eps_seq(tmp_path):
+    seq = ["1/600", "1/2000", "1/8000"]
+    p = tmp_path / "seq.json"
+    p.write_text(json.dumps(dict(CONFIG, eps_seq=seq)))
+    assert main(["build", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    seed = json.loads((tmp_path / "o" / "seed.json").read_text())
+    assert [f"{n}/{d}" for n, d in seed["eps_seq"]] == seq
+
+
 def test_config_ignores_unread_keys(tmp_path):
     # "samples" sized a sampled embedding suite that no longer exists; a
     # config that still sets it loads like any key the driver does not read
@@ -255,6 +285,17 @@ def test_norm_rejects_bad_input(argv, why):
         main(["norm", *argv])
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["abc"], "vector entries are i:v pairs, not 'abc'"),
+    (["1:1,1:1"], "coordinate 1 given twice"),
+    (["--c", "x", "1:1"], "Invalid literal for Fraction: 'x'"),
+    (["--c", "2", "1:1"], "weight must satisfy 0 < c < 1")],
+    ids=["entry", "duplicate", "weight-literal", "weight"])
+def test_decompose_rejects_bad_input(argv, why):
+    with pytest.raises(SystemExit, match=f"^decompose rejected: {why}"):
+        main(["decompose", *argv])
+
+
 def test_decompose_command(capsys):
     assert main(["decompose", "--c", "1/2", "1:3/10,2:3/10,3:4/5"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -304,6 +345,25 @@ def test_augment_rejects_unusable_carriers(built, tmp_path, carriers, why):
     with pytest.raises(SystemExit, match=f"^augment rejected: {why}"):
         main(["augment", "--build", str(out), "--out", str(tmp_path / "a"),
               "--carriers", carriers])
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("argv, why, parsed_first", [
+    (["--v-family", "schreier:x"], "unknown family 'schreier:x'", True),
+    (["--v-c", "2"], "weight must satisfy 0 < c < 1", True),
+    (["--c", "x"], "Invalid literal for Fraction: 'x'", True),
+    (["--c", "1"], "augmentation weight must satisfy 0 < c <= 1/16", False)],
+    ids=["v-family", "v-c", "c-literal", "c"])
+def test_augment_rejects_bad_options(built, tmp_path, monkeypatch, argv, why,
+                                     parsed_first):
+    # an option that does not parse is refused before the rebuild; every
+    # bad option ends the command with one line and writes nothing
+    _, _, out = built
+    if parsed_first:
+        monkeypatch.setattr(cli, "realize_build", None)
+    with pytest.raises(SystemExit, match=f"^augment rejected: {why}"):
+        main(["augment", "--build", str(out), "--out", str(tmp_path / "a"),
+              *argv])
     assert not (tmp_path / "a").exists()
 
 
