@@ -37,6 +37,16 @@ def _frac(s) -> Fraction:
     return Fraction(s) if not isinstance(s, list) else Fraction(s[0], s[1])
 
 
+def parse_rational(flag: str, text: str) -> Fraction:
+    """The value of a rational option such as ``--c 1/2``; a value that
+    does not parse raises a ValueError naming the flag and the text."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} takes a rational such as 1/2, "
+                         f"not {text!r}") from None
+
+
 def parse_family(text: str) -> RegularFamily:
     """Family descriptors like 'schreier:1' or 'schreier:w^1*2+3'."""
     kind, _, arg = text.partition(":")
@@ -218,9 +228,10 @@ def cmd_augment(args) -> int:
         raise SystemExit("augment rejected: --carriers takes comma-separated "
                          f"integer ranks, not {args.carriers!r}") from None
     try:
-        vspec = TsirelsonSpec(parse_family(args.v_family), Fraction(args.v_c))
-        c_aug = Fraction(args.c) if args.c else None
-    except (ValueError, ZeroDivisionError) as exc:
+        vspec = TsirelsonSpec(parse_family(args.v_family),
+                              parse_rational("--v-c", args.v_c))
+        c_aug = parse_rational("--c", args.c) if args.c else None
+    except ValueError as exc:
         raise SystemExit(f"augment rejected: {exc}") from None
     cfg = _load_manifest(args.build)["config"]
     seed, D, eb = realize_build(cfg)
@@ -363,9 +374,10 @@ def cmd_dump(args) -> int:
 
 def cmd_norm(args) -> int:
     try:
-        spec = TsirelsonSpec(parse_family(args.family), Fraction(args.c))
+        spec = TsirelsonSpec(parse_family(args.family),
+                             parse_rational("--c", args.c))
         norm = tsirelson_norm(parse_vector(args.vector), spec)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"norm rejected: {exc}") from None
     print(norm)
     return 0
@@ -375,8 +387,8 @@ def cmd_decompose(args) -> int:
     norm = (lambda v: v.l1()) if args.norm == "l1" else (lambda v: v.linf())
     try:
         dec = optimal_c_decomposition(parse_vector(args.vector, universe="l1"),
-                                      Fraction(args.c), norm)
-    except (ValueError, ZeroDivisionError) as exc:
+                                      parse_rational("--c", args.c), norm)
+    except ValueError as exc:
         raise SystemExit(f"decompose rejected: {exc}") from None
     blocks = [{str(i): str(v) for i, v in b.items()} for b in dec.blocks()]
     print(json.dumps({"breakpoints": list(dec.breakpoints), "blocks": blocks}))

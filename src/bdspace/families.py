@@ -34,6 +34,14 @@ automaton's transitions are pure functions of ints and tuples, so both are
 memoized in bounded LRU caches, as are membership answers; ``cache_info()``
 on ``_open``, ``_step`` and ``_member`` reports their hit rates.  All tests
 are exact.
+
+``profile_key(fam, coords)`` rests on the same automaton: after an element
+whose value is at least the number of set elements from it on, every
+continuation is accepted.  So for Schreier families (and unions of them)
+such a value can be lowered to that number without changing which sets of
+positions are members, and the key keeps only the coordinates below that
+clamp.  The Tsirelson norm keys its memo by it; ``profile_key`` has the
+proof.
 """
 
 from __future__ import annotations
@@ -277,6 +285,35 @@ def member_stepper(fam: RegularFamily):
         F = F + (x,)
         return F if _member(fam, F) else None
     return step
+
+
+def profile_key(fam: RegularFamily, coords: tuple[int, ...]) -> tuple:
+    """A key that two increasing tuples of one length share only when, for
+    every set of positions, the coordinates there form a member for both or
+    for neither (their *membership profile*).  The length is not part of it.
+
+    Schreier families, and unions whose parts all are, give ``coords[:j]``
+    for the first position j with coords[j] >= n - j, where n = len(coords):
+    as if each coordinate were clamped to min(coords[i], n - i), which keeps
+    that prefix and turns the rest into n - j, ..., 1.  Why this is exact:
+    the automaton reads an element's value m only in ``_open(beta, m)``,
+    which gives every frame it opens budget m - 1, and each later element
+    uses up one opening.  So an element whose value m is at least the
+    number L of set elements from it on never lets the state run empty:
+    all L - 1 continuations are accepted, whatever their values, just as at
+    value L (m = 1 forces L = 1; the empty ``beta`` opens nothing and reads
+    nothing).  A set's elements from position i on number at most n - i, so
+    every coordinate past the prefix is such an element, and the run reads
+    the prefix and n only.  A union is a member where one of its parts is.
+    Every other shape returns ``coords`` itself.
+    """
+    if fam.kind == "schreier" or (fam.kind == "union" and all(
+            f.kind == "schreier" for f in fam.payload)):
+        n = len(coords)
+        for j, x in enumerate(coords):
+            if x + j >= n:
+                return coords[:j]
+    return coords
 
 
 def is_spread(A: Iterable[int], B: Iterable[int]) -> bool:

@@ -6,7 +6,7 @@ The norm is the implicit fixed point
                                 A_1 < ... < A_n admissible for the family },
 
 computed here by recursion over interval decompositions of the support with
-memoization.  Three exact reductions are used, each provable by induction on
+memoization.  Four exact reductions are used, each provable by induction on
 the defining recursion and tested against a brute-force oracle:
 
 * the value of any admissible partition tree depends only on the coordinate
@@ -14,18 +14,28 @@ the defining recursion and tested against a brute-force oracle:
   sums), so vectors are canonicalized to their entrywise absolute value;
 
 * the norm is positively homogeneous, so the magnitudes are scaled to
-  primitive positive integers (gcd 1) and the memo is keyed by
-  (spec key, coordinates, integer magnitudes); x and every positive
-  multiple of x share one entry.  With c = p/q, q^(n-1) times the norm of
-  an integer vector on n coordinates is an integer (a norming tree has
-  depth at most n - 1), so the memo stores that integer and the search
-  adds and compares ints, not fractions;
+  primitive positive integers (gcd 1) and the memo is keyed by them; x and
+  every positive multiple of x share one entry.  With c = p/q, q^(n-1)
+  times the norm of an integer vector on n coordinates is an integer (a
+  norming tree has depth at most n - 1), so the memo stores that integer
+  and the search adds and compares ints, not fractions;
 
 * the supremum is attained on blocks that are contiguous runs of the
   support from each chosen breakpoint to just before the next one; interior
   gaps never help (absorbing skipped points into the preceding block keeps
   every block minimum and can only increase block norms), while dropping an
-  initial segment of the support can help and is enumerated.
+  initial segment of the support can help and is enumerated;
+
+* after the reductions above, the only test that reads a coordinate is
+  membership of the breakpoint minima, so the norm is a function of the
+  magnitudes and of the support's membership profile: which sets of its
+  positions carry members.  The memo is keyed by (spec key,
+  ``families.profile_key(family, coords)``, integer magnitudes), and
+  supports of one profile share one search.  For Schreier families the
+  key is the prefix of coordinates below the number of coordinates from
+  them on, so spreads of x whose coordinates are all that large share
+  x's entry.  The search itself runs on the real coordinates, so its
+  split and witness trees do not depend on which support filled an entry.
 
 The best split is a dynamic program over (position, family state): G(s, q)
 is the largest sum of block norms over the splits of the support from
@@ -68,7 +78,8 @@ from typing import Callable, Sequence
 
 from .bdcore import Verdict
 from .exact import FinVec
-from .families import RegularFamily, member_start, member_stepper
+from .families import (RegularFamily, member_start, member_stepper,
+                       profile_key)
 
 NAT = "nat"  # universe tag for c00(N) vectors
 
@@ -97,32 +108,34 @@ class CapExceeded(RuntimeError):
 # the norm
 # ---------------------------------------------------------------------------
 
-# (spec key, coords, primitive magnitudes) -> q^(n-1) * norm, see _norm_rec
+# (spec key, profile key of the coords, primitive magnitudes)
+#   -> q^(n-1) * norm, see _norm_rec; the magnitudes carry the length n,
+#   which the profile key leaves out
 _norm_memo: dict = {}
 
 
-def _items_of(x) -> tuple[tuple[int, Fraction], ...]:
-    """The nonzero entries of x, sorted by coordinate.  Raises ValueError
-    on a coordinate below 1: the space is c00(N) with N = {1, 2, ...}."""
+def _canonical(x) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(coords, mags, den), reading each nonzero entry of x once: they sit
+    at ``coords``, increasing, and their magnitudes are ``mags / den``
+    with ``mags`` positive integers.  Raises ValueError on a coordinate
+    below 1: the space is c00(N) with N = {1, 2, ...}."""
     if isinstance(x, FinVec):
-        items = tuple(x.items())
+        items = x.items()
     else:
-        items = tuple(sorted((int(i), v if type(v) is Fraction
-                              else Fraction(v))
-                             for i, v in dict(x).items() if v))
-    if items and items[0][0] < 1:
-        raise ValueError(f"coordinate {items[0][0]} is not in N = "
-                         "{1, 2, ...}")
-    return items
-
-
-def _canonical(items) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(coords, mags, den): the magnitudes of nonempty ``items`` are
-    ``mags / den`` with ``mags`` positive integers."""
-    ratios = [v.as_integer_ratio() for _, v in items]
-    den = lcm(*[d for _, d in ratios])
-    return (tuple([i for i, _ in items]),
-            tuple([abs(m) * (den // d) for m, d in ratios]), den)
+        items = sorted((int(i), v if type(v) is Fraction else Fraction(v))
+                       for i, v in dict(x).items() if v)
+    coords, mags, dens = [], [], []
+    for i, v in items:
+        m, d = v.as_integer_ratio()
+        coords.append(i)
+        mags.append(m if m > 0 else -m)
+        dens.append(d)
+    if coords and coords[0] < 1:
+        raise ValueError(f"coordinate {coords[0]} is not in N = {{1, 2, ...}}")
+    den = lcm(*dens)
+    if den > 1:
+        mags = [m * (den // d) for m, d in zip(mags, dens)]
+    return tuple(coords), tuple(mags), den
 
 
 def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
@@ -130,11 +143,13 @@ def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
     """q^(n-1) times the norm of the vector with positive integer magnitudes
     ``mags``, where c = p/q and n = len(mags): an integer, because leaves of
     a norming tree on n coordinates sit at depth at most n - 1.  The norm is
-    positively homogeneous, so the memo holds primitive directions only."""
+    positively homogeneous, so the memo holds primitive directions only, and
+    a function of the membership profile of ``coords``, so supports with one
+    ``profile_key`` share an entry."""
     g = gcd(*mags)
     if g > 1:
         mags = tuple(m // g for m in mags)
-    memo_key = (spec_key, coords, mags)
+    memo_key = (spec_key, profile_key(fam, coords), mags)
     got = _norm_memo.get(memo_key)
     if got is None:
         got = _norm_memo[memo_key] = _search(spec_key, fam, c, coords,
@@ -224,10 +239,9 @@ def _best_split(spec_key, fam: RegularFamily, c: Fraction,
 
 def tsirelson_norm(x, spec: TsirelsonSpec) -> Fraction:
     """Exact norm of a finitely supported vector."""
-    items = _items_of(x)
-    if not items:
+    coords, mags, den = _canonical(x)
+    if not coords:
         return Fraction(0)
-    coords, mags, den = _canonical(items)
     scaled = _norm_rec(spec.key(), spec.family, spec.c, coords, mags)
     return Fraction(scaled, den * spec.c.denominator ** (len(mags) - 1))
 
@@ -279,14 +293,14 @@ def norming_functional(x, spec: TsirelsonSpec, universe: str = NAT):
     The functional pairs with x to exactly the norm; its tree is a member of
     the dual norming set (or a signed unit vector).
     """
-    items = _items_of(x)
-    if not items:
+    if not isinstance(x, FinVec):
+        x = FinVec(universe, x)
+    coords, mags, den = _canonical(x)
+    if not coords:
         return Fraction(0), None, FinVec(universe)
-    signs = {i: (1 if v >= 0 else -1) for i, v in items}
-    coords, mags, den = _canonical(items)
     value, tree = _witness_tree(spec.key(), spec.family, spec.c, coords, mags)
     value = Fraction(value, den * spec.c.denominator ** (len(mags) - 1))
-    tree = _flip_signs(tree, lambda i: signs.get(i, 1))
+    tree = _flip_signs(tree, lambda i: 1 if x[i] > 0 else -1)
     vec = tree_vec(tree, spec, universe)
     return value, tree, vec
 

@@ -274,11 +274,14 @@ def test_norm_empty_vector(capsys):
 
 @pytest.mark.parametrize("argv, why", [
     (["--c", "2", "1:1"], "weight must satisfy 0 < c < 1"),
+    (["--c", "1/0", "1:1"], "--c takes a rational such as 1/2, not '1/0'$"),
+    (["--c", "x", "1:1"], "--c takes a rational such as 1/2, not 'x'$"),
     (["--family", "schreier:x", "1:1"], "unknown family 'schreier:x'"),
     (["abc"], "vector entries are i:v pairs, not 'abc'"),
     (["0:1,2:1"], "coordinate 0 is not in N"),
     (["1:1,1:1"], "coordinate 1 given twice")],
-    ids=["weight", "family", "entry", "coordinate-0", "duplicate"])
+    ids=["weight", "weight-zero-den", "weight-literal", "family", "entry",
+         "coordinate-0", "duplicate"])
 def test_norm_rejects_bad_input(argv, why):
     # each bad input ends the command with one line, not a traceback
     with pytest.raises(SystemExit, match=f"^norm rejected: {why}"):
@@ -288,9 +291,10 @@ def test_norm_rejects_bad_input(argv, why):
 @pytest.mark.parametrize("argv, why", [
     (["abc"], "vector entries are i:v pairs, not 'abc'"),
     (["1:1,1:1"], "coordinate 1 given twice"),
-    (["--c", "x", "1:1"], "Invalid literal for Fraction: 'x'"),
+    (["--c", "x", "1:1"], "--c takes a rational such as 1/2, not 'x'$"),
+    (["--c", "1/0", "1:1"], "--c takes a rational such as 1/2, not '1/0'$"),
     (["--c", "2", "1:1"], "weight must satisfy 0 < c < 1")],
-    ids=["entry", "duplicate", "weight-literal", "weight"])
+    ids=["entry", "duplicate", "weight-literal", "weight-zero-den", "weight"])
 def test_decompose_rejects_bad_input(argv, why):
     with pytest.raises(SystemExit, match=f"^decompose rejected: {why}"):
         main(["decompose", *argv])
@@ -351,9 +355,12 @@ def test_augment_rejects_unusable_carriers(built, tmp_path, carriers, why):
 @pytest.mark.parametrize("argv, why, parsed_first", [
     (["--v-family", "schreier:x"], "unknown family 'schreier:x'", True),
     (["--v-c", "2"], "weight must satisfy 0 < c < 1", True),
-    (["--c", "x"], "Invalid literal for Fraction: 'x'", True),
+    (["--c", "x"], "--c takes a rational such as 1/2, not 'x'$", True),
+    (["--c", "1/0"], "--c takes a rational such as 1/2, not '1/0'$", True),
+    (["--v-c", "1/0"], "--v-c takes a rational such as 1/2, not '1/0'$",
+     True),
     (["--c", "1"], "augmentation weight must satisfy 0 < c <= 1/16", False)],
-    ids=["v-family", "v-c", "c-literal", "c"])
+    ids=["v-family", "v-c", "c-literal", "c-zero-den", "v-c-zero-den", "c"])
 def test_augment_rejects_bad_options(built, tmp_path, monkeypatch, argv, why,
                                      parsed_first):
     # an option that does not parse is refused before the rebuild; every

@@ -9,7 +9,7 @@ from bdspace import families
 from bdspace.families import (RegularFamily, chain_compactness_probe,
                               explicit, is_admissible, is_member, is_spread,
                               max_union, member_start, member_stepper,
-                              schreier, singleton_plus_pair)
+                              profile_key, schreier, singleton_plus_pair)
 from oracles import bf_member, count_schreier1
 
 S1 = schreier(1)
@@ -184,3 +184,60 @@ def test_member_walk_matches_definition(fam):
                     cached.cache_clear()
             assert _walk(fam, F) == [bf_member(F[:j], fam)
                                      for j in range(1, len(F) + 1)], F
+
+
+def _profile_violations(fam, key, bound=10, length=5):
+    """Tuples in [1, bound] of length <= ``length`` whose key is shared by an
+    earlier tuple of the same length with another membership profile (the
+    membership of the coordinates at each set of positions)."""
+    profile_of, bad = {}, []
+    for n in range(1, length + 1):
+        for coords in itertools.combinations(range(1, bound + 1), n):
+            profile = tuple(is_member(sub, fam) for size in range(2, n + 1)
+                            for sub in itertools.combinations(coords, size))
+            first = profile_of.setdefault((n, key(fam, coords)), profile)
+            if first != profile:
+                bad.append(coords)
+    return bad
+
+
+PROFILE_FAMILIES = {
+    "S1": S1, "S2": S2, "S3": schreier(3), "Sw": SW, "Sw+1": SW2,
+    "Sw2": schreier(((1, 2),)), "Sww": schreier(((2, 1),)),
+    "Sww+w2+2": schreier(((2, 1), (1, 2), (0, 2))),
+    "S1-or-Sw+1": max_union([S1, SW2]),
+    "explicit": explicit([{2, 5}, {3, 4, 9}]),
+    "pairplus-S1": singleton_plus_pair(S1),
+    "explicit-or-S1": max_union([explicit([{2, 5}, {3, 4, 9}]), S1])}
+
+
+@pytest.mark.parametrize("fam", PROFILE_FAMILIES.values(),
+                         ids=PROFILE_FAMILIES.keys())
+def test_profile_key_keeps_membership_profile(fam):
+    # every tuple of one length and key has one membership profile
+    assert _profile_violations(fam, profile_key) == []
+    if fam.kind == "schreier" or fam.kind == "union" and all(
+            f.kind == "schreier" for f in fam.payload):
+        # the key is the prefix before the first coords[j] >= n - j
+        assert profile_key(fam, (2, 3, 4)) == (2,)
+        assert profile_key(fam, (1, 3, 7, 8)) == (1,)
+        assert profile_key(fam, (1, 2, 9)) == (1,)
+        assert profile_key(fam, (5, 6)) == ()
+    else:
+        # shapes without a budget automaton are keyed by the coordinates
+        for n in range(1, 6):
+            for coords in itertools.combinations(range(1, 11), n):
+                assert profile_key(fam, coords) == coords
+
+
+def test_profile_key_check_can_fail():
+    # one more clamp than the proof allows merges tuples whose profiles
+    # differ, so the check above is not vacuous
+    def clamp_too_far(fam, coords):
+        n = len(coords)
+        for j, x in enumerate(coords):
+            if x + j >= n - 1:
+                return coords[:j]
+        return coords
+    for fam in (S1, S2, SW2):
+        assert _profile_violations(fam, clamp_too_far)

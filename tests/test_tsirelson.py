@@ -108,6 +108,61 @@ def test_norm_homogeneous_and_memo_keyed_by_direction():
         assert len(tsirelson._norm_memo) == entries
 
 
+@pytest.mark.parametrize("spec", [HALF, TsirelsonSpec(schreier(2), F(1, 3))],
+                         ids=["S1-half", "S2-third"])
+def test_oracle_equivalence_wide_supports(spec):
+    # supports in [1, 30] have coordinates of at least the number of
+    # coordinates from them on, which the memo key clamps; magnitudes from
+    # a short list make later vectors hit entries made by other coordinates
+    memo = {}
+    rng = random.Random(23)
+    for _ in range(60):
+        sup = sorted(rng.sample(range(1, 31), rng.randint(1, 6)))
+        x = {i: F(rng.choice([1, -1, 2]), rng.choice([1, 2])) for i in sup}
+        items = tuple((i, abs(v)) for i, v in sorted(x.items()))
+        assert tsirelson_norm(nat(x), spec) == bf_tsirelson(
+            items, spec.family, spec.c, memo), x
+
+
+def test_shifts_share_memo_entries_under_schreier_only():
+    # every coordinate of x is at least its support size, so all sets of
+    # its coordinates (and of its shifts) of one size are S_1 members or
+    # not alike: the shifts reuse x's entries.  An explicit family keys
+    # by the coordinates, so a shift is a new search
+    x = {5: F(1), 7: F(1, 2), 8: F(1), 11: F(1, 3), 12: F(2)}
+    shifts = [{i + k: v for i, v in x.items()} for k in range(1, 6)]
+    fams = {"schreier": S1, "explicit": explicit([{5, 7, 8, 11, 12}])}
+    for kind, fam in fams.items():
+        spec = TsirelsonSpec(fam, F(1, 2))
+        n = tsirelson_norm(nat(x), spec)
+        entries = len(tsirelson._norm_memo)
+        for y in shifts:
+            tsirelson_norm(nat(y), spec)
+            grew = len(tsirelson._norm_memo) > entries
+            assert grew == (kind == "explicit"), (kind, y)
+            entries = len(tsirelson._norm_memo)
+        if kind == "schreier":
+            assert all(tsirelson_norm(nat(y), spec) == n for y in shifts)
+
+
+@pytest.mark.parametrize("spec", [HALF, TsirelsonSpec(schreier(2), F(1, 3))],
+                         ids=["S1-half", "S2-third"])
+def test_norming_functional_on_shifts_uses_real_coordinates(spec):
+    # the memo is shared by shifted vectors, the witness trees are not:
+    # each is admissible on the vector's own support and pairs to its norm
+    rng = random.Random(31)
+    for _ in range(10):
+        sup = sorted(rng.sample(range(1, 13), rng.randint(2, 6)))
+        x = {i: F(rng.randint(-8, 8) or 1, 8) for i in sup}
+        for k in (0, 1, 4, 15):
+            y = nat({i + k: v for i, v in x.items()})
+            n, tree, vec = norming_functional(y, spec)
+            assert n == tsirelson_norm(y, spec)
+            assert vec.pair(y) == n
+            assert set(tree_support(tree)) <= set(y.support())
+            assert _admissible_tree(tree, spec.family), (y, tree)
+
+
 def _admissible_tree(tree, fam):
     if tree[0] == "leaf":
         return tree[1] in (1, -1)
