@@ -5,8 +5,9 @@ of the classical l1-predual spaces: regular families and Tsirelson norms,
 greedy c-decompositions and net-rounded norming sets, the coding of an index
 set around a seed space with its embedding, and augmentations grafting lower
 estimates against a target space.  Every asserted identity or inequality is
-checked with zero tolerance; searches that cannot be exhaustive return
-explicit certificates instead of claims.
+checked with zero tolerance; estimates over every coefficient vector or
+cut sequence are decided by exact finite forms, and a search that stops at
+a cap says so.
 """
 
 from .exact import (FinVec, TriangularBasisChange, UniverseMismatch, l1_norm,
@@ -16,11 +17,11 @@ from .families import (RegularFamily, chain_compactness_probe, explicit,
                        schreier, singleton_plus_pair)
 from .tsirelson import (DominationCertificate, DualNormingSet, TsirelsonSpec,
                         build_dual_norming_set, certify_domination,
-                        norming_functional, tsirelson_norm)
+                        norming_functional, tsirelson_norm, vstar_norm)
 from .decomp import (CDecomposition, NormingSetD, SeedSpace,
                      build_norming_set_D, check_subsequential_upper,
                      norming_certificate, optimal_c_decomposition,
-                     tsirelson_seed, vstar_norm)
+                     tsirelson_seed)
 from .bdcore import (AnalysisRecord, BDBuild, BuildError, Report, Verdict,
                      compute_constants, condition_weight_split,
                      decomposition_bound, validate_schema, verify_analysis,

@@ -105,23 +105,46 @@ def _write(path: Path, obj) -> str:
 # config and build
 # ---------------------------------------------------------------------------
 
+def _upper_target(cfg: dict) -> tuple[TsirelsonSpec, Fraction]:
+    """The upper-estimates suite's space V, from ``upper_family`` and
+    ``upper_c``, and its constant C, from ``upper_C``."""
+    return (TsirelsonSpec(parse_family(cfg.get("upper_family", "schreier:1")),
+                          _frac(cfg.get("upper_c", "1/2"))),
+            _frac(cfg.get("upper_C", 4)))
+
+
 def load_config(path: str) -> dict:
-    """The config at ``path`` if it parses; the rules on c, eps and eps_seq
-    are ``SeedSpace``'s, and ``realize_seed`` reports them."""
+    """The config at ``path`` if it parses, else one ``config rejected``
+    line naming what is wrong.  The rules on c, eps and eps_seq are
+    ``SeedSpace``'s, and ``realize_seed`` reports them.  The keys only
+    ``verify`` reads, theta and those of ``_upper_target``, are read here
+    too, so that a build never records a config its verify cannot read."""
     cfg = json.loads(Path(path).read_text())
     errors = []
     seed = cfg.get("seed", {})
     if seed.get("kind") not in ("tsirelson", "explicit"):
         errors.append("seed.kind must be 'tsirelson' or 'explicit'")
-    if "stage_bound" not in cfg or int(cfg["stage_bound"]) < 1:
-        errors.append("stage_bound must be a positive integer")
     try:
-        for r in (seed.get("c", 0), cfg.get("eps", 0), *cfg.get("eps_seq", ())):
-            _frac(r)
-    except (ValueError, ZeroDivisionError) as exc:
-        errors.append(f"bad rational in config: {exc}")
+        bound = int(cfg["stage_bound"])
+    except (KeyError, ValueError, TypeError):
+        bound = 0
+    if bound < 1:
+        errors.append("stage_bound must be a positive integer")
+    values = [("seed.c", seed.get("c", 0)), ("eps", cfg.get("eps", 0))]
+    values += [("eps_seq", e) for e in cfg.get("eps_seq", ())]
+    values += [(k, cfg[k]) for k in ("theta", "upper_c", "upper_C") if k in cfg]
+    for key, value in values:
+        try:
+            _frac(value)
+        except (ValueError, TypeError, ZeroDivisionError):
+            errors.append(f"{key} takes a rational such as 1/2, not {value!r}")
+    if not errors:
+        try:
+            _upper_target(cfg)
+        except ValueError as exc:
+            errors.append(f"upper_family, upper_c: {exc}")
     if errors:
-        raise SystemExit("config rejected:\n  " + "\n  ".join(errors))
+        raise SystemExit("config rejected: " + "; ".join(errors))
     return cfg
 
 
@@ -289,9 +312,7 @@ def _suite_runners(seed, D, eb, cfg):
     carries its own verdict; nothing here judges one."""
     bd = eb.bd
     theta = _frac(cfg.get("theta", 2 * seed.c))
-    upper = TsirelsonSpec(parse_family(cfg.get("upper_family", "schreier:1")),
-                          _frac(cfg.get("upper_c", "1/2")))
-    upper_members = [m.vec for m in D.members][:int(cfg.get("upper_members", 12))]
+    upper, upper_C = _upper_target(cfg)
     return {
         "schema": lambda: [bdcore.validate_schema(bd)],
         "weight-split": lambda: [bdcore.condition_weight_split(bd, theta)],
@@ -310,7 +331,7 @@ def _suite_runners(seed, D, eb, cfg):
         "embedding": lambda: [verify_embedding(eb)],
         "cuts": lambda: [verify_cuts(eb)],
         "upper-estimates": lambda: [check_subsequential_upper(
-            upper_members, seed, upper, _frac(cfg.get("upper_C", 4))).report()],
+            [m.vec for m in D.members], seed, upper, upper_C).report()],
     }
 
 

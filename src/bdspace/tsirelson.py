@@ -68,14 +68,13 @@ not a walk over its leaves.
 
 from __future__ import annotations
 
-import itertools
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
+from . import lp
 from .bdcore import Verdict
 from .exact import FinVec
 from .families import (RegularFamily, member_start, member_stepper,
@@ -110,8 +109,11 @@ class CapExceeded(RuntimeError):
 
 # (spec key, profile key of the coords, primitive magnitudes)
 #   -> q^(n-1) * norm, see _norm_rec; the magnitudes carry the length n,
-#   which the profile key leaves out
+#   which the profile key leaves out.  It is emptied when it holds
+#   _NORM_MEMO_CAP entries, so a long run stays within bounded memory; an
+#   entry is only a value, and a search recomputes what it misses.
 _norm_memo: dict = {}
+_NORM_MEMO_CAP = 1 << 16
 
 
 def _canonical(x) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -152,8 +154,10 @@ def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
     memo_key = (spec_key, profile_key(fam, coords), mags)
     got = _norm_memo.get(memo_key)
     if got is None:
-        got = _norm_memo[memo_key] = _search(spec_key, fam, c, coords,
-                                             mags)[0]
+        got = _search(spec_key, fam, c, coords, mags)[0]
+        if len(_norm_memo) >= _NORM_MEMO_CAP:
+            _norm_memo.clear()
+        _norm_memo[memo_key] = got
     return g * got
 
 
@@ -399,86 +403,84 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
     return DualNormingSet(spec, depth, support_bound, trees, level_of, vec_of)
 
 
-def plus_tree_vectors(spec: TsirelsonSpec, support_bound: int) -> list[FinVec]:
-    """All-plus admissible tree functionals with support in [1, bound].
+# ---------------------------------------------------------------------------
+# the dual norm and domination certificates
+# ---------------------------------------------------------------------------
 
-    Depth ``support_bound`` saturates: every node has >= 2 children with
-    disjoint successive supports, so nesting depth is bounded by the support
-    size.  These vectors cut out the unit ball of the space restricted to
-    [1, bound] (as one-sided constraints on the positive cone).
+def vstar_norm(coeffs: dict[int, Fraction], spec: TsirelsonSpec) -> Fraction:
+    """Exact dual norm ||sum_q a_q v*_q|| for coefficients a_q >= 0, by
+    Kelley's cutting planes priced by ``norming_functional``.
+
+    Let Q = supp a.  The space is 1-unconditional, so the projection onto
+    Q has norm one and the value is max a.x over x >= 0 on Q with
+    ||x|| <= 1.  Each all-plus tree functional f has f(x) <= ||x||, so the
+    LP  max a.x  subject to x_q <= 1 (q in Q) and f.x <= 1 for the trees
+    found so far  is a relaxation: its value is at least the norm.  Its
+    optimum x*, certified by ``lp.check``, is priced by
+    ``norming_functional``.  When ||x*|| > 1 the argmax tree is all-plus
+    (x* >= 0), sits on supp x* inside Q and has f(x*) = ||x*|| > 1, so it
+    is a row the LP does not hold yet; it is added and the LP solved again.
+    Once ||x*|| <= 1, x* is feasible for the exact problem, so the norm is
+    at least a.x*, the LP value, and the two are equal.  Q carries finitely
+    many trees and none is added twice, so the loop ends.
     """
-    dns = build_dual_norming_set(spec, support_bound, support_bound,
-                                 signs=(1,))
-    return dns.members()
+    if any(v < 0 for v in coeffs.values()):
+        raise ValueError("coefficients must be nonnegative")
+    Q = sorted(q for q, v in coeffs.items() if v)
+    if not Q:
+        return Fraction(0)
+    obj = [Fraction(coeffs[q]) for q in Q]
+    A = [[int(i == j) for j in range(len(Q))] for i in range(len(Q))]
+    while True:
+        b = [1] * len(A)
+        val, x, y = lp.maximize(obj, A_ub=A, b_ub=b)
+        val = lp.check(obj, val, x, y, A_ub=A, b_ub=b)
+        norm, _, f = norming_functional(
+            {q: v for q, v in zip(Q, x) if v}, spec)
+        if norm <= 1:
+            return val
+        A.append([f[q] for q in Q])
 
-
-# ---------------------------------------------------------------------------
-# domination certificates
-# ---------------------------------------------------------------------------
 
 @dataclass
 class DominationCertificate:
-    status: Verdict              # FAIL or AT_CAP
-    constant: Fraction
-    trials: int
-    witness: tuple | None        # coefficient tuple violating the bound
-    witness_values: tuple | None  # (lhs norm, rhs norm) at the witness
+    status: Verdict              # PASS or FAIL
+    constant: Fraction           # the C checked
+    best: Fraction               # the least C for which the estimate holds
+    witness: FinVec | None       # a member of ``norming`` attaining ``best``
 
 
 def certify_domination(lhs: Sequence[FinVec], rhs_indices: Sequence[int],
-                       spec: TsirelsonSpec, constant, trial_budget: int = 200,
-                       lhs_norm: Callable[[FinVec], Fraction] | None = None,
-                       raw_support_check: bool = True) -> DominationCertificate:
-    """Bounded search for a violation of ||sum a_i z_i|| <= C ||sum a_i t_{m_i}||.
+                       spec: TsirelsonSpec, constant,
+                       norming: Sequence[FinVec]) -> DominationCertificate:
+    """Decide ||sum a_i z_i|| <= C ||sum a_i v_{q_i}|| for every a, where
+    z_i = ``lhs[i]``, q_i = ``rhs_indices[i]`` and v is the basis of the
+    Tsirelson space of ``spec``, by the least constant C* that holds.
 
-    AT-CAP states only that the checked coefficient families (unit vectors,
-    signs, then rationals from a fixed-seed draw) passed; it is a
-    bounded-search certificate, not a proof.  The left norm defaults
-    to the same Tsirelson norm (for blocks living in c00(N)); pass
-    ``lhs_norm`` to certify blocks of another space, and disable the raw
-    coordinate successiveness check when blocks are successive with respect
-    to a decomposition rather than to their raw indices.
+    ``norming`` is a finite norming set of the space of the z_i: ||z|| =
+    max |f(z)| over f in ``norming`` for every z in their span (say the
+    coordinate functionals for a sup norm, or ``build_dual_norming_set`` on
+    a range holding the supports for a Tsirelson norm).  Then the estimate
+    holds for every a exactly when, for each f, |sum a_i f(z_i)| <=
+    C ||sum a_i v_{q_i}|| for every a: when the functional
+    sum_i f(z_i) v*_{q_i} has norm at most C on span{v_{q_i}}.  The space
+    is 1-unconditional, so the projection onto those coordinates has norm
+    one and sign changes are isometries: that norm is ``vstar_norm`` of
+    {q_i: |f(z_i)|}.  So C* is the largest of these values over f, attained
+    by the f kept as witness, and the certificate is PASS when C* <= C and
+    FAIL otherwise.  The q_i must strictly increase, so that each
+    coefficient has a coordinate of its own.
     """
     constant = Fraction(constant)
-    k = len(lhs)
-    if k != len(rhs_indices):
+    if len(lhs) != len(rhs_indices):
         raise ValueError("lhs and rhs_indices must have equal length")
-    if raw_support_check:
-        sup = [v.support() for v in lhs]
-        for a, b in zip(sup, sup[1:]):
-            if a and b and a[-1] >= b[0]:
-                raise ValueError("lhs must be a successive block sequence")
-    if lhs_norm is None:
-        lhs_norm = lambda v: tsirelson_norm(v, spec)  # noqa: E731
-    universe = lhs[0].universe if lhs else NAT
-
-    rng = random.Random(0)
-    candidates: list[tuple] = []
-    for i in range(k):
-        e = [0] * k
-        e[i] = 1
-        candidates.append(tuple(e))
-    if 2 ** k <= max(trial_budget, 0):
-        candidates.extend(itertools.product((1, -1), repeat=k))
-    else:
-        for _ in range(trial_budget // 2):
-            candidates.append(tuple(rng.choice((1, -1)) for _ in range(k)))
-    while len(candidates) < trial_budget:
-        candidates.append(tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-                                for _ in range(k)))
-    candidates = candidates[:max(trial_budget, k)]
-
-    trials = 0
-    for a in candidates:
-        trials += 1
-        zsum = FinVec(universe)
-        for ai, z in zip(a, lhs):
-            if ai:
-                zsum = zsum + z.scale(ai)
-        vsum = FinVec(NAT, {m: Fraction(ai) for ai, m in zip(a, rhs_indices)})
-        left = lhs_norm(zsum)
-        right = tsirelson_norm(vsum, spec)
-        if left > constant * right:
-            return DominationCertificate(Verdict.FAIL, constant, trials, a,
-                                         (left, right))
-    return DominationCertificate(Verdict.AT_CAP, constant, trials, None, None)
+    if any(a >= b for a, b in zip(rhs_indices, rhs_indices[1:])):
+        raise ValueError("rhs_indices must strictly increase")
+    best, witness = Fraction(0), None
+    for f in norming:
+        val = vstar_norm({q: abs(f.pair(z)) for q, z in zip(rhs_indices, lhs)},
+                         spec)
+        if witness is None or val > best:
+            best, witness = val, f
+    status = Verdict.PASS if best <= constant else Verdict.FAIL
+    return DominationCertificate(status, constant, best, witness)

@@ -10,9 +10,10 @@ elimination, the extension-operator oracles apply the defining formulas of
 J_m, the FDD components and psi to d-coordinates from that dense solve, the
 d*-coordinate oracle scans the whole c* table, the hull-distance oracle
 forms every grid combination as a whole vector, the dual-norm oracle
-enumerates polytope vertices, and the LP oracle pivots a ``Fraction``
-tableau where the library keeps integer rows.  Values computed here are
-exact.
+enumerates polytope vertices, the LP oracle pivots a ``Fraction``
+tableau where the library keeps integer rows, and the V*-norm oracle solves
+one LP over every plus-tree inside the support where the library adds
+cutting planes.  Values computed here are exact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from bdspace.exact import FinVec
 from bdspace.lp import Infeasible, Unbounded
-from bdspace.tsirelson import tsirelson_norm
+from bdspace.tsirelson import build_dual_norming_set, tsirelson_norm
 
 _member_memo: dict = {}    # (family, F) -> bool
 _schreier_memo: dict = {}  # (cnf, F) -> bool
@@ -456,3 +457,18 @@ def bf_maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     obj, art = T[-1], n + slack_count
     y = [obj[art + r] if flipped[r] else -obj[art + r] for r in range(m)]
     return value, x, y
+
+
+def bf_vstar_norm(coeffs: dict, spec) -> Fraction:
+    """The dual Tsirelson norm of sum_q a_q v*_q, a_q >= 0, as one LP: the
+    max of a.x over x >= 0 on Q = supp a under f.x <= 1 for every all-plus
+    tree functional f of ``build_dual_norming_set`` with support inside Q,
+    solved by ``bf_maximize``."""
+    Q = sorted(q for q, v in coeffs.items() if v)
+    if not Q:
+        return Fraction(0)
+    trees = build_dual_norming_set(spec, Q[-1], Q[-1], signs=(1,))
+    rows = [[f[q] for q in Q] for f in trees.members()
+            if set(f.support()) <= set(Q)]
+    return bf_maximize([coeffs[q] for q in Q], A_ub=rows,
+                       b_ub=[1] * len(rows))[0]

@@ -313,8 +313,10 @@ def test_free_mode_admission_rejects_large_pullback(acc_build):
 
 
 def test_domination_after_augmentation(acc_build):
-    # the certified blocks are dominated by the target basis vectors at the
-    # reciprocal of the guaranteed lower constant (bounded-search check)
+    # the certified blocks are dominated by the target basis vectors within
+    # the reciprocal of the guaranteed lower constant; the space is sup
+    # normed, so the coordinate functionals on the blocks' supports norm it
+    # and the least constant is exact
     from bdspace.tsirelson import certify_domination
     aug = AugmentedBuild(acc_build, VHALF, F(1, 16), mode="fdd")
     ths = carriers(aug)
@@ -327,10 +329,17 @@ def test_domination_after_augmentation(acc_build):
     eps = aug.base.seed.eps
     d0p = cert.delta0.lower / (1 + eps)
     constant = 2 * 2 / (aug.c_aug * (1 - eps) * d0p)
-    dom = certify_domination(
-        blocks_ext, qs, VHALF, constant, trial_budget=40,
-        lhs_norm=lambda v: v.linf(), raw_support_check=False)
-    assert dom.status == "AT-CAP"
+    universe = blocks_ext[0].universe
+    gammas = sorted({g for z in blocks_ext for g in z.support()})
+    norming = [FinVec(universe, {g: 1}) for g in gammas]
+    dom = certify_domination(blocks_ext, qs, VHALF, constant, norming)
+    assert len(gammas) == 6
+    assert dom.status == "PASS"
+    assert dom.best == 1
+    assert dom.witness in norming
+    below = certify_domination(blocks_ext, qs, VHALF, 1 - F(1, 10 ** 6),
+                               norming)
+    assert below.status == "FAIL"
 
 
 def test_skipped_mode_constructs(acc_build):

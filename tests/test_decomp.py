@@ -424,8 +424,9 @@ def test_upper_estimate_single_coordinate(acc_seed):
     spec = TsirelsonSpec(S1, F(1, 2))
     z = FinVec(acc_seed.universe, {2: F(1, 2)})
     cert = check_subsequential_upper([z], acc_seed, spec, 1)
-    assert cert.status == "AT-CAP"
-    assert cert.max_value <= 1
+    assert cert.status == "PASS"
+    assert cert.checked == 1
+    assert cert.max_value == F(1, 2)
 
 
 def test_upper_estimate_c0_type_failure():
@@ -444,24 +445,49 @@ def test_upper_estimate_c0_type_failure():
 
 
 def test_upper_estimate_logged_constant(acc_seed, acc_D):
+    # every cut sequence is checked, so the largest value is the exact
+    # constant: it passes, and a constant just below it fails
     spec = TsirelsonSpec(S1, F(1, 2))
     members = [m.vec for m in acc_D.members][:10]
     probe = check_subsequential_upper(members, acc_seed, spec, 10 ** 6)
     logged = probe.max_value
     cert = check_subsequential_upper(members, acc_seed, spec, logged)
-    assert cert.status == "AT-CAP"
+    assert cert.status == "PASS"
     assert cert.max_value == logged
+    cert = check_subsequential_upper(members, acc_seed, spec,
+                                     logged - F(1, 10 ** 6))
+    assert cert.status == "FAIL"
+    assert cert.witness[2] == cert.max_value == logged
 
 
-def test_upper_estimate_report_verdicts(acc_seed):
-    # finitely many cut sequences prove no estimate: AT-CAP, never PASS;
-    # a witness gives FAIL
+@pytest.mark.parametrize("name, checked", [("acc_build", 60),
+                                           ("build_6x16", 284)],
+                         ids=["acc", "6x16"])
+def test_upper_estimates_exhaustive_counts(request, name, checked):
+    # every member of D, and for each every subset of its interior cuts
+    eb = request.getfixturevalue(name)
+    cert = check_subsequential_upper([m.vec for m in eb.D.members], eb.seed,
+                                     TsirelsonSpec(S1, F(1, 2)), 4)
+    assert cert.checked == sum(2 ** (m.block_hi - m.block_lo)
+                               for m in eb.D.members) == checked
+    assert cert.status == "PASS"
+    assert cert.max_value == F(128, 129)
+
+
+def test_upper_estimate_report_verdicts(acc_seed, monkeypatch):
+    # every cut sequence checked: PASS; a witness: FAIL; more sequences
+    # than the budget: AT-CAP, with the count
     spec = TsirelsonSpec(S1, F(1, 2))
     z = FinVec(acc_seed.universe, {2: F(1, 2)})
     rep = check_subsequential_upper([z], acc_seed, spec, 1).report()
-    assert rep.ok and rep.verdict is Verdict.AT_CAP
-    assert rep.reason.startswith("no violation in 1 cut sequences")
+    assert rep.ok and rep.verdict is Verdict.PASS
+    assert rep.details == {"checked": 1, "max_value": F(1, 2)}
     z = FinVec(acc_seed.universe, {1: 1, 2: 1, 3: 1})
     rep = check_subsequential_upper([z], acc_seed, spec, F(1, 2)).report()
     assert rep.verdict is Verdict.FAIL
     assert rep.violations[0].startswith("witness: (0, ")
+    monkeypatch.setattr(decomp, "CUT_BUDGET", 3)  # z has 4 cut sequences
+    rep = check_subsequential_upper([z], acc_seed, spec, 10).report()
+    assert rep.ok and rep.verdict is Verdict.AT_CAP
+    assert rep.details["checked"] == 3
+    assert rep.reason.startswith("cut budget 3 reached after 3 cut sequences")

@@ -197,7 +197,8 @@ def test_maximize_matches_fraction_oracle_on_random_lps():
 def test_pipeline_lps_match_fraction_oracle(acc_build, acc_lifted, acc_seed,
                                             acc_D, monkeypatch):
     # every LP of the acceptance lower-estimate certificate and of the
-    # upper-estimates suite, checked against the oracle
+    # upper-estimates suite (every cut sequence of every member of D, with
+    # its cutting-plane rounds), checked against the oracle
     calls = []
     solve = lp.maximize
 
@@ -208,9 +209,11 @@ def test_pipeline_lps_match_fraction_oracle(acc_build, acc_lifted, acc_seed,
     aug = lift_acceptance(acc_build)
     assert aug.bd.to_json_obj() == acc_lifted.bd.to_json_obj()
     assert len(calls) == 3
-    members = [m.vec for m in acc_D.members][:12]
-    check_subsequential_upper(members, acc_seed,
-                              TsirelsonSpec(schreier(1), F(1, 2)), 4).report()
-    assert len(calls) == 20
+    members = [m.vec for m in acc_D.members]
+    cert = check_subsequential_upper(members, acc_seed,
+                                     TsirelsonSpec(schreier(1), F(1, 2)), 4)
+    assert cert.checked == 60
+    # one round per sequence: on acc the first optimum is already in the ball
+    assert len(calls) == 3 + 60
     for args, kwargs in calls:
         assert solve(*args, **kwargs) == bf_maximize(*args, **kwargs)

@@ -1,0 +1,73 @@
+"""Rules on the package source that no test of a single module sees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bdspace"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _module_dicts(tree: ast.Module) -> list[str]:
+    """Names bound at module level to an empty dict: the module's caches."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "OrderedDict")):
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def _bounded(tree: ast.Module, name: str) -> bool:
+    """Whether the module reads len(name) and empties or trims name."""
+    measured = trimmed = False
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "len" and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == name):
+            measured = True
+        if (isinstance(node, ast.Attribute) and node.attr in (
+                "clear", "popitem") and isinstance(node.value, ast.Name)
+                and node.value.id == name):
+            trimmed = True
+    return measured and trimmed
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_random_draws_and_no_unbounded_module_caches(path):
+    # every check decides its property, so nothing in the package draws
+    # random samples; a dict at module level is shared by every caller for
+    # the life of the process, so its module must bound it
+    tree = ast.parse(path.read_text())
+    imported = {a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert "random" not in imported
+    for name in _module_dicts(tree):
+        assert _bounded(tree, name), f"nothing bounds the module dict {name}"
+
+
+def test_cache_rule_fires():
+    bad = ast.parse("_memo: dict = {}\n"
+                    "def put(k, v):\n"
+                    "    _memo[k] = v\n")
+    assert _module_dicts(bad) == ["_memo"]
+    assert not _bounded(bad, "_memo")
+    good = ast.parse("_memo = {}\n"
+                     "def put(k, v):\n"
+                     "    if len(_memo) >= 8:\n"
+                     "        _memo.clear()\n"
+                     "    _memo[k] = v\n")
+    assert _module_dicts(good) == ["_memo"]
+    assert _bounded(good, "_memo")

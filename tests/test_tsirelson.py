@@ -14,8 +14,8 @@ from bdspace.families import (explicit, is_admissible, max_union, schreier,
 from bdspace.tsirelson import (CapExceeded, TsirelsonSpec,
                                build_dual_norming_set, certify_domination,
                                norming_functional, tree_support, tree_vec,
-                               tsirelson_norm)
-from oracles import bf_best_split, bf_tsirelson
+                               tsirelson_norm, vstar_norm)
+from oracles import bf_best_split, bf_tsirelson, bf_vstar_norm
 
 F = Fraction
 S1 = schreier(1)
@@ -106,6 +106,20 @@ def test_norm_homogeneous_and_memo_keyed_by_direction():
             assert tsirelson_norm({i: lam * v for i, v in x.items()},
                                   HALF) == lam * n
         assert len(tsirelson._norm_memo) == entries
+
+
+def test_norm_memo_is_bounded(monkeypatch):
+    # a full memo is emptied: it never holds more than its cap, and norms
+    # and witnesses searched across the emptying match the oracle
+    monkeypatch.setattr(tsirelson, "_norm_memo", {})
+    monkeypatch.setattr(tsirelson, "_NORM_MEMO_CAP", 8)
+    memo = {}
+    for support in itertools.combinations(range(2, 8), 4):
+        x = dict(zip(support, (F(1), F(1, 2), F(-1), F(3, 4))))
+        items = tuple((i, abs(v)) for i, v in sorted(x.items()))
+        norm, _, f = norming_functional(x, HALF)
+        assert norm == f.pair(nat(x)) == bf_tsirelson(items, S1, F(1, 2), memo)
+        assert len(tsirelson._norm_memo) <= 8
 
 
 @pytest.mark.parametrize("spec", [HALF, TsirelsonSpec(schreier(2), F(1, 3))],
@@ -257,21 +271,51 @@ def test_tree_vec_scaling():
     assert tree_vec(tree, HALF) == nat({2: F(1, 2), 3: F(-1, 2)})
 
 
+def test_vstar_norm_matches_plus_tree_oracle():
+    # every vector with entries 0, 1, 2 and at most three nonzero, or
+    # entries 0, 1 and four nonzero, on [1, 7]
+    grid = [dict(zip(Q, a)) for k in (1, 2, 3)
+            for Q in itertools.combinations(range(1, 8), k)
+            for a in itertools.product((1, 2), repeat=k)]
+    grid += [dict.fromkeys(Q, 1) for Q in itertools.combinations(range(1, 8), 4)]
+    for coeffs in grid:
+        assert vstar_norm(coeffs, HALF) == bf_vstar_norm(coeffs, HALF), coeffs
+    # past the reach of the oracle's enumeration: e*_3 + e*_7 + e*_12 acts
+    # on e_3 + e_7 + e_12, of norm 3/2
+    assert vstar_norm({3: 1, 7: 1, 12: 1}, HALF) == 2
+
+
 def test_domination_identity_and_scaling():
+    # z_i = t_{q_i}: the least constant is 1, and 2 once the blocks are
+    # doubled; the norming set is the dual norming set on [1, 5]
+    norming = build_dual_norming_set(HALF, 5, 5).members()
     blocks = [nat({3: 1}), nat({4: 1}), nat({5: 1})]
-    cert = certify_domination(blocks, [3, 4, 5], HALF, 1, trial_budget=60)
-    assert cert.status == "AT-CAP"
+    cert = certify_domination(blocks, [3, 4, 5], HALF, 1, norming)
+    assert cert.status == "PASS"
+    assert cert.best == 1
+    assert cert.witness in norming
     doubled = [b.scale(2) for b in blocks]
-    cert = certify_domination(doubled, [3, 4, 5], HALF, 1, trial_budget=60)
+    cert = certify_domination(doubled, [3, 4, 5], HALF, 1, norming)
     assert cert.status == "FAIL"
-    assert cert.witness is not None
-    lhs, rhs = cert.witness_values
-    assert lhs > rhs
+    assert cert.best == 2
+    assert vstar_norm({q: abs(cert.witness.pair(z))
+                       for q, z in zip([3, 4, 5], doubled)}, HALF) == 2
+    cert = certify_domination(doubled, [3, 4, 5], HALF, 2 - F(1, 10 ** 6),
+                              norming)
+    assert cert.status == "FAIL"
+    assert certify_domination(doubled, [3, 4, 5], HALF, 2,
+                              norming).status == "PASS"
 
 
-def test_domination_requires_successive_blocks():
-    with pytest.raises(ValueError):
-        certify_domination([nat({3: 1, 5: 1}), nat({4: 1})], [3, 4], HALF, 1)
+def test_domination_requires_increasing_indices():
+    # blocks need not be successive, but each coefficient needs a
+    # coordinate of its own
+    norming = build_dual_norming_set(HALF, 5, 5).members()
+    blocks = [nat({3: 1, 5: 1}), nat({4: 1})]
+    assert certify_domination(blocks, [3, 4], HALF, 2, norming).best > 0
+    for qs in ([4, 4], [4, 3]):
+        with pytest.raises(ValueError, match="strictly increase"):
+            certify_domination(blocks, qs, HALF, 1, norming)
 
 
 @settings(max_examples=30, deadline=None)
