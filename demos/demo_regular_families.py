@@ -6,8 +6,8 @@ described families, including Schreier families for every ordinal below
 omega^omega in Cantor normal form.
 """
 
-from bdspace import (chain_compactness_probe, is_admissible, is_member,
-                     is_spread, max_union, schreier, singleton_plus_pair)
+from bdspace import (is_admissible, is_member, is_spread, max_union, schreier,
+                     singleton_plus_pair)
 from bdspace.families import explicit
 
 S1 = schreier(1)
@@ -44,7 +44,3 @@ E = explicit([{2, 5}, {3, 4, 9}])
 print("  {3,6} (spread of a subset of {2,5}):", is_member({3, 6}, E))
 U = max_union([S1, E])
 print("  union membership is disjunction:", is_member({3, 6}, U))
-
-print("\nthe chain probe flags proper initial-segment extensions")
-print("  [{1},{1,3}]:", chain_compactness_probe([{1}, {1, 3}], 5))
-print("  [{1},{2,3}]:", chain_compactness_probe([{1}, {2, 3}], 5))

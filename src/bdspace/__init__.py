@@ -12,9 +12,8 @@ a cap says so.
 
 from .exact import (FinVec, TriangularBasisChange, UniverseMismatch, l1_norm,
                     linf_norm, pair, unit)
-from .families import (RegularFamily, chain_compactness_probe, explicit,
-                       is_admissible, is_member, is_spread, max_union,
-                       schreier, singleton_plus_pair)
+from .families import (RegularFamily, explicit, is_admissible, is_member,
+                       is_spread, max_union, schreier, singleton_plus_pair)
 from .tsirelson import (DominationCertificate, DualNormingSet, TsirelsonSpec,
                         build_dual_norming_set, certify_domination,
                         norming_functional, tsirelson_norm, vstar_norm)

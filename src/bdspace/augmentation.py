@@ -26,15 +26,14 @@ projections reproduce prescribed block functionals exactly:
 
 provided the windows are separated by q_n + n < p_{n+1}.  Lower-estimate
 certificates evaluate e*_gamma on a block combination exactly and compare
-against the guaranteed constant; distances to psi(X) are reported as exact
-intervals whose certified end comes from l1-normalized annihilating
-functionals.
+against the guaranteed constant.  The distance from a block to psi(X) is
+reported as an interval: its lower end is certified by an l1-normalized
+annihilating window functional, its upper end is the exact l_inf distance
+on the built coordinates, from one certified LP.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -570,7 +569,7 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
 @dataclass
 class DistanceInterval:
     lower: Fraction     # certified: witnessed by an annihilating functional
-    upper: Fraction     # best approximation found at the built truncation
+    upper: Fraction     # exact: the distance on the built coordinates
     witness: FinVec
 
 
@@ -668,43 +667,33 @@ def _annihilating_witness(aug: AugmentedBuild, p: int, q: int,
     return val, bvec, f
 
 
-def _hull_distance(aug: AugmentedBuild, z: FinVec, resolution: int = 2
-                   ) -> Fraction:
-    """Best truncated distance from z to the rational hull of the spanning
-    set at the given denominator resolution (upper end of the interval).
+def _hull_distance(aug: AugmentedBuild, z: FinVec) -> Fraction:
+    """The exact l_inf distance from z to span psi(X) on the built
+    coordinates (the upper end of the interval), as one certified LP:
 
-    Off the union U of the spanning vectors' supports no combination moves
-    z, so max |z_i| there is a floor under every distance, and each grid
-    point only recomputes |z_i - h_i| for i in U.  The search runs over
-    ints: z on U, the floor, ||z||_inf and every grid multiple a sx_i are
-    scaled to one common denominator, and the best is read back over it."""
-    span = aug.spanning[:3]
-    U = sorted({i for sx in span for i in sx.support()})
-    inU = set(U)
-    floor = max((abs(v) for i, v in z.items() if i not in inU),
-                default=Fraction(0))
-    zU = [z[i] for i in U]
-    grid = [Fraction(k, resolution) for k in range(-resolution, resolution + 1)]
-    scaled = [[[a * sx[i] for i in U] for a in grid] for sx in span]
-    den = math.lcm(floor.denominator, z.linf().denominator,
-                   *(v.denominator for v in zU),
-                   *(v.denominator for s in scaled for row in s for v in row))
+        maximize f(z)  subject to  l1(f) <= 1,  f(s) = 0 for every s in
+        aug.spanning,
 
-    def up(vs):
-        return [v.numerator * (den // v.denominator) for v in vs]
+    with f = f+ - f- on the coordinates C of z and of the spanning vectors;
+    off C neither z nor any combination has mass.  This is the LP dual of
 
-    floor, best = up([floor, z.linf()])
-    zU = up(zU)
-    scaled = [[up(row) for row in s] for s in scaled]
-    for parts in itertools.product(*scaled):
-        d = floor
-        for zi, *hs in zip(zU, *parts):
-            r = abs(zi - sum(hs))
-            if r > d:
-                d = r
-        if d < best:
-            best = d
-    return Fraction(best, den)
+        minimize t  subject to  |z_i - sum_j a_j s_j(i)| <= t  for i in C
+
+    (t pairs with the l1 row, each free a_j with an annihilation row), so
+    by LP duality its value is min over a of ||z - sum_j a_j s_j||_inf, the
+    distance itself.  In with-FDD mode the window witness of
+    ``_annihilating_witness`` has l1 norm at most one and annihilates
+    psi(X), so it is feasible here, and by weak duality the certified lower
+    end never exceeds this value."""
+    span = aug.spanning
+    coords = sorted({*z.support(), *(i for s in span for i in s.support())})
+    obj = [v for i in coords for v in (z[i], -z[i])]
+    A_ub, b_ub = [[Fraction(1)] * len(obj)], [Fraction(1)]
+    A_eq = [[v for i in coords for v in (s[i], -s[i])] for s in span]
+    b_eq = [Fraction(0)] * len(span)
+    val, x, y = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    return lp.check(obj, val, x, y, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                    b_eq=b_eq)
 
 
 def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],

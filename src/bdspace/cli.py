@@ -130,6 +130,9 @@ def load_config(path: str) -> dict:
         bound = 0
     if bound < 1:
         errors.append("stage_bound must be a positive integer")
+    for key in ("stage_caps", "size_cap"):
+        if key in cfg and (type(cfg[key]) is not int or cfg[key] < 1):
+            errors.append(f"{key} must be a positive integer")
     values = [("seed.c", seed.get("c", 0)), ("eps", cfg.get("eps", 0))]
     values += [("eps_seq", e) for e in cfg.get("eps_seq", ())]
     values += [(k, cfg[k]) for k in ("theta", "upper_c", "upper_C") if k in cfg]
@@ -179,9 +182,9 @@ def realize_seed(cfg: dict) -> SeedSpace:
 
 def realize_build(cfg: dict):
     seed = realize_seed(cfg)
-    caps = cfg.get("stage_caps")
-    D = build_norming_set_D(seed, size_cap=int(cfg.get("size_cap", 20000)))
-    eb = build_embedding(seed, D, int(cfg["stage_bound"]), stage_caps=caps)
+    D = build_norming_set_D(seed, size_cap=cfg.get("size_cap", 20000))
+    eb = build_embedding(seed, D, int(cfg["stage_bound"]),
+                         stage_caps=cfg.get("stage_caps"))
     return seed, D, eb
 
 

@@ -37,7 +37,6 @@ from fractions import Fraction
 from .bdcore import BDBuild, BuildError, Report, Verdict
 from .decomp import NormingSetD, SeedSpace, norming_certificate
 from .exact import FinVec
-from .families import chain_compactness_probe, longest_prefix_chain
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +161,13 @@ def _recode(D: NormingSetD, t: tuple):
 
 
 def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
-                    stage_caps: dict[int, int] | int | None = None
-                    ) -> EmbeddingBuild:
+                    stage_caps: int | None = None) -> EmbeddingBuild:
     """Generate the coded index set up to ``stage_bound`` and register it.
 
-    Per-rank caps prune deterministically (canonical tuple order) and keep
-    every referenced element, so all per-element identities remain exactly
-    checkable on pruned builds; pruning is recorded.
+    ``stage_caps`` caps the elements of every rank: pruning is
+    deterministic (canonical tuple order) and keeps every referenced
+    element, so all per-element identities remain exactly checkable on
+    pruned builds; pruning is recorded.
     """
     s = seed
 
@@ -182,13 +181,6 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
     ranked: dict[tuple, int] = {t: _tuple_rank(D, t) for t in tuples}
     kept = {t for t, r in ranked.items() if r <= stage_bound}
 
-    def cap_of(n: int):
-        if stage_caps is None:
-            return None
-        if isinstance(stage_caps, int):
-            return stage_caps
-        return stage_caps.get(n)
-
     pruned = False
     prune_log = []
     if stage_caps is not None:
@@ -198,11 +190,11 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
         chosen: set[tuple] = set()
         for n in sorted(by_rank):
             cands = sorted(by_rank[n])
-            cap = cap_of(n)
-            if cap is not None and len(cands) > cap:
+            if len(cands) > stage_caps:
                 pruned = True
-                prune_log.append(f"stage {n}: kept {cap} of {len(cands)}")
-                cands = cands[:cap]
+                prune_log.append(
+                    f"stage {n}: kept {stage_caps} of {len(cands)}")
+                cands = cands[:stage_caps]
             chosen.update(cands)
         # dependency closure: every reference of a kept tuple is kept
         frontier = list(chosen)
@@ -413,19 +405,11 @@ def verify_embedding(eb: EmbeddingBuild) -> Report:
     return rep
 
 
-def cuts_family(eb: EmbeddingBuild) -> list[tuple[int, ...]]:
-    return [eb.bd.cuts(g) for g in eb.bd.ids()]
-
-
 def verify_cuts(eb: EmbeddingBuild) -> Report:
-    """The cut sets of the built elements, probed for compactness.  The
-    verdict is INCONCLUSIVE: the probe is one-sided, and prefix pairs occur
-    by construction (a coded tuple and its extension), so no finite stage
-    settles compactness either way."""
-    fam = sorted(set(cuts_family(eb)))
-    chain = longest_prefix_chain(fam)
+    """The distinct cut sets of the built elements.  The verdict is
+    INCONCLUSIVE: prefix pairs occur by construction (a coded tuple and its
+    extension), so no finite stage settles compactness either way."""
     return Report("cuts-compact", details={
-        "probe": chain_compactness_probe(fam, eb.stage_bound),
-        "longest_prefix_chain": chain, "distinct_cut_sets": len(fam)},
-        unsettled=Verdict.INCONCLUSIVE, reason=f"no finite stage settles "
-        f"compactness of the cut family (longest prefix chain {chain})")
+        "distinct_cut_sets": len({eb.bd.cuts(g) for g in eb.bd.ids()})},
+        unsettled=Verdict.INCONCLUSIVE,
+        reason="no finite stage settles compactness of the cut family")

@@ -335,27 +335,3 @@ def is_admissible(blocks: Sequence[Iterable[int]], fam: RegularFamily) -> bool:
         if s[-1] >= t[0]:
             raise ValueError(f"blocks not successive: {s} !< {t}")
     return is_member([s[0] for s in sets], fam)
-
-
-def chain_compactness_probe(members: Sequence[Iterable[int]], bound: int) -> bool:
-    """Necessary-condition witness for compactness at finite scale.
-
-    Returns False iff some listed set is a proper initial segment of another
-    listed set, both contained in [1, bound].  (An infinite strictly
-    increasing chain would produce such a pair at every finite scale.)
-    """
-    sets = {tuple(sorted(set(m))) for m in members}
-    return longest_prefix_chain(
-        [s for s in sets if not s or s[-1] <= bound]) == 1
-
-
-def longest_prefix_chain(members: Sequence[tuple[int, ...]]) -> int:
-    """The length of the longest chain of listed tuples, each a proper
-    initial segment of the next.  One-sided like the probe: a long chain
-    suggests, but cannot show, noncompactness."""
-    @lru_cache(maxsize=None)
-    def chain(cur) -> int:
-        return 1 + max((chain(b) for b in members
-                        if len(b) > len(cur) and b[: len(cur)] == cur),
-                       default=0)
-    return max(map(chain, members), default=1)

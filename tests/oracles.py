@@ -9,11 +9,12 @@ program replaced, the triangular-solve oracle runs dense Gaussian
 elimination, the extension-operator oracles apply the defining formulas of
 J_m, the FDD components and psi to d-coordinates from that dense solve, the
 d*-coordinate oracle scans the whole c* table, the hull-distance oracle
-forms every grid combination as a whole vector, the dual-norm oracle
-enumerates polytope vertices, the LP oracle pivots a ``Fraction``
-tableau where the library keeps integer rows, and the V*-norm oracle solves
-one LP over every plus-tree inside the support where the library adds
-cutting planes.  Values computed here are exact.
+solves the primal LP over every built coordinate where the library solves
+its dual on the supports, the dual-norm oracle enumerates polytope
+vertices, the LP oracle pivots a ``Fraction`` tableau where the library
+keeps integer rows, and the V*-norm oracle solves one LP over every
+plus-tree inside the support where the library adds cutting planes.
+Values computed here are exact.
 """
 
 from __future__ import annotations
@@ -281,19 +282,22 @@ def bf_psi(aug, x):
     return out
 
 
-def bf_hull_distance(aug, z, resolution: int = 2):
-    """min over the grid {k/resolution : |k| <= resolution}^3 of
-    ||z - sum a_j sx_j||_inf over the first three spanning vectors, each
-    combination formed as a whole vector."""
-    span = aug.spanning[:3]
-    grid = [Fraction(k, resolution) for k in range(-resolution, resolution + 1)]
-    best = z.linf()
-    for coeffs in itertools.product(grid, repeat=len(span)):
-        h = FinVec(aug.bd.universe)
-        for a, sx in zip(coeffs, span):
-            h = h + sx.scale(a)
-        best = min(best, (z - h).linf())
-    return best
+def bf_hull_distance(aug, z):
+    """min over a of ||z - sum_j a_j sx_j||_inf over every spanning vector,
+    as the primal LP: with t = ||z||_inf - u, maximize u subject to
+    |z_i - sum_j a_j sx_j(i)| <= t on every built coordinate i, each
+    a_j = a+_j - a-_j (a = 0, u = 0 is feasible, so every right side is at
+    least 0), solved by ``bf_maximize``."""
+    span, top = aug.spanning, z.linf()
+    A_ub, b_ub = [], []
+    for i in aug.bd.ids():
+        row = [Fraction(1)]
+        for sx in span:
+            row += [-sx[i], sx[i]]
+        A_ub += [row, [row[0]] + [-v for v in row[1:]]]
+        b_ub += [top - z[i], top + z[i]]
+    c = [Fraction(1)] + [Fraction(0)] * (2 * len(span))
+    return top - bf_maximize(c, A_ub=A_ub, b_ub=b_ub)[0]
 
 
 def count_schreier1(n: int) -> int:

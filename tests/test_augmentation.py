@@ -228,36 +228,57 @@ def test_certificate_passes(aug_half):
     cert = certify_lower_estimate(aug_half, blocks)
     assert cert.status == "PASS"
     assert cert.exact_value >= cert.bound
-    assert cert.delta0.lower <= cert.delta0.upper <= 1
+    # the window witness is feasible for the distance LP, so the ends are
+    # ordered; here they are the acceptance interval
+    assert (cert.delta0.lower, cert.delta0.upper) == (F(16, 17), 1)
     assert cert.detail == ""
 
 
 def test_hull_distance_matches_whole_vector_oracle(acc_lifted):
-    # carrier blocks, blocks inside psi(X) (distance 0 at the grid point)
-    # and random vectors on and off the spanning supports
+    # the dual LP against the primal one (slow, so few vectors): the
+    # carrier blocks, a vector matched on the spanning supports U with mass
+    # off U, and random vectors on and off the span
     aug = acc_lifted
-    span = aug.spanning[:3]
+    span = aug.spanning
     rng = random.Random(5)
-    zs = [aug.carrier_block(t) for t, th in aug.theta.items()
-          if th.klass == "01"]
-    zs += [span[0] + span[1].scale(F(-1, 2)), span[2].scale(F(3, 2))]
     ids = aug.bd.ids()
-    for _ in range(6):
-        zs.append(FinVec(aug.bd.universe, {g: F(rng.randint(-8, 8), 8)
-                                           for g in rng.sample(ids, 8)}))
-        zs.append(zs[-1] + span[rng.randrange(3)])
-    # a z matched exactly on the spanning supports U, with mass off U:
-    # the floor max |z_i| off U is its distance
     U = {i for sx in span for i in sx.support()}
     off = [g for g in ids if g not in U]
     on = span[0].scale(F(1, 2)) + span[1]
-    zs.append(on + FinVec(aug.bd.universe, {off[0]: F(5, 7), off[-1]: F(-1, 3)}))
-    assert _hull_distance(aug, on) == 0
-    assert _hull_distance(aug, zs[-1]) == F(5, 7)
-    assert any(_hull_distance(aug, z) == 0 for z in zs)
-    for z in zs:
-        for res in (1, 2, 3):
-            assert _hull_distance(aug, z, res) == bf_hull_distance(aug, z, res)
+    offmass = on + FinVec(aug.bd.universe, {off[0]: F(5, 7), off[-1]: F(-1, 3)})
+    carrier = {aug.bd.rank[t]: t for t, th in aug.theta.items()
+               if th.klass == "01"}
+    zs = [aug.carrier_block(carrier[r]) for r in (2, 6, 11)]
+    zs.append(offmass)
+    for _ in range(2):
+        zs.append(FinVec(aug.bd.universe, {g: F(rng.randint(-8, 8), 8)
+                                           for g in rng.sample(ids, 8)}))
+    zs.append(zs[-1] + span[rng.randrange(len(span))])
+    dist = [_hull_distance(aug, z) for z in zs]
+    assert dist == [bf_hull_distance(aug, z) for z in zs]
+    assert dist[-1] == dist[-2]
+    # the acceptance carriers are at distance exactly 1; off U no
+    # combination moves z, so max |z_i| there is the distance
+    assert dist[:4] == [1, 1, 1, F(5, 7)]
+    # vectors in the span are at distance 0 by construction, which needs
+    # no oracle
+    for z in (on, span[0] + span[1].scale(F(-1, 2)), span[2].scale(F(3, 2))):
+        assert _hull_distance(aug, z) == 0
+
+
+def test_hull_distance_lp_certificate_fault_injection(aug_half,
+                                                      monkeypatch):
+    # an LP answer whose reported value is off by one is refused
+    maximize = lp.maximize
+
+    def faulty(*args, **kw):
+        v, x, y = maximize(*args, **kw)
+        return v + 1, x, y
+
+    z = aug_half.carrier_block(aug_half.make_carrier(2))
+    monkeypatch.setattr(lp, "maximize", faulty)
+    with pytest.raises(lp.CertificateError, match="objective values differ"):
+        _hull_distance(aug_half, z)
 
 
 def test_certificate_single_block(aug_half):

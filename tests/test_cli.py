@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -14,9 +15,11 @@ from bdspace.cli import main, parse_family, parse_vector
 from bdspace.families import is_member
 
 REPO = Path(__file__).resolve().parents[1]
-SUITES = ["analysis", "coding", "compat", "cuts", "dual-norms", "embedding",
-          "idempotence", "isometry", "norming-set", "projection-norms",
-          "schema", "upper-estimates", "weight-split"]
+# the suite names the benchmark's report gate requires, read from its
+# source without importing it
+SUITES = next(ast.literal_eval(node.value) for node in ast.parse(
+    (REPO / "bench" / "run.py").read_text()).body
+    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SUITES")
 VERDICTS = {"PASS", "FAIL", "INCONCLUSIVE", "AT-CAP"}
 
 
@@ -116,11 +119,17 @@ def test_config_rejected_by_seed_rules(tmp_path, change, why):
      "upper_family, upper_c: unknown family 'schreier:x'"),
     ({"upper_c": "2"}, "upper_family, upper_c: weight must satisfy 0 < c < 1"),
     ({"theta": "1/0"}, "theta takes a rational such as 1/2, not '1/0'"),
-    ({"stage_bound": "abc"}, "stage_bound must be a positive integer")],
-    ids=["upper_C", "upper_family", "upper_c", "theta", "stage_bound"])
+    ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
+    ({"stage_caps": {"5": 1, "6": 1}}, "stage_caps must be a positive integer"),
+    ({"stage_caps": "abc"}, "stage_caps must be a positive integer"),
+    ({"size_cap": "abc"}, "size_cap must be a positive integer")],
+    ids=["upper_C", "upper_family", "upper_c", "theta", "stage_bound",
+         "stage_caps-dict", "stage_caps", "size_cap"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
     # keys that only verify reads are parsed when the build starts, so a
-    # build never records a config whose verify would end in a traceback
+    # build never records a config whose verify would end in a traceback;
+    # the caps, once read only by the build, never pruned (a JSON object)
+    # or ended in a traceback
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(CONFIG, **change)))
     with pytest.raises(SystemExit, match=f"^config rejected: {why}$"):
@@ -144,6 +153,12 @@ def test_config_ignores_unread_keys(tmp_path):
     p = tmp_path / "old.json"
     p.write_text(json.dumps(old))
     assert cli.load_config(str(p)) == old
+
+
+def test_suite_runners_match_benchmark_gate():
+    # verify runs exactly the suites the benchmark's report gate requires
+    runners = cli._suite_runners(*cli.realize_build(CONFIG), CONFIG)
+    assert sorted(runners) == sorted(SUITES)
 
 
 def test_verify_all_suites(built, capsys):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdspace import families
-from bdspace.families import (RegularFamily, chain_compactness_probe,
-                              explicit, is_admissible, is_member, is_spread,
-                              max_union, member_start, member_stepper,
-                              profile_key, schreier, singleton_plus_pair)
+from bdspace.families import (RegularFamily, explicit, is_admissible,
+                              is_member, is_spread, max_union, member_start,
+                              member_stepper, profile_key, schreier,
+                              singleton_plus_pair)
 from oracles import bf_member, count_schreier1
 
 S1 = schreier(1)
@@ -36,24 +36,6 @@ def test_spread_examples():
     assert is_spread({1, 2}, {3, 7})
     assert not is_spread({2, 5}, {2, 4})
     assert is_spread(set(), set())
-
-
-def test_probe_examples():
-    assert not chain_compactness_probe([{1}, {1, 3}], 5)
-    assert chain_compactness_probe([{1}, {2, 3}], 5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=6),
-       st.integers(0, 6))
-def test_probe_matches_pairwise_definition(members, bound):
-    # False iff some listed set inside [1, bound] is a proper initial
-    # segment of another, as the docstring defines it
-    sets = {tuple(sorted(m)) for m in members}
-    sets = [t for t in sets if not t or t[-1] <= bound]
-    pair = any(len(a) < len(b) and b[: len(a)] == a
-               for a in sets for b in sets)
-    assert chain_compactness_probe(members, bound) is (not pair)
 
 
 def test_s1_cardinality_vs_bruteforce():

@@ -208,12 +208,13 @@ def test_pipeline_lps_match_fraction_oracle(acc_build, acc_lifted, acc_seed,
     monkeypatch.setattr(lp, "maximize", spy)
     aug = lift_acceptance(acc_build)
     assert aug.bd.to_json_obj() == acc_lifted.bd.to_json_obj()
-    assert len(calls) == 3
+    # per block, one annihilating witness and one distance LP
+    assert len(calls) == 6
     members = [m.vec for m in acc_D.members]
     cert = check_subsequential_upper(members, acc_seed,
                                      TsirelsonSpec(schreier(1), F(1, 2)), 4)
     assert cert.checked == 60
     # one round per sequence: on acc the first optimum is already in the ball
-    assert len(calls) == 3 + 60
+    assert len(calls) == 6 + 60
     for args, kwargs in calls:
         assert solve(*args, **kwargs) == bf_maximize(*args, **kwargs)
