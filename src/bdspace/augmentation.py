@@ -26,10 +26,11 @@ projections reproduce prescribed block functionals exactly:
 
 provided the windows are separated by q_n + n < p_{n+1}.  Lower-estimate
 certificates evaluate e*_gamma on a block combination exactly and compare
-against the guaranteed constant.  The distance from a block to psi(X) is
-reported as an interval: its lower end is certified by an l1-normalized
-annihilating window functional, its upper end is the exact l_inf distance
-on the built coordinates, from one certified LP.
+against the guaranteed constant, whose decomposition constant M is derived
+from the merged build.  The distance from a block to psi(X) is reported as
+an interval: in either mode its lower end is certified by an l1-normalized
+window functional annihilating psi(X), its upper end is the exact l_inf
+distance on the built coordinates, from one certified LP.
 """
 
 from __future__ import annotations
@@ -40,18 +41,18 @@ from typing import Sequence
 
 from . import lp
 from .bdcore import (BDBuild, BuildError, Gamma0, Report, Verdict,
-                     extension_columns, row_l1_max)
-from .construction import EmbeddingBuild, embed_phi, is_block_rank
+                     apriori_bound, extension_columns, row_l1_max,
+                     split_theta)
+from .construction import EmbeddingBuild, embed_phi
 from .exact import FinVec
-from .families import is_member, is_spread
-from .tsirelson import TsirelsonSpec, tree_support
+from .families import is_admissible, is_spread
+from .tsirelson import (TsirelsonSpec, norming_functional, tree_support,
+                        tree_vec)
 
-# The decomposition constant M of the base build that the dense-set bound
-# and the lower-estimate certificate assume: bdcore.apriori_bound(theta),
-# max(1/(1 - 2 theta), 2), is 2 for every theta <= 1/4.  It is not derived
-# from the build: on the acceptance lift compute_constants gives M_computed =
-# 64553/32768, below it.
-M_BOUND = Fraction(2)
+
+def _enc(v: Fraction | None):
+    """A rational as JSON: [numerator, denominator], or None."""
+    return None if v is None else [v.numerator, v.denominator]
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +77,11 @@ class VCode:
         return max(s[-1] for s in self.supports())
 
 
-def _successive(sups: Sequence[tuple[int, ...]]) -> bool:
-    return all(a[-1] < b[0] for a, b in zip(sups, sups[1:]))
-
-
 def vcode_admissible(vc: VCode, vspec: TsirelsonSpec) -> bool:
-    sups = vc.supports()
-    if not _successive(sups):
+    try:
+        return is_admissible(vc.supports(), vspec.family)
+    except ValueError:  # the pieces are not successive
         return False
-    return is_member(vc.minima(), vspec.family)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +95,6 @@ class BEntry:
     n: int
     target: FinVec | None
     proximity: Fraction | None
-    bound: Fraction | None
 
 
 @dataclass
@@ -112,25 +108,15 @@ class AugmentedBuild:
     """Base build replayed into a larger universe, plus the new elements."""
 
     def __init__(self, base: EmbeddingBuild, vspec: TsirelsonSpec, c_aug,
-                 mode: str = "fdd", lower_estimate_K=None):
-        if mode not in ("fdd", "free", "skipped"):
-            raise BuildError("mode must be fdd, free or skipped")
+                 mode: str = "fdd"):
+        if mode not in ("fdd", "free"):
+            raise BuildError("mode must be fdd or free")
         self.base = base
         self.vspec = vspec
         self.c_aug = Fraction(c_aug)
         if not (0 < self.c_aug <= Fraction(1, 16)):
             raise BuildError("augmentation weight must satisfy 0 < c <= 1/16")
         self.mode = mode
-        self.K = None
-        if mode == "skipped":
-            # the running admission bound is c K ||x||, so the target weight
-            # must stay below 1/K for the chain to pass the filter
-            if lower_estimate_K is None:
-                raise BuildError("skipped mode needs the lower-estimate "
-                                 "constant of the seed decomposition")
-            self.K = Fraction(lower_estimate_K)
-            if not (self.K >= 1 and vspec.c < 1 / self.K):
-                raise BuildError("need K >= 1 and target weight < 1/K")
         self.bd = BDBuild(base.bd.universe + ":aug")
         self.theta: dict[int, ThetaInfo] = {}
         self.bentries: list[BEntry] = []
@@ -149,14 +135,12 @@ class AugmentedBuild:
         src = self.base.bd
         for g in src.ids():
             e = src.elems[g]
+            bstar = self.to_merged(e.bstar)
             if isinstance(e, Gamma0):
-                nid = self.bd.add_type0(src.rank[g], e.beta,
-                                        FinVec(self.bd.universe, dict(e.bstar.items())),
-                                        e.free)
+                nid = self.bd.add_type0(src.rank[g], e.beta, bstar, e.free)
             else:
-                nid = self.bd.add_type1(src.rank[g], e.alpha, e.k, e.xi, e.beta,
-                                        FinVec(self.bd.universe, dict(e.bstar.items())),
-                                        e.free)
+                nid = self.bd.add_type1(src.rank[g], e.alpha, e.k, e.xi,
+                                        e.beta, bstar, e.free)
             if nid != g:
                 raise BuildError("replay must preserve identifiers")
         self.base_ids = set(src.rank)
@@ -202,14 +186,25 @@ class AugmentedBuild:
     def psi_of_seed(self, x_seed: FinVec) -> FinVec:
         return self.psi(self.to_merged(embed_phi(self.base, x_seed)))
 
+    def decomposition_constant(self) -> tuple[Fraction, Fraction | None]:
+        """(theta*, M) of the merged build as it stands: the least theta at
+        which its weight split holds (``bdcore.split_theta``), and the a
+        priori bound M = ``apriori_bound(theta*)``, or None when theta* >=
+        1/2 and no a priori bound applies."""
+        theta = split_theta(self.bd)
+        return theta, apriori_bound(theta) if theta < Fraction(1, 2) else None
+
     # -- dense sets ------------------------------------------------------------------
 
-    def density_bound(self, n: int) -> Fraction:
+    def density_bound(self, n: int) -> Fraction | None:
         """Registered vectors must approximate their targets to within
-        eps_{n+1} / (2 M + 4), M = ``M_BOUND``."""
+        eps_{n+1} / (2 M + 4), M from ``decomposition_constant``; None when
+        there is no M."""
+        m = self.decomposition_constant()[1]
+        if m is None:
+            return None
         eps_seq = self.base.seed.eps_seq
-        e = eps_seq[min(n, len(eps_seq) - 1)]
-        return e / (2 * M_BOUND + 4)
+        return eps_seq[min(n, len(eps_seq) - 1)] / (2 * m + 4)
 
     def register_b(self, k: int, n: int, vec: FinVec,
                    target: FinVec | None = None) -> int:
@@ -224,15 +219,20 @@ class AugmentedBuild:
                 if proj.pair(sx):
                     raise BuildError(
                         "with-FDD dense-set member must annihilate psi(X)")
-        prox = bound = None
-        if target is not None:
-            prox = (vec - target).l1()
-            bound = self.density_bound(n)
-        self.bentries.append(BEntry(vec, k, n, target, prox, bound))
+        prox = None if target is None else (vec - target).l1()
+        self.bentries.append(BEntry(vec, k, n, target, prox))
         self.bentries.append(BEntry(-vec, k, n,
                                     -target if target is not None else None,
-                                    prox, bound))
+                                    prox))
         return len(self.bentries) - 2
+
+    def dense_set_ledger(self) -> list[dict]:
+        """The registry as JSON, each entry with its bound after the lift."""
+        return [{"interval": [b.k, b.n], "l1": _enc(b.vec.l1()),
+                 "proximity": _enc(b.proximity),
+                 "bound": _enc(None if b.proximity is None
+                               else self.density_bound(b.n))}
+                for b in self.bentries]
 
     # -- admission ---------------------------------------------------------------
 
@@ -407,21 +407,6 @@ class Window:
     zstar: FinVec     # its projection onto the open window, d-supported inside
 
 
-def _tree_coeffs(tree, c: Fraction, acc: Fraction, out: dict):
-    if tree[0] == "leaf":
-        out[tree[2]] = out.get(tree[2], Fraction(0)) + acc * tree[1]
-        return
-    for ch in tree[1]:
-        _tree_coeffs(ch, c, acc * c, out)
-
-
-def wtree_coefficients(tree, vspec: TsirelsonSpec) -> dict[int, Fraction]:
-    """beta_n per coordinate: the value of the tree functional at v_n."""
-    out: dict[int, Fraction] = {}
-    _tree_coeffs(tree, vspec.c, Fraction(1), out)
-    return out
-
-
 def lift_dual_functional(aug: AugmentedBuild, wtree,
                          windows: dict[int, Window]) -> int:
     """Build the element whose interval projections realize c beta_n z*_n.
@@ -485,26 +470,16 @@ def verify_lift_identities(aug: AugmentedBuild, g: int, wtree,
                            windows: dict[int, Window]) -> Report:
     """Exact re-verification of the defining identities of the lift."""
     rep = Report("lift-identities")
-    betas = wtree_coefficients(wtree, aug.vspec)
+    betas = tree_vec(wtree, aug.vspec)  # beta_n: the tree functional at v_n
     e = aug.bd.estar(g)
-    combined = FinVec(aug.bd.universe)
-    for q, beta in sorted(betas.items()):
+    for q, beta in betas.items():
         w = windows[q]
-        lhs = aug.bd.project(e, w.p, w.q - 1)
-        combined = combined + lhs
-        rhs = w.zstar.scale(aug.c_aug * beta)
-        if lhs != rhs:
+        if aug.bd.project(e, w.p, w.q - 1) != w.zstar.scale(aug.c_aug * beta):
             rep.violations.append(
                 f"window {q}: P*(e*) != c beta z* (beta = {beta})")
-    for sx in aug.spanning:
-        lhsv = combined.pair(sx)
-        rhsv = sum((aug.c_aug * beta * windows[q].zstar.pair(sx)
-                    for q, beta in betas.items()), Fraction(0))
-        if lhsv != rhsv:
-            rep.violations.append("window pairing identity fails")
-        if aug.mode == "fdd" and e.pair(sx):
-            rep.violations.append(
-                "e*(psi x) must vanish on the base space in with-FDD mode")
+    if aug.mode == "fdd" and any(e.pair(sx) for sx in aug.spanning):
+        rep.violations.append(
+            "e*(psi x) must vanish on the base space in with-FDD mode")
     return rep
 
 
@@ -559,6 +534,18 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
         if (any(aug.pi(y) != x for x, y in zip(cols, images))
                 or row_l1_max(images) > 1):
             rep.violations.append(f"psi not isometric on a stage-{j} pattern")
+    # registered dense-set vectors lie within the bound of their targets
+    for i, b in enumerate(aug.bentries):
+        if b.proximity is None:
+            continue
+        bound = aug.density_bound(b.n)
+        if bound is None:
+            rep.unsettled = Verdict.INCONCLUSIVE
+            rep.reason = ("no M bounds the dense-set proximities: theta* = "
+                          f"{aug.decomposition_constant()[0]} >= 1/2")
+        elif b.proximity > bound:
+            rep.violations.append(f"dense-set entry {i}: proximity "
+                                  f"{b.proximity} exceeds its bound {bound}")
     return rep
 
 
@@ -583,17 +570,20 @@ class LowerEstimateCertificate:
     coefficients: tuple | None = None
     betas: tuple | None = None
     detail: str = ""
+    theta_star: Fraction | None = None   # the merged build's split theta
+    m_bound: Fraction | None = None      # apriori_bound(theta_star)
 
     def to_json_obj(self) -> dict:
-        enc = lambda v: None if v is None else [v.numerator, v.denominator]  # noqa: E731
         return {
             "status": self.status,
             "gamma": self.gamma,
-            "exact_value": enc(self.exact_value),
-            "bound": enc(self.bound),
+            "exact_value": _enc(self.exact_value),
+            "bound": _enc(self.bound),
             "delta0": None if self.delta0 is None else
-                [enc(self.delta0.lower), enc(self.delta0.upper)],
+                [_enc(self.delta0.lower), _enc(self.delta0.upper)],
             "detail": self.detail,
+            "theta_star": _enc(self.theta_star),
+            "M": _enc(self.m_bound),
         }
 
 
@@ -604,67 +594,52 @@ def _annihilating_witness(aug: AugmentedBuild, p: int, q: int,
     Maximizes f(z) over f = sum a_g d*_g with d-support strictly inside the
     window, subject to the full l1 weight of f's unit-vector coordinates
     being at most one (so both f and its interval representative lie in the
-    dual ball) and, in with-FDD mode, the representative annihilating every
-    spanning vector (which makes every interval projection of it annihilate
-    psi(X), since the spanning vectors are single-block).  Returns
-    (value, representative b*, its window projection z* = f).
+    dual ball) and the representative annihilating every spanning vector.
+    The spanning vectors are single-block, so every interval projection of
+    the representative, f among them, then annihilates psi(X); that f does
+    is checked.  So f is feasible for the LP of ``_hull_distance`` and, by
+    weak duality, its value is a certified lower bound for the distance
+    from z to psi(X), in either mode.  Returns (value, representative b*,
+    its window projection z* = f).
     """
     bd = aug.bd
     span = [g for g in bd.ids() if p < bd.rank[g] < q]
     if not span:
         raise BuildError(f"no coordinates strictly inside ({p}, {q})")
-    dvecs = {g: bd.dstar(g) for g in span}
-    coords = sorted({i for v in dvecs.values() for i in v.support()})
-    cindex = {i: r for r, i in enumerate(coords)}
-    inside = [i for i in coords if p < bd.rank[i] <= q - 1]
-    nv = len(span)
-    nc = len(coords)
-    # variables: a_g split +-, t_i (l1 majorants of f's coordinates)
-    nvar = 2 * nv + nc
-    obj = [Fraction(0)] * nvar
-    for j, g in enumerate(span):
-        val = dvecs[g].pair(z)
-        obj[2 * j] = val
-        obj[2 * j + 1] = -val
+    dvecs = [bd.dstar(g) for g in span]
+    coords = sorted({i for v in dvecs for i in v.support()})
+    inside = lambda i: p < bd.rank[i] <= q - 1  # noqa: E731
+    zeros = [Fraction(0)] * len(coords)
+
+    def row(vals, t):
+        # variables: a_g split +-, then t_i, the l1 majorants of f's
+        # coordinates, with coefficients t
+        return [w for v in vals for w in (v, -v)] + t
+    obj = row((d.pair(z) for d in dvecs), zeros)
     A_ub, b_ub = [], []
-    for i in coords:
-        row_pos = [Fraction(0)] * nvar
-        for j, g in enumerate(span):
-            vi = dvecs[g][i]
-            row_pos[2 * j] = vi
-            row_pos[2 * j + 1] = -vi
-        row_pos[2 * nv + cindex[i]] = Fraction(-1)
-        A_ub.append(row_pos)
-        b_ub.append(Fraction(0))
-        A_ub.append([-v if jj < 2 * nv else v
-                     for jj, v in enumerate(row_pos)])
-        b_ub.append(Fraction(0))
-    tsum = [Fraction(0)] * nvar
-    for i in range(nc):
-        tsum[2 * nv + i] = Fraction(1)
-    A_ub.append(tsum)
+    for r in range(len(coords)):
+        t = [Fraction(-1) if k == r else Fraction(0)
+             for k in range(len(coords))]
+        col = [d[coords[r]] for d in dvecs]
+        A_ub += [row(col, t), row((-v for v in col), t)]
+        b_ub += [Fraction(0), Fraction(0)]
+    A_ub.append(row([Fraction(0)] * len(span), [Fraction(1)] * len(coords)))
     b_ub.append(Fraction(1))
-    A_eq, b_eq = [], []
-    if aug.mode == "fdd":
-        for sx in aug.spanning:
-            row = [Fraction(0)] * nvar
-            for j, g in enumerate(span):
-                # pairing of the restricted representative with sx
-                val = sum((a * sx[i] for i, a in dvecs[g].items()
-                           if p < bd.rank[i] <= q - 1), Fraction(0))
-                row[2 * j] = val
-                row[2 * j + 1] = -val
-            A_eq.append(row)
-            b_eq.append(Fraction(0))
+    # the representative, the restriction of f to the window, pairs to
+    # zero with every spanning vector
+    reps = [d.restrict(inside) for d in dvecs]
+    A_eq = [row((r.pair(sx) for r in reps), zeros) for sx in aug.spanning]
+    b_eq = [Fraction(0)] * len(A_eq)
     val, sol, y = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     lp.check(obj, val, sol, y, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     f = FinVec(bd.universe)
-    for j, g in enumerate(span):
-        a = sol[2 * j] - sol[2 * j + 1]
-        if a:
-            f = f + dvecs[g].scale(a)
-    bvec = f.restrict(lambda i: p < bd.rank[i] <= q - 1)
-    return val, bvec, f
+    for j, d in enumerate(dvecs):
+        if sol[2 * j] != sol[2 * j + 1]:
+            f = f + d.scale(sol[2 * j] - sol[2 * j + 1])
+    if any(f.pair(sx) for sx in aug.spanning):
+        raise BuildError(
+            f"window ({p}, {q}) witness does not annihilate psi(X)")
+    return val, f.restrict(inside), f
 
 
 def _hull_distance(aug: AugmentedBuild, z: FinVec) -> Fraction:
@@ -681,10 +656,9 @@ def _hull_distance(aug: AugmentedBuild, z: FinVec) -> Fraction:
 
     (t pairs with the l1 row, each free a_j with an annihilation row), so
     by LP duality its value is min over a of ||z - sum_j a_j s_j||_inf, the
-    distance itself.  In with-FDD mode the window witness of
-    ``_annihilating_witness`` has l1 norm at most one and annihilates
-    psi(X), so it is feasible here, and by weak duality the certified lower
-    end never exceeds this value."""
+    distance itself.  The window witness of ``_annihilating_witness`` has
+    l1 norm at most one and annihilates psi(X), so it is feasible here, and
+    by weak duality the certified lower end never exceeds this value."""
     span = aug.spanning
     coords = sorted({*z.support(), *(i for s in span for i in s.support())})
     obj = [v for i in coords for v in (z[i], -z[i])]
@@ -706,14 +680,16 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     coefficient functional of the target combination through the chain
     constructor, and compares the exact pairing against
 
-        c (1 - eps) delta_0' / (2 M) * || sum alpha_j v_{q_j} ||,  M = M_BOUND.
+        c (1 - eps) delta_0' / (2 M) * || sum alpha_j v_{q_j} ||,
+
+    with (theta*, M) the ``decomposition_constant`` of the merged build
+    after the lift; both go into the certificate.  When theta* >= 1/2 no a
+    priori M exists and the certificate is INCONCLUSIVE.
 
     Blocks must carry their values on every currently built coordinate
     (recompute extensions after adding elements); the growth caused by the
     lift inside this call is handled by re-extending from stage patterns.
     """
-    from .tsirelson import norming_functional
-
     bd = aug.bd
     sup = [bd.fdd_support(z) for z in blocks]
     for s in sup:
@@ -725,13 +701,6 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
             raise BuildError("blocks violate the separation condition")
     ps = [s[0] - 1 for s in sup]
     qs = [s[-1] + 1 for s in sup]
-
-    # placement of the skipped variant: each block sits strictly between
-    # consecutive block-hosting ranks of the interval well order
-    if aug.mode == "skipped" and not all(
-            p >= 1 and is_block_rank(p) and is_block_rank(q)
-            for p, q in zip(ps, qs)):
-        raise BuildError("skipped mode requires blocks between hosting ranks")
 
     patterns = [bd.stage_patterns(z) for z in blocks]
     witnesses = []
@@ -752,8 +721,7 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
         alphas = [Fraction(1)] * len(blocks)
     alphas = [Fraction(a) for a in alphas]
     target = FinVec("nat", {q: a for q, a in zip(qs, alphas)})
-    vnorm, wtree, _ = norming_functional(target, aug.vspec)
-    betas = wtree_coefficients(wtree, aug.vspec)
+    vnorm, wtree, betas = norming_functional(target, aug.vspec)
 
     windows = {}
     for z, p, q, (bvec, f) in zip(blocks, ps, qs, witnesses):
@@ -770,13 +738,21 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     cross = sum((aug.c_aug * betas[q] * a * windows[q].zstar.pair(z)
                  for a, z, q in zip(alphas, blocks, qs) if q in windows),
                 Fraction(0))
-    detail = ""
+    theta_star, m = aug.decomposition_constant()
+    bound, detail = None, ""
+    if m is not None:
+        eps = aug.base.seed.eps
+        d0p = delta_lower / (1 + eps)
+        bound = aug.c_aug * (1 - eps) * d0p / (2 * m) * vnorm
     if exact != cross:
+        status = Verdict.FAIL
         detail = f"pairing expansion mismatch: {exact} vs {cross}"
-    eps = aug.base.seed.eps
-    d0p = delta_lower / (1 + eps)
-    bound = aug.c_aug * (1 - eps) * d0p / (2 * M_BOUND) * vnorm
-    status = Verdict.PASS if exact >= bound and not detail else Verdict.FAIL
+    elif m is None:
+        status = Verdict.INCONCLUSIVE
+        detail = (f"weight split fails at every theta < 1/2 (theta* = "
+                  f"{theta_star}): no a priori M")
+    else:
+        status = Verdict.PASS if exact >= bound else Verdict.FAIL
     return LowerEstimateCertificate(status, g, exact, bound, d0,
-                                    tuple(alphas),
-                                    tuple(sorted(betas.items())), detail)
+                                    tuple(alphas), tuple(betas.items()),
+                                    detail, theta_star, m)

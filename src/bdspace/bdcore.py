@@ -456,20 +456,34 @@ def validate_schema(build: BDBuild) -> Report:
     return rep
 
 
-def condition_weight_split(build: BDBuild, theta) -> Report:
-    """Each type-1 weight is <= theta, or b* is a unit vector e*_eta with
+def _split_weights(build: BDBuild):
+    """(g, beta) for each type-1 element whose weight the weight split
+    bounds: every one except where b* is a unit vector e*_eta with
     c*_eta = 0 (and then the projected b* has norm at most one)."""
-    theta = Fraction(theta)
-    rep = Report("weight-split", details={"theta": theta})
     for g in build.ids():
         e = build.elems[g]
-        if isinstance(e, Gamma1) and e.beta > theta:
+        if isinstance(e, Gamma1):
             sup = e.bstar.support()
-            ok = (len(sup) == 1 and e.bstar[sup[0]] == 1
-                  and not build.cstar_table[sup[0]])
-            if not ok:
-                rep.violations.append(
-                    f"{g}: weight {e.beta} > theta without exempt b*")
+            if not (len(sup) == 1 and e.bstar[sup[0]] == 1
+                    and not build.cstar_table[sup[0]]):
+                yield g, e.beta
+
+
+def split_theta(build: BDBuild) -> Fraction:
+    """theta*: the largest weight ``condition_weight_split`` bounds, so the
+    split holds at theta exactly when theta >= theta*."""
+    return max((b for _, b in _split_weights(build)), default=Fraction(0))
+
+
+def condition_weight_split(build: BDBuild, theta) -> Report:
+    """Each type-1 weight is <= theta unless its b* is exempt (see
+    ``_split_weights``)."""
+    theta = Fraction(theta)
+    rep = Report("weight-split", details={"theta": theta})
+    for g, beta in _split_weights(build):
+        if beta > theta:
+            rep.violations.append(
+                f"{g}: weight {beta} > theta without exempt b*")
     return rep
 
 
@@ -528,7 +542,9 @@ def prefix_norms(build: BDBuild) -> dict[tuple[int, int], Fraction]:
 
 def apriori_bound(theta: Fraction) -> Fraction:
     """The a priori bound max(1/(1 - 2 theta), 2) on the decomposition
-    constant of a build whose weight split holds at theta."""
+    constant of a build whose weight split holds at theta < 1/2."""
+    if not theta < Fraction(1, 2):
+        raise BuildError(f"no a priori bound at theta = {theta} >= 1/2")
     return max(1 / (1 - 2 * theta), Fraction(2))
 
 

@@ -285,15 +285,7 @@ def cmd_augment(args) -> int:
         "theta_cardinalities": {str(n): sum(1 for g in aug.bd.stage(n)
                                             if aug.is_theta(g))
                                 for n in sorted(aug.bd.stages)},
-        "dense_set_ledger": [
-            {"interval": [b.k, b.n],
-             "l1": [b.vec.l1().numerator, b.vec.l1().denominator],
-             "proximity": None if b.proximity is None else
-                 [b.proximity.numerator, b.proximity.denominator],
-             "bound": None if b.bound is None else
-                 [b.bound.numerator, b.bound.denominator]}
-            for b in aug.bentries
-        ],
+        "dense_set_ledger": aug.dense_set_ledger(),
         "certificate": cert.to_json_obj() if cert else None,
         "verification_ok": rep.ok,
         "violations": [str(v) for v in rep.violations],

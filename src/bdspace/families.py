@@ -72,11 +72,13 @@ def _cnf(ordinal) -> tuple[tuple[int, int], ...]:
 class RegularFamily:
     """Immutable descriptor with a memoized membership oracle."""
 
-    __slots__ = ("kind", "payload")
+    __slots__ = ("kind", "payload", "_hash")
 
     def __init__(self, kind: str, payload):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
+        # families key every membership cache: hash once, not per lookup
+        object.__setattr__(self, "_hash", hash((kind, payload)))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RegularFamily is immutable")
@@ -86,7 +88,7 @@ class RegularFamily:
                 and self.kind == other.kind and self.payload == other.payload)
 
     def __hash__(self):
-        return hash((self.kind, self.payload))
+        return self._hash
 
     def __repr__(self):
         return f"RegularFamily({self.kind}, {self.payload!r})"

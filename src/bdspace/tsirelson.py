@@ -124,11 +124,12 @@ def _canonical(x) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     if isinstance(x, FinVec):
         items = x.items()
     else:
-        items = sorted((int(i), v if type(v) is Fraction else Fraction(v))
-                       for i, v in dict(x).items() if v)
+        # sort the int coordinates alone, not (coordinate, value) pairs
+        x = {int(i): v for i, v in dict(x).items() if v}
+        items = [(i, x[i]) for i in sorted(x)]
     coords, mags, dens = [], [], []
     for i, v in items:
-        m, d = v.as_integer_ratio()
+        m, d = (v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
         coords.append(i)
         mags.append(m if m > 0 else -m)
         dens.append(d)

@@ -8,12 +8,12 @@ from bdspace.augmentation import (AugmentedBuild, Window,
                                   _annihilating_witness, _hull_distance,
                                   certify_lower_estimate,
                                   lift_dual_functional, verify_augmentation,
-                                  verify_lift_identities, wtree_coefficients)
+                                  verify_lift_identities)
 from bdspace.bdcore import BuildError
 from bdspace.construction import embed_phi
 from bdspace.exact import FinVec
 from bdspace.families import schreier
-from bdspace.tsirelson import TsirelsonSpec
+from bdspace.tsirelson import TsirelsonSpec, tree_vec
 from oracles import bf_hull_distance, bf_psi
 
 F = Fraction
@@ -149,19 +149,29 @@ def test_lift_n1_both_signs(aug_half):
         assert proj == w.zstar.scale(sign * aug_half.c_aug)
 
 
-def test_lift_flat_and_nested_shapes(aug_half):
-    ths = carriers(aug_half)
+def carrier_windows(aug):
     wins = {}
-    for t in ths:
-        w, v, z = window_for(aug_half, t)
+    for t in carriers(aug):
+        w, v, z = window_for(aug, t)
         wins[w.q] = w
+    return wins
+
+
+def nested_tree(qs):
+    """A leaf, then a node: its lift adds a class-(1,2) element of weight
+    1/2 whose b* = e*_eta has c*_eta != 0."""
+    return ("node", (("leaf", 1, qs[0]),
+                     ("node", (("leaf", 1, qs[1]), ("leaf", -1, qs[2])))))
+
+
+def test_lift_flat_and_nested_shapes(aug_half):
+    wins = carrier_windows(aug_half)
     qs = sorted(wins)
     # flat pair, flat triple, nested both ways
     shapes = [
         ("node", (("leaf", 1, qs[0]), ("leaf", -1, qs[1]))),
         ("node", (("leaf", 1, qs[0]), ("leaf", 1, qs[1]), ("leaf", 1, qs[2]))),
-        ("node", (("leaf", 1, qs[0]),
-                  ("node", (("leaf", 1, qs[1]), ("leaf", -1, qs[2]))))),
+        nested_tree(qs),
         ("node", (("node", (("leaf", 1, qs[0]), ("leaf", 1, qs[1]))),
                   ("leaf", 1, qs[2]))),
     ]
@@ -185,11 +195,12 @@ def test_lift_window_separation_enforced(aug_half):
         lift_dual_functional(aug_half, tree, {w1.q: w1, w2.q: w2})
 
 
-def test_wtree_coefficients():
+def test_tree_vec_gives_lift_coefficients():
+    # the lift reads beta_n, the tree functional at v_n, from tree_vec
     tree = ("node", (("leaf", 1, 3),
                      ("node", (("leaf", -1, 7), ("leaf", 1, 12)))))
-    betas = wtree_coefficients(tree, VHALF)
-    assert betas == {3: F(1, 2), 7: F(-1, 4), 12: F(1, 4)}
+    betas = tree_vec(tree, VHALF)
+    assert dict(betas.items()) == {3: F(1, 2), 7: F(-1, 4), 12: F(1, 4)}
 
 
 # -- merged-build structure -----------------------------------------------------
@@ -232,6 +243,71 @@ def test_certificate_passes(aug_half):
     # ordered; here they are the acceptance interval
     assert (cert.delta0.lower, cert.delta0.upper) == (F(16, 17), 1)
     assert cert.detail == ""
+
+
+@pytest.mark.parametrize("mode", ["fdd", "free"])
+def test_certificate_in_both_modes(acc_build, mode):
+    # the window witness annihilates psi(X) in either mode, so the lower
+    # end is certified in both, and both read the acceptance values
+    aug = AugmentedBuild(acc_build, VHALF, F(1, 16), mode=mode)
+    cert = certify_lower_estimate(aug, [aug.carrier_block(t)
+                                        for t in carriers(aug)])
+    assert cert.status == "PASS"
+    assert (cert.exact_value, cert.bound) == (F(3, 34), F(31, 1496))
+    assert (cert.delta0.lower, cert.delta0.upper) == (F(16, 17), 1)
+    assert not any(cert.delta0.witness.pair(sx) for sx in aug.spanning)
+
+
+def test_certificate_records_derived_m(aug_half):
+    # the acceptance lift's largest bounded weight is c_aug * 1/2 = 1/32,
+    # and apriori_bound(1/32) = 2; both go into the certificate
+    blocks = [aug_half.carrier_block(t) for t in carriers(aug_half)]
+    cert = certify_lower_estimate(aug_half, blocks)
+    assert cert.status == "PASS"
+    assert (cert.theta_star, cert.m_bound) == (F(1, 32), 2)
+    assert aug_half.decomposition_constant() == (F(1, 32), 2)
+    obj = cert.to_json_obj()
+    assert (obj["theta_star"], obj["M"]) == ([1, 32], [2, 1])
+
+
+def test_certificate_inconclusive_when_weight_split_fails(aug_half):
+    # after the nested lift the weight split fails at every theta < 1/2,
+    # so no a priori M exists: the certificate names theta* and has no bound
+    wins = carrier_windows(aug_half)
+    lift_dual_functional(aug_half, nested_tree(sorted(wins)), wins)
+    assert aug_half.decomposition_constant() == (F(1, 2), None)
+    ths = [t for t, th in aug_half.theta.items() if th.vcode.kind == "d0"]
+    cert = certify_lower_estimate(
+        aug_half, [aug_half.carrier_block(t) for t in ths])
+    assert cert.status == "INCONCLUSIVE"
+    assert (cert.theta_star, cert.m_bound, cert.bound) == (F(1, 2), None, None)
+    assert "theta* = 1/2" in cert.detail
+    with pytest.raises(BuildError, match="no a priori bound"):
+        bdcore.apriori_bound(cert.theta_star)
+    # the dense-set proximities have no bound either
+    rep = verify_augmentation(aug_half)
+    assert (rep.verdict, rep.violations) == ("INCONCLUSIVE", [])
+    assert "theta* = 1/2" in rep.reason
+
+
+def test_dense_set_bound_fault_injection(aug_half):
+    # a registered vector farther from its target than eps_{n+1}/(2M + 4)
+    # FAILs verification; one within it passes
+    aug_half.make_carrier(2)
+    assert verify_augmentation(aug_half).verdict == "PASS"
+    entry = aug_half.bentries[0]
+    bound = aug_half.density_bound(entry.n)
+    assert bound == aug_half.base.seed.eps_seq[entry.n] / 8
+    off = next(iter(entry.vec.support()))
+    near = entry.vec + FinVec(aug_half.bd.universe, {off: bound})
+    aug_half.register_b(entry.k, entry.n, entry.vec, target=near)
+    assert verify_augmentation(aug_half).verdict == "PASS"
+    far = entry.vec + FinVec(aug_half.bd.universe, {off: 2 * bound})
+    i = aug_half.register_b(entry.k, entry.n, entry.vec, target=far)
+    rep = verify_augmentation(aug_half)
+    assert rep.violations == [
+        f"dense-set entry {j}: proximity {2 * bound} exceeds its bound {bound}"
+        for j in (i, i + 1)]
 
 
 def test_hull_distance_matches_whole_vector_oracle(acc_lifted):
@@ -309,7 +385,7 @@ def test_certificate_gap_condition(aug_half):
                                           aug_half.carrier_block(t2)])
 
 
-# -- free and skipped modes ---------------------------------------------------------
+# -- free mode ---------------------------------------------------------
 
 def test_free_mode_admission(acc_build):
     aug = AugmentedBuild(acc_build, VHALF, F(1, 16), mode="free")
@@ -361,31 +437,3 @@ def test_domination_after_augmentation(acc_build):
     below = certify_domination(blocks_ext, qs, VHALF, 1 - F(1, 10 ** 6),
                                norming)
     assert below.status == "FAIL"
-
-
-def test_skipped_mode_constructs(acc_build):
-    aug = AugmentedBuild(acc_build, VHALF, F(1, 16), mode="skipped",
-                         lower_estimate_K=F(3, 2))
-    assert aug.vspec.c < 1 / aug.K
-    t = aug.make_carrier(2)
-    w, v, z = window_for(aug, t)
-    tree = ("leaf", 1, w.q)
-    g = lift_dual_functional(aug, tree, {w.q: w})
-    assert verify_lift_identities(aug, g, tree, {w.q: w}).ok
-    # block at rank 3 = q sits between hosting ranks 2 and 4
-    blk = aug.carrier_block(aug.make_carrier(3))
-    cert = certify_lower_estimate(aug, [blk])
-    assert cert.status in ("PASS", "INCONCLUSIVE")
-
-
-def test_skipped_mode_guards(acc_build):
-    with pytest.raises(BuildError):
-        AugmentedBuild(acc_build, VHALF, F(1, 16), mode="skipped")
-    with pytest.raises(BuildError):
-        AugmentedBuild(acc_build, VHALF, F(1, 16), mode="skipped",
-                       lower_estimate_K=3)  # 1/2 >= 1/3
-    aug = AugmentedBuild(acc_build, VHALF, F(1, 16), mode="skipped",
-                         lower_estimate_K=F(3, 2))
-    t = aug.make_carrier(2)  # rank 2 hosts a seed block: bad placement
-    with pytest.raises(BuildError):
-        certify_lower_estimate(aug, [aug.carrier_block(t)])

@@ -406,6 +406,29 @@ def test_augment_rejects_bad_options(built, tmp_path, monkeypatch, argv, why,
     assert not (tmp_path / "a").exists()
 
 
+def test_augmentation_modes_match_cli():
+    # AugmentedBuild accepts exactly the --mode choices of ``augment``,
+    # read from the CLI's source; the library keeps no mode of its own
+    from bdspace.augmentation import AugmentedBuild
+    from bdspace.bdcore import BuildError
+    from bdspace.tsirelson import TsirelsonSpec
+    choices = next(
+        ast.literal_eval(kw.value)
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, ast.Call) and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "--mode"
+        for kw in node.keywords if kw.arg == "choices")
+    eb = cli.realize_build(CONFIG)[2]
+    vspec = TsirelsonSpec(parse_family("schreier:1"), Fraction(1, 2))
+    for mode in [*choices, "skipped", "bogus"]:
+        if mode in choices:
+            assert AugmentedBuild(eb, vspec, Fraction(1, 16), mode).mode == mode
+        else:
+            with pytest.raises(BuildError, match="^mode must be"):
+                AugmentedBuild(eb, vspec, Fraction(1, 16), mode)
+
+
 def test_augment_rejects_skipped_mode(built, tmp_path):
     # skipped mode needs a lower-estimate constant the CLI does not take
     _, _, out = built
