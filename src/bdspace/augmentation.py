@@ -196,13 +196,9 @@ class AugmentedBuild:
 
     # -- dense sets ------------------------------------------------------------------
 
-    def density_bound(self, n: int) -> Fraction | None:
+    def density_bound(self, n: int, m: Fraction) -> Fraction:
         """Registered vectors must approximate their targets to within
-        eps_{n+1} / (2 M + 4), M from ``decomposition_constant``; None when
-        there is no M."""
-        m = self.decomposition_constant()[1]
-        if m is None:
-            return None
+        eps_{n+1} / (2 M + 4), M from ``decomposition_constant``."""
         eps_seq = self.base.seed.eps_seq
         return eps_seq[min(n, len(eps_seq) - 1)] / (2 * m + 4)
 
@@ -228,10 +224,11 @@ class AugmentedBuild:
 
     def dense_set_ledger(self) -> list[dict]:
         """The registry as JSON, each entry with its bound after the lift."""
+        m = self.decomposition_constant()[1]
         return [{"interval": [b.k, b.n], "l1": _enc(b.vec.l1()),
                  "proximity": _enc(b.proximity),
-                 "bound": _enc(None if b.proximity is None
-                               else self.density_bound(b.n))}
+                 "bound": _enc(None if b.proximity is None or m is None
+                               else self.density_bound(b.n, m))}
                 for b in self.bentries]
 
     # -- admission ---------------------------------------------------------------
@@ -535,14 +532,15 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
                 or row_l1_max(images) > 1):
             rep.violations.append(f"psi not isometric on a stage-{j} pattern")
     # registered dense-set vectors lie within the bound of their targets
+    theta_star, m = aug.decomposition_constant()
     for i, b in enumerate(aug.bentries):
         if b.proximity is None:
             continue
-        bound = aug.density_bound(b.n)
+        bound = None if m is None else aug.density_bound(b.n, m)
         if bound is None:
             rep.unsettled = Verdict.INCONCLUSIVE
             rep.reason = ("no M bounds the dense-set proximities: theta* = "
-                          f"{aug.decomposition_constant()[0]} >= 1/2")
+                          f"{theta_star} >= 1/2")
         elif b.proximity > bound:
             rep.violations.append(f"dense-set entry {i}: proximity "
                                   f"{b.proximity} exceeds its bound {bound}")

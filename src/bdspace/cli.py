@@ -138,9 +138,12 @@ def load_config(path: str) -> dict:
     values += [(k, cfg[k]) for k in ("theta", "upper_c", "upper_C") if k in cfg]
     for key, value in values:
         try:
-            _frac(value)
+            v = _frac(value)
         except (ValueError, TypeError, ZeroDivisionError):
             errors.append(f"{key} takes a rational such as 1/2, not {value!r}")
+            continue
+        if key == "theta" and not 0 < v < Fraction(1, 2):  # a priori bound
+            errors.append("theta must satisfy 0 < theta < 1/2")
     if not errors:
         try:
             _upper_target(cfg)

@@ -289,6 +289,7 @@ def member_stepper(fam: RegularFamily):
     return step
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def profile_key(fam: RegularFamily, coords: tuple[int, ...]) -> tuple:
     """A key that two increasing tuples of one length share only when, for
     every set of positions, the coordinates there form a member for both or

@@ -37,6 +37,10 @@ the defining recursion and tested against a brute-force oracle:
   x's entry.  The search itself runs on the real coordinates, so its
   split and witness trees do not depend on which support filled an entry.
 
+``tsirelson_norm`` first reads a memo of norms keyed by (spec key, profile
+key, each magnitude's (|numerator|, denominator)), before any lcm, gcd or
+scaling.  Both memos are emptied at ``_NORM_MEMO_CAP`` entries.
+
 The best split is a dynamic program over (position, family state): G(s, q)
 is the largest sum of block norms over the splits of the support from
 position s on whose first block starts at s, where q is the membership
@@ -51,6 +55,8 @@ coordinate is its magnitude.  Candidates are scanned in the preorder of
 the depth-first search over breakpoint sets (a split before its extensions,
 next breakpoints in increasing order) and replaced only on a strictly
 larger value, so the split returned is the first optimal one in that order.
+First blocks stop at the first s where c times the l1 norm from s on cannot
+beat the best so far: none of the splits skipped could replace it.
 The breakpoints are rebuilt by walking the pointers, and only when a
 caller asks for them.
 
@@ -93,10 +99,12 @@ class TsirelsonSpec:
         object.__setattr__(self, "c", c)
         if not (0 < c < 1):
             raise ValueError("weight must satisfy 0 < c < 1")
+        # c as two ints: memo keys are hashed on every lookup
+        object.__setattr__(self, "_key",
+                           (self.family, c.numerator, c.denominator))
 
     def key(self):
-        # c as two ints: memo keys are hashed on every lookup
-        return (self.family, self.c.numerator, self.c.denominator)
+        return self._key
 
 
 class CapExceeded(RuntimeError):
@@ -114,31 +122,42 @@ class CapExceeded(RuntimeError):
 #   entry is only a value, and a search recomputes what it misses.
 _norm_memo: dict = {}
 _NORM_MEMO_CAP = 1 << 16
+# (spec key, profile key of the coords, _entries pairs) -> the norm
+_value_memo: dict = {}
 
 
-def _canonical(x) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(coords, mags, den), reading each nonzero entry of x once: they sit
-    at ``coords``, increasing, and their magnitudes are ``mags / den``
-    with ``mags`` positive integers.  Raises ValueError on a coordinate
-    below 1: the space is c00(N) with N = {1, 2, ...}."""
+def _entries(x) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(coords, pairs) of the nonzero entries of x, each read once: coords
+    increasing, magnitudes flat as (|numerator|, denominator) in lowest
+    terms.  Raises ValueError on a coordinate below 1: the space is c00(N)."""
     if isinstance(x, FinVec):
         items = x.items()
     else:
-        # sort the int coordinates alone, not (coordinate, value) pairs
-        x = {int(i): v for i, v in dict(x).items() if v}
-        items = [(i, x[i]) for i in sorted(x)]
-    coords, mags, dens = [], [], []
+        x = x if type(x) is dict else dict(x)
+        try:
+            items = sorted(x.items())  # keys are unique: no value is compared
+        except TypeError:  # keys of several types
+            items = None
+        if not items or type(items[0][0]) is not int:  # say string keys
+            items = sorted({int(i): v for i, v in x.items()}.items())
+    coords, pairs = [], []
     for i, v in items:
         m, d = (v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
-        coords.append(i)
-        mags.append(m if m > 0 else -m)
-        dens.append(d)
+        if m:
+            coords.append(i)
+            pairs += (m if m > 0 else -m, d)
     if coords and coords[0] < 1:
         raise ValueError(f"coordinate {coords[0]} is not in N = {{1, 2, ...}}")
+    return tuple(coords), tuple(pairs)
+
+
+def _canonical(pairs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(mags, den): the ``_entries`` magnitudes are mags / den, mags ints."""
+    mags, dens = pairs[::2], pairs[1::2]
     den = lcm(*dens)
     if den > 1:
-        mags = [m * (den // d) for m, d in zip(mags, dens)]
-    return tuple(coords), tuple(mags), den
+        mags = tuple(m * (den // d) for m, d in zip(mags, dens))
+    return mags, den
 
 
 def _norm_rec(spec_key, fam: RegularFamily, c: Fraction,
@@ -191,8 +210,13 @@ def _search(spec_key, fam: RegularFamily, c: Fraction,
         blocks[s][s + 1] = unit[1] * mags[s]
 
     def block(s: int, t: int) -> int:
-        v = blocks[s][t] = unit[t - s] * _norm_rec(
-            spec_key, fam, c, coords[s:t], mags[s:t])
+        sub = mags[s:t]  # as _norm_rec, with its memo hit inlined
+        g = gcd(*sub)
+        sub = tuple(m // g for m in sub) if g > 1 else sub
+        got = _norm_memo.get((spec_key, profile_key(fam, coords[s:t]), sub))
+        if got is None:
+            got = _norm_rec(spec_key, fam, c, coords[s:t], sub)
+        v = blocks[s][t] = unit[t - s] * g * got
         return v
 
     def later(s: int, state, found):
@@ -219,6 +243,8 @@ def _search(spec_key, fam: RegularFamily, c: Fraction,
         return found
 
     for s in range(n - 1):
+        if p * unit[1] * sum(mags[s:]) <= best:
+            break  # c * l1 bounds the splits from s on: none can beat best
         found = later(s, member_start(fam, coords[s]), None)
         if found is not None and p * found[0] > best:
             best, first = p * found[0], (s,) + found[1:]
@@ -244,11 +270,19 @@ def _best_split(spec_key, fam: RegularFamily, c: Fraction,
 
 def tsirelson_norm(x, spec: TsirelsonSpec) -> Fraction:
     """Exact norm of a finitely supported vector."""
-    coords, mags, den = _canonical(x)
+    coords, pairs = _entries(x)
     if not coords:
         return Fraction(0)
-    scaled = _norm_rec(spec.key(), spec.family, spec.c, coords, mags)
-    return Fraction(scaled, den * spec.c.denominator ** (len(mags) - 1))
+    key = (spec._key, profile_key(spec.family, coords), pairs)
+    got = _value_memo.get(key)
+    if got is None:
+        mags, den = _canonical(pairs)
+        got = Fraction(_norm_rec(spec._key, spec.family, spec.c, coords, mags),
+                       den * spec.c.denominator ** (len(mags) - 1))
+        if len(_value_memo) >= _NORM_MEMO_CAP:
+            _value_memo.clear()
+        _value_memo[key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +334,10 @@ def norming_functional(x, spec: TsirelsonSpec, universe: str = NAT):
     """
     if not isinstance(x, FinVec):
         x = FinVec(universe, x)
-    coords, mags, den = _canonical(x)
+    coords, pairs = _entries(x)
     if not coords:
         return Fraction(0), None, FinVec(universe)
+    mags, den = _canonical(pairs)
     value, tree = _witness_tree(spec.key(), spec.family, spec.c, coords, mags)
     value = Fraction(value, den * spec.c.denominator ** (len(mags) - 1))
     tree = _flip_signs(tree, lambda i: 1 if x[i] > 0 else -1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bdspace import bdcore, lp
+from bdspace import augmentation, bdcore, lp
 from bdspace.augmentation import (AugmentedBuild, Window,
                                   _annihilating_witness, _hull_distance,
                                   certify_lower_estimate,
@@ -290,13 +290,35 @@ def test_certificate_inconclusive_when_weight_split_fails(aug_half):
     assert "theta* = 1/2" in rep.reason
 
 
+def test_decomposition_constant_once_per_ledger_and_verification(
+        aug_half, monkeypatch):
+    # (theta*, M) is derived once for the whole ledger and once per
+    # verification, not once per dense-set entry: split_theta scans the
+    # whole merged build
+    carriers(aug_half)
+    assert sum(b.proximity is not None for b in aug_half.bentries) > 2
+    calls = []
+
+    def counted(bd):
+        calls.append(bd)
+        return bdcore.split_theta(bd)
+    monkeypatch.setattr(augmentation, "split_theta", counted)
+    ledger = aug_half.dense_set_ledger()
+    assert len(calls) == 1
+    assert all(e["bound"] is not None for e in ledger
+               if e["proximity"] is not None)
+    assert verify_augmentation(aug_half).verdict == "PASS"
+    assert len(calls) == 2
+
+
 def test_dense_set_bound_fault_injection(aug_half):
     # a registered vector farther from its target than eps_{n+1}/(2M + 4)
     # FAILs verification; one within it passes
     aug_half.make_carrier(2)
     assert verify_augmentation(aug_half).verdict == "PASS"
     entry = aug_half.bentries[0]
-    bound = aug_half.density_bound(entry.n)
+    bound = aug_half.density_bound(entry.n,
+                                   aug_half.decomposition_constant()[1])
     assert bound == aug_half.base.seed.eps_seq[entry.n] / 8
     off = next(iter(entry.vec.support()))
     near = entry.vec + FinVec(aug_half.bd.universe, {off: bound})

@@ -119,11 +119,15 @@ def test_config_rejected_by_seed_rules(tmp_path, change, why):
      "upper_family, upper_c: unknown family 'schreier:x'"),
     ({"upper_c": "2"}, "upper_family, upper_c: weight must satisfy 0 < c < 1"),
     ({"theta": "1/0"}, "theta takes a rational such as 1/2, not '1/0'"),
+    ({"theta": "1/2"}, "theta must satisfy 0 < theta < 1/2"),
+    ({"theta": "0"}, "theta must satisfy 0 < theta < 1/2"),
+    ({"theta": [-1, 8]}, "theta must satisfy 0 < theta < 1/2"),
     ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
     ({"stage_caps": {"5": 1, "6": 1}}, "stage_caps must be a positive integer"),
     ({"stage_caps": "abc"}, "stage_caps must be a positive integer"),
     ({"size_cap": "abc"}, "size_cap must be a positive integer")],
-    ids=["upper_C", "upper_family", "upper_c", "theta", "stage_bound",
+    ids=["upper_C", "upper_family", "upper_c", "theta", "theta-half",
+         "theta-zero", "theta-negative", "stage_bound",
          "stage_caps-dict", "stage_caps", "size_cap"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
     # keys that only verify reads are parsed when the build starts, so a

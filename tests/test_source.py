@@ -1,11 +1,13 @@
 """Rules on the package source that no test of a single module sees."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bdspace"
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -71,3 +73,30 @@ def test_cache_rule_fires():
                      "    _memo[k] = v\n")
     assert _module_dicts(good) == ["_memo"]
     assert _bounded(good, "_memo")
+
+
+def test_bench_tracing_targets_resolve():
+    # the benchmark's tracer wraps functions by name from outside the
+    # package and reads the Tsirelson memo by name: a rename would read 0
+    # in its per-layer metrics instead of failing
+    tree = ast.parse(TRACING.read_text())
+    targets = next(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and any(
+                       isinstance(t, ast.Name) and t.id == "targets"
+                       for t in node.targets))
+    names = [(e.elts[0].value, e.elts[1].value) for e in targets.elts]
+    assert len(names) > 20
+    for module, attr in names:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
+    read = {node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "tsirelson"}
+    assert "_norm_memo" in read
+    tsirelson = importlib.import_module("bdspace.tsirelson")
+    for name in read:
+        assert isinstance(getattr(tsirelson, name), dict), name

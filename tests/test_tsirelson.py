@@ -122,6 +122,110 @@ def test_norm_memo_is_bounded(monkeypatch):
         assert len(tsirelson._norm_memo) <= 8
 
 
+@pytest.fixture()
+def fresh_memos(monkeypatch):
+    monkeypatch.setattr(tsirelson, "_norm_memo", {})
+    monkeypatch.setattr(tsirelson, "_value_memo", {})
+
+
+def clear_memos():
+    tsirelson._norm_memo.clear()
+    tsirelson._value_memo.clear()
+
+
+# one vector, x = e_2 - e_3/2 + 3e_5/4 + e_10/3, in every input form
+X_ITEMS = ((2, F(1)), (3, F(1, 2)), (5, F(3, 4)), (10, F(1, 3)))
+X_FORMS = {
+    "finvec": nat({2: F(1), 3: F(-1, 2), 5: F(3, 4), 10: F(1, 3)}),
+    "string-keys": {"10": F(1, 3), "2": F(1), "3": F(-1, 2), "5": F(3, 4)},
+    "pair-list": [(5, F(3, 4)), (2, F(1)), (10, F(1, 3)), (3, F(-1, 2))],
+    "mixed-keys": {2: F(1), "3": F(-1, 2), 5: F(3, 4), "10": F(1, 3)},
+    "str-values": {2: "1", 3: "-1/2", 5: "0.75", 10: "1/3"},
+    "zero-entries": {0: 0, 1: F(0), 2: F(1), 3: F(-1, 2), 4: "0", 5: F(3, 4),
+                     10: F(1, 3), 11: 0},
+}
+# 12x has integer entries: the same direction, another value
+Y_ITEMS = ((2, F(12)), (3, F(6)), (5, F(9)), (10, F(4)))
+
+
+@pytest.mark.parametrize("form", list(X_FORMS), ids=list(X_FORMS))
+def test_value_memo_input_forms(fresh_memos, form):
+    # a first call, a repeated one (a value-memo hit) and one after both
+    # memos are emptied read the same entries and give the oracle's value
+    expected = bf_tsirelson(X_ITEMS, S1, F(1, 2), {})
+    x = X_FORMS[form]
+    assert tsirelson_norm(x, HALF) == expected
+    assert len(tsirelson._value_memo) == 1
+    assert tsirelson_norm(x, HALF) == expected
+    clear_memos()
+    assert tsirelson_norm(x, HALF) == expected
+    for y in ({i: 12 * v for i, v in X_ITEMS},
+              {i: int(v) for i, v in Y_ITEMS}):
+        assert tsirelson_norm(y, HALF) == 12 * expected
+
+
+def test_value_memo_reads_an_iterator_once(fresh_memos):
+    # the miss path scales what was read, it does not read x again
+    expected = bf_tsirelson(X_ITEMS, S1, F(1, 2), {})
+    for _ in range(2):
+        assert tsirelson_norm(iter(X_FORMS["pair-list"]), HALF) == expected
+
+
+def test_value_memo_rejects_coordinate_zero_on_repeat(fresh_memos):
+    for x in ({0: F(1)}, {0: F(1), 2: F(1)}, {"0": 1, "3": 1}):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="coordinate 0"):
+                tsirelson_norm(x, HALF)
+    assert tsirelson_norm({0: 0, 2: F(1)}, HALF) == 1
+
+
+def test_value_memo_keyed_by_spec(fresh_memos):
+    # one vector under S_1 and S_2, at c = 1/2 and 1/3: each spec keeps its
+    # own value, however the calls interleave
+    x = {i: F(1) for i in range(3, 8)}
+    items = tuple(sorted(x.items()))
+    specs = [TsirelsonSpec(fam, c) for fam in (S1, schreier(2))
+             for c in (F(1, 2), F(1, 3))]
+    expected = [bf_tsirelson(items, s.family, s.c, {}) for s in specs]
+    assert len(set(expected)) == 4
+    for _ in range(2):
+        for spec, want in zip(specs, expected):
+            assert tsirelson_norm(x, spec) == want
+        for spec, want in reversed(list(zip(specs, expected))):
+            assert tsirelson_norm(nat(x), spec) == want
+
+
+def test_value_memo_spreads_of_other_profiles(fresh_memos):
+    # {1, 2} is no S_1 member and {5, 6} is one: these spreads have other
+    # membership profiles and norms, whichever of them warms the memos
+    mags = (F(1), F(1, 2), F(1), F(1, 2))
+    low = dict(zip((1, 2, 3, 4), mags))
+    high = dict(zip((5, 6, 7, 8), mags))
+    want = {k: bf_tsirelson(tuple(sorted(v.items())), S1, F(1, 2), {})
+            for k, v in (("low", low), ("high", high))}
+    assert want["low"] != want["high"]
+    for order in (("low", "high"), ("high", "low")):
+        clear_memos()
+        for k in order + order:
+            assert tsirelson_norm(low if k == "low" else high, HALF) == want[k]
+
+
+def test_value_memo_is_bounded(fresh_memos, monkeypatch):
+    # both memos are emptied at the cap, and values across the emptying
+    # match the oracle, on a first call and on a repeat
+    monkeypatch.setattr(tsirelson, "_NORM_MEMO_CAP", 8)
+    memo, sizes = {}, set()
+    for _ in range(2):
+        for k, support in enumerate(itertools.combinations(range(1, 8), 3)):
+            x = dict(zip(support, (F(1), F(-1, 2), F(k % 5 + 1, 4))))
+            items = tuple((i, abs(v)) for i, v in sorted(x.items()))
+            assert tsirelson_norm(x, HALF) == bf_tsirelson(
+                items, S1, F(1, 2), memo)
+            sizes.add((len(tsirelson._norm_memo),
+                       len(tsirelson._value_memo)))
+    assert max(a for a, _ in sizes) == max(b for _, b in sizes) == 8
+
+
 @pytest.mark.parametrize("spec", [HALF, TsirelsonSpec(schreier(2), F(1, 3))],
                          ids=["S1-half", "S2-third"])
 def test_oracle_equivalence_wide_supports(spec):
