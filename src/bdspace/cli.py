@@ -114,12 +114,18 @@ def _upper_target(cfg: dict) -> tuple[TsirelsonSpec, Fraction]:
 
 
 def load_config(path: str) -> dict:
-    """The config at ``path`` if it parses, else one ``config rejected``
-    line naming what is wrong.  The rules on c, eps and eps_seq are
-    ``SeedSpace``'s, and ``realize_seed`` reports them.  The keys only
-    ``verify`` reads, theta and those of ``_upper_target``, are read here
-    too, so that a build never records a config its verify cannot read."""
-    cfg = json.loads(Path(path).read_text())
+    """The config at ``path`` if it parses, see ``check_config``."""
+    return check_config(json.loads(Path(path).read_text()))
+
+
+def check_config(cfg: dict) -> dict:
+    """``cfg`` if it parses, else one ``config rejected`` line naming what
+    is wrong.  The rules on c, eps and eps_seq are ``SeedSpace``'s, and
+    ``realize_seed`` reports them.  The keys only ``verify`` reads, theta
+    and those of ``_upper_target``, are read here too, so that a build never
+    records a config its verify cannot read.  ``verify`` and ``augment``
+    check the config a build recorded as well: the manifest holding it is
+    not hash-checked."""
     errors = []
     seed = cfg.get("seed", {})
     if seed.get("kind") not in ("tsirelson", "explicit"):
@@ -262,7 +268,7 @@ def cmd_augment(args) -> int:
         c_aug = parse_rational("--c", args.c) if args.c else None
     except ValueError as exc:
         raise SystemExit(f"augment rejected: {exc}") from None
-    cfg = _load_manifest(args.build)["config"]
+    cfg = check_config(_load_manifest(args.build)["config"])
     seed, D, eb = realize_build(cfg)
     c_aug = seed.c if c_aug is None else c_aug
     try:
@@ -341,7 +347,7 @@ def _verdict_line(r: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_manifest(args.build)["config"]
+    cfg = check_config(_load_manifest(args.build)["config"])
     seed, D, eb = realize_build(cfg)
     runners = _suite_runners(seed, D, eb, cfg)
     if args.suite and args.suite not in runners:

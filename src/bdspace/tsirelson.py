@@ -24,7 +24,8 @@ the defining recursion and tested against a brute-force oracle:
   support from each chosen breakpoint to just before the next one; interior
   gaps never help (absorbing skipped points into the preceding block keeps
   every block minimum and can only increase block norms), while dropping an
-  initial segment of the support can help and is enumerated;
+  initial segment of the support can help and is read from the suffix (see
+  the recurrence below);
 
 * after the reductions above, the only test that reads a coordinate is
   membership of the breakpoint minima, so the norm is a function of the
@@ -55,10 +56,21 @@ coordinate is its magnitude.  Candidates are scanned in the preorder of
 the depth-first search over breakpoint sets (a split before its extensions,
 next breakpoints in increasing order) and replaced only on a strictly
 larger value, so the split returned is the first optimal one in that order.
-First blocks stop at the first s where c times the l1 norm from s on cannot
-beat the best so far: none of the splits skipped could replace it.
-The breakpoints are rebuilt by walking the pointers, and only when a
-caller asks for them.
+
+The splits whose first block starts at s >= 1 are exactly the splits of the
+suffix x[1:], on the same coordinates, so
+
+    ||x|| = max(|x_1|, ||x[1:]||, c * G(0, start(x_1))),
+
+since ||x[1:]|| is the larger of ||x[1:]||_inf and c times the suffix's
+best split, and |x_1| supplies the rest of ||x||_inf.  The suffix's norm is
+a memo entry (the splits from 0 read it as their last block [1, n)), so the
+program runs from position 0 only.  Preorder lists the splits from 0 before
+those of the suffix, so the suffix replaces the best only when it is
+strictly larger, and then the first optimal split is the suffix's own,
+shifted by one.  Either candidate is skipped when c times the l1 norm of
+its support cannot beat the best so far.  The breakpoints are rebuilt by
+walking the pointers, and only when a caller asks for them.
 
 Functionals realizing the norm are admissible trees: a leaf is
 (sign, coordinate), an inner node scales the sum of its successive children
@@ -187,11 +199,13 @@ def _search(spec_key, fam: RegularFamily, c: Fraction,
     magnitudes ``mags`` on ``coords``, as in ``_norm_rec``.
 
     The search stores values and argmax pointers only.  ``first`` is
-    (s, t, state) for the first optimal split in preorder: its first block
-    is [s, t), and the family state after the minima at s and t is
-    ``state``; it is None when no split beats the sup norm.  ``tails[t]``
-    maps a state to (G(t, state), next t, next state), where next t is None
-    when the block at t is the last.  ``_best_split`` walks the pointers.
+    (0, t, state) when the first optimal split in preorder starts at 0: its
+    first block is [0, t), and the family state after the minima at 0 and t
+    is ``state``.  It is (1, None, None) when that split is the suffix's,
+    the first optimal split of coords[1:], and None when no split beats the
+    sup norm.  ``tails[t]`` maps a state to (G(t, state), next t, next
+    state), where next t is None when the block at t is the last.
+    ``_best_split`` walks the pointers, or searches the suffix for its split.
     """
     n = len(mags)
     p, q = c.numerator, c.denominator
@@ -242,12 +256,20 @@ def _search(spec_key, fam: RegularFamily, c: Fraction,
                 found = v, t, nxt
         return found
 
-    for s in range(n - 1):
-        if p * unit[1] * sum(mags[s:]) <= best:
-            break  # c * l1 bounds the splits from s on: none can beat best
-        found = later(s, member_start(fam, coords[s]), None)
+    # c * l1 bounds the splits of x, and of its suffix x[1:]: a candidate
+    # whose bound cannot beat best is not searched
+    l1 = unit[1] * sum(mags)
+    if p * l1 > best:
+        found = later(0, member_start(fam, coords[0]), None)
         if found is not None and p * found[0] > best:
-            best, first = p * found[0], (s,) + found[1:]
+            best, first = p * found[0], (0,) + found[1:]
+        # the splits whose first block starts at s >= 1 are the suffix's
+        if p * (l1 - unit[1] * mags[0]) > best:
+            rest = blocks[1][n]
+            if rest is None:
+                rest = block(1, n)
+            if q * rest > best:
+                best, first = q * rest, (1, None, None)
     return best, first, tails
 
 
@@ -256,11 +278,16 @@ def _best_split(spec_key, fam: RegularFamily, c: Fraction,
     """(q^(n-1) * norm, breakpoints) of the vector with positive integer
     magnitudes ``mags`` on ``coords``, as in ``_norm_rec``.  The breakpoints
     are the positions where the blocks of the first optimal split in
-    preorder start, or None when no split beats the sup norm."""
+    preorder start, or None when no split beats the sup norm.  When that
+    split is the suffix's, they are the suffix's breakpoints shifted by
+    one."""
     value, first, tails = _search(spec_key, fam, c, coords, mags)
     if first is None:
         return value, None
     s, t, state = first
+    if t is None:  # the suffix's split
+        split = _best_split(spec_key, fam, c, coords[1:], mags[1:])[1]
+        return value, tuple(b + 1 for b in split)
     split = [s]
     while t is not None:
         split.append(t)

@@ -257,6 +257,24 @@ def test_verify_detects_tampering(built, tmp_path):
         main(["verify", "--build", str(out3)])
 
 
+@pytest.mark.parametrize("command", ["verify", "augment"])
+def test_recorded_config_rejected_in_one_line(built, tmp_path, command):
+    # the manifest is not hash-checked, so a config edited there by hand (or
+    # recorded before a check existed) is checked as a build's config is
+    _, _, out = built
+    out3 = tmp_path / "edited"
+    shutil.copytree(out, out3)
+    manifest = json.loads((out3 / "manifest.json").read_text())
+    manifest["config"]["theta"] = "1/2"
+    (out3 / "manifest.json").write_text(json.dumps(manifest))
+    extra = (["--suite", "projection-norms"] if command == "verify"
+             else ["--out", str(tmp_path / "aug")])
+    with pytest.raises(SystemExit,
+                       match="^config rejected: theta must satisfy "
+                             "0 < theta < 1/2$"):
+        main([command, "--build", str(out3)] + extra)
+
+
 def test_augment_detects_tampering(built, tmp_path):
     root, cfg, out = built
     out3 = tmp_path / "tampered"

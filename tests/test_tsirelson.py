@@ -87,12 +87,52 @@ def test_best_split_matches_dfs(spec):
         cases.append((coords, halves))
     cases += [(coords, (2,) * size) for size in range(2, 7)
               for coords in itertools.combinations(range(1, 10), size)]
+    # one or two small entries before a flat run: under S_1 and S_2 the first
+    # optimal split then can skip two or more positions, a split the search
+    # reads from the suffix of its suffix
+    cases += [(tuple(range(1, n + 1)), (1,) * k + (16,) * (n - k))
+              for n in range(3, 11) for k in (1, 2)]
+    nested = 0
     for coords, halves in cases:
         items = tuple((i, F(h, 2)) for i, h in zip(coords, halves))
         value, split = tsirelson._best_split(spec.key(), spec.family, spec.c,
                                              coords, halves)
         value = F(value, 2 * spec.c.denominator ** (len(coords) - 1))
         assert (value, split) == bf_best_split(items, spec), items
+        nested += split is not None and split[0] >= 2
+    if spec.family in (S1, schreier(2)) and spec.c >= F(1, 3):
+        assert nested
+
+
+def test_search_starts_one_first_block(fresh_memos, monkeypatch):
+    # each search starts the family state of a first block once, at the
+    # first coordinate: the splits that skip it are read from the suffix's
+    # memo entry, not searched again
+    search, start = tsirelson._search, tsirelson.member_start
+    open_searches, starts = [], []
+
+    def counted_search(*args):
+        open_searches.append(0)
+        try:
+            return search(*args)
+        finally:
+            starts.append(open_searches.pop())
+
+    def counted_start(fam, i):
+        open_searches[-1] += 1
+        return start(fam, i)
+
+    monkeypatch.setattr(tsirelson, "_search", counted_search)
+    monkeypatch.setattr(tsirelson, "member_start", counted_start)
+    rng = random.Random(23)
+    for spec in (HALF, TsirelsonSpec(schreier(2), F(1, 3))):
+        for n in range(2, 9):
+            coords = tuple(range(1, n + 1))
+            tsirelson._best_split(spec.key(), spec.family, spec.c,
+                                  coords, (1,) * n)
+            tsirelson._norm_rec(spec.key(), spec.family, spec.c, coords,
+                                tuple(rng.randint(1, 8) for _ in coords))
+    assert max(starts) == 1
 
 
 def test_norm_homogeneous_and_memo_keyed_by_direction():
