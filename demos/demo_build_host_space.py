@@ -38,10 +38,12 @@ print("coding checks       :", verify_coding(eb).ok)
 print("schema checks       :", bdcore.validate_schema(eb.bd).ok)
 print("analysis identity   :", bdcore.verify_analysis(eb.bd).ok)
 
-theta = 2 * c
+theta, m = bdcore.decomposition_constant(eb.bd)
 const = bdcore.compute_constants(eb.bd, theta)
-print(f"\nprojection norms exact: {const.ok}; computed decomposition bound "
-      f"{const.details['M_computed']} <= 2")
+print(f"\nweight split at theta* = {theta}: a priori decomposition bound "
+      f"M = {m}")
+print(f"projection norms exact: {const.ok}; computed decomposition bound "
+      f"{const.details['M_computed']} <= {m}")
 
 for m in (1, 2, 4, 7):
     rep = bdcore.verify_extension_isometry(eb.bd, m)

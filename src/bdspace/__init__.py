@@ -23,7 +23,7 @@ from .decomp import (CDecomposition, NormingSetD, SeedSpace,
                      tsirelson_seed)
 from .bdcore import (AnalysisRecord, BDBuild, BuildError, Report, Verdict,
                      compute_constants, condition_weight_split,
-                     decomposition_bound, validate_schema, verify_analysis,
+                     decomposition_constant, validate_schema, verify_analysis,
                      verify_dual_norms, verify_extension_compatibility,
                      verify_extension_isometry)
 from .construction import (EmbeddingBuild, build_embedding, embed_phi,

@@ -41,9 +41,9 @@ from typing import Sequence
 
 from . import lp
 from .bdcore import (BDBuild, BuildError, Gamma0, Report, Verdict,
-                     apriori_bound, extension_columns, row_l1_max,
-                     split_theta)
+                     decomposition_constant, extension_columns, row_l1_max)
 from .construction import EmbeddingBuild, embed_phi
+from .decomp import WEIGHT_CAP
 from .exact import FinVec
 from .families import is_admissible, is_spread
 from .tsirelson import (TsirelsonSpec, norming_functional, tree_support,
@@ -114,8 +114,9 @@ class AugmentedBuild:
         self.base = base
         self.vspec = vspec
         self.c_aug = Fraction(c_aug)
-        if not (0 < self.c_aug <= Fraction(1, 16)):
-            raise BuildError("augmentation weight must satisfy 0 < c <= 1/16")
+        if not (0 < self.c_aug <= WEIGHT_CAP):
+            raise BuildError(
+                f"augmentation weight must satisfy 0 < c <= {WEIGHT_CAP}")
         self.mode = mode
         self.bd = BDBuild(base.bd.universe + ":aug")
         self.theta: dict[int, ThetaInfo] = {}
@@ -186,19 +187,11 @@ class AugmentedBuild:
     def psi_of_seed(self, x_seed: FinVec) -> FinVec:
         return self.psi(self.to_merged(embed_phi(self.base, x_seed)))
 
-    def decomposition_constant(self) -> tuple[Fraction, Fraction | None]:
-        """(theta*, M) of the merged build as it stands: the least theta at
-        which its weight split holds (``bdcore.split_theta``), and the a
-        priori bound M = ``apriori_bound(theta*)``, or None when theta* >=
-        1/2 and no a priori bound applies."""
-        theta = split_theta(self.bd)
-        return theta, apriori_bound(theta) if theta < Fraction(1, 2) else None
-
     # -- dense sets ------------------------------------------------------------------
 
     def density_bound(self, n: int, m: Fraction) -> Fraction:
         """Registered vectors must approximate their targets to within
-        eps_{n+1} / (2 M + 4), M from ``decomposition_constant``."""
+        eps_{n+1} / (2 M + 4), M from ``bdcore.decomposition_constant``."""
         eps_seq = self.base.seed.eps_seq
         return eps_seq[min(n, len(eps_seq) - 1)] / (2 * m + 4)
 
@@ -224,7 +217,7 @@ class AugmentedBuild:
 
     def dense_set_ledger(self) -> list[dict]:
         """The registry as JSON, each entry with its bound after the lift."""
-        m = self.decomposition_constant()[1]
+        m = decomposition_constant(self.bd)[1]
         return [{"interval": [b.k, b.n], "l1": _enc(b.vec.l1()),
                  "proximity": _enc(b.proximity),
                  "bound": _enc(None if b.proximity is None or m is None
@@ -532,7 +525,7 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
                 or row_l1_max(images) > 1):
             rep.violations.append(f"psi not isometric on a stage-{j} pattern")
     # registered dense-set vectors lie within the bound of their targets
-    theta_star, m = aug.decomposition_constant()
+    theta_star, m = decomposition_constant(aug.bd)
     for i, b in enumerate(aug.bentries):
         if b.proximity is None:
             continue
@@ -680,8 +673,8 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
 
         c (1 - eps) delta_0' / (2 M) * || sum alpha_j v_{q_j} ||,
 
-    with (theta*, M) the ``decomposition_constant`` of the merged build
-    after the lift; both go into the certificate.  When theta* >= 1/2 no a
+    with (theta*, M) from ``bdcore.decomposition_constant`` on the merged
+    build after the lift; both go into the certificate.  When theta* >= 1/2 no a
     priori M exists and the certificate is INCONCLUSIVE.
 
     Blocks must carry their values on every currently built coordinate
@@ -736,7 +729,7 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     cross = sum((aug.c_aug * betas[q] * a * windows[q].zstar.pair(z)
                  for a, z, q in zip(alphas, blocks, qs) if q in windows),
                 Fraction(0))
-    theta_star, m = aug.decomposition_constant()
+    theta_star, m = decomposition_constant(aug.bd)
     bound, detail = None, ""
     if m is not None:
         eps = aug.base.seed.eps

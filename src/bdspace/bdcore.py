@@ -41,7 +41,7 @@ linear identities on a basis, operator norms exactly from columns.
    theta-split bound C_n <= max(2 theta/(1-2 theta), C_n(theta));
  * the weight condition (each type-1 weight is <= theta unless b* is a unit
    vector with vanishing correction), which caps the decomposition constant
-   at max(1/(1-2 theta), 2);
+   at M = max(1/(1-2 theta), 2), derived by ``decomposition_constant``;
  * extension operators J_m: isometry on sup-normed stage patterns, and the
    compatibility and restriction identities;
  * idempotence of the interval projections P*_(k,m];
@@ -477,9 +477,11 @@ def split_theta(build: BDBuild) -> Fraction:
 
 def condition_weight_split(build: BDBuild, theta) -> Report:
     """Each type-1 weight is <= theta unless its b* is exempt (see
-    ``_split_weights``)."""
+    ``_split_weights``), for a theta < 1/2: no larger one bounds M."""
     theta = Fraction(theta)
     rep = Report("weight-split", details={"theta": theta})
+    if not theta < Fraction(1, 2):
+        rep.violations.append(f"theta = {theta} >= 1/2: no a priori M")
     for g, beta in _split_weights(build):
         if beta > theta:
             rep.violations.append(
@@ -548,12 +550,12 @@ def apriori_bound(theta: Fraction) -> Fraction:
     return max(1 / (1 - 2 * theta), Fraction(2))
 
 
-def decomposition_bound(build: BDBuild, theta) -> Fraction:
-    """``apriori_bound(theta)``, after checking the weight split."""
-    theta = Fraction(theta)
-    if not condition_weight_split(build, theta).ok:
-        raise BuildError("weight split fails; no a priori bound applies")
-    return apriori_bound(theta)
+def decomposition_constant(build: BDBuild) -> tuple[Fraction, Fraction | None]:
+    """(theta*, M) of the build, the one place both are derived: theta* =
+    ``split_theta`` and M = ``apriori_bound(theta*)``, or None when theta*
+    >= 1/2 and no a priori bound applies."""
+    theta = split_theta(build)
+    return theta, apriori_bound(theta) if theta < Fraction(1, 2) else None
 
 
 def extension_columns(build: BDBuild, m: int, ts) -> list[FinVec]:

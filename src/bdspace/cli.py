@@ -121,11 +121,11 @@ def load_config(path: str) -> dict:
 def check_config(cfg: dict) -> dict:
     """``cfg`` if it parses, else one ``config rejected`` line naming what
     is wrong.  The rules on c, eps and eps_seq are ``SeedSpace``'s, and
-    ``realize_seed`` reports them.  The keys only ``verify`` reads, theta
-    and those of ``_upper_target``, are read here too, so that a build never
-    records a config its verify cannot read.  ``verify`` and ``augment``
-    check the config a build recorded as well: the manifest holding it is
-    not hash-checked."""
+    ``realize_seed`` reports them.  The keys only ``verify`` reads, those of
+    ``_upper_target``, are read here too, so that a build never records a
+    config its verify cannot read; theta, which ``verify`` derives from the
+    build, is refused, not ignored.  ``verify`` and ``augment`` check the
+    config a build recorded as well: its manifest is not hash-checked."""
     errors = []
     seed = cfg.get("seed", {})
     if seed.get("kind") not in ("tsirelson", "explicit"):
@@ -141,15 +141,14 @@ def check_config(cfg: dict) -> dict:
             errors.append(f"{key} must be a positive integer")
     values = [("seed.c", seed.get("c", 0)), ("eps", cfg.get("eps", 0))]
     values += [("eps_seq", e) for e in cfg.get("eps_seq", ())]
-    values += [(k, cfg[k]) for k in ("theta", "upper_c", "upper_C") if k in cfg]
+    values += [(k, cfg[k]) for k in ("upper_c", "upper_C") if k in cfg]
     for key, value in values:
         try:
-            v = _frac(value)
+            _frac(value)
         except (ValueError, TypeError, ZeroDivisionError):
             errors.append(f"{key} takes a rational such as 1/2, not {value!r}")
-            continue
-        if key == "theta" and not 0 < v < Fraction(1, 2):  # a priori bound
-            errors.append("theta must satisfy 0 < theta < 1/2")
+    if "theta" in cfg:
+        errors.append("theta is derived from the build, not set in the config")
     if not errors:
         try:
             _upper_target(cfg)
@@ -313,21 +312,30 @@ def cmd_augment(args) -> int:
 
 def _suite_runners(seed, D, eb, cfg):
     """Suite name -> a call returning the suite's reports.  Each report
-    carries its own verdict; nothing here judges one."""
+    carries its own verdict; nothing here judges one.  theta* and M are the
+    build's (``bdcore.decomposition_constant``); with no M, the suites that
+    use it are INCONCLUSIVE."""
     bd = eb.bd
-    theta = _frac(cfg.get("theta", 2 * seed.c))
+    theta, M = bdcore.decomposition_constant(bd)
     upper, upper_C = _upper_target(cfg)
+
+    def given_m(name, check):
+        return lambda: [check() if M is not None else bdcore.Report(
+            name, unsettled=bdcore.Verdict.INCONCLUSIVE,
+            reason=f"theta* = {theta} >= 1/2: no a priori M")]
+
     return {
         "schema": lambda: [bdcore.validate_schema(bd)],
         "weight-split": lambda: [bdcore.condition_weight_split(bd, theta)],
-        "projection-norms": lambda: [bdcore.compute_constants(bd, theta)],
+        "projection-norms": given_m("projection-norms", lambda:
+                                    bdcore.compute_constants(bd, theta)),
         "isometry": lambda: [bdcore.verify_extension_isometry(bd, m)
                              for m in sorted(bd.stages)],
         "compat": lambda: [bdcore.verify_extension_compatibility(bd)],
         "analysis": lambda: [bdcore.verify_analysis(bd)],
         "idempotence": lambda: [bdcore.verify_projection_idempotence(bd)],
-        "dual-norms": lambda: [bdcore.verify_dual_norms(
-            bd, bdcore.decomposition_bound(bd, theta))],
+        "dual-norms": given_m("dual-norm-band", lambda:
+                              bdcore.verify_dual_norms(bd, M)),
         "coding": lambda: [verify_coding(eb)] + [
             check_block_rank_order(eb, j)
             for j in range(1, eb.nblocks_covered() + 1)],

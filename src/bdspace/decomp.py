@@ -40,6 +40,8 @@ from .exact import FinVec
 from .families import RegularFamily
 from .tsirelson import TsirelsonSpec, build_dual_norming_set, vstar_norm
 
+WEIGHT_CAP = Fraction(1, 16)  # the largest weight c of a seed or augmentation
+
 
 def _pow2_at_least(x: Fraction) -> int:
     k = 1
@@ -116,8 +118,8 @@ class SeedSpace:
         self.ncoords = self.offsets[-1] - 1
         self.c = Fraction(c)
         self.eps = Fraction(eps)
-        if not (0 < self.eps < self.c <= Fraction(1, 16)):
-            raise SeedSpaceError("need 0 < eps < c <= 1/16")
+        if not (0 < self.eps < self.c <= WEIGHT_CAP):
+            raise SeedSpaceError(f"need 0 < eps < c <= {WEIGHT_CAP}")
         self.eps_seq = ([Fraction(e) for e in eps_seq] if eps_seq is not None
                         else default_eps_seq(self.eps, self.nblocks))
         if len(self.eps_seq) != self.nblocks:

@@ -46,6 +46,7 @@ proof.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -70,25 +71,23 @@ def _cnf(ordinal) -> tuple[tuple[int, int], ...]:
 
 
 class RegularFamily:
-    """Immutable descriptor with a memoized membership oracle."""
+    """Immutable descriptor with a memoized membership oracle.  Families
+    are interned, one object per (kind, payload) while referenced (the
+    table holds them weakly), so every cache compares them by identity."""
 
-    __slots__ = ("kind", "payload", "_hash")
+    __slots__ = ("kind", "payload", "__weakref__")
+    _interned = weakref.WeakValueDictionary()
 
-    def __init__(self, kind: str, payload):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-        # families key every membership cache: hash once, not per lookup
-        object.__setattr__(self, "_hash", hash((kind, payload)))
+    def __new__(cls, kind: str, payload):
+        fam = cls._interned.get((kind, payload))
+        if fam is None:
+            fam = cls._interned[kind, payload] = object.__new__(cls)
+            object.__setattr__(fam, "kind", kind)
+            object.__setattr__(fam, "payload", payload)
+        return fam
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RegularFamily is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, RegularFamily)
-                and self.kind == other.kind and self.payload == other.payload)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"RegularFamily({self.kind}, {self.payload!r})"

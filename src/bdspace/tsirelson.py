@@ -224,13 +224,8 @@ def _search(spec_key, fam: RegularFamily, c: Fraction,
         blocks[s][s + 1] = unit[1] * mags[s]
 
     def block(s: int, t: int) -> int:
-        sub = mags[s:t]  # as _norm_rec, with its memo hit inlined
-        g = gcd(*sub)
-        sub = tuple(m // g for m in sub) if g > 1 else sub
-        got = _norm_memo.get((spec_key, profile_key(fam, coords[s:t]), sub))
-        if got is None:
-            got = _norm_rec(spec_key, fam, c, coords[s:t], sub)
-        v = blocks[s][t] = unit[t - s] * g * got
+        v = blocks[s][t] = unit[t - s] * _norm_rec(spec_key, fam, c,
+                                                   coords[s:t], mags[s:t])
         return v
 
     def later(s: int, state, found):

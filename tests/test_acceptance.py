@@ -83,7 +83,8 @@ def test_criterion_2_projection_norm_ladder(acc_build, aug_paper):
         for (m, n), val in rep.details["prefix_norms"].items():
             assert val <= 1 + cn[n]
         assert rep.details["M_computed"] <= 2
-        assert bdcore.decomposition_bound(bd, theta) == 2
+        assert bdcore.apriori_bound(theta) == 2
+        assert bdcore.decomposition_constant(bd) == (0, 2), label
     report(2, "||P*_[1,m]|| <= 1 + C_n, theta-split bounds, and M <= 2 "
               "exact on the base build and its augmentation")
 

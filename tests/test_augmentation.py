@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from bdspace import augmentation, bdcore, lp
+from bdspace import bdcore, cli, lp
 from bdspace.augmentation import (AugmentedBuild, Window,
                                   _annihilating_witness, _hull_distance,
                                   certify_lower_estimate,
@@ -265,7 +266,7 @@ def test_certificate_records_derived_m(aug_half):
     cert = certify_lower_estimate(aug_half, blocks)
     assert cert.status == "PASS"
     assert (cert.theta_star, cert.m_bound) == (F(1, 32), 2)
-    assert aug_half.decomposition_constant() == (F(1, 32), 2)
+    assert bdcore.decomposition_constant(aug_half.bd) == (F(1, 32), 2)
     obj = cert.to_json_obj()
     assert (obj["theta_star"], obj["M"]) == ([1, 32], [2, 1])
 
@@ -275,7 +276,7 @@ def test_certificate_inconclusive_when_weight_split_fails(aug_half):
     # so no a priori M exists: the certificate names theta* and has no bound
     wins = carrier_windows(aug_half)
     lift_dual_functional(aug_half, nested_tree(sorted(wins)), wins)
-    assert aug_half.decomposition_constant() == (F(1, 2), None)
+    assert bdcore.decomposition_constant(aug_half.bd) == (F(1, 2), None)
     ths = [t for t, th in aug_half.theta.items() if th.vcode.kind == "d0"]
     cert = certify_lower_estimate(
         aug_half, [aug_half.carrier_block(t) for t in ths])
@@ -290,6 +291,28 @@ def test_certificate_inconclusive_when_weight_split_fails(aug_half):
     assert "theta* = 1/2" in rep.reason
 
 
+def test_verify_suites_name_theta_star_when_weight_split_fails(
+        acc_build, acc_D, aug_half):
+    # verify derives (theta*, M) from the build it is given: on the merged
+    # build after the nested lift theta* = 1/2, so weight-split FAILs, the
+    # suites that need M are INCONCLUSIVE, and each names theta*
+    wins = carrier_windows(aug_half)
+    lift_dual_functional(aug_half, nested_tree(sorted(wins)), wins)
+    eb = dataclasses.replace(acc_build, bd=aug_half.bd)
+    runners = cli._suite_runners(acc_build.seed, acc_D, eb, {})
+    got = {name: runners[name]() for name in
+           ("weight-split", "projection-norms", "dual-norms")}
+    assert {name: [r.verdict for r in reps] for name, reps in got.items()} == {
+        "weight-split": ["FAIL"], "projection-norms": ["INCONCLUSIVE"],
+        "dual-norms": ["INCONCLUSIVE"]}
+    split, = got["weight-split"]
+    assert split.details["theta"] == F(1, 2)
+    assert split.violations == ["theta = 1/2 >= 1/2: no a priori M"]
+    for name in ("projection-norms", "dual-norms"):
+        rep, = got[name]
+        assert rep.violations == [] and "theta* = 1/2" in rep.reason, name
+
+
 def test_decomposition_constant_once_per_ledger_and_verification(
         aug_half, monkeypatch):
     # (theta*, M) is derived once for the whole ledger and once per
@@ -298,11 +321,12 @@ def test_decomposition_constant_once_per_ledger_and_verification(
     carriers(aug_half)
     assert sum(b.proximity is not None for b in aug_half.bentries) > 2
     calls = []
+    split_theta = bdcore.split_theta
 
     def counted(bd):
         calls.append(bd)
-        return bdcore.split_theta(bd)
-    monkeypatch.setattr(augmentation, "split_theta", counted)
+        return split_theta(bd)
+    monkeypatch.setattr(bdcore, "split_theta", counted)
     ledger = aug_half.dense_set_ledger()
     assert len(calls) == 1
     assert all(e["bound"] is not None for e in ledger
@@ -317,8 +341,8 @@ def test_dense_set_bound_fault_injection(aug_half):
     aug_half.make_carrier(2)
     assert verify_augmentation(aug_half).verdict == "PASS"
     entry = aug_half.bentries[0]
-    bound = aug_half.density_bound(entry.n,
-                                   aug_half.decomposition_constant()[1])
+    bound = aug_half.density_bound(
+        entry.n, bdcore.decomposition_constant(aug_half.bd)[1])
     assert bound == aug_half.base.seed.eps_seq[entry.n] / 8
     off = next(iter(entry.vec.support()))
     near = entry.vec + FinVec(aug_half.bd.universe, {off: bound})

@@ -137,9 +137,20 @@ def test_weight_split_and_apriori_bound():
     bd, _ = tiny_build()
     rep = bdcore.condition_weight_split(bd, F(1, 4))
     assert rep.ok  # weights 1/8, 1/8 <= 1/4; weight 1/2 exempt via b* = e*_d
-    assert bdcore.decomposition_bound(bd, F(1, 4)) == 2
+    assert bdcore.apriori_bound(F(1, 4)) == 2
+    assert bdcore.decomposition_constant(bd) == (F(1, 8), 2)
     rep = bdcore.condition_weight_split(bd, F(1, 16))
     assert not rep.ok  # 1/8 > 1/16 and its b* is not exempt
+
+
+def test_weight_split_needs_theta_below_half():
+    # every weight of the tiny build is below 3/4, yet no theta >= 1/2
+    # bounds the decomposition constant, so the split FAILs there
+    bd, _ = tiny_build()
+    for theta in (F(1, 2), F(3, 4)):
+        rep = bdcore.condition_weight_split(bd, theta)
+        assert rep.violations == [f"theta = {theta} >= 1/2: no a priori M"]
+    assert bdcore.condition_weight_split(bd, F(1, 8)).ok
 
 
 def test_apriori_bound_has_one_home():
@@ -148,8 +159,11 @@ def test_apriori_bound_has_one_home():
     assert bdcore.apriori_bound(theta) == 2
     assert bdcore.apriori_bound(F(3, 8)) == 4  # 1/(1 - 3/4)
     rep = bdcore.compute_constants(bd, theta)
-    assert rep.details["M_bound_apriori"] == bdcore.decomposition_bound(
-        bd, theta) == bdcore.apriori_bound(theta)
+    assert bdcore.condition_weight_split(bd, theta).ok
+    assert rep.details["M_bound_apriori"] == bdcore.apriori_bound(theta)
+    theta_star = bdcore.split_theta(bd)
+    assert bdcore.decomposition_constant(bd) == (
+        theta_star, bdcore.apriori_bound(theta_star))
 
 
 def test_report_verdict():
@@ -226,7 +240,7 @@ def test_extension_compatibility_fault_injection(monkeypatch):
 
 def test_extension_norm_bound():
     bd, _ = tiny_build()
-    mbound = bdcore.decomposition_bound(bd, F(1, 4))
+    mbound = bdcore.decomposition_constant(bd)[1]
     rng = random.Random(9)
     for _ in range(30):
         m = rng.choice(list(bd.stages))
@@ -261,7 +275,7 @@ def test_analysis_partial_coefficients():
 
 def test_dual_norm_band():
     bd, _ = tiny_build()
-    m = bdcore.decomposition_bound(bd, F(1, 4))
+    m = bdcore.decomposition_constant(bd)[1]
     rep = bdcore.verify_dual_norms(bd, m)
     assert rep.ok, rep.violations
     jn = rep.details["||J_n||"]
@@ -274,7 +288,7 @@ def test_dual_norm_band_projection_fault_injection(monkeypatch):
     # cannot see it (the restriction to (m,n] drops the mass, the faulty
     # projection adds it back); the bound l1(P* y*) <= 2M^2 l1(y*) does
     bd, ids = tiny_build()
-    m = bdcore.decomposition_bound(bd, F(1, 4))
+    m = bdcore.decomposition_constant(bd)[1]
     project = bd.project
 
     def faulty(v, k, n):
@@ -301,7 +315,7 @@ def test_dual_norm_band_to_d_fault_injection(monkeypatch):
         return out + FinVec("bd:tiny", {d: 1}) if v == bd.estar(f) else out
 
     monkeypatch.setattr(bd.bc, "to_d", faulty)
-    rep = bdcore.verify_dual_norms(bd, bdcore.decomposition_bound(bd, F(1, 4)))
+    rep = bdcore.verify_dual_norms(bd, bdcore.decomposition_constant(bd)[1])
     assert rep.verdict is bdcore.Verdict.FAIL
     assert rep.violations == ["||J_2|| = 1 != ||P*_[1,2]|| = 2",
                               "||J_3|| = 221/192 != ||P*_[1,3]|| = 2"]

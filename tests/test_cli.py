@@ -118,22 +118,19 @@ def test_config_rejected_by_seed_rules(tmp_path, change, why):
     ({"upper_family": "schreier:x"},
      "upper_family, upper_c: unknown family 'schreier:x'"),
     ({"upper_c": "2"}, "upper_family, upper_c: weight must satisfy 0 < c < 1"),
-    ({"theta": "1/0"}, "theta takes a rational such as 1/2, not '1/0'"),
-    ({"theta": "1/2"}, "theta must satisfy 0 < theta < 1/2"),
-    ({"theta": "0"}, "theta must satisfy 0 < theta < 1/2"),
-    ({"theta": [-1, 8]}, "theta must satisfy 0 < theta < 1/2"),
+    ({"theta": "1/8"}, "theta is derived from the build, not set in the config"),
     ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
     ({"stage_caps": {"5": 1, "6": 1}}, "stage_caps must be a positive integer"),
     ({"stage_caps": "abc"}, "stage_caps must be a positive integer"),
     ({"size_cap": "abc"}, "size_cap must be a positive integer")],
-    ids=["upper_C", "upper_family", "upper_c", "theta", "theta-half",
-         "theta-zero", "theta-negative", "stage_bound",
+    ids=["upper_C", "upper_family", "upper_c", "theta", "stage_bound",
          "stage_caps-dict", "stage_caps", "size_cap"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
     # keys that only verify reads are parsed when the build starts, so a
     # build never records a config whose verify would end in a traceback;
     # the caps, once read only by the build, never pruned (a JSON object)
-    # or ended in a traceback
+    # or ended in a traceback; theta, which verify derives from the build,
+    # is refused rather than ignored
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(CONFIG, **change)))
     with pytest.raises(SystemExit, match=f"^config rejected: {why}$"):
@@ -270,8 +267,8 @@ def test_recorded_config_rejected_in_one_line(built, tmp_path, command):
     extra = (["--suite", "projection-norms"] if command == "verify"
              else ["--out", str(tmp_path / "aug")])
     with pytest.raises(SystemExit,
-                       match="^config rejected: theta must satisfy "
-                             "0 < theta < 1/2$"):
+                       match="^config rejected: theta is derived from the "
+                             "build, not set in the config$"):
         main([command, "--build", str(out3)] + extra)
 
 

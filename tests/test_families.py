@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -107,7 +109,26 @@ def test_schreier_limit_ordinal():
 def test_json_round_trip():
     for fam in (S1, SW2, singleton_plus_pair(S1),
                 explicit([{1, 2}]), max_union([S1, S2])):
-        assert RegularFamily.from_json_obj(fam.to_json_obj()) == fam
+        assert RegularFamily.from_json_obj(fam.to_json_obj()) is fam
+
+
+def test_families_are_interned_and_held_weakly():
+    # one object per (kind, payload), whichever way it is described, so
+    # every cache a family keys compares it by identity
+    assert schreier(1) is schreier(1) is S1
+    assert schreier([(0, 1)]) is S1
+    assert explicit([{2, 1}, {1, 2}, [3]]) is explicit([[3], {1, 2}])
+    assert max_union([S1, singleton_plus_pair(S2)]) is max_union(
+        (schreier(1), singleton_plus_pair(schreier(2))))
+    assert schreier(2) is not S1 and max_union([S1]) is not S1
+    # a family no one refers to is collected, and its entry goes with it
+    fam = explicit([{101, 202, 303}])
+    ref = weakref.ref(fam)
+    key = ("explicit", fam.payload)
+    assert RegularFamily._interned[key] is fam
+    del fam
+    gc.collect()
+    assert ref() is None and key not in RegularFamily._interned
 
 
 @settings(max_examples=50, deadline=None)
