@@ -310,12 +310,13 @@ def cmd_augment(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_runners(seed, D, eb, cfg):
-    """Suite name -> a call returning the suite's reports.  Each report
-    carries its own verdict; nothing here judges one.  theta* and M are the
-    build's (``bdcore.decomposition_constant``); with no M, the suites that
-    use it are INCONCLUSIVE."""
-    bd = eb.bd
+def _suite_runners(eb, cfg):
+    """Suite name -> a call returning the suite's reports on the build
+    ``eb`` (its seed, norming set D and BD build).  Each report carries its
+    own verdict; nothing here judges one.  theta* and M are the build's
+    (``bdcore.decomposition_constant``); with no M, the suites that use it
+    are INCONCLUSIVE."""
+    bd, D = eb.bd, eb.D
     theta, M = bdcore.decomposition_constant(bd)
     upper, upper_C = _upper_target(cfg)
 
@@ -343,7 +344,7 @@ def _suite_runners(seed, D, eb, cfg):
         "embedding": lambda: [verify_embedding(eb)],
         "cuts": lambda: [verify_cuts(eb)],
         "upper-estimates": lambda: [check_subsequential_upper(
-            [m.vec for m in D.members], seed, upper, upper_C).report()],
+            [m.vec for m in D.members], eb.seed, upper, upper_C).report()],
     }
 
 
@@ -356,8 +357,7 @@ def _verdict_line(r: dict) -> str:
 
 def cmd_verify(args) -> int:
     cfg = check_config(_load_manifest(args.build)["config"])
-    seed, D, eb = realize_build(cfg)
-    runners = _suite_runners(seed, D, eb, cfg)
+    runners = _suite_runners(realize_build(cfg)[2], cfg)
     if args.suite and args.suite not in runners:
         raise SystemExit(f"unknown suite {args.suite!r}; have {sorted(runners)}")
     names = [args.suite] if args.suite else sorted(runners)

@@ -74,7 +74,7 @@ class SeedSpace:
     The two are equal exactly when ||sign f|| = 1, and then the common value
     is ||f||_*: it is as exact as the LP, not an approximation.  Only when
     they differ does an LP run, with one column per member of +-G (its
-    equality matrix built once per generator set), posed as maximizing
+    equality matrix built when the first LP runs), posed as maximizing
     -sum(lambda) so that ``lp.check`` certifies the answer before it is
     returned: the primal weights are >= 0, represent f and sum to the value
     v (so ||f||_* <= v), and the dual point y has g(y) >= -1 for every
@@ -82,13 +82,15 @@ class SeedSpace:
     f(y) = -v (so -y is in the unit ball and ||f||_* >= v).  A mismatch
     raises ``lp.CertificateError``.
 
-    The given generators are reduced to G' = { g in G : ||g||_* = 1 }, each
-    decided over the full +-G: dropped when its upper bound is < 1 (its
-    lower bound is then never computed, which matters when G is large),
-    kept when its lower bound is >= 1 (g in G already gives ||g||_* <= 1),
-    and measured by the LP only when neither bound decides.  The kept ones stay
-    in their order, and ``norming`` holds only them.  This changes no norm
-    and no output:
+    The given generators are reduced to G' = { g in G : ||g||_* = 1 } in
+    one pass.  First every g whose upper bound is < 1 is dropped, before
+    any dedup, sort or LP; the +-e*_i that the bound needs have l1 = 1, so
+    none of them is dropped.  The survivors S are deduped and sorted by
+    entries, and each is kept when its lower bound is >= 1 (g in G already
+    gives ||g||_* <= 1), or else when the LP over +-S gives 1.  That is
+    exact: G' is contained in S, so S has the primal norm and the dual
+    ball of G (below).  The kept ones stay in their order, and ``norming``
+    holds only them.  This changes no norm and no output:
 
      * a g with ||g||_* < 1 never attains max |g(x)| in ``primal_norm``
        (|g(x)| <= ||g||_* ||x|| < ||x|| for x != 0), so the primal norm, the
@@ -131,22 +133,23 @@ class SeedSpace:
                 raise SeedSpaceError("eps_i tails must drop below eps_n / 2")
         self.unconditional = bool(unconditional)
 
-        vecs = []
+        # the reduction to G' (class docstring); while the survivors are
+        # decided, primal_norm and the LP read them as ``norming``
+        self._unit_coords = {g.support()[0] for g in norming
+                             if len(g) == 1 and g.l1() == 1}
+        kept = set()
         for g in norming:
-            if g.universe != self.universe:
-                g = FinVec(self.universe, dict(g.items()))
-            vecs.append(g)
-        seen = set()
-        gens: list[FinVec] = []
-        for g in sorted(vecs, key=lambda v: tuple(v.items())):
-            if g and g not in seen:
-                seen.add(g)
-                gens.append(g)
-        if not gens:
+            hi = self._dual_upper(g)
+            if hi is None or hi >= 1:
+                kept.add(g if g.universe == self.universe
+                         else FinVec(self.universe, dict(g.items())))
+        if not kept:
             raise SeedSpaceError("norming set must be nonempty")
         self._dual_cache: dict[FinVec, Fraction] = {}
-        self._set_generators(gens)
-        self._set_generators([g for g in gens if self._dual_unit(g)])
+        self._lp = None  # (generators, rows, costs) of the dual-norm LP
+        self.norming = sorted(kept, key=lambda v: tuple(v.items()))
+        self.norming = [g for g in self.norming
+                        if self._dual_lower(g) >= 1 or self.dual_norm(g) == 1]
 
         # scalar nets R_i = { k / K_i : 1 <= k <= K_i }, step <= eps_i / 8
         self.net_den = [_pow2_at_least(8 / e) for e in self.eps_seq]
@@ -191,24 +194,6 @@ class SeedSpace:
     def primal_norm(self, x: FinVec) -> Fraction:
         return max((abs(g.pair(x)) for g in self.norming), default=Fraction(0))
 
-    def _set_generators(self, gens: Sequence[FinVec]):
-        """Norm the space by gens: ``norming``, the columns of the dual-norm
-        LP, one per member of +-gens (g and -g each once, also when gens
-        holds both), and the coordinates i with +-e*_i among them."""
-        self.norming: list[FinVec] = list(gens)
-        cols: list[FinVec] = []
-        seen = set()
-        for g in gens:
-            for sg in (g, -g):
-                if sg not in seen:
-                    seen.add(sg)
-                    cols.append(sg)
-        self._lp_coords = sorted({i for g in cols for i in g.support()})
-        self._lp_A = [[g[i] for g in cols] for i in self._lp_coords]
-        self._lp_cost = [Fraction(-1)] * len(cols)
-        self._unit_coords = {g.support()[0] for g in cols
-                             if len(g) == 1 and g.l1() == 1}
-
     def _dual_upper(self, f: FinVec) -> Fraction | None:
         """l1(f) >= ||f||_* when every +-e*_i on supp f is a generator, else
         None (no upper bound); the argument is in the class docstring."""
@@ -223,13 +208,6 @@ class SeedSpace:
         sign = FinVec(self.universe, {i: v / abs(v) for i, v in f.items()})
         return f.l1() / self.primal_norm(sign)
 
-    def _dual_unit(self, g: FinVec) -> bool:
-        """Whether a generator g, which has ||g||_* <= 1, has ||g||_* = 1."""
-        hi = self._dual_upper(g)
-        if hi is not None and hi < 1:
-            return False
-        return self._dual_lower(g) >= 1 or self.dual_norm(g) == 1
-
     def dual_norm(self, f: FinVec) -> Fraction:
         """Exact dual norm: minimal l1 weight representing f over +-G."""
         got = self._dual_cache.get(f)
@@ -239,8 +217,6 @@ class SeedSpace:
             self._dual_cache[f] = Fraction(0)
             return Fraction(0)
         try:
-            if any(i not in self._lp_coords for i in f.support()):
-                raise lp.Infeasible  # a coordinate no generator reaches
             val = self._dual_upper(f)
             if val is None or self._dual_lower(f) != val:
                 val = self._lp_dual_norm(f)
@@ -252,10 +228,22 @@ class SeedSpace:
 
     def _lp_dual_norm(self, f: FinVec) -> Fraction:
         """The dual-norm LP, max -sum(lambda) over lambda >= 0 with
-        A lambda = f, its answer certified by ``lp.check``."""
-        b = [f[i] for i in self._lp_coords]
-        val, lam, y = lp.maximize(self._lp_cost, A_eq=self._lp_A, b_eq=b)
-        return -lp.check(self._lp_cost, val, lam, y, A_eq=self._lp_A, b_eq=b)
+        A lambda = f, its answer certified by ``lp.check``.  A has one
+        column per member of +-norming (g and -g each once, also when both
+        are generators) and is built when the first LP over the current
+        generator list runs."""
+        if self._lp is None or self._lp[0] is not self.norming:
+            cols = list(dict.fromkeys(sg for g in self.norming
+                                      for sg in (g, -g)))
+            rows = {i: [g[i] for g in cols]
+                    for i in sorted({i for g in cols for i in g.support()})}
+            self._lp = (self.norming, rows, [Fraction(-1)] * len(cols))
+        _, rows, cost = self._lp
+        if any(i not in rows for i in f.support()):
+            raise lp.Infeasible  # a coordinate no generator reaches
+        A, b = list(rows.values()), [f[i] for i in rows]
+        val, lam, y = lp.maximize(cost, A_eq=A, b_eq=b)
+        return -lp.check(cost, val, lam, y, A_eq=A, b_eq=b)
 
     # -- nets ------------------------------------------------------------------
 
@@ -357,16 +345,21 @@ def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
                    eps=None, eps_seq=None, unconditional: bool = True
                    ) -> SeedSpace:
     """Truncation of the Tsirelson space to [1, nblocks], one block per basis
-    vector, normed exactly by its admissible tree functionals."""
+    vector, normed exactly by its admissible tree functionals.
+
+    A tree's l1 is the sum over its leaves of c^depth, so a tree that is no
+    leaf has l1 <= c * (its leaf count) <= c * nblocks.  Every +-e*_i is a
+    leaf, so when c * nblocks < 1 ``SeedSpace`` would drop each such tree
+    by its l1 bound; the seed is then built from the 2 * nblocks leaves
+    alone, and from every tree otherwise."""
     c = Fraction(c)
     spec = TsirelsonSpec(family, c)
-    dns = build_dual_norming_set(spec, nblocks, nblocks)
-    uni = f"seed:{name}"
-    norming = [FinVec(uni, dict(v.items())) for v in dns.members()]
+    depth = 0 if c * nblocks < 1 else nblocks
+    dns = build_dual_norming_set(spec, depth, nblocks)
     if eps is None:
         eps = c / 2
-    return SeedSpace(name, [1] * nblocks, norming, c, eps, eps_seq=eps_seq,
-                     unconditional=unconditional)
+    return SeedSpace(name, [1] * nblocks, dns.members(), c, eps,
+                     eps_seq=eps_seq, unconditional=unconditional)
 
 
 # ---------------------------------------------------------------------------

@@ -292,14 +292,14 @@ def test_certificate_inconclusive_when_weight_split_fails(aug_half):
 
 
 def test_verify_suites_name_theta_star_when_weight_split_fails(
-        acc_build, acc_D, aug_half):
+        acc_build, aug_half):
     # verify derives (theta*, M) from the build it is given: on the merged
     # build after the nested lift theta* = 1/2, so weight-split FAILs, the
     # suites that need M are INCONCLUSIVE, and each names theta*
     wins = carrier_windows(aug_half)
     lift_dual_functional(aug_half, nested_tree(sorted(wins)), wins)
     eb = dataclasses.replace(acc_build, bd=aug_half.bd)
-    runners = cli._suite_runners(acc_build.seed, acc_D, eb, {})
+    runners = cli._suite_runners(eb, {})
     got = {name: runners[name]() for name in
            ("weight-split", "projection-norms", "dual-norms")}
     assert {name: [r.verdict for r in reps] for name, reps in got.items()} == {

@@ -158,7 +158,7 @@ def test_config_ignores_unread_keys(tmp_path):
 
 def test_suite_runners_match_benchmark_gate():
     # verify runs exactly the suites the benchmark's report gate requires
-    runners = cli._suite_runners(*cli.realize_build(CONFIG), CONFIG)
+    runners = cli._suite_runners(cli.realize_build(CONFIG)[2], CONFIG)
     assert sorted(runners) == sorted(SUITES)
 
 

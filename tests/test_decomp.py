@@ -14,6 +14,7 @@ from bdspace.decomp import (SeedSpace, SeedSpaceError, build_norming_set_D,
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
+from conftest import make_acceptance_seed
 from oracles import polytope_vertices
 
 F = Fraction
@@ -243,6 +244,76 @@ def test_dual_norm_bounds_match_full_lp(kind, monkeypatch):
         assert settled and solved
 
 
+@pytest.mark.parametrize("k, n", [(1, n) for n in range(2, 8)] + [(2, 6)],
+                         ids=[f"S1-{n}" for n in range(2, 8)] + ["S2-6"])
+def test_tsirelson_seed_cut_matches_unpruned(k, n):
+    # c * n < 1, so the seed is built from the 2n leaves alone; every other
+    # tree has l1 <= c * n < 1 and the full set must give the same seed
+    c = F(1, 16)
+    members = build_dual_norming_set(TsirelsonSpec(schreier(k), c),
+                                     n, n).members()
+    full = SeedSpace("cut", [1] * n, members, c, c / 2, unconditional=True)
+    cut = tsirelson_seed("cut", schreier(k), c, n)
+    assert cut.to_json_obj() == full.to_json_obj()
+    assert len(cut.norming) == 2 * n
+
+
+def test_seed_space_first_pass(monkeypatch):
+    # +-e*_1, +-e*_2 and (1/2, 1/2) have l1 = 1 and are kept; (1/4, 1/2)
+    # has l1 = 3/4 and goes before its lower bound is asked or an LP runs;
+    # duplicates, the zero vector and copies from another universe collapse
+    uni = "seed:fp"
+    units = [FinVec(uni, {i: s}) for i in (1, 2) for s in (1, -1)]
+    half = FinVec(uni, {1: F(1, 2), 2: F(1, 2)})
+    small = FinVec(uni, {1: F(1, 4), 2: F(1, 2)})
+    gens = units + [half, small, units[0], FinVec(uni), FinVec("nat", {2: 1}),
+                    FinVec("other", dict(half.items()))]
+    asked = []
+    lower = SeedSpace._dual_lower
+    monkeypatch.setattr(SeedSpace, "_dual_lower",
+                        lambda self, f: asked.append(f) or lower(self, f))
+    monkeypatch.setattr(lp, "maximize", None)
+    seed = SeedSpace("fp", [1, 1], gens, F(1, 16), F(1, 32))
+    assert seed.norming == [FinVec(uni, {1: -1}), half, FinVec(uni, {1: 1}),
+                            FinVec(uni, {2: -1}), FinVec(uni, {2: 1})]
+    assert small not in asked and seed._lp is None
+    assert seed.dual_norm(small) == F(3, 4)
+
+
+def test_bounds_decide_without_lp(monkeypatch):
+    # the sup-normed seeds: every generator and every restriction is decided
+    # by the bounds, so no LP runs and its matrix is never set up
+    monkeypatch.setattr(lp, "maximize", None)
+    for seed in (tsirelson_seed("t8", S1, F(1, 16), 8),
+                 make_acceptance_seed()):
+        assert seed.validate() == []
+        assert seed._lp is None
+
+
+def test_dual_norm_lp_counts_and_values(monkeypatch):
+    # (S_2, 1/2) tree functionals on 4 blocks: choosing the 28 kept of the
+    # 44 takes 16 LPs over the survivors; the dual norms after that run LPs
+    # over the 28 kept, all on one matrix built by the first of them.  The
+    # counts are those of the LP over all of +-G that this replaced
+    seen = lp_spy(monkeypatch)
+    gens = build_dual_norming_set(TsirelsonSpec(schreier(2), F(1, 2)),
+                                  4, 4).members()
+    seed = SeedSpace("s2", [1] * 4, gens, F(1, 16), F(1, 32))
+    assert (len(gens), len(seed.norming), len(seen)) == (44, 28, 16)
+    assert seed._lp[0] is not seed.norming
+    rng = random.Random(7)
+    xs = [FinVec(seed.universe, {i: F(rng.randint(-8, 8), 8) for i in
+                                 rng.sample(range(1, 5), rng.randint(1, 4))})
+          for _ in range(30)]
+    vals = [seed.dual_norm(x) for x in xs if x]
+    assert len(seen) == 16 + 8
+    assert seed.validate() == [] and len(seen) == 16 + 8 + 8
+    assert seed._lp[0] is seed.norming
+    assert len({id(A[0]) for _, A in seen[16:]}) == 1
+    assert {ncols for ncols, _ in seen[16:]} == {len(seed.norming)}
+    assert vals == [full_dual_norm(gens, x) for x in xs if x]
+
+
 def test_functional_outside_span_raises():
     # every coordinate is reached, but no combination of +-(1, 1) gives
     # e*_1 or (1, -1); sign(1, -1) even has norm 0
@@ -251,6 +322,12 @@ def test_functional_outside_span_raises():
     for f in ({1: 1}, {1: 1, 2: -1}):
         with pytest.raises(SeedSpaceError, match="outside the span"):
             seed.dual_norm(FinVec(seed.universe, f))
+    # no generator reaches coordinate 3, so the LP has no row for it and
+    # would read (1, 1, 1) as (1, 1), of dual norm 1
+    seed = SeedSpace("sp", [1, 1, 1], [FinVec("seed:sp", {1: 1, 2: 1})],
+                     F(1, 16), F(1, 32))
+    with pytest.raises(SeedSpaceError, match="outside the span"):
+        seed.dual_norm(FinVec(seed.universe, {1: 1, 2: 1, 3: 1}))
 
 
 @pytest.mark.parametrize("fault, match", [
