@@ -621,8 +621,7 @@ def _annihilating_witness(aug: AugmentedBuild, p: int, q: int,
     reps = [d.restrict(inside) for d in dvecs]
     A_eq = [row((r.pair(sx) for r in reps), zeros) for sx in aug.spanning]
     b_eq = [Fraction(0)] * len(A_eq)
-    val, sol, y = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    lp.check(obj, val, sol, y, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    val, sol, _ = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     f = FinVec(bd.universe)
     for j, d in enumerate(dvecs):
         if sol[2 * j] != sol[2 * j + 1]:
@@ -656,9 +655,7 @@ def _hull_distance(aug: AugmentedBuild, z: FinVec) -> Fraction:
     A_ub, b_ub = [[Fraction(1)] * len(obj)], [Fraction(1)]
     A_eq = [[v for i in coords for v in (s[i], -s[i])] for s in span]
     b_eq = [Fraction(0)] * len(span)
-    val, x, y = lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    return lp.check(obj, val, x, y, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
-                    b_eq=b_eq)
+    return lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)[0]
 
 
 def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],

@@ -30,7 +30,7 @@ from .decomp import (SeedSpace, build_norming_set_D,
                      tsirelson_seed, verify_norming_set)
 from .exact import FinVec
 from .families import RegularFamily, schreier
-from .tsirelson import TsirelsonSpec, tsirelson_norm
+from .tsirelson import CapExceeded, TsirelsonSpec, tsirelson_norm
 
 
 def _frac(s) -> Fraction:
@@ -161,7 +161,7 @@ def check_config(cfg: dict) -> dict:
 
 def realize_seed(cfg: dict) -> SeedSpace:
     """The configured seed, or one ``seed rejected`` line when its
-    construction refuses it (say an unknown family, or a bad eps_seq)."""
+    construction refuses it (an unknown family, a bad eps_seq, a cap hit)."""
     s = cfg["seed"]
     c = _frac(s.get("c", "1/16"))
     eps = _frac(cfg.get("eps", c / 2))
@@ -180,7 +180,7 @@ def realize_seed(cfg: dict) -> SeedSpace:
             seed = SeedSpace(s["name"], s["block_dims"], norming, c, eps,
                              eps_seq=eps_seq,
                              unconditional=s.get("unconditional", False))
-    except ValueError as exc:
+    except (ValueError, CapExceeded) as exc:
         raise SystemExit(f"seed rejected: {exc}") from None
     issues = seed.validate()
     if issues:

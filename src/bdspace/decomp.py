@@ -8,12 +8,9 @@ stored reduced to its members of dual norm one, the only ones that attain
 the maximum, so `seed.json` lists only those.  Primal norms are finite
 maxima; dual norms are exact minimal-l1 representations over +-G.  Two
 exact bounds come first, l1(f) from above and f(y)/||y|| at y = sign(f)
-from below; when they are equal they are the value.  Otherwise a rational
-LP gives it, and ``lp.check`` certifies its answer on both sides: the
-primal weights represent f with total weight equal to the value, and the
-dual point lies in the unit ball and pairs with f to the value, so a wrong
-LP answer raises.  Bimonotonicity (every interval coordinate projection has
-norm one) is validated exactly.
+from below; when they are equal they are the value, and otherwise the
+certified LP ``lp.gauge`` over +-G gives it.  Bimonotonicity (every
+interval coordinate projection has norm one) is validated exactly.
 
 From a seed space the norming-set builder produces a finite set D of dual
 functionals in the band 1/2 <= ||f|| <= 1 together with a recorded *special
@@ -73,14 +70,9 @@ class SeedSpace:
 
     The two are equal exactly when ||sign f|| = 1, and then the common value
     is ||f||_*: it is as exact as the LP, not an approximation.  Only when
-    they differ does an LP run, with one column per member of +-G (its
-    equality matrix built when the first LP runs), posed as maximizing
-    -sum(lambda) so that ``lp.check`` certifies the answer before it is
-    returned: the primal weights are >= 0, represent f and sum to the value
-    v (so ||f||_* <= v), and the dual point y has g(y) >= -1 for every
-    column g, that is |g(y)| <= 1 since the columns are symmetric, and
-    f(y) = -v (so -y is in the unit ball and ||f||_* >= v).  A mismatch
-    raises ``lp.CertificateError``.
+    they differ does an LP run: ``lp.gauge`` of f over the columns +-G,
+    each once, whose certificate bounds ||f||_* from both sides (the dual
+    point p has |g(p)| <= 1 for every g, since the columns are symmetric).
 
     The given generators are reduced to G' = { g in G : ||g||_* = 1 } in
     one pass.  First every g whose upper bound is < 1 is dropped, before
@@ -146,7 +138,6 @@ class SeedSpace:
         if not kept:
             raise SeedSpaceError("norming set must be nonempty")
         self._dual_cache: dict[FinVec, Fraction] = {}
-        self._lp = None  # (generators, rows, costs) of the dual-norm LP
         self.norming = sorted(kept, key=lambda v: tuple(v.items()))
         self.norming = [g for g in self.norming
                         if self._dual_lower(g) >= 1 or self.dual_norm(g) == 1]
@@ -219,31 +210,13 @@ class SeedSpace:
         try:
             val = self._dual_upper(f)
             if val is None or self._dual_lower(f) != val:
-                val = self._lp_dual_norm(f)
+                val = lp.gauge(f, dict.fromkeys(sg for g in self.norming
+                                                for sg in (g, -g)))
         except lp.Infeasible:
             raise SeedSpaceError(
                 "functional outside the span of the norming set") from None
         self._dual_cache[f] = val
         return val
-
-    def _lp_dual_norm(self, f: FinVec) -> Fraction:
-        """The dual-norm LP, max -sum(lambda) over lambda >= 0 with
-        A lambda = f, its answer certified by ``lp.check``.  A has one
-        column per member of +-norming (g and -g each once, also when both
-        are generators) and is built when the first LP over the current
-        generator list runs."""
-        if self._lp is None or self._lp[0] is not self.norming:
-            cols = list(dict.fromkeys(sg for g in self.norming
-                                      for sg in (g, -g)))
-            rows = {i: [g[i] for g in cols]
-                    for i in sorted({i for g in cols for i in g.support()})}
-            self._lp = (self.norming, rows, [Fraction(-1)] * len(cols))
-        _, rows, cost = self._lp
-        if any(i not in rows for i in f.support()):
-            raise lp.Infeasible  # a coordinate no generator reaches
-        A, b = list(rows.values()), [f[i] for i in rows]
-        val, lam, y = lp.maximize(cost, A_eq=A, b_eq=b)
-        return -lp.check(cost, val, lam, y, A_eq=A, b_eq=b)
 
     # -- nets ------------------------------------------------------------------
 

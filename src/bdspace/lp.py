@@ -16,14 +16,14 @@ Problems are stated as
     maximize    c . x
     subject to  A_ub x <= b_ub,   A_eq x = b_eq,   x >= 0.
 
-Every solve also returns an optimal solution y of the dual problem
+Every solve also reads an optimal solution y of the dual problem
 
     minimize    b . y
     subject to  y_ub >= 0,   A^T y >= c   (A = A_ub over A_eq),
 
-read off the final tableau, so a caller can check the answer exactly:
-x and y are feasible and c . x = b . y certify that both are optimal.
-``check`` does that and raises ``CertificateError`` when it fails.
+off the final tableau, and ``maximize`` returns an answer only once
+``check`` has certified it: x and y feasible and c . x = b . y make both
+optimal.  ``gauge`` poses the dual-norm LPs of this package on top of it.
 """
 
 from __future__ import annotations
@@ -103,11 +103,54 @@ def _simplex(T, D, basis, ncols):
 
 
 def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
-    """Solve the LP; returns (optimal value, primal solution x, dual
-    solution y), y listing the rows of A_ub and then those of A_eq.
+    """Solve the LP and return (optimal value, primal solution x, dual
+    solution y), y listing the rows of A_ub and then those of A_eq, once
+    ``check`` has certified them.  Raises Infeasible, Unbounded or
+    CertificateError.  All inputs may be ints or Fractions."""
+    value, x, y = _solve(c, A_ub, b_ub, A_eq, b_eq)
+    check(c, value, x, y, A_ub, b_ub, A_eq, b_eq)
+    return value, x, y
 
-    Raises Infeasible or Unbounded.  All inputs may be ints or Fractions.
+
+def gauge(target, columns, price=None) -> Fraction:
+    """The least sum(lambda) over lambda >= 0 with sum_h lambda_h h =
+    target, where the target and the columns map coordinates to rationals.
+
+    Each round is one ``maximize`` of -sum(lambda), with one equality row
+    per coordinate a column reaches, in sorted order (a target outside the
+    columns' cone raises Infeasible).  Its certificate bounds the value
+    v from both sides: the weights represent the target with total v, and
+    the dual point p = -y has h(p) <= 1 on every column h and target(p) = v.
+    With ``price`` the columns are a start drawn from a set K: ``price(p)``,
+    p a dict of its nonzero entries, returns an h in K with h(p) > 1, which
+    joins the columns (column generation, Gilmore and Gomory 1961), or None
+    when K has none, and then p certifies v over all of K.  A returned h
+    with h(p) <= 1 raises ValueError, so a faulty price cannot loop.
     """
+    cols = list(columns)
+    while True:
+        rows = {i: r for r, i in enumerate(
+            sorted({i for h in cols for i, _ in h.items()}))}
+        b = [0] * len(rows)
+        for i, v in target.items():
+            if i not in rows:
+                raise Infeasible  # a coordinate no column reaches
+            b[rows[i]] = v
+        A = [[0] * len(cols) for _ in rows]
+        for j, h in enumerate(cols):
+            for i, v in h.items():
+                A[rows[i]][j] = v
+        value, _, y = maximize([-1] * len(cols), A_eq=A, b_eq=b)
+        point = {i: -y[r] for i, r in rows.items() if y[r]}
+        h = price(point) if price else None
+        if h is None:
+            return -value
+        if sum(v * point.get(i, 0) for i, v in h.items()) <= 1:
+            raise ValueError("price returned a column that p satisfies")
+        cols.append(h)
+
+
+def _solve(c, A_ub, b_ub, A_eq, b_eq):
     c = [Fraction(v) for v in c]
     n = len(c)
     slack_count = len(A_ub)

@@ -466,38 +466,25 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
 # ---------------------------------------------------------------------------
 
 def vstar_norm(coeffs: dict[int, Fraction], spec: TsirelsonSpec) -> Fraction:
-    """Exact dual norm ||sum_q a_q v*_q|| for coefficients a_q >= 0, by
-    Kelley's cutting planes priced by ``norming_functional``.
+    """Exact dual norm ||sum_q a_q v*_q|| for coefficients a_q >= 0.
 
     Let Q = supp a.  The space is 1-unconditional, so the projection onto
-    Q has norm one and the value is max a.x over x >= 0 on Q with
-    ||x|| <= 1.  Each all-plus tree functional f has f(x) <= ||x||, so the
-    LP  max a.x  subject to x_q <= 1 (q in Q) and f.x <= 1 for the trees
-    found so far  is a relaxation: its value is at least the norm.  Its
-    optimum x*, certified by ``lp.check``, is priced by
-    ``norming_functional``.  When ||x*|| > 1 the argmax tree is all-plus
-    (x* >= 0), sits on supp x* inside Q and has f(x*) = ||x*|| > 1, so it
-    is a row the LP does not hold yet; it is added and the LP solved again.
-    Once ||x*|| <= 1, x* is feasible for the exact problem, so the norm is
-    at least a.x*, the LP value, and the two are equal.  Q carries finitely
-    many trees and none is added twice, so the loop ends.
+    Q has norm one and the value is the gauge of a over the tree functionals
+    on Q and their sign changes: ``lp.gauge`` from the e*_q, priced by
+    ``norming_functional``.  Its tree pairs with the dual point p to ||p||
+    over both signs, so it is a violated column exactly when ||p|| > 1, and
+    it sits on supp p inside Q, which carries finitely many trees.
     """
     if any(v < 0 for v in coeffs.values()):
         raise ValueError("coefficients must be nonnegative")
     Q = sorted(q for q, v in coeffs.items() if v)
     if not Q:
         return Fraction(0)
-    obj = [Fraction(coeffs[q]) for q in Q]
-    A = [[int(i == j) for j in range(len(Q))] for i in range(len(Q))]
-    while True:
-        b = [1] * len(A)
-        val, x, y = lp.maximize(obj, A_ub=A, b_ub=b)
-        val = lp.check(obj, val, x, y, A_ub=A, b_ub=b)
-        norm, _, f = norming_functional(
-            {q: v for q, v in zip(Q, x) if v}, spec)
-        if norm <= 1:
-            return val
-        A.append([f[q] for q in Q])
+
+    def price(point):
+        norm, _, f = norming_functional(point, spec)
+        return f if norm > 1 else None
+    return lp.gauge({q: coeffs[q] for q in Q}, [{q: 1} for q in Q], price)
 
 
 @dataclass

@@ -13,8 +13,8 @@ solves the primal LP over every built coordinate where the library solves
 its dual on the supports, the dual-norm oracle enumerates polytope
 vertices, the LP oracle pivots a ``Fraction`` tableau where the library
 keeps integer rows, and the V*-norm oracle solves one LP over every
-plus-tree inside the support where the library adds cutting planes.
-Values computed here are exact.
+plus-tree inside the support where the library adds priced columns one
+at a time.  Values computed here are exact.
 """
 
 from __future__ import annotations

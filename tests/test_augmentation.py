@@ -43,14 +43,14 @@ def window_for(aug, theta, z=None):
 def test_annihilating_witness_lp_certificate_fault_injection(aug_half,
                                                              monkeypatch):
     # an LP answer with a primal point moved off its constraints
-    maximize = lp.maximize
+    solve = lp._solve
 
-    def faulty(*args, **kw):
-        v, x, y = maximize(*args, **kw)
+    def faulty(*args):
+        v, x, y = solve(*args)
         return v, [w + 1 for w in x], y
 
     theta = aug_half.make_carrier(2)
-    monkeypatch.setattr(lp, "maximize", faulty)
+    monkeypatch.setattr(lp, "_solve", faulty)
     with pytest.raises(lp.CertificateError, match="not primal feasible"):
         window_for(aug_half, theta)
 
@@ -391,14 +391,14 @@ def test_hull_distance_matches_whole_vector_oracle(acc_lifted):
 def test_hull_distance_lp_certificate_fault_injection(aug_half,
                                                       monkeypatch):
     # an LP answer whose reported value is off by one is refused
-    maximize = lp.maximize
+    solve = lp._solve
 
-    def faulty(*args, **kw):
-        v, x, y = maximize(*args, **kw)
+    def faulty(*args):
+        v, x, y = solve(*args)
         return v + 1, x, y
 
     z = aug_half.carrier_block(aug_half.make_carrier(2))
-    monkeypatch.setattr(lp, "maximize", faulty)
+    monkeypatch.setattr(lp, "_solve", faulty)
     with pytest.raises(lp.CertificateError, match="objective values differ"):
         _hull_distance(aug_half, z)
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bdspace import cli
+from bdspace import cli, decomp
 from bdspace.bdcore import Report
 from bdspace.cli import main, parse_family, parse_vector
 from bdspace.families import is_member
@@ -109,6 +110,20 @@ def test_config_rejected_by_seed_rules(tmp_path, change, why):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(CONFIG, **change)))
     with pytest.raises(SystemExit, match=f"^seed rejected: {why}"):
+        main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
+    # 16 blocks at c = 1/16 has c * N = 1, so the seed enumerates every
+    # tree; at a cap of 50 members that ends in one line, not a traceback
+    monkeypatch.setattr(decomp, "build_dual_norming_set", functools.partial(
+        decomp.build_dual_norming_set, member_cap=50))
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(dict(CONFIG, seed=dict(CONFIG["seed"],
+                                                   blocks=16))))
+    with pytest.raises(SystemExit, match="^seed rejected: dual norming set "
+                       "cap 50 hit$"):
         main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
     assert not (tmp_path / "o").exists()
 

@@ -188,7 +188,8 @@ def lp_spy(monkeypatch):
 def test_dual_norm_lp_has_one_column_per_generator(acc_seed, monkeypatch):
     # the acceptance seed keeps exactly the 8 +-e_i, and each enters the
     # dual-norm LP once: 8 structural columns, not 2 x 36.  Its norm is the
-    # sup norm, so ||sign f|| = 1 and the bounds settle dual_norm without it
+    # sup norm, so ||sign f|| = 1 and the bounds settle dual_norm without
+    # it; with the upper bound taken away, dual_norm calls lp.gauge
     units = {FinVec(acc_seed.universe, {i: s}) for i in range(1, 5)
              for s in (1, -1)}
     assert set(acc_seed.norming) == units and len(acc_seed.norming) == 8
@@ -196,7 +197,9 @@ def test_dual_norm_lp_has_one_column_per_generator(acc_seed, monkeypatch):
     f = FinVec(acc_seed.universe, {1: F(3, 997), 4: F(-5, 991)})
     assert acc_seed.dual_norm(f) == F(3, 997) + F(5, 991)
     assert seen == []
-    assert acc_seed._lp_dual_norm(f) == F(3, 997) + F(5, 991)
+    monkeypatch.setattr(acc_seed, "_dual_cache", {})
+    monkeypatch.setattr(SeedSpace, "_dual_upper", lambda self, f: None)
+    assert acc_seed.dual_norm(f) == F(3, 997) + F(5, 991)
     (ncols, A), = seen
     assert ncols == 8
     columns = {FinVec(acc_seed.universe, dict(zip(range(1, 5), col)))
@@ -276,31 +279,29 @@ def test_seed_space_first_pass(monkeypatch):
     seed = SeedSpace("fp", [1, 1], gens, F(1, 16), F(1, 32))
     assert seed.norming == [FinVec(uni, {1: -1}), half, FinVec(uni, {1: 1}),
                             FinVec(uni, {2: -1}), FinVec(uni, {2: 1})]
-    assert small not in asked and seed._lp is None
+    assert small not in asked
     assert seed.dual_norm(small) == F(3, 4)
 
 
 def test_bounds_decide_without_lp(monkeypatch):
     # the sup-normed seeds: every generator and every restriction is decided
-    # by the bounds, so no LP runs and its matrix is never set up
+    # by the bounds, so no LP runs
     monkeypatch.setattr(lp, "maximize", None)
     for seed in (tsirelson_seed("t8", S1, F(1, 16), 8),
                  make_acceptance_seed()):
         assert seed.validate() == []
-        assert seed._lp is None
 
 
 def test_dual_norm_lp_counts_and_values(monkeypatch):
     # (S_2, 1/2) tree functionals on 4 blocks: choosing the 28 kept of the
     # 44 takes 16 LPs over the survivors; the dual norms after that run LPs
-    # over the 28 kept, all on one matrix built by the first of them.  The
-    # counts are those of the LP over all of +-G that this replaced
+    # over the 28 kept, all on one matrix.  The counts are those of the LP
+    # over all of +-G that this replaced
     seen = lp_spy(monkeypatch)
     gens = build_dual_norming_set(TsirelsonSpec(schreier(2), F(1, 2)),
                                   4, 4).members()
     seed = SeedSpace("s2", [1] * 4, gens, F(1, 16), F(1, 32))
     assert (len(gens), len(seed.norming), len(seen)) == (44, 28, 16)
-    assert seed._lp[0] is not seed.norming
     rng = random.Random(7)
     xs = [FinVec(seed.universe, {i: F(rng.randint(-8, 8), 8) for i in
                                  rng.sample(range(1, 5), rng.randint(1, 4))})
@@ -308,8 +309,7 @@ def test_dual_norm_lp_counts_and_values(monkeypatch):
     vals = [seed.dual_norm(x) for x in xs if x]
     assert len(seen) == 16 + 8
     assert seed.validate() == [] and len(seen) == 16 + 8 + 8
-    assert seed._lp[0] is seed.norming
-    assert len({id(A[0]) for _, A in seen[16:]}) == 1
+    assert all(A == seen[16][1] for _, A in seen[16:])
     assert {ncols for ncols, _ in seen[16:]} == {len(seed.norming)}
     assert vals == [full_dual_norm(gens, x) for x in xs if x]
 
@@ -322,6 +322,8 @@ def test_functional_outside_span_raises():
     for f in ({1: 1}, {1: 1, 2: -1}):
         with pytest.raises(SeedSpaceError, match="outside the span"):
             seed.dual_norm(FinVec(seed.universe, f))
+    # -(1, 1) is not a generator, yet the LP has it as a column
+    assert seed.dual_norm(FinVec(seed.universe, {1: -2, 2: -2})) == 2
     # no generator reaches coordinate 3, so the LP has no row for it and
     # would read (1, 1, 1) as (1, 1), of dual norm 1
     seed = SeedSpace("sp", [1, 1, 1], [FinVec("seed:sp", {1: 1, 2: 1})],
@@ -346,16 +348,17 @@ def test_functional_outside_span_raises():
 def test_dual_norm_lp_certificate_fault_injection(fault, match, monkeypatch):
     # on the (S_1, 3/4) tree functionals e*_2 + e*_3 has bounds 4/3 (sign
     # vector of norm 3/2) and 2, so its dual norm takes the LP; each fault
-    # breaks one side of the certificate, and lp.check must refuse it
+    # breaks one side of the certificate, and the check in lp.maximize
+    # must refuse it
     gens = tree_functionals("seed:ref", F(3, 4))
     f = FinVec("seed:ref", {2: 1, 3: 1})
     clean = SeedSpace("ref", [1] * 4, gens, F(1, 16), F(1, 32))
     assert clean.dual_norm(f) == F(4, 3)
     seed = SeedSpace("ref", [1] * 4, gens, F(1, 16), F(1, 32))
-    maximize = lp.maximize
+    solve = lp._solve
 
-    def faulty(*args, **kw):
-        v, x, y = maximize(*args, **kw)
+    def faulty(*args):
+        v, x, y = solve(*args)
         j = next(j for j, w in enumerate(x) if w > 0)
         if fault == "negative weight":
             x = x[:j] + [-x[j]] + x[j + 1:]
@@ -367,7 +370,7 @@ def test_dual_norm_lp_certificate_fault_injection(fault, match, monkeypatch):
             y = [w * (2 if fault == "dual scaled up" else F(1, 2)) for w in y]
         return v, x, y
 
-    monkeypatch.setattr(lp, "maximize", faulty)
+    monkeypatch.setattr(lp, "_solve", faulty)
     with pytest.raises(lp.CertificateError, match=match):
         seed.dual_norm(f)
 
@@ -485,14 +488,15 @@ def test_vstar_norm_examples():
 
 
 def test_vstar_norm_lp_certificate_fault_injection(monkeypatch):
-    # an LP answer whose value is off: lp.check must refuse it
-    maximize = lp.maximize
+    # an LP answer whose value is off: the check in lp.maximize must
+    # refuse it
+    solve = lp._solve
 
-    def faulty(*args, **kw):
-        v, x, y = maximize(*args, **kw)
+    def faulty(*args):
+        v, x, y = solve(*args)
         return v + F(1, 7), x, y
 
-    monkeypatch.setattr(lp, "maximize", faulty)
+    monkeypatch.setattr(lp, "_solve", faulty)
     with pytest.raises(lp.CertificateError, match="objective values differ"):
         vstar_norm({3: F(1), 4: F(1), 5: F(1)}, TsirelsonSpec(S1, F(1, 2)))
 

@@ -6,7 +6,7 @@ import pytest
 from bdspace import lp
 from bdspace.decomp import check_subsequential_upper
 from bdspace.families import schreier
-from bdspace.tsirelson import TsirelsonSpec
+from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
 from conftest import lift_acceptance
 from oracles import bf_maximize
 
@@ -198,7 +198,7 @@ def test_pipeline_lps_match_fraction_oracle(acc_build, acc_lifted, acc_seed,
                                             acc_D, monkeypatch):
     # every LP of the acceptance lower-estimate certificate and of the
     # upper-estimates suite (every cut sequence of every member of D, with
-    # its cutting-plane rounds), checked against the oracle
+    # its pricing rounds in lp.gauge), checked against the oracle
     calls = []
     solve = lp.maximize
 
@@ -218,3 +218,109 @@ def test_pipeline_lps_match_fraction_oracle(acc_build, acc_lifted, acc_seed,
     assert len(calls) == 6 + 60
     for args, kwargs in calls:
         assert solve(*args, **kwargs) == bf_maximize(*args, **kwargs)
+
+
+def full_gauge(target, columns):
+    """The gauge as one LP over all the columns, solved by the oracle."""
+    coords = sorted({i for h in columns for i in h} | set(target))
+    A = [[h.get(i, 0) for h in columns] for i in coords]
+    return -bf_maximize([-1] * len(columns), A_eq=A,
+                        b_eq=[target.get(i, 0) for i in coords])[0]
+
+
+def symmetric(vectors):
+    return [{i: s * v for i, v in h.items()} for h in vectors for s in (1, -1)]
+
+
+def tree_columns(c):
+    """The (S_1, c) tree functionals on 4 coordinates, a symmetric set:
+    with c = 1/16 the generators of the acceptance seed, with c = 1/2 the
+    halfnorm ones."""
+    members = build_dual_norming_set(TsirelsonSpec(schreier(1), F(c)),
+                                     4, 4).members()
+    return [dict(m.items()) for m in members]
+
+
+def random_columns(rng):
+    n = rng.randint(1, 4)
+    return symmetric({i: F(rng.randint(-4, 4), rng.randint(1, 3))
+                      for i in rng.sample(range(1, 6), rng.randint(1, n))}
+                     for _ in range(rng.randint(1, 5)))
+
+
+def test_gauge_matches_one_full_lp():
+    # the columns as given, on the acceptance and halfnorm generators and
+    # on small random symmetric sets, some of which miss the target's span
+    rng = random.Random(25)
+    sets = [tree_columns(F(1, 16)), tree_columns(F(1, 2))]
+    sets += [random_columns(rng) for _ in range(40)]
+    seen = {"value": 0, lp.Infeasible: 0}
+    for columns in sets:
+        for _ in range(6):
+            target = {i: F(rng.randint(-6, 6), rng.randint(1, 4))
+                      for i in rng.sample(range(1, 5), rng.randint(1, 4))}
+            target = {i: v for i, v in target.items() if v}
+            got = outcome(lp.gauge, target, columns)
+            assert got == outcome(full_gauge, target, columns)
+            seen["value" if not isinstance(got, type) else got] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def scan(columns, calls):
+    """A price that returns the first column of the list that the dual
+    point violates, recording each point it is asked about."""
+    def price(point):
+        calls.append(point)
+        # each column joins at most once
+        assert len(calls) <= len(columns) + 1
+        return next((h for h in columns if sum(
+            v * point.get(i, 0) for i, v in h.items()) > 1), None)
+    return price
+
+
+def test_gauge_priced_by_a_scan_matches_one_full_lp():
+    # started from two columns whose cone holds the target, a price that
+    # scans the full list adds the first violated column each round
+    rng = random.Random(26)
+    rounds = []
+    for columns in (tree_columns(F(1, 16)), tree_columns(F(1, 2))):
+        for _ in range(15):
+            start = rng.sample(columns, 2)
+            a, b = F(rng.randint(1, 5), 3), F(rng.randint(0, 5), 2)
+            target = {i: a * start[0].get(i, 0) + b * start[1].get(i, 0)
+                      for i in {*start[0], *start[1]}}
+            target = {i: v for i, v in target.items() if v}
+            calls = []
+            assert lp.gauge(target, start, scan(columns, calls)) == (
+                full_gauge(target, columns))
+            rounds.append(len(calls))
+    assert max(rounds) > 2
+    # a priced column that reaches a coordinate the start does not adds
+    # its row, with target 0 there: (3, 1) at p = (1), then (0, -1) at
+    # p = (1, -2), and (1, 0) = 1/3 (3, 1) + 1/3 (0, -1)
+    columns, calls = [{1: 1}, {1: 3, 2: 1}, {2: -1}], []
+    assert lp.gauge({1: 1}, columns[:1], scan(columns, calls)) == F(2, 3)
+    assert full_gauge({1: 1}, columns) == F(2, 3)
+    assert calls == [{1: 1}, {1: 1, 2: -2}, {1: F(2, 3), 2: -1}]
+
+
+def test_gauge_raises_on_unreached_coordinate_and_faulty_price():
+    with pytest.raises(lp.Infeasible):
+        lp.gauge({1: 1, 3: 1}, [{1: 1}, {2: 1}])
+    with pytest.raises(lp.Infeasible):
+        lp.gauge({3: 1}, [{1: 1}], price=lambda point: {3: 2})
+    # a price returning a column the dual point satisfies: (1, 1) has
+    # gauge 2 over the unit columns, at the dual point (1, 1); a price
+    # asked a second time means the satisfied column was taken
+    columns = [{1: 1}, {2: 1}]
+    assert lp.gauge({1: 1, 2: 1}, columns, price=lambda point: None) == 2
+    for column in ({1: 1}, {1: F(1, 2), 2: F(1, 2)}):
+        asked = []
+
+        def price(point):
+            assert not asked, "priced again after a satisfied column"
+            asked.append(point)
+            return column
+        with pytest.raises(ValueError, match="satisfies"):
+            lp.gauge({1: 1, 2: 1}, columns, price)
+        assert asked == [{1: 1, 2: 1}]

@@ -9,6 +9,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "bdspace"
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
+OUTSIDE_LP = [p for p in MODULES if p.name != "lp.py"]
 
 
 def _module_dicts(tree: ast.Module) -> list[str]:
@@ -73,6 +74,57 @@ def test_cache_rule_fires():
                      "    _memo[k] = v\n")
     assert _module_dicts(good) == ["_memo"]
     assert _bounded(good, "_memo")
+
+
+def _lp_calls(tree: ast.Module) -> list:
+    """(enclosing function, name) for every call of ``lp.check`` or
+    ``lp.maximize``."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "lp"
+                    and func.attr in ("check", "maximize")):
+                out.append((where, func.attr))
+            visit(child, where)
+    visit(tree, None)
+    return out
+
+
+# the two distance LPs of the augmentation are not gauges; every other LP
+# goes through lp.gauge, and every answer is certified inside lp.maximize
+DIRECT_LPS = {("augmentation.py", "_annihilating_witness", "maximize"),
+              ("augmentation.py", "_hull_distance", "maximize")}
+
+
+@pytest.mark.parametrize("path", OUTSIDE_LP,
+                         ids=[p.name for p in OUTSIDE_LP])
+def test_lp_certified_in_one_place(path):
+    tree = ast.parse(path.read_text())
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "lp"
+                   for node in ast.walk(tree))
+    assert {(path.name, *c) for c in _lp_calls(tree)} <= DIRECT_LPS
+
+
+def test_lp_rule_fires():
+    bad = ast.parse("from . import lp\n"
+                    "def norm(c, A, b):\n"
+                    "    v, x, y = lp.maximize(c, A_eq=A, b_eq=b)\n"
+                    "    return lp.check(c, v, x, y, A_eq=A, b_eq=b)\n"
+                    "class Seed:\n"
+                    "    def dual(self, f):\n"
+                    "        return lp.gauge(f, self.cols)\n")
+    assert _lp_calls(bad) == [("norm", "maximize"), ("norm", "check")]
+    assert not {("decomp.py", *c) for c in _lp_calls(bad)} <= DIRECT_LPS
+    good = ast.parse("def _hull_distance(aug, z):\n"
+                     "    return lp.maximize(c, A_ub=A, b_ub=b)[0]\n")
+    assert {("augmentation.py", *c) for c in _lp_calls(good)} <= DIRECT_LPS
 
 
 def test_bench_tracing_targets_resolve():
