@@ -6,7 +6,9 @@ its block span in the interval well order.  Every element is recoded into
 the two-type schema, the projection-norm ladder is computed exactly, the
 extension operators are isometric on stage patterns, and the embedding of
 the seed space satisfies its functional identity coordinate by coordinate,
-which bounds ||phi(x)|| on both sides for every x.
+which bounds ||phi(x)|| on both sides for every x: above by the largest
+dual norm of a coded functional, below by the exact constant lambda*, with
+a witness that attains it.
 """
 
 from fractions import Fraction
@@ -58,8 +60,12 @@ print("  ||phi(x)||       =", img.linf())
 print("  identity exact   =", phi_functional_identity(eb, x, img).ok)
 
 rep = verify_embedding(eb)
+lam = rep.details["lambda*"]
 print(f"\nembedding bounds for every x: {rep.verdict}; "
-      f"||phi|| = {rep.details['||phi||']}")
-for k, v in rep.details.items():
-    if k.startswith("delta"):
-        print(f"  x on blocks {k[5:]}: ||phi(x)|| >= (1 - {v})||x||")
+      f"{lam} ||x|| <= ||phi(x)|| <= {rep.details['||phi||']} ||x||")
+w = FinVec(seed.universe, rep.details["witness"])
+print(f"  lambda* = {lam} >= 1 - eps = {1 - seed.eps}, and no larger "
+      "constant holds:")
+print("  the witness w = " + " + ".join(f"({v}) e_{i}" for i, v in w.items())
+      + f" has ||w|| = {seed.primal_norm(w)} and ||phi(w)|| = "
+      f"{embed_phi(eb, w).linf()}")

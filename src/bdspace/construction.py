@@ -22,11 +22,11 @@ J operators; the identity
     e*_gamma(phi(x)) = sum_j r_j x*_j(x)
 
 holds exactly for every built element on a basis, hence for every x.  It
-gives the two-sided bound (1 - eps)||x|| <= ||phi(x)|| <= ||x|| for every x
-on the covered blocks: the upper bound from the dual norms of the coded
-functionals, the lower bound from a norming certificate over the members
-of D whose full code is built (or INCONCLUSIVE, naming the first stage
-whose codes would certify it).
+gives lambda*||x|| <= ||phi(x)|| <= ||x|| for every x on the covered blocks:
+the upper bound from the dual norms of the coded functionals, the lower
+bound with the exact constant lambda* of the built stages, one certified
+gauge per unit restriction of the norming set, and a witness attaining it
+(INCONCLUSIVE, naming lambda*, when lambda* < 1 - eps).
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import lp
 from .bdcore import BDBuild, BuildError, Report, Verdict
-from .decomp import NormingSetD, SeedSpace, norming_certificate
+from .decomp import NormingSetD, SeedSpace, unit_restrictions
 from .exact import FinVec
 
 
@@ -107,18 +108,8 @@ class EmbeddingBuild:
     pruned: bool = False
     prune_log: list = field(default_factory=list)
 
-    def full_code(self, member_index: int) -> tuple:
-        return tuple(self.D.members[member_index].decomp)
-
     def nblocks_covered(self) -> int:
         return min(i0_of_rank(self.stage_bound), self.seed.nblocks)
-
-
-def _tuple_vecsum(D: NormingSetD, entries: tuple) -> FinVec:
-    acc = FinVec(D.seed.universe)
-    for r, j in entries:
-        acc = acc + D.members[j].vec.scale(r)
-    return acc
 
 
 def _tuple_blocks(D: NormingSetD, entries: tuple) -> tuple[int, ...]:
@@ -215,7 +206,8 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
     for t in sorted(kept, key=lambda t: (ranked[t], t)):
         rk = ranked[t]
         blocks = _tuple_blocks(D, t)
-        vecsum = _tuple_vecsum(D, t)
+        vecsum = sum((D.members[j].vec.scale(r) for r, j in t),
+                     FinVec(s.universe))
         case, xi_t, eta_t, alpha, beta = _recode(D, t)
         if case == "i":
             if not is_block_rank(rk) or len(t) != 1:
@@ -348,19 +340,24 @@ def phi_functional_identity(eb: EmbeddingBuild, x: FinVec,
 
 
 def verify_embedding(eb: EmbeddingBuild) -> Report:
-    """(1 - eps)||x|| <= ||phi(x)|| <= ||x|| for every x on the covered
-    blocks, from three exact checks.
+    """lambda*||x|| <= ||phi(x)|| <= ||x|| for every x on the covered blocks
+    [1, n], from three exact checks.
 
-    Identity: phi is linear, so the functional identity on the basis vectors
-    of the covered blocks gives e*_g(phi x) = v_g(x), v_g = sum_j r_j x*_j,
-    for every x.  Upper: ||phi x|| = max_g |v_g(x)|, so ||phi|| is the
-    largest ||v_g||*.  Lower on blocks [lo, hi]: ||x|| is attained on a unit
-    restriction of +-G; a member f of D within delta of it whose full code g
-    is built with v_g = f gives ||phi x|| >= |f(x)| >= (1 - delta)||x||.
-    PASS when delta <= eps on every interval; otherwise INCONCLUSIVE, naming
-    the first stage whose codes would bring delta to eps.
+    Identity: phi is linear, so the functional identity on a basis of the
+    covered blocks gives e*_g(phi x) = v_g(x), v_g = sum_j r_j x*_j, for
+    every x.  Upper: ||phi x|| = max_g |v_g(x)|, so ||phi|| is the largest
+    ||v_g||*.  Lower: ||x|| = max_u u(x) over the unit restrictions u of +-G
+    to [1, n], so the best constant is lambda* = 1 / max_u rho(u), rho the
+    gauge of conv(+-v_g) (bipolar theorem); every block interval lies in
+    [1, n], so it bounds them all.  Each rho(u) = rho(-u) is one
+    ``lp.gauge``, started from the columns inside supp u (from all when
+    those miss u's span) and priced by a scan of every v_g, so its dual
+    point certifies rho over every built g; a u outside their span gives
+    lambda* = 0.  The dual point x of the worst gauge is the witness:
+    ||x|| = 1/lambda* and ||phi x|| = 1.  PASS when lambda* >= 1 - eps,
+    otherwise INCONCLUSIVE, naming lambda*: later stages add v_g.
     """
-    s, D = eb.seed, eb.D
+    s = eb.seed
     rep = Report("embedding-bounds")
     covered = eb.nblocks_covered()
     for b in range(1, covered + 1):
@@ -373,35 +370,34 @@ def verify_embedding(eb: EmbeddingBuild) -> Report:
     if norm > 1:
         rep.violations.append(f"upper bound fails: ||phi|| = {norm} > 1")
 
-    def coded(i: int) -> bool:
-        g = eb.code_of.get(eb.full_code(i))
-        return g is not None and eb.info[g].vecsum == D.members[i].vec
+    columns = list(dict.fromkeys(sv for inf in eb.info.values()
+                                 for sv in (inf.vecsum, -inf.vecsum)))
 
-    short = []
-    for lo in range(1, covered + 1):
-        for hi in range(lo, covered + 1):
-            inside = D.indices_in(lo, hi)
-            built = [i for i in inside if coded(i)]
-            delta, _ = norming_certificate(D, lo, hi, built)
-            rep.details[f"delta[{lo},{hi}]"] = delta
-            if delta <= s.eps:
+    def price(p):  # the +-v_g largest at p, when it exceeds 1
+        x = FinVec(s.universe, p)
+        h = max(columns, key=x.pair)
+        return h if h.pair(x) > 1 else None
+
+    def gauge(u):
+        supp = set(u.support())
+        for start in ([h for h in columns if supp.issuperset(h.support())],
+                      columns):
+            try:
+                return lp.gauge(u, start, price)
+            except lp.Infeasible:  # u is outside the start's span
                 continue
-            # the rank of each missing code; the first rank n whose codes
-            # certify the interval is the stage to build
-            missing = {i: _tuple_rank(D, eb.full_code(i))
-                       for i in inside if i not in built}
-            stage = next((n for n in sorted(set(missing.values()))
-                          if norming_certificate(
-                              D, lo, hi, built + [i for i, r in missing.items()
-                                                  if r <= n])[0] <= s.eps),
-                         None)
-            short.append(f"[{lo},{hi}] (delta {delta}; " + (
-                "no stage of codes certifies it)" if stage is None else
-                f"the codes up to stage {stage} would certify it)"))
-    if short:
+        return None
+
+    # one u per sign pair, since unit_restrictions lists u right before -u
+    rhos = [gauge(u) for u in unit_restrictions(s, [(1, covered)])[::2]]
+    worst = None if None in rhos else max(rhos, key=lambda r: r[0])
+    lam = 1 / worst[0] if worst else Fraction(0)
+    rep.details["lambda*"] = lam
+    rep.details["witness"] = worst[1] if worst else None
+    if lam < 1 - s.eps:
         rep.unsettled = Verdict.INCONCLUSIVE
-        rep.reason = ("lower bound not certified by the built codes on "
-                      + ", ".join(short))
+        rep.reason = (f"lower bound lambda* = {lam} < 1 - eps = {1 - s.eps} "
+                      "on the built stages")
     return rep
 
 

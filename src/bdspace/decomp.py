@@ -35,7 +35,8 @@ from . import lp
 from .bdcore import Report, Verdict
 from .exact import FinVec
 from .families import RegularFamily
-from .tsirelson import TsirelsonSpec, build_dual_norming_set, vstar_norm
+from .tsirelson import (TsirelsonSpec, build_dual_norming_set,
+                        tree_l1_ceiling, vstar_norm)
 
 WEIGHT_CAP = Fraction(1, 16)  # the largest weight c of a seed or augmentation
 
@@ -73,6 +74,7 @@ class SeedSpace:
     they differ does an LP run: ``lp.gauge`` of f over the columns +-G,
     each once, whose certificate bounds ||f||_* from both sides (the dual
     point p has |g(p)| <= 1 for every g, since the columns are symmetric).
+    The columns are built once per generator list, when its first LP runs.
 
     The given generators are reduced to G' = { g in G : ||g||_* = 1 } in
     one pass.  First every g whose upper bound is < 1 is dropped, before
@@ -138,6 +140,7 @@ class SeedSpace:
         if not kept:
             raise SeedSpaceError("norming set must be nonempty")
         self._dual_cache: dict[FinVec, Fraction] = {}
+        self._columns = (None, None)  # a generator list and its +-G columns
         self.norming = sorted(kept, key=lambda v: tuple(v.items()))
         self.norming = [g for g in self.norming
                         if self._dual_lower(g) >= 1 or self.dual_norm(g) == 1]
@@ -210,8 +213,10 @@ class SeedSpace:
         try:
             val = self._dual_upper(f)
             if val is None or self._dual_lower(f) != val:
-                val = lp.gauge(f, dict.fromkeys(sg for g in self.norming
-                                                for sg in (g, -g)))
+                if self._columns[0] is not self.norming:
+                    self._columns = (self.norming, dict.fromkeys(
+                        sg for g in self.norming for sg in (g, -g)))
+                val = lp.gauge(f, self._columns[1])[0]
         except lp.Infeasible:
             raise SeedSpaceError(
                 "functional outside the span of the norming set") from None
@@ -276,29 +281,7 @@ class SeedSpace:
                             "exceeds the dual ball (seed not bimonotone)")
         return issues
 
-    # -- construction helpers ---------------------------------------------------
-
-    def extended(self, nblocks: int) -> "SeedSpace":
-        """Seed with extra one-dimensional sup-normed tail blocks appended."""
-        if nblocks <= self.nblocks:
-            return self
-        dims = self.block_dims + [1] * (nblocks - self.nblocks)
-        extra = []
-        start = self.ncoords + 1
-        for t in range(start, start + (nblocks - self.nblocks)):
-            extra.append(FinVec(self.universe, {t: 1}))
-            extra.append(FinVec(self.universe, {t: -1}))
-        eps_seq = default_eps_seq(self.eps, nblocks)
-        norm2 = [FinVec(self.universe, dict(g.items())) for g in self.norming]
-        at = [list(a) for a in self.atilde] + [
-            [FinVec(self.universe, {t: 1}), FinVec(self.universe, {t: -1})]
-            for t in range(start, start + (nblocks - self.nblocks))]
-        out = SeedSpace(self.name, dims, norm2 + extra, self.c, self.eps,
-                        eps_seq=eps_seq, atilde=None, unconditional=self.unconditional)
-        # reuse the explicit dense sets (constructor rebuilt 1-dim defaults,
-        # which coincide, but keep any supplied multi-dim data)
-        out.atilde = [[FinVec(out.universe, dict(v.items())) for v in a] for a in at]
-        return out
+    # -- output -------------------------------------------------------------------
 
     def to_json_obj(self) -> dict:
         return {
@@ -320,14 +303,15 @@ def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
     """Truncation of the Tsirelson space to [1, nblocks], one block per basis
     vector, normed exactly by its admissible tree functionals.
 
-    A tree's l1 is the sum over its leaves of c^depth, so a tree that is no
-    leaf has l1 <= c * (its leaf count) <= c * nblocks.  Every +-e*_i is a
-    leaf, so when c * nblocks < 1 ``SeedSpace`` would drop each such tree
-    by its l1 bound; the seed is then built from the 2 * nblocks leaves
-    alone, and from every tree otherwise."""
+    A tree that is no leaf has l1 at most ``tree_l1_ceiling``, c times the
+    best split of 1_[1,nblocks].  Every +-e*_i is a leaf, so when that
+    ceiling is below 1 ``SeedSpace`` would drop each such tree by its l1
+    bound; the seed is then built from the 2 * nblocks leaves alone, and
+    from every tree otherwise.  Under (S_1, 1/16) the ceiling is
+    floor((nblocks + 1)/2)/16, below 1 through 30 blocks."""
     c = Fraction(c)
     spec = TsirelsonSpec(family, c)
-    depth = 0 if c * nblocks < 1 else nblocks
+    depth = 0 if tree_l1_ceiling(spec, nblocks) < 1 else nblocks
     dns = build_dual_norming_set(spec, depth, nblocks)
     if eps is None:
         eps = c / 2
@@ -398,11 +382,6 @@ class DMember:
     decomp: tuple = ()                # ((r_i, member_index), ...)
     atom_block: int | None = None     # set for single-block members
     atom_index: int | None = None     # index into the block's dense set
-    target: FinVec | None = None      # norming target this member approximates
-
-    @property
-    def level(self) -> int:
-        return self.block_hi - self.block_lo + 1
 
 
 class NormingSetCap(RuntimeError):
@@ -527,9 +506,10 @@ def unit_restrictions(seed: SeedSpace,
                       intervals: Sequence[tuple[int, int]]) -> list[FinVec]:
     """Distinct restrictions of +-G to the block intervals with dual norm 1.
 
-    These are the norming targets: D gets a member for each, and the
-    norming certificate measures D against each, so both enumerate them
-    here.  Order: generator, then sign, then interval.
+    These are the norming targets: D gets a member for each, the norming
+    certificate measures D against each, and the embedding's lower bound
+    gauges each.  Order: generator, then sign, then interval, so each u
+    comes right before -u when there is one interval.
     """
     out: list[FinVec] = []
     seen = set()
@@ -587,10 +567,7 @@ def build_norming_set_D(seed: SeedSpace,
                     seen.add(graded)
                     targets.append(graded)
         for g in targets:
-            entries, lo = b.combination_for_target(g)
-            idx = b.from_combination(entries, lo)
-            if b.members[idx].target is None:
-                b.members[idx].target = g
+            b.from_combination(*b.combination_for_target(g))
     except NormingSetCap:
         pruned = True
     return NormingSetD(seed, b.members, pruned=pruned)

@@ -23,7 +23,7 @@ Every solve also reads an optimal solution y of the dual problem
 
 off the final tableau, and ``maximize`` returns an answer only once
 ``check`` has certified it: x and y feasible and c . x = b . y make both
-optimal.  ``gauge`` poses the dual-norm LPs of this package on top of it.
+optimal.  ``gauge`` poses the gauge LPs of this package on top of it.
 """
 
 from __future__ import annotations
@@ -112,20 +112,21 @@ def maximize(c: Sequence, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     return value, x, y
 
 
-def gauge(target, columns, price=None) -> Fraction:
-    """The least sum(lambda) over lambda >= 0 with sum_h lambda_h h =
-    target, where the target and the columns map coordinates to rationals.
+def gauge(target, columns, price=None) -> tuple[Fraction, dict]:
+    """(v, p): v the least sum(lambda) over lambda >= 0 with sum_h lambda_h
+    h = target, where the target and the columns map coordinates to
+    rationals, and p its certified dual point, a dict of its nonzero entries.
 
     Each round is one ``maximize`` of -sum(lambda), with one equality row
     per coordinate a column reaches, in sorted order (a target outside the
     columns' cone raises Infeasible).  Its certificate bounds the value
     v from both sides: the weights represent the target with total v, and
     the dual point p = -y has h(p) <= 1 on every column h and target(p) = v.
-    With ``price`` the columns are a start drawn from a set K: ``price(p)``,
-    p a dict of its nonzero entries, returns an h in K with h(p) > 1, which
-    joins the columns (column generation, Gilmore and Gomory 1961), or None
-    when K has none, and then p certifies v over all of K.  A returned h
-    with h(p) <= 1 raises ValueError, so a faulty price cannot loop.
+    With ``price`` the columns are a start drawn from a set K: ``price(p)``
+    returns an h in K with h(p) > 1, which joins the columns (column
+    generation, Gilmore and Gomory 1961), or None when K has none, and then
+    p certifies v over all of K.  A returned h with h(p) <= 1 raises
+    ValueError, so a faulty price cannot loop.
     """
     cols = list(columns)
     while True:
@@ -144,7 +145,7 @@ def gauge(target, columns, price=None) -> Fraction:
         point = {i: -y[r] for i, r in rows.items() if y[r]}
         h = price(point) if price else None
         if h is None:
-            return -value
+            return -value, point
         if sum(v * point.get(i, 0) for i, v in h.items()) <= 1:
             raise ValueError("price returned a column that p satisfies")
         cols.append(h)

@@ -89,6 +89,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Callable, Sequence
 
@@ -307,6 +308,30 @@ def tsirelson_norm(x, spec: TsirelsonSpec) -> Fraction:
     return got
 
 
+def tree_l1_ceiling(spec: TsirelsonSpec, n: int) -> Fraction:
+    """The largest l1 of a tree functional on [1, n] that is no leaf: c
+    times the best split of 1_[1,n], the largest sum of ||1_E|| over the
+    blocks E of an admissible split of [1, n] into two or more.  A child on
+    E has l1 at most ||1_E|| (its all-plus tree pairs with 1_E to it), and
+    the blocks' norming trees attain the bound.  ||1_[1,n]|| = max(1, this)
+    cannot tell a ceiling of 1 from one below 1."""
+    fam, step = spec.family, member_stepper(spec.family)
+    ones = cache(lambda s, t: tsirelson_norm(dict.fromkeys(range(s, t), 1),
+                                             spec))  # ||1_[s,t)||
+
+    @cache
+    def split(s: int, state, first: bool) -> Fraction:
+        # the best split of [s, n] from s in ``state``; ``first``: 2+ blocks
+        best = Fraction(0) if first else ones(s, n + 1)
+        for t in range(s + 1, n + 1):
+            nxt = step(state, t)
+            if nxt is not None:
+                best = max(best, ones(s, t) + split(t, nxt, False))
+        return best
+    return spec.c * max((split(s, member_start(fam, s), True)
+                         for s in range(1, n + 1)), default=Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # norming trees
 # ---------------------------------------------------------------------------
@@ -374,8 +399,6 @@ def norming_functional(x, spec: TsirelsonSpec, universe: str = NAT):
 @dataclass
 class DualNormingSet:
     spec: TsirelsonSpec
-    depth: int
-    support_bound: int
     trees: list          # canonical trees, all levels, deduplicated
     level_of: dict       # tree -> first level it appears at
     vec_of: dict         # tree -> FinVec
@@ -458,7 +481,7 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
             break
         pool.extend(fresh)
 
-    return DualNormingSet(spec, depth, support_bound, trees, level_of, vec_of)
+    return DualNormingSet(spec, trees, level_of, vec_of)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +507,8 @@ def vstar_norm(coeffs: dict[int, Fraction], spec: TsirelsonSpec) -> Fraction:
     def price(point):
         norm, _, f = norming_functional(point, spec)
         return f if norm > 1 else None
-    return lp.gauge({q: coeffs[q] for q in Q}, [{q: 1} for q in Q], price)
+    return lp.gauge({q: coeffs[q] for q in Q}, [{q: 1} for q in Q],
+                    price)[0]
 
 
 @dataclass

@@ -136,8 +136,11 @@ def test_criterion_6_embedding(acc_build):
     rep = verify_embedding(acc_build)
     assert rep.verdict is Verdict.PASS, (rep.violations[:3], rep.reason)
     s = acc_build.seed
-    delta = max(v for k, v in rep.details.items() if k.startswith("delta"))
-    assert delta <= s.eps
+    lam = rep.details["lambda*"]
+    assert lam >= 1 - s.eps
+    # no larger constant holds: the witness has ||phi w|| = lambda* ||w||
+    w = FinVec(s.universe, rep.details["witness"])
+    assert s.primal_norm(w) == 1 / lam and embed_phi(acc_build, w).linf() == 1
     # the proven bound, rechecked on 100 seeded vectors
     rng = random.Random(2026)
     samples = []
@@ -150,13 +153,12 @@ def test_criterion_6_embedding(acc_build):
     for x in samples:
         img = embed_phi(acc_build, x)
         assert phi_functional_identity(acc_build, x, img).ok
-        lo, hi = s.block_range(x)
         nx, up = s.primal_norm(x), img.linf()
-        assert (1 - rep.details[f"delta[{lo},{hi}]"]) * nx <= up <= nx
+        assert lam * nx <= up <= nx
     report(6, f"functional identity exact on a basis; ||phi|| = "
-              f"{rep.details['||phi||']} <= 1; lower bound (1 - delta)||x|| "
-              f"for every x, delta <= {delta} <= eps on every interval; "
-              f"both rechecked on 100 samples")
+              f"{rep.details['||phi||']} <= 1; lower bound lambda*||x|| "
+              f"for every x, lambda* = {lam} >= 1 - eps, attained by an "
+              f"exact witness; both rechecked on 100 samples")
 
 
 def test_criterion_7_chain_identities(acc_build):

@@ -115,15 +115,16 @@ def test_config_rejected_by_seed_rules(tmp_path, change, why):
 
 
 def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
-    # 16 blocks at c = 1/16 has c * N = 1, so the seed enumerates every
-    # tree; at a cap of 50 members that ends in one line, not a traceback
+    # 31 blocks at c = 1/16 have a tree l1 ceiling of 1, so the seed
+    # enumerates every tree; at a cap of 100 members (past the 62 leaves)
+    # that ends in one line, not a traceback
     monkeypatch.setattr(decomp, "build_dual_norming_set", functools.partial(
-        decomp.build_dual_norming_set, member_cap=50))
+        decomp.build_dual_norming_set, member_cap=100))
     p = tmp_path / "big.json"
     p.write_text(json.dumps(dict(CONFIG, seed=dict(CONFIG["seed"],
-                                                   blocks=16))))
+                                                   blocks=31))))
     with pytest.raises(SystemExit, match="^seed rejected: dual norming set "
-                       "cap 50 hit$"):
+                       "cap 100 hit$"):
         main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
     assert not (tmp_path / "o").exists()
 
@@ -319,9 +320,8 @@ def test_report_details_are_json(tmp_path):
     jn = reports["dual-norm-band"]["||J_n||"]
     assert max(jn.values(), key=Fraction) == mcomp
     emb = reports["embedding-bounds"]
-    assert emb == {"||phi||": "128/129"} | {
-        f"delta[{lo},{hi}]": "1/129" for lo in range(1, 5)
-        for hi in range(lo, 5)}
+    assert emb == {"||phi||": "128/129", "lambda*": "128/129",
+                   "witness": {"1": "-129/128"}}
 
 
 def test_norm_command(capsys):

@@ -2,6 +2,8 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
 from bdspace import bdcore, construction
 from bdspace.bdcore import Verdict
 from bdspace.construction import (build_embedding, check_block_rank_order,
@@ -9,8 +11,9 @@ from bdspace.construction import (build_embedding, check_block_rank_order,
                                   interval_rank, m_seq,
                                   phi_functional_identity, verify_coding,
                                   verify_cuts, verify_embedding)
+from bdspace.decomp import unit_restrictions
 from bdspace.exact import FinVec
-from oracles import bf_apply_Jm
+from oracles import bf_apply_Jm, bf_maximize
 
 F = Fraction
 
@@ -183,21 +186,16 @@ def block_samples(eb, count, seed):
 
 
 def assert_two_sided(eb, rep, x):
-    """(1 - delta)||x|| <= ||phi x|| <= ||x||, delta the report's margin on
-    the block span of x."""
-    s = eb.seed
-    lo, hi = s.block_range(x)
-    nx, up = s.primal_norm(x), embed_phi(eb, x).linf()
-    assert (1 - rep.details[f"delta[{lo},{hi}]"]) * nx <= up <= nx, x
+    """lambda*||x|| <= ||phi x|| <= ||x||, lambda* the report's constant."""
+    nx, up = eb.seed.primal_norm(x), embed_phi(eb, x).linf()
+    assert rep.details["lambda*"] * nx <= up <= nx, x
 
 
 def test_embedding_bounds_and_witnesses(acc_build):
     rep = verify_embedding(acc_build)
     assert rep.verdict is Verdict.PASS, (rep.violations[:3], rep.reason)
     assert rep.details["||phi||"] <= 1
-    eps = acc_build.seed.eps
-    assert all(v <= eps for k, v in rep.details.items()
-               if k.startswith("delta"))
+    assert rep.details["lambda*"] >= 1 - acc_build.seed.eps
     # the proven bound, checked on samples
     for x in block_samples(acc_build, 40, 3):
         assert_two_sided(acc_build, rep, x)
@@ -230,10 +228,21 @@ def test_embedding_zero_phi_fails(acc_build, monkeypatch):
 def test_embedding_verdict_pass_when_certified(acc_build):
     rep = verify_embedding(acc_build)
     assert rep.verdict is Verdict.PASS and rep.reason == ""
-    # ||phi|| and one margin per interval of the 4 covered blocks
-    assert rep.details == {"||phi||": F(128, 129)} | {
-        f"delta[{lo},{hi}]": F(1, 129)
-        for lo in range(1, 5) for hi in range(lo, 5)}
+    # ||phi||, the constant on the 4 covered blocks and the dual point of
+    # the worst gauge: e*_1 = (129/128) v_g for the block-1 atom v_g
+    assert rep.details == {"||phi||": F(128, 129), "lambda*": F(128, 129),
+                           "witness": {1: F(-129, 128)}}
+
+
+@pytest.mark.parametrize("build", ["acc_build", "halfnorm_build8"])
+def test_embedding_witness_attains_lambda(build, request):
+    # the dual point x of the worst gauge has ||x|| = 1/lambda* and
+    # ||phi x|| = max_g |v_g(x)| = 1, so no larger constant holds
+    eb = request.getfixturevalue(build)
+    rep = verify_embedding(eb)
+    x = FinVec(eb.seed.universe, rep.details["witness"])
+    assert eb.seed.primal_norm(x) == 1 / rep.details["lambda*"]
+    assert embed_phi(eb, x).linf() == 1
 
 
 def _with_info(eb, g, **changes):
@@ -263,39 +272,79 @@ def test_embedding_vecsum_above_dual_unit_fails(acc_build):
         f"upper bound fails: ||phi|| = {rep.details['||phi||']} > 1"]
 
 
-def test_embedding_dropped_coded_element_is_inconclusive(acc_build):
-    # the norming targets of the acceptance seed are the +-e*_i, so without
-    # the codes of block 1's stage nothing within eps of +-e*_1 is coded;
-    # the stage of the dropped codes is named
-    eb = dataclasses.replace(acc_build, code_of={
-        t: g for t, g in acc_build.code_of.items()
-        if acc_build.info[g].rank != 1})
+def test_embedding_dropped_coded_element_is_inconclusive(acc_build,
+                                                         monkeypatch):
+    # the worst gauge represents e*_1 by the v_g tight at its dual point x
+    # (|v_g(x)| = 1), here +-v_g of the block-1 atom; every optimal
+    # representation uses only those, so without them lambda* falls, here
+    # below 1 - eps.  The identity check reads every stage element, so it
+    # is taken out: the lower bound reads only the v_g
+    rep = verify_embedding(acc_build)
+    x = FinVec(acc_build.seed.universe, rep.details["witness"])
+    tight = {g for g, inf in acc_build.info.items()
+             if abs(inf.vecsum.pair(x)) == 1}
+    assert tight and all(acc_build.info[g].rank == 1 for g in tight)
+    eb = dataclasses.replace(acc_build, info={
+        g: inf for g, inf in acc_build.info.items() if g not in tight})
+    monkeypatch.setattr(construction, "phi_functional_identity",
+                        lambda eb, x: bdcore.Report("embedding-identity"))
+    dropped = verify_embedding(eb)
+    lam = dropped.details["lambda*"]
+    assert lam < rep.details["lambda*"] and lam < 1 - acc_build.seed.eps
+    assert dropped.ok and dropped.verdict is Verdict.INCONCLUSIVE
+    assert dropped.reason == (f"lower bound lambda* = {lam} < 1 - eps = "
+                              "31/32 on the built stages")
+    assert lam == F(341, 688)
+    # with no v_g on coordinate 1 alone, no column lies inside supp e*_1
+    # and the gauge starts from all of them; with no v_g reaching
+    # coordinate 1 at all, e*_1 is outside their span and lambda* = 0
+    for dropped, expect in ((lambda v: v.support() == (1,),
+                             F(174592, 528427)), (lambda v: 1 in v, 0)):
+        eb = dataclasses.replace(acc_build, info={
+            g: inf for g, inf in acc_build.info.items()
+            if not dropped(inf.vecsum)})
+        rep = verify_embedding(eb)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.details["lambda*"] == expect
+        assert (rep.details["witness"] is None) == (expect == 0)
+
+
+def test_embedding_gauge_prices_columns_outside_supp_u(acc_build):
+    # with the block-1 atoms' v_g shrunk to a quarter, the columns inside
+    # supp e*_1 give it gauge 129/32, and v_g reaching other blocks do
+    # better: the price must add them.  lambda* is then 1 / max_u rho(u),
+    # each rho(u) one LP over every +-v_g at once
+    eb = dataclasses.replace(acc_build, info={
+        g: dataclasses.replace(inf, vecsum=inf.vecsum.scale(F(1, 4)))
+        if inf.rank == 1 else inf for g, inf in acc_build.info.items()})
     rep = verify_embedding(eb)
-    assert rep.ok and rep.verdict is Verdict.INCONCLUSIVE
-    short = {k for k, v in rep.details.items()
-             if k.startswith("delta") and v > acc_build.seed.eps}
-    assert short == {f"delta[1,{hi}]" for hi in range(1, 5)}
-    assert (f"[1,1] (delta {rep.details['delta[1,1]']}; the codes up to "
-            "stage 1 would certify it)") in rep.reason
+    vecs = [inf.vecsum for inf in eb.info.values()]
+
+    def rho(u):
+        A = [[s * v[i] for v in vecs for s in (1, -1)] for i in range(1, 5)]
+        return -bf_maximize([-1] * len(A[0]), A_eq=A,
+                            b_eq=[u[i] for i in range(1, 5)])[0]
+    worst = max(rho(u) for u in unit_restrictions(eb.seed, [(1, 4)]))
+    assert rep.details["lambda*"] == 1 / worst == F(174592, 528427)
+    assert worst < F(129, 32) and rep.verdict is Verdict.INCONCLUSIVE
 
 
-def test_halfnorm_embedding_inconclusive_at_stage_8(halfnorm_build8):
+def test_halfnorm_embedding_pass_at_stage_8(halfnorm_build8):
+    # the per-interval norming certificate read delta 128/129 on [1,4] and
+    # [2,4] here; the exact constant passes
     rep = verify_embedding(halfnorm_build8)
-    assert rep.ok and rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.verdict is Verdict.PASS, (rep.violations[:3], rep.reason)
     assert rep.details["||phi||"] == F(128, 129)
-    short = {k for k, v in rep.details.items()
-             if k.startswith("delta") and v > halfnorm_build8.seed.eps}
-    assert short == {"delta[1,4]", "delta[2,4]"}
-    for lo in (1, 2):
-        assert (f"[{lo},4] (delta 128/129; the codes up to stage 9 would "
-                "certify it)") in rep.reason
+    assert rep.details["lambda*"] == F(128, 129)
+    for x in block_samples(halfnorm_build8, 40, 4):
+        assert_two_sided(halfnorm_build8, rep, x)
 
 
 def test_halfnorm_embedding_pass_at_stage_10(halfnorm_build10):
     rep = verify_embedding(halfnorm_build10)
     assert rep.verdict is Verdict.PASS, (rep.violations[:3], rep.reason)
     assert rep.details["||phi||"] == F(128, 129)
-    assert rep.details["delta[1,4]"] == F(87, 11008)
+    assert rep.details["lambda*"] == F(128, 129)
     for x in block_samples(halfnorm_build10, 40, 4):
         assert_two_sided(halfnorm_build10, rep, x)
 

@@ -314,6 +314,43 @@ def test_dual_norm_lp_counts_and_values(monkeypatch):
     assert vals == [full_dual_norm(gens, x) for x in xs if x]
 
 
+def test_dual_norm_columns_built_once_per_generator_list(monkeypatch):
+    # the same seed: the 16 LPs that choose the 28 kept share one column
+    # list, +-S over the survivors S, and the 16 LPs after them share one,
+    # +-G' over the kept
+    handed = []
+    gauge = lp.gauge
+    monkeypatch.setattr(lp, "gauge", lambda f, columns: (
+        handed.append(columns) or gauge(f, columns)))
+    gens = build_dual_norming_set(TsirelsonSpec(schreier(2), F(1, 2)),
+                                  4, 4).members()
+    seed = SeedSpace("s2", [1] * 4, gens, F(1, 16), F(1, 32))
+    rng = random.Random(7)
+    for _ in range(30):
+        x = FinVec(seed.universe, {i: F(rng.randint(-8, 8), 8) for i in
+                                   rng.sample(range(1, 5), rng.randint(1, 4))})
+        seed.dual_norm(x)
+    assert seed.validate() == []
+    lists = list({id(c): c for c in handed}.values())
+    assert len(handed) == 32 and len(lists) == 2
+    assert [handed.count(c) for c in lists] == [16, 16]
+    assert set(lists[1]) == {sg for g in seed.norming for sg in (g, -g)}
+
+
+def test_sixteen_block_seed_builds_from_its_leaves(monkeypatch):
+    # c * 16 = 1, but every tree that is no leaf has l1 at most c times the
+    # best split of 1_[1,16], 8/16 under (S_1, 1/16): the 32 leaves give the
+    # seed, where enumerating every tree ran into the member cap
+    def enumerate_all(spec, depth, bound, member_cap=200_000):
+        assert depth == 0, "every tree enumerated"
+        return build_dual_norming_set(spec, depth, bound)
+    monkeypatch.setattr(decomp, "build_dual_norming_set", enumerate_all)
+    seed = tsirelson_seed("t16", S1, F(1, 16), 16)
+    assert len(seed.norming) == 32
+    assert {g.support() for g in seed.norming} == {(i,) for i in range(1, 17)}
+    assert seed.validate() == []
+
+
 def test_functional_outside_span_raises():
     # every coordinate is reached, but no combination of +-(1, 1) gives
     # e*_1 or (1, -1); sign(1, -1) even has norm 0
@@ -377,16 +414,6 @@ def test_dual_norm_lp_certificate_fault_injection(fault, match, monkeypatch):
 
 def test_seed_bimonotone_validation(acc_seed):
     assert acc_seed.validate() == []
-
-
-def test_extension_keeps_norms(acc_seed):
-    ext = acc_seed.extended(6)
-    assert ext.validate() == []
-    x = FinVec(ext.universe, {1: 1, 2: F(-1, 2)})
-    assert ext.primal_norm(x) == acc_seed.primal_norm(
-        FinVec(acc_seed.universe, dict(x.items())))
-    y = FinVec(ext.universe, {5: F(3, 4), 6: F(-1, 4)})
-    assert ext.primal_norm(y) == F(3, 4)
 
 
 # -- the norming set ---------------------------------------------------------------

@@ -220,6 +220,19 @@ def test_pipeline_lps_match_fraction_oracle(acc_build, acc_lifted, acc_seed,
         assert solve(*args, **kwargs) == bf_maximize(*args, **kwargs)
 
 
+def certified_gauge(target, columns, price=None, full=None):
+    """The value of ``lp.gauge``, once its dual point p is seen to certify
+    it: target(p) = value, and h(p) <= 1 on every column, given or priced
+    (``full``, the list a price draws from)."""
+    value, point = lp.gauge(target, columns, price)
+
+    def at(h):
+        return sum(v * point.get(i, 0) for i, v in h.items())
+    assert at(target) == value
+    assert all(at(h) <= 1 for h in [*columns, *(full or ())])
+    return value
+
+
 def full_gauge(target, columns):
     """The gauge as one LP over all the columns, solved by the oracle."""
     coords = sorted({i for h in columns for i in h} | set(target))
@@ -260,7 +273,7 @@ def test_gauge_matches_one_full_lp():
             target = {i: F(rng.randint(-6, 6), rng.randint(1, 4))
                       for i in rng.sample(range(1, 5), rng.randint(1, 4))}
             target = {i: v for i, v in target.items() if v}
-            got = outcome(lp.gauge, target, columns)
+            got = outcome(certified_gauge, target, columns)
             assert got == outcome(full_gauge, target, columns)
             seen["value" if not isinstance(got, type) else got] += 1
     assert min(seen.values()) >= 20, seen
@@ -291,15 +304,16 @@ def test_gauge_priced_by_a_scan_matches_one_full_lp():
                       for i in {*start[0], *start[1]}}
             target = {i: v for i, v in target.items() if v}
             calls = []
-            assert lp.gauge(target, start, scan(columns, calls)) == (
-                full_gauge(target, columns))
+            assert certified_gauge(target, start, scan(columns, calls),
+                                   columns) == full_gauge(target, columns)
             rounds.append(len(calls))
     assert max(rounds) > 2
     # a priced column that reaches a coordinate the start does not adds
     # its row, with target 0 there: (3, 1) at p = (1), then (0, -1) at
     # p = (1, -2), and (1, 0) = 1/3 (3, 1) + 1/3 (0, -1)
     columns, calls = [{1: 1}, {1: 3, 2: 1}, {2: -1}], []
-    assert lp.gauge({1: 1}, columns[:1], scan(columns, calls)) == F(2, 3)
+    assert certified_gauge({1: 1}, columns[:1], scan(columns, calls),
+                           columns) == F(2, 3)
     assert full_gauge({1: 1}, columns) == F(2, 3)
     assert calls == [{1: 1}, {1: 1, 2: -2}, {1: F(2, 3), 2: -1}]
 
@@ -313,7 +327,7 @@ def test_gauge_raises_on_unreached_coordinate_and_faulty_price():
     # gauge 2 over the unit columns, at the dual point (1, 1); a price
     # asked a second time means the satisfied column was taken
     columns = [{1: 1}, {2: 1}]
-    assert lp.gauge({1: 1, 2: 1}, columns, price=lambda point: None) == 2
+    assert certified_gauge({1: 1, 2: 1}, columns, lambda point: None) == 2
     for column in ({1: 1}, {1: F(1, 2), 2: F(1, 2)}):
         asked = []
 

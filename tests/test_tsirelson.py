@@ -13,8 +13,9 @@ from bdspace.families import (explicit, is_admissible, max_union, schreier,
                                singleton_plus_pair)
 from bdspace.tsirelson import (CapExceeded, TsirelsonSpec,
                                build_dual_norming_set, certify_domination,
-                               norming_functional, tree_support, tree_vec,
-                               tsirelson_norm, vstar_norm)
+                               norming_functional, tree_l1_ceiling,
+                               tree_support, tree_vec, tsirelson_norm,
+                               vstar_norm)
 from oracles import bf_best_split, bf_tsirelson, bf_vstar_norm
 
 F = Fraction
@@ -408,6 +409,29 @@ def test_dual_norming_members_match_their_trees(spec, n):
 def test_dual_norming_set_cap():
     with pytest.raises(CapExceeded):
         build_dual_norming_set(HALF, 3, 9, member_cap=50)
+
+
+@pytest.mark.parametrize("k, c, n", [
+    (1, F(1, 2), 6), (1, F(3, 4), 6), (2, F(1, 4), 6), (2, F(1, 2), 5),
+    (1, F(1, 16), 5), (1, F(1, 2), 2)])
+def test_tree_l1_ceiling_is_the_largest_tree_l1(k, c, n):
+    # every tree that is no leaf, enumerated: the ceiling is their largest
+    # l1, attained
+    spec = TsirelsonSpec(schreier(k), c)
+    dns = build_dual_norming_set(spec, n, n)
+    assert tree_l1_ceiling(spec, n) == max(
+        (dns.vec_of[t].l1() for t in dns.trees if t[0] == "node"),
+        default=0)
+
+
+def test_tree_l1_ceiling_under_s1_sixteenth():
+    # c times floor((n + 1)/2): below 1 through n = 30, exactly 1 at 31 and
+    # 32, where ||1_[1,n]|| = 1 still, and above 1 from 33 on
+    spec = TsirelsonSpec(S1, F(1, 16))
+    assert [tree_l1_ceiling(spec, n) for n in (16, 30, 31, 32, 33)] == [
+        F(8, 16), F(15, 16), 1, 1, F(17, 16)]
+    ones = {i: 1 for i in range(1, 33)}
+    assert tsirelson_norm(ones, spec) == 1
 
 
 def test_tree_vec_scaling():
