@@ -11,26 +11,29 @@ reports with their verdicts and reasons in ``report.json``, from which
 INCONCLUSIVE and AT-CAP counts.  The exit code is nonzero exactly when
 some check FAILED: INCONCLUSIVE and AT-CAP exit zero, since a finite stage
 can fail to witness a bound without refuting it.
+
+Each command imports the layers it runs inside its own body, lower layers
+first, so a process compiles only those: ``build`` and ``verify`` never load
+the augmentation, and ``norm`` loads none of the BD core, the norming set or
+the embedding.  ``hashlib``, which maps OpenSSL's libcrypto (about 3.4 MB
+resident), is imported only where a dump is hashed.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bdcore
-from .construction import (build_embedding, check_block_rank_order,
-                           verify_coding, verify_cuts, verify_embedding)
-from .decomp import (SeedSpace, build_norming_set_D,
-                     check_subsequential_upper, optimal_c_decomposition,
-                     tsirelson_seed, verify_norming_set)
 from .exact import FinVec
 from .families import RegularFamily, schreier
-from .tsirelson import CapExceeded, TsirelsonSpec, tsirelson_norm
+
+if TYPE_CHECKING:
+    from .decomp import SeedSpace
+    from .tsirelson import TsirelsonSpec
 
 
 def _frac(s) -> Fraction:
@@ -96,6 +99,7 @@ def canonical_json(obj) -> str:
 
 
 def _write(path: Path, obj) -> str:
+    import hashlib
     data = canonical_json(obj)
     path.write_text(data + "\n")
     return hashlib.sha256((data + "\n").encode()).hexdigest()
@@ -108,14 +112,27 @@ def _write(path: Path, obj) -> str:
 def _upper_target(cfg: dict) -> tuple[TsirelsonSpec, Fraction]:
     """The upper-estimates suite's space V, from ``upper_family`` and
     ``upper_c``, and its constant C, from ``upper_C``."""
+    from .tsirelson import TsirelsonSpec
     return (TsirelsonSpec(parse_family(cfg.get("upper_family", "schreier:1")),
                           _frac(cfg.get("upper_c", "1/2"))),
             _frac(cfg.get("upper_C", 4)))
 
 
 def load_config(path: str) -> dict:
-    """The config at ``path`` if it parses, see ``check_config``."""
-    return check_config(json.loads(Path(path).read_text()))
+    """The config at ``path`` if it parses, see ``check_config``; a file
+    that cannot be read, is not JSON or holds no JSON object ends in one
+    ``config rejected`` line naming the file."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except OSError as exc:
+        problem = f"cannot be read ({exc.strerror or exc})"
+    except ValueError as exc:
+        problem = f"is not JSON ({exc})"
+    else:
+        if isinstance(cfg, dict):
+            return check_config(cfg)
+        problem = "is not a JSON object"
+    raise SystemExit(f"config rejected: {path} {problem}")
 
 
 def check_config(cfg: dict) -> dict:
@@ -162,6 +179,8 @@ def check_config(cfg: dict) -> dict:
 def realize_seed(cfg: dict) -> SeedSpace:
     """The configured seed, or one ``seed rejected`` line when its
     construction refuses it (an unknown family, a bad eps_seq, a cap hit)."""
+    from .tsirelson import CapExceeded
+    from .decomp import SeedSpace, tsirelson_seed
     s = cfg["seed"]
     c = _frac(s.get("c", "1/16"))
     eps = _frac(cfg.get("eps", c / 2))
@@ -189,6 +208,8 @@ def realize_seed(cfg: dict) -> SeedSpace:
 
 
 def realize_build(cfg: dict):
+    from .decomp import build_norming_set_D
+    from .construction import build_embedding
     seed = realize_seed(cfg)
     D = build_norming_set_D(seed, size_cap=cfg.get("size_cap", 20000))
     eb = build_embedding(seed, D, int(cfg["stage_bound"]),
@@ -197,14 +218,29 @@ def realize_build(cfg: dict):
 
 
 def _load_manifest(build: str) -> dict:
-    """The build's manifest, after checking every dump against its hash."""
+    """The build's manifest, after checking every dump against its hash.
+    A manifest that is not a JSON object holding the build's config, or a
+    dump that is missing or differs from its hash, ends in one ``corrupt
+    dump`` line."""
+    import hashlib
     manifest_path = Path(build) / "manifest.json"
     if not manifest_path.exists():
         raise SystemExit(f"no manifest in {build}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise SystemExit(
+            f"corrupt dump: manifest.json is not JSON ({exc})") from None
+    if not isinstance(manifest, dict) or not isinstance(
+            manifest.get("config"), dict):
+        raise SystemExit("corrupt dump: manifest.json is not a JSON object "
+                         "with a config object")
     for name, h in manifest.get("hashes", {}).items():
-        data = (Path(build) / name).read_text()
-        if hashlib.sha256(data.encode()).hexdigest() != h:
+        try:
+            data = (Path(build) / name).read_bytes()
+        except FileNotFoundError:
+            raise SystemExit(f"corrupt dump: {name} missing") from None
+        if hashlib.sha256(data).hexdigest() != h:
             raise SystemExit(f"corrupt dump: {name} hash mismatch")
     return manifest
 
@@ -253,6 +289,8 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_augment(args) -> int:
+    from .tsirelson import TsirelsonSpec
+    from .bdcore import BuildError, Verdict
     from .augmentation import (AugmentedBuild, certify_lower_estimate,
                                verify_augmentation)
     try:
@@ -275,7 +313,7 @@ def cmd_augment(args) -> int:
         thetas = [aug.make_carrier(r) for r in carriers]
         cert = certify_lower_estimate(
             aug, [aug.carrier_block(t) for t in thetas]) if thetas else None
-    except bdcore.BuildError as exc:
+    except BuildError as exc:
         raise SystemExit(f"augment rejected: {exc}") from None
     rep = verify_augmentation(aug)
     out = Path(args.out)
@@ -303,7 +341,7 @@ def cmd_augment(args) -> int:
     status = cert.status if cert else "NO-CERT"
     print(f"augmentation written to {out} (certificate: {status}, "
           f"verification {'ok' if rep.ok else 'FAILED'})")
-    return 1 if not rep.ok or status is bdcore.Verdict.FAIL else 0
+    return 1 if not rep.ok or status is Verdict.FAIL else 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +354,10 @@ def _suite_runners(eb, cfg):
     own verdict; nothing here judges one.  theta* and M are the build's
     (``bdcore.decomposition_constant``); with no M, the suites that use it
     are INCONCLUSIVE."""
+    from . import bdcore
+    from .decomp import check_subsequential_upper, verify_norming_set
+    from .construction import (check_block_rank_order, verify_coding,
+                               verify_cuts, verify_embedding)
     bd, D = eb.bd, eb.D
     theta, M = bdcore.decomposition_constant(bd)
     upper, upper_C = _upper_target(cfg)
@@ -356,6 +398,7 @@ def _verdict_line(r: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .bdcore import Verdict
     cfg = check_config(_load_manifest(args.build)["config"])
     runners = _suite_runners(realize_build(cfg)[2], cfg)
     if args.suite and args.suite not in runners:
@@ -366,7 +409,7 @@ def cmd_verify(args) -> int:
         for rep in runners[n]():
             out_reports.append(rep.to_json_obj() | {"suite": n})
             print(_verdict_line(out_reports[-1]))
-    failed = any(r["verdict"] == bdcore.Verdict.FAIL for r in out_reports)
+    failed = any(r["verdict"] == Verdict.FAIL for r in out_reports)
     report = {"schema": "bdspace-report-v1", "build": str(args.build),
               "reports": out_reports, "failed": failed}
     _write(Path(args.build) / "report.json", report)
@@ -374,6 +417,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .bdcore import Verdict
     path = Path(args.build) / "report.json"
     if not path.exists():
         raise SystemExit(f"no report.json in {args.build}; run verify first")
@@ -386,7 +430,7 @@ def cmd_report(args) -> int:
     verdicts = [r["verdict"] for r in rep["reports"]]
     unsettled = ", ".join(
         f"{verdicts.count(v.value)} {v}"
-        for v in (bdcore.Verdict.INCONCLUSIVE, bdcore.Verdict.AT_CAP)
+        for v in (Verdict.INCONCLUSIVE, Verdict.AT_CAP)
         if v.value in verdicts)
     print("overall:", ("FAIL" if rep["failed"] else "PASS")
           + (f" with {unsettled}" if unsettled else ""))
@@ -406,6 +450,7 @@ def cmd_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_norm(args) -> int:
+    from .tsirelson import TsirelsonSpec, tsirelson_norm
     try:
         spec = TsirelsonSpec(parse_family(args.family),
                              parse_rational("--c", args.c))
@@ -417,6 +462,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decomp import optimal_c_decomposition
     norm = (lambda v: v.l1()) if args.norm == "l1" else (lambda v: v.linf())
     try:
         dec = optimal_c_decomposition(parse_vector(args.vector, universe="l1"),

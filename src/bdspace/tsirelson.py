@@ -91,13 +91,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import lp
-from .bdcore import Verdict
 from .exact import FinVec
 from .families import (RegularFamily, member_start, member_stepper,
                        profile_key)
+
+if TYPE_CHECKING:
+    from .bdcore import Verdict
 
 NAT = "nat"  # universe tag for c00(N) vectors
 
@@ -540,6 +542,7 @@ def certify_domination(lhs: Sequence[FinVec], rhs_indices: Sequence[int],
     FAIL otherwise.  The q_i must strictly increase, so that each
     coefficient has a coordinate of its own.
     """
+    from .bdcore import Verdict
     constant = Fraction(constant)
     if len(lhs) != len(rhs_indices):
         raise ValueError("lhs and rhs_indices must have equal length")

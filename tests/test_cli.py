@@ -2,6 +2,7 @@ import ast
 import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bdspace import cli, decomp
+from bdspace import cli, construction, decomp
 from bdspace.bdcore import Report
 from bdspace.cli import main, parse_family, parse_vector
 from bdspace.families import is_member
@@ -154,6 +155,23 @@ def test_config_rejected_in_one_line(tmp_path, change, why):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, why", [
+    (None, r"cannot be read \(No such file or directory\)"),
+    ('{"seed": ', r"is not JSON \(Expecting value: .+\)"),
+    ("[1, 2]", "is not a JSON object")],
+    ids=["missing", "malformed", "not-an-object"])
+def test_config_file_rejected_in_one_line(tmp_path, text, why):
+    # a config file that cannot be read as a JSON object ends the build in
+    # one line naming the file, and nothing is written
+    p = tmp_path / "config.json"
+    if text is not None:
+        p.write_text(text)
+    with pytest.raises(SystemExit,
+                       match=f"^config rejected: {re.escape(str(p))} {why}$"):
+        main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
 def test_tsirelson_seed_reads_eps_seq(tmp_path):
     seq = ["1/600", "1/2000", "1/8000"]
     p = tmp_path / "seq.json"
@@ -214,7 +232,7 @@ def test_verify_fail_exits_nonzero(built, tmp_path, monkeypatch, capsys):
     _, _, out = built
     copy = tmp_path / "build"
     shutil.copytree(out, copy)
-    monkeypatch.setattr(cli, "verify_coding",
+    monkeypatch.setattr(construction, "verify_coding",
                         lambda eb: Report("coding", violations=["injected"]))
     assert main(["verify", "--build", str(copy), "--suite", "coding"]) == 1
     assert "[FAIL] coding: coding :: injected" in capsys.readouterr().out
@@ -253,6 +271,26 @@ def test_trace_harness_loads(built, tmp_path):
     assert all(f"cli.suite.{n}" in names for n in SUITES)
 
 
+def test_trace_harness_reaches_command_imports(tmp_path):
+    # the commands import the layers inside their bodies, after the tracer
+    # has wrapped them: a traced build still times the build once, and the
+    # norming set and the embedding under it
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "bench" / "tracing.py"), str(spans),
+         "build", "--config", str(cfg), "--out", str(tmp_path / "build")],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = json.loads(spans.read_text())["spans"]
+    assert names["cli.realize_build"][0] == 1
+    assert names["decomp.build_D"][0] == 1
+    assert names["construction.build_embedding"][0] == 1
+
+
 def test_verify_single_suite(built, capsys):
     _, _, out = built
     assert main(["verify", "--build", str(out), "--suite",
@@ -286,6 +324,36 @@ def test_recorded_config_rejected_in_one_line(built, tmp_path, command):
                        match="^config rejected: theta is derived from the "
                              "build, not set in the config$"):
         main([command, "--build", str(out3)] + extra)
+
+
+@pytest.mark.parametrize("command", ["verify", "augment"])
+@pytest.mark.parametrize("fault, why", [
+    ("malformed-manifest", r"manifest.json is not JSON \(.+\)"),
+    ("manifest-not-an-object",
+     "manifest.json is not a JSON object with a config object"),
+    ("manifest-without-config",
+     "manifest.json is not a JSON object with a config object"),
+    ("missing-dump", "stages.json missing")],
+    ids=["malformed-manifest", "manifest-not-an-object",
+         "manifest-without-config", "missing-dump"])
+def test_broken_build_rejected_in_one_line(built, tmp_path, command, fault,
+                                           why):
+    _, _, out = built
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    if fault == "malformed-manifest":
+        (broken / "manifest.json").write_text('{"hashes": ')
+    elif fault == "manifest-not-an-object":
+        (broken / "manifest.json").write_text("[]")
+    elif fault == "manifest-without-config":
+        (broken / "manifest.json").write_text("{}")
+    else:
+        (broken / "stages.json").unlink()
+    extra = (["--suite", "schema"] if command == "verify"
+             else ["--out", str(tmp_path / "aug")])
+    with pytest.raises(SystemExit, match=f"^corrupt dump: {why}$"):
+        main([command, "--build", str(broken)] + extra)
+    assert not (tmp_path / "aug").exists()
 
 
 def test_augment_detects_tampering(built, tmp_path):

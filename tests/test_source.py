@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +156,113 @@ def test_bench_tracing_targets_resolve():
     tsirelson = importlib.import_module("bdspace.tsirelson")
     for name in read:
         assert isinstance(getattr(tsirelson, name), dict), name
+
+
+# ---------------------------------------------------------------------------
+# the import graph: a process loads only the layers it runs
+# ---------------------------------------------------------------------------
+
+ACC_CONFIG = {
+    "schema": "bdspace-config-v1",
+    "seed": {"kind": "tsirelson", "name": "acc", "family": "schreier:1",
+             "c": "1/16", "blocks": 4, "unconditional": False},
+    "eps": "1/32",
+    "stage_bound": 8,
+}
+
+
+def _loaded(code: str, cwd: Path) -> set[str]:
+    """The bdspace modules a fresh interpreter holds after running
+    ``code``, by their names inside the package (``bdspace`` itself)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code += ("\nimport sys\nprint('loaded:', *sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'bdspace'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "loaded:"
+    return {m.removeprefix("bdspace.") for m in last[1:]}
+
+
+@pytest.mark.parametrize("module, layers", [
+    ("bdspace", {"bdspace"}),
+    ("bdspace.tsirelson", {"bdspace", "exact", "families", "lp",
+                           "tsirelson"})], ids=["package", "tsirelson"])
+def test_import_loads_only_its_layers(tmp_path, module, layers):
+    assert _loaded(f"import {module}", tmp_path) == layers
+
+
+def test_cli_import_loads_no_build_layer(tmp_path):
+    # argument parsing needs only exact and families; each command imports
+    # the rest
+    loaded = _loaded("import bdspace.cli", tmp_path)
+    assert "cli" in loaded
+    assert not loaded & {"decomp", "construction", "bdcore", "augmentation"}
+
+
+def test_build_and_verify_load_no_augmentation(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(ACC_CONFIG))
+    build = tmp_path / "build"
+    loaded = {argv[0]: _loaded("from bdspace.cli import main\n"
+                               f"assert main({argv!r}) == 0", tmp_path)
+              for argv in (["build", "--config", str(cfg), "--out", str(build)],
+                           ["verify", "--build", str(build)])}
+    assert (build / "report.json").exists()
+    assert all({"decomp", "construction", "bdcore"} <= v
+               for v in loaded.values())
+    assert [cmd for cmd, v in loaded.items() if "augmentation" in v] == []
+
+
+# ---------------------------------------------------------------------------
+# the public API: the names the package exported when it loaded every layer
+# ---------------------------------------------------------------------------
+
+PUBLIC_API = {
+    "exact": "FinVec TriangularBasisChange UniverseMismatch l1_norm "
+             "linf_norm pair unit",
+    "families": "RegularFamily explicit is_admissible is_member is_spread "
+                "max_union schreier singleton_plus_pair",
+    "tsirelson": "DominationCertificate DualNormingSet TsirelsonSpec "
+                 "build_dual_norming_set certify_domination "
+                 "norming_functional tsirelson_norm vstar_norm",
+    "decomp": "CDecomposition NormingSetD SeedSpace build_norming_set_D "
+              "check_subsequential_upper norming_certificate "
+              "optimal_c_decomposition tsirelson_seed",
+    "bdcore": "AnalysisRecord BDBuild BuildError Report Verdict "
+              "compute_constants condition_weight_split "
+              "decomposition_constant validate_schema verify_analysis "
+              "verify_dual_norms verify_extension_compatibility "
+              "verify_extension_isometry",
+    "construction": "EmbeddingBuild build_embedding embed_phi "
+                    "interval_from_rank interval_rank m_seq "
+                    "phi_functional_identity verify_coding verify_embedding",
+    "augmentation": "AugmentedBuild LowerEstimateCertificate VCode Window "
+                    "certify_lower_estimate lift_dual_functional "
+                    "verify_augmentation verify_lift_identities",
+}
+
+
+def test_public_names_resolve_to_their_layer():
+    import bdspace
+    names = [n for layer in PUBLIC_API.values() for n in layer.split()]
+    assert len(names) == len(set(names)) == 61
+    assert sorted(bdspace.__all__) == sorted(names)
+    for layer, listed in PUBLIC_API.items():
+        module = importlib.import_module(f"bdspace.{layer}")
+        for name in listed.split():
+            value = getattr(bdspace, name)
+            assert value is getattr(module, name), name
+            assert value.__module__ == module.__name__, name
+
+
+def test_namespace_star_dir_and_missing_name():
+    import bdspace
+    namespace = {}
+    exec("from bdspace import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bdspace.__all__)
+    assert set(bdspace.__all__) <= set(dir(bdspace))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        bdspace.no_such_name
