@@ -15,13 +15,13 @@ can fail to witness a bound without refuting it.
 Each command imports the layers it runs inside its own body, lower layers
 first, so a process compiles only those: ``build`` and ``verify`` never load
 the augmentation, and ``norm`` loads none of the BD core, the norming set or
-the embedding.  ``hashlib``, which maps OpenSSL's libcrypto (about 3.4 MB
-resident), is imported only where a dump is hashed.
+the embedding.  Dumps are hashed with CPython's own SHA-256 module, not
+``hashlib``, which maps OpenSSL's libcrypto (about 3.4 MB resident), and
+``argparse`` is imported only by ``main``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -98,11 +98,25 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), indent=None)
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``, from CPython's built-in module
+    (``_sha2`` from 3.12, ``_sha256`` before), as ``random`` loads
+    ``_sha512``; ``hashlib`` only where neither exists, since it maps
+    OpenSSL's libcrypto to hash a few KB of JSON."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _write(path: Path, obj) -> str:
-    import hashlib
-    data = canonical_json(obj)
-    path.write_text(data + "\n")
-    return hashlib.sha256((data + "\n").encode()).hexdigest()
+    data = (canonical_json(obj) + "\n").encode()
+    path.write_bytes(data)
+    return _sha256_hex(data)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +233,10 @@ def realize_build(cfg: dict):
 
 def _load_manifest(build: str) -> dict:
     """The build's manifest, after checking every dump against its hash.
-    A manifest that is not a JSON object holding the build's config, or a
-    dump that is missing or differs from its hash, ends in one ``corrupt
-    dump`` line."""
-    import hashlib
+    A manifest that is not a JSON object holding the build's config, a dump
+    name that is not a plain file name (so no dump is read outside the
+    build), or a dump that is missing or differs from its hash, ends in one
+    ``corrupt dump`` line."""
     manifest_path = Path(build) / "manifest.json"
     if not manifest_path.exists():
         raise SystemExit(f"no manifest in {build}")
@@ -236,11 +250,14 @@ def _load_manifest(build: str) -> dict:
         raise SystemExit("corrupt dump: manifest.json is not a JSON object "
                          "with a config object")
     for name, h in manifest.get("hashes", {}).items():
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise SystemExit(
+                f"corrupt dump: {name} is not a file name in the build")
         try:
             data = (Path(build) / name).read_bytes()
         except FileNotFoundError:
             raise SystemExit(f"corrupt dump: {name} missing") from None
-        if hashlib.sha256(data).hexdigest() != h:
+        if _sha256_hex(data) != h:
             raise SystemExit(f"corrupt dump: {name} hash mismatch")
     return manifest
 
@@ -421,7 +438,11 @@ def cmd_report(args) -> int:
     path = Path(args.build) / "report.json"
     if not path.exists():
         raise SystemExit(f"no report.json in {args.build}; run verify first")
-    rep = json.loads(path.read_text())
+    try:
+        rep = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SystemExit(
+            f"corrupt report: report.json is not JSON ({exc})") from None
     if not all("verdict" in r and "reason" in r for r in rep["reports"]):
         raise SystemExit(f"{path} has no verdicts (written before they were "
                          "recorded); run verify again")
@@ -477,6 +498,7 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
+    import argparse
     ap = argparse.ArgumentParser(
         prog="bdspace",
         description="exact finite-stage Bourgain-Delbaen constructions")

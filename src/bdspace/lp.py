@@ -227,18 +227,28 @@ def _solve(c, A_ub, b_ub, A_eq, b_eq):
 def check(c, value, x, y, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> Fraction:
     """Check an answer of ``maximize`` exactly and return its value: x >= 0,
     A_ub x <= b_ub, A_eq x = b_eq; y_ub >= 0, A^T y >= c; and c . x = value
-    = b . y, which makes both optimal.  Raises CertificateError otherwise."""
+    = b . y, which makes both optimal.  Raises CertificateError otherwise,
+    also when x, y or a row of A does not fit the problem's shape.  A x
+    and A^T y are summed over the nonzero entries of x and y only."""
     A, b = list(A_ub) + list(A_eq), list(b_ub) + list(b_eq)
-    ax = [sum(a * v for a, v in zip(row, x)) for row in A]
-    if (len(x) != len(c) or any(v < 0 for v in x)
-            or any(l > r for l, r in zip(ax, b_ub))
-            or ax[len(A_ub):] != b[len(A_ub):]):
+    k, n = len(A_ub), len(c)
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if (len(x) != n or len(b_ub) != k or len(b) != len(A)
+            or any(len(row) != n for row in A) or any(v < 0 for v in x)):
         raise CertificateError("LP answer: x is not primal feasible")
-    aty = [sum(row[j] * v for row, v in zip(A, y)) for j in range(len(c))]
-    if (len(y) != len(A) or any(v < 0 for v in y[:len(A_ub)])
+    ax = [sum(row[j] * v for j, v in support) for row in A]
+    if any(l > r for l, r in zip(ax, b_ub)) or ax[k:] != b[k:]:
+        raise CertificateError("LP answer: x is not primal feasible")
+    aty = [0] * n
+    for row, v in zip(A, y):
+        if v:
+            for j, a in enumerate(row):
+                if a:
+                    aty[j] += a * v
+    if (len(y) != len(A) or any(v < 0 for v in y[:k])
             or any(l < r for l, r in zip(aty, c))):
         raise CertificateError("LP answer: y is not dual feasible")
-    if not sum(ci * v for ci, v in zip(c, x)) == value == sum(
-            bi * v for bi, v in zip(b, y)):
+    if not sum(c[j] * v for j, v in support) == value == sum(
+            bi * v for bi, v in zip(b, y) if v):
         raise CertificateError("LP answer: objective values differ")
     return value

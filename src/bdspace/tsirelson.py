@@ -93,7 +93,6 @@ from functools import cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import lp
 from .exact import FinVec
 from .families import (RegularFamily, member_start, member_stepper,
                        profile_key)
@@ -500,6 +499,7 @@ def vstar_norm(coeffs: dict[int, Fraction], spec: TsirelsonSpec) -> Fraction:
     over both signs, so it is a violated column exactly when ||p|| > 1, and
     it sits on supp p inside Q, which carries finitely many trees.
     """
+    from . import lp
     if any(v < 0 for v in coeffs.values()):
         raise ValueError("coefficients must be nonnegative")
     Q = sorted(q for q, v in coeffs.items() if v)

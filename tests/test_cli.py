@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import json
 import os
 import re
@@ -75,6 +76,16 @@ def test_build_determinism(built, tmp_path):
     for name in ("manifest.json", "stages.json", "seed.json",
                  "normingset.json", "coding.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_hashes_are_sha256_of_the_dumps(built):
+    # the CLI hashes without hashlib; its digests must be hashlib's
+    _, _, out = built
+    hashes = json.loads((out / "manifest.json").read_text())["hashes"]
+    assert sorted(hashes) == ["coding.json", "normingset.json", "seed.json",
+                              "stages.json"]
+    for name, h in hashes.items():
+        assert h == hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
 def test_config_rejected_on_bad_eps(tmp_path):
@@ -255,6 +266,13 @@ def test_report_without_verdicts_asks_for_verify(tmp_path):
         main(["report", "--build", str(tmp_path)])
 
 
+def test_report_not_json_rejected_in_one_line(tmp_path):
+    (tmp_path / "report.json").write_text("{")
+    with pytest.raises(SystemExit, match=r"^corrupt report: report.json is "
+                                         r"not JSON \(.+\)$"):
+        main(["report", "--build", str(tmp_path)])
+
+
 def test_trace_harness_loads(built, tmp_path):
     # the benchmark's tracer patches cli names by getattr; a traced verify
     # must still run and time every suite
@@ -353,6 +371,28 @@ def test_broken_build_rejected_in_one_line(built, tmp_path, command, fault,
              else ["--out", str(tmp_path / "aug")])
     with pytest.raises(SystemExit, match=f"^corrupt dump: {why}$"):
         main([command, "--build", str(broken)] + extra)
+    assert not (tmp_path / "aug").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "augment"])
+@pytest.mark.parametrize("name", ["../seed.json", "/seed.json", ".", "..", "",
+                                  "sub/seed.json"],
+                         ids=["parent-dir", "absolute", "dot", "dot-dot",
+                              "empty", "subdir"])
+def test_dump_name_outside_build_rejected(built, tmp_path, command, name):
+    # a hash key naming a path is refused before anything is read, so an
+    # edited manifest cannot make verify read outside the build
+    _, _, out = built
+    edited = tmp_path / "edited"
+    shutil.copytree(out, edited)
+    manifest = json.loads((edited / "manifest.json").read_text())
+    manifest["hashes"][name] = manifest["hashes"]["seed.json"]
+    (edited / "manifest.json").write_text(json.dumps(manifest))
+    extra = (["--suite", "schema"] if command == "verify"
+             else ["--out", str(tmp_path / "aug")])
+    with pytest.raises(SystemExit, match=f"^corrupt dump: {re.escape(name)} "
+                                         "is not a file name in the build$"):
+        main([command, "--build", str(edited)] + extra)
     assert not (tmp_path / "aug").exists()
 
 

@@ -112,6 +112,9 @@ def test_strong_duality_on_random_bounded_lps():
     ("y negative", "not dual feasible"),
     ("y too small", "not dual feasible"),
     ("value off", "objective values differ"),
+    ("x too short", "not primal feasible"),
+    ("a row too short", "not primal feasible"),
+    ("y too long", "not dual feasible"),
 ])
 def test_check_fault_injection(fault, match):
     c, A_ub, b_ub = [3, 2], [[1, 1], [1, 0]], [4, 2]
@@ -123,6 +126,12 @@ def test_check_fault_injection(fault, match):
         y = [-y[0], y[1]]
     elif fault == "y too small":
         y = [w / 2 for w in y]
+    elif fault == "x too short":
+        x = x[:1]
+    elif fault == "a row too short":
+        A_ub = [A_ub[0], A_ub[1][:1]]
+    elif fault == "y too long":
+        y = y + [1]
     else:
         v += 1
     with pytest.raises(lp.CertificateError, match=match):

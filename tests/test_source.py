@@ -171,35 +171,42 @@ ACC_CONFIG = {
 }
 
 
-def _loaded(code: str, cwd: Path) -> set[str]:
-    """The bdspace modules a fresh interpreter holds after running
-    ``code``, by their names inside the package (``bdspace`` itself)."""
+def _modules(code: str, cwd: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    code += ("\nimport sys\nprint('loaded:', *sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'bdspace'))")
+    code += "\nimport sys\nprint('loaded:', *sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "loaded:"
-    return {m.removeprefix("bdspace.") for m in last[1:]}
+    return set(last[1:])
+
+
+def _loaded(code: str, cwd: Path) -> set[str]:
+    """The bdspace modules a fresh interpreter holds after running
+    ``code``, by their names inside the package (``bdspace`` itself)."""
+    return {m.removeprefix("bdspace.") for m in _modules(code, cwd)
+            if m.split(".")[0] == "bdspace"}
 
 
 @pytest.mark.parametrize("module, layers", [
     ("bdspace", {"bdspace"}),
-    ("bdspace.tsirelson", {"bdspace", "exact", "families", "lp",
-                           "tsirelson"})], ids=["package", "tsirelson"])
+    ("bdspace.tsirelson", {"bdspace", "exact", "families", "tsirelson"})],
+    ids=["package", "tsirelson"])
 def test_import_loads_only_its_layers(tmp_path, module, layers):
     assert _loaded(f"import {module}", tmp_path) == layers
 
 
 def test_cli_import_loads_no_build_layer(tmp_path):
     # argument parsing needs only exact and families; each command imports
-    # the rest
-    loaded = _loaded("import bdspace.cli", tmp_path)
-    assert "cli" in loaded
-    assert not loaded & {"decomp", "construction", "bdcore", "augmentation"}
+    # the rest, and main imports argparse
+    modules = _modules("import bdspace.cli", tmp_path)
+    assert {"bdspace.cli", "bdspace.exact", "bdspace.families"} <= modules
+    assert not modules & {"bdspace.decomp", "bdspace.construction",
+                          "bdspace.bdcore", "bdspace.augmentation",
+                          "bdspace.lp", "argparse"}
 
 
 def test_build_and_verify_load_no_augmentation(tmp_path):
@@ -214,6 +221,24 @@ def test_build_and_verify_load_no_augmentation(tmp_path):
     assert all({"decomp", "construction", "bdcore"} <= v
                for v in loaded.values())
     assert [cmd for cmd, v in loaded.items() if "augmentation" in v] == []
+
+
+def test_pipeline_hashes_dumps_without_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto only to hash a few KB of JSON;
+    # build, verify and augment hash with CPython's own SHA-256 module
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(ACC_CONFIG))
+    build, aug = tmp_path / "build", tmp_path / "aug"
+    modules = _modules(
+        "from bdspace.cli import main\n"
+        + "".join(f"assert main({argv!r}) == 0\n" for argv in (
+            ["build", "--config", str(cfg), "--out", str(build)],
+            ["verify", "--build", str(build)],
+            ["augment", "--build", str(build), "--out", str(aug)])),
+        tmp_path)
+    assert "bdspace.augmentation" in modules
+    assert (aug / "manifest.json").exists()
+    assert not modules & {"hashlib", "_hashlib"}
 
 
 # ---------------------------------------------------------------------------
