@@ -26,7 +26,7 @@ from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
 c = Fraction(1, 16)
 dns = build_dual_norming_set(TsirelsonSpec(schreier(1), c), 4, 4)
 norming = [FinVec("seed:demo", dict(v.items())) for v in dns.members()]
-seed = SeedSpace("demo", [1, 1, 1, 1], norming, c, c / 2, unconditional=False)
+seed = SeedSpace("demo", [1, 1, 1, 1], norming, c, c / 2)
 D = build_norming_set_D(seed)
 base = build_embedding(seed, D, stage_bound=8)
 

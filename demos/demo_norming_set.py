@@ -32,7 +32,7 @@ c = Fraction(1, 16)
 fam = schreier(1)
 dns = build_dual_norming_set(TsirelsonSpec(fam, c), 4, 4)
 norming = [FinVec("seed:demo", dict(v.items())) for v in dns.members()]
-seed = SeedSpace("demo", [1, 1, 1, 1], norming, c, c / 2, unconditional=False)
+seed = SeedSpace("demo", [1, 1, 1, 1], norming, c, c / 2)
 print(f"\nseed space: 4 blocks, {len(dns.members())} tree functionals"
       f" ({len(seed.norming)} of dual norm 1 kept), c = {seed.c},"
       f" eps = {seed.eps}")

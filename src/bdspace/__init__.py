@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 
 # layer -> the public names it defines
 _LAYERS = {
-    "exact": ("FinVec", "TriangularBasisChange", "UniverseMismatch", "l1_norm",
-              "linf_norm", "pair", "unit"),
+    "exact": ("FinVec", "TriangularBasisChange", "UniverseMismatch"),
     "families": ("RegularFamily", "explicit", "is_admissible", "is_member",
                  "is_spread", "max_union", "schreier", "singleton_plus_pair"),
     "tsirelson": ("DominationCertificate", "DualNormingSet", "TsirelsonSpec",

@@ -558,7 +558,6 @@ class LowerEstimateCertificate:
     exact_value: Fraction | None = None
     bound: Fraction | None = None
     delta0: DistanceInterval | None = None
-    coefficients: tuple | None = None
     betas: tuple | None = None
     detail: str = ""
     theta_star: Fraction | None = None   # the merged build's split theta
@@ -658,8 +657,7 @@ def _hull_distance(aug: AugmentedBuild, z: FinVec) -> Fraction:
     return lp.maximize(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)[0]
 
 
-def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
-                           alphas: Sequence | None = None
+def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec]
                            ) -> LowerEstimateCertificate:
     """Certify that a separated normalized block sequence dominates the
     corresponding target basis vectors at the guaranteed constant.
@@ -668,7 +666,7 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     coefficient functional of the target combination through the chain
     constructor, and compares the exact pairing against
 
-        c (1 - eps) delta_0' / (2 M) * || sum alpha_j v_{q_j} ||,
+        c (1 - eps) delta_0' / (2 M) * || sum_j v_{q_j} ||,
 
     with (theta*, M) from ``bdcore.decomposition_constant`` on the merged
     build after the lift; both go into the certificate.  When theta* >= 1/2 no a
@@ -705,10 +703,7 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     d0 = DistanceInterval(delta_lower, delta_upper,
                           witnesses[vals.index(delta_lower)][1])
 
-    if alphas is None:
-        alphas = [Fraction(1)] * len(blocks)
-    alphas = [Fraction(a) for a in alphas]
-    target = FinVec("nat", {q: a for q, a in zip(qs, alphas)})
+    target = FinVec("nat", {q: 1 for q in qs})
     vnorm, wtree, betas = norming_functional(target, aug.vspec)
 
     windows = {}
@@ -720,11 +715,11 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     # the lift enlarged the coordinate system; blocks extend compatibly
     # from their stage patterns
     zsum = FinVec(bd.universe)
-    for a, pat in zip(alphas, patterns):
-        zsum = zsum + bd.reextend(pat).scale(a)
+    for pat in patterns:
+        zsum = zsum + bd.reextend(pat)
     exact = zsum[g]
-    cross = sum((aug.c_aug * betas[q] * a * windows[q].zstar.pair(z)
-                 for a, z, q in zip(alphas, blocks, qs) if q in windows),
+    cross = sum((aug.c_aug * betas[q] * windows[q].zstar.pair(z)
+                 for z, q in zip(blocks, qs) if q in windows),
                 Fraction(0))
     theta_star, m = decomposition_constant(aug.bd)
     bound, detail = None, ""
@@ -742,5 +737,5 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec],
     else:
         status = Verdict.PASS if exact >= bound else Verdict.FAIL
     return LowerEstimateCertificate(status, g, exact, bound, d0,
-                                    tuple(alphas), tuple(betas.items()),
-                                    detail, theta_star, m)
+                                    tuple(betas.items()), detail, theta_star,
+                                    m)

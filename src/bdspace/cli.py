@@ -155,12 +155,17 @@ def check_config(cfg: dict) -> dict:
     ``realize_seed`` reports them.  The keys only ``verify`` reads, those of
     ``_upper_target``, are read here too, so that a build never records a
     config its verify cannot read; theta, which ``verify`` derives from the
-    build, is refused, not ignored.  ``verify`` and ``augment`` check the
-    config a build recorded as well: its manifest is not hash-checked."""
+    build, is refused, not ignored, and so is a seed's ``unconditional``
+    unless false, the value older configs carry: no build reads it.
+    ``verify`` and ``augment`` check the config a build recorded as well:
+    its manifest is not hash-checked."""
     errors = []
     seed = cfg.get("seed", {})
     if seed.get("kind") not in ("tsirelson", "explicit"):
         errors.append("seed.kind must be 'tsirelson' or 'explicit'")
+    if seed.get("unconditional", False) is not False:
+        errors.append("seed.unconditional can only be false: D is built the "
+                      "same way for every seed")
     try:
         bound = int(cfg["stage_bound"])
     except (KeyError, ValueError, TypeError):
@@ -197,22 +202,20 @@ def realize_seed(cfg: dict) -> SeedSpace:
     from .decomp import SeedSpace, tsirelson_seed
     s = cfg["seed"]
     c = _frac(s.get("c", "1/16"))
-    eps = _frac(cfg.get("eps", c / 2))
+    eps = _frac(cfg["eps"]) if "eps" in cfg else None
     eps_seq = [_frac(e) for e in cfg["eps_seq"]] if "eps_seq" in cfg else None
     try:
         if s["kind"] == "tsirelson":
             seed = tsirelson_seed(
                 s.get("name", "tsirelson"),
                 parse_family(s.get("family", "schreier:1")), c,
-                int(s.get("blocks", 3)), eps=eps, eps_seq=eps_seq,
-                unconditional=s.get("unconditional", True))
+                int(s.get("blocks", 3)), eps=eps, eps_seq=eps_seq)
         else:
             uni = f"seed:{s['name']}"
             norming = [FinVec.from_json_obj({"universe": uni, "entries": e})
                        for e in s["norming"]]
             seed = SeedSpace(s["name"], s["block_dims"], norming, c, eps,
-                             eps_seq=eps_seq,
-                             unconditional=s.get("unconditional", False))
+                             eps_seq=eps_seq)
     except (ValueError, CapExceeded) as exc:
         raise SystemExit(f"seed rejected: {exc}") from None
     issues = seed.validate()
@@ -222,10 +225,10 @@ def realize_seed(cfg: dict) -> SeedSpace:
 
 
 def realize_build(cfg: dict):
-    from .decomp import build_norming_set_D
+    from .decomp import D_SIZE_CAP, build_norming_set_D
     from .construction import build_embedding
     seed = realize_seed(cfg)
-    D = build_norming_set_D(seed, size_cap=cfg.get("size_cap", 20000))
+    D = build_norming_set_D(seed, size_cap=cfg.get("size_cap", D_SIZE_CAP))
     eb = build_embedding(seed, D, int(cfg["stage_bound"]),
                          stage_caps=cfg.get("stage_caps"))
     return seed, D, eb
@@ -233,10 +236,10 @@ def realize_build(cfg: dict):
 
 def _load_manifest(build: str) -> dict:
     """The build's manifest, after checking every dump against its hash.
-    A manifest that is not a JSON object holding the build's config, a dump
-    name that is not a plain file name (so no dump is read outside the
-    build), or a dump that is missing or differs from its hash, ends in one
-    ``corrupt dump`` line."""
+    A manifest that is not a JSON object holding the build's config and an
+    object of hashes, a dump name that is not a plain file name (so no dump
+    is read outside the build), or a dump that is missing or differs from
+    its hash, ends in one ``corrupt dump`` line."""
     manifest_path = Path(build) / "manifest.json"
     if not manifest_path.exists():
         raise SystemExit(f"no manifest in {build}")
@@ -249,7 +252,11 @@ def _load_manifest(build: str) -> dict:
             manifest.get("config"), dict):
         raise SystemExit("corrupt dump: manifest.json is not a JSON object "
                          "with a config object")
-    for name, h in manifest.get("hashes", {}).items():
+    hashes = manifest.get("hashes", {})
+    if not isinstance(hashes, dict):
+        raise SystemExit("corrupt dump: manifest.json hashes is not a JSON "
+                         "object")
+    for name, h in hashes.items():
         if name in ("", ".", "..") or Path(name).name != name:
             raise SystemExit(
                 f"corrupt dump: {name} is not a file name in the build")
@@ -443,12 +450,18 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         raise SystemExit(
             f"corrupt report: report.json is not JSON ({exc})") from None
-    if not all("verdict" in r and "reason" in r for r in rep["reports"]):
+    reports = rep.get("reports") if isinstance(rep, dict) else None
+    if not (isinstance(reports, list) and "failed" in rep and all(
+            isinstance(r, dict) and {"suite", "name", "violations"} <= r.keys()
+            for r in reports)):
+        raise SystemExit("corrupt report: report.json is not a JSON object "
+                         "with a failed flag and a list of reports")
+    if not all("verdict" in r and "reason" in r for r in reports):
         raise SystemExit(f"{path} has no verdicts (written before they were "
                          "recorded); run verify again")
-    for r in rep["reports"]:
+    for r in reports:
         print(_verdict_line(r))
-    verdicts = [r["verdict"] for r in rep["reports"]]
+    verdicts = [r["verdict"] for r in reports]
     unsettled = ", ".join(
         f"{verdicts.count(v.value)} {v}"
         for v in (Verdict.INCONCLUSIVE, Verdict.AT_CAP)
@@ -539,8 +552,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("norm", help="exact Tsirelson norm of a vector")
     p.add_argument("--family", default="schreier:1")
     p.add_argument("--c", default="1/2")
-    p.add_argument("vector", nargs="?", default=None)
-    p.add_argument("--vector", dest="vector_opt", default=None)
+    p.add_argument("vector")
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("decompose", help="optimal greedy c-decomposition")
@@ -550,10 +562,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_decompose)
 
     args = ap.parse_args(argv)
-    if getattr(args, "vector_opt", None) and not args.vector:
-        args.vector = args.vector_opt
-    if args.command == "norm" and not args.vector:
-        ap.error("norm requires a vector (positional or --vector)")
     return args.fn(args)
 
 

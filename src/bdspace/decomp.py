@@ -39,6 +39,7 @@ from .tsirelson import (TsirelsonSpec, build_dual_norming_set,
                         tree_l1_ceiling, vstar_norm)
 
 WEIGHT_CAP = Fraction(1, 16)  # the largest weight c of a seed or augmentation
+D_SIZE_CAP = 20_000  # members of D; a build that reaches it stops, pruned
 
 
 def _pow2_at_least(x: Fraction) -> int:
@@ -98,22 +99,22 @@ class SeedSpace:
     """
 
     def __init__(self, name: str, block_dims: Sequence[int],
-                 norming: Sequence[FinVec], c, eps,
-                 eps_seq: Sequence[Fraction] | None = None,
-                 atilde: Sequence[Sequence[FinVec]] | None = None,
-                 unconditional: bool = False):
+                 norming: Sequence[FinVec], c, eps=None,
+                 eps_seq: Sequence[Fraction] | None = None):
         self.name = name
         self.universe = f"seed:{name}"
         self.block_dims = [int(d) for d in block_dims]
-        if any(d < 1 for d in self.block_dims):
-            raise SeedSpaceError("block dimensions must be >= 1")
+        for b, d in enumerate(self.block_dims, start=1):
+            if d != 1:
+                raise SeedSpaceError(f"block {b} has dimension {d}: the dense "
+                                     "sets are built for dimension 1 only")
         self.nblocks = len(self.block_dims)
         self.offsets = [1]
         for d in self.block_dims:
             self.offsets.append(self.offsets[-1] + d)
         self.ncoords = self.offsets[-1] - 1
         self.c = Fraction(c)
-        self.eps = Fraction(eps)
+        self.eps = Fraction(eps) if eps is not None else self.c / 2
         if not (0 < self.eps < self.c <= WEIGHT_CAP):
             raise SeedSpaceError(f"need 0 < eps < c <= {WEIGHT_CAP}")
         self.eps_seq = ([Fraction(e) for e in eps_seq] if eps_seq is not None
@@ -125,7 +126,6 @@ class SeedSpace:
         for n in range(self.nblocks):
             if sum(self.eps_seq[n + 1:], Fraction(0)) >= self.eps_seq[n] / 2:
                 raise SeedSpaceError("eps_i tails must drop below eps_n / 2")
-        self.unconditional = bool(unconditional)
 
         # the reduction to G' (class docstring); while the survivors are
         # decided, primal_norm and the LP read them as ``norming``
@@ -148,16 +148,10 @@ class SeedSpace:
         # scalar nets R_i = { k / K_i : 1 <= k <= K_i }, step <= eps_i / 8
         self.net_den = [_pow2_at_least(8 / e) for e in self.eps_seq]
 
-        if atilde is None:
-            atilde = []
-            for b in range(1, self.nblocks + 1):
-                if self.block_dims[b - 1] != 1:
-                    raise SeedSpaceError(
-                        "atilde must be supplied for blocks of dimension > 1")
-                i = self.offsets[b - 1]
-                atilde.append([FinVec(self.universe, {i: 1}),
-                               FinVec(self.universe, {i: -1})])
-        self.atilde = [list(a) for a in atilde]
+        # the dense set of a one-dimensional block: its +-e*_i
+        self.atilde = [[FinVec(self.universe, {i: 1}),
+                        FinVec(self.universe, {i: -1})]
+                       for i in self.offsets[:-1]]
 
     # -- coordinates ------------------------------------------------------
 
@@ -291,15 +285,13 @@ class SeedSpace:
             "eps": [self.eps.numerator, self.eps.denominator],
             "eps_seq": [[e.numerator, e.denominator] for e in self.eps_seq],
             "net_den": self.net_den,
-            "unconditional": self.unconditional,
             "norming": [g.to_json_obj() for g in self.norming],
             "atilde": [[a.to_json_obj() for a in blk] for blk in self.atilde],
         }
 
 
 def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
-                   eps=None, eps_seq=None, unconditional: bool = True
-                   ) -> SeedSpace:
+                   eps=None, eps_seq=None) -> SeedSpace:
     """Truncation of the Tsirelson space to [1, nblocks], one block per basis
     vector, normed exactly by its admissible tree functionals.
 
@@ -313,10 +305,8 @@ def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
     spec = TsirelsonSpec(family, c)
     depth = 0 if tree_l1_ceiling(spec, nblocks) < 1 else nblocks
     dns = build_dual_norming_set(spec, depth, nblocks)
-    if eps is None:
-        eps = c / 2
     return SeedSpace(name, [1] * nblocks, dns.members(), c, eps,
-                     eps_seq=eps_seq, unconditional=unconditional)
+                     eps_seq=eps_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +410,19 @@ class NormingSetD:
 
 
 class _DBuilder:
+    """D member by member.  Every atom and combination is normalized to dual
+    norm 1/factor, factor = 1 + eps/4, whatever the seed: rounding moves a
+    member by at most the sum of the eps_i, below eps/8, and the headroom
+    1 - 1/factor >= eps/5 absorbs that, so every member stays in the band
+    [1/2, 1] with no claim about the seed's basis.  The norming-set suite
+    checks the band and each rounding error exactly."""
+
     def __init__(self, seed: SeedSpace, size_cap: int):
         self.seed = seed
         self.cap = size_cap
         self.members: list[DMember] = []
         self.by_pre: dict[FinVec, int] = {}
-        self.factor = Fraction(1) if seed.unconditional else 1 + seed.eps / 4
+        self.factor = 1 + seed.eps / 4
 
     def _admit(self, m: DMember) -> int:
         if len(self.members) >= self.cap:
@@ -524,7 +521,7 @@ def unit_restrictions(seed: SeedSpace,
 
 
 def build_norming_set_D(seed: SeedSpace,
-                        size_cap: int = 20_000) -> NormingSetD:
+                        size_cap: int = D_SIZE_CAP) -> NormingSetD:
     """Target-driven construction of D with recorded decompositions.
 
     Materializes every dense-set atom, one member per interval restriction

@@ -160,22 +160,6 @@ class FinVec:
                       ((i, Fraction(n, d)) for i, n, d in obj["entries"]))
 
 
-def unit(universe: str, i: int, coeff=1) -> FinVec:
-    return FinVec(universe, {i: Fraction(coeff)})
-
-
-def l1_norm(v: FinVec) -> Fraction:
-    return v.l1()
-
-
-def linf_norm(v: FinVec) -> Fraction:
-    return v.linf()
-
-
-def pair(f: FinVec, x: FinVec) -> Fraction:
-    return f.pair(x)
-
-
 class TriangularBasisChange:
     """Conversion between e-coordinates and d-coordinates, d_g = e_g - c_g.
 

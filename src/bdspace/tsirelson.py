@@ -347,12 +347,12 @@ def tree_support(tree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def tree_vec(tree, spec: TsirelsonSpec, universe: str = NAT) -> FinVec:
+def tree_vec(tree, spec: TsirelsonSpec) -> FinVec:
     if tree[0] == "leaf":
-        return FinVec(universe, {tree[2]: Fraction(tree[1])})
-    acc = FinVec(universe)
+        return FinVec(NAT, {tree[2]: Fraction(tree[1])})
+    acc = FinVec(NAT)
     for ch in tree[1]:
-        acc = acc + tree_vec(ch, spec, universe)
+        acc = acc + tree_vec(ch, spec)
     return acc.scale(spec.c)
 
 
@@ -374,22 +374,22 @@ def _flip_signs(tree, sign_of: Callable[[int], int]):
     return ("node", tuple(_flip_signs(ch, sign_of) for ch in tree[1]))
 
 
-def norming_functional(x, spec: TsirelsonSpec, universe: str = NAT):
+def norming_functional(x, spec: TsirelsonSpec):
     """An optimal admissible tree for x: returns (norm, tree, functional).
 
     The functional pairs with x to exactly the norm; its tree is a member of
     the dual norming set (or a signed unit vector).
     """
     if not isinstance(x, FinVec):
-        x = FinVec(universe, x)
+        x = FinVec(NAT, x)
     coords, pairs = _entries(x)
     if not coords:
-        return Fraction(0), None, FinVec(universe)
+        return Fraction(0), None, FinVec(NAT)
     mags, den = _canonical(pairs)
     value, tree = _witness_tree(spec.key(), spec.family, spec.c, coords, mags)
     value = Fraction(value, den * spec.c.denominator ** (len(mags) - 1))
     tree = _flip_signs(tree, lambda i: 1 if x[i] > 0 else -1)
-    vec = tree_vec(tree, spec, universe)
+    vec = tree_vec(tree, spec)
     return value, tree, vec
 
 

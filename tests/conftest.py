@@ -21,8 +21,7 @@ def make_acceptance_seed(nblocks: int = 4) -> SeedSpace:
     dns = build_dual_norming_set(TsirelsonSpec(fam, c), nblocks, nblocks)
     uni = "seed:acc"
     norming = [FinVec(uni, dict(v.items())) for v in dns.members()]
-    return SeedSpace("acc", [1] * nblocks, norming, c, c / 2,
-                     unconditional=False)
+    return SeedSpace("acc", [1] * nblocks, norming, c, c / 2)
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +49,7 @@ def make_halfnorm_seed() -> SeedSpace:
     uni = "seed:halfnorm"
     norming = [FinVec(uni, dict(v.items())) for v in dns.members()]
     return SeedSpace("halfnorm", [1] * 4, norming, Fraction(1, 16),
-                     Fraction(1, 32), unconditional=False)
+                     Fraction(1, 32))
 
 
 @pytest.fixture(scope="session")

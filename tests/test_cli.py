@@ -114,8 +114,12 @@ EXPLICIT_SEED = {"kind": "explicit", "name": "linf", "block_dims": [1] * 3,
      "eps_seq length must match block count"),
     ({"eps_seq": ["1/600", "1/2000"]}, "eps_seq length must match block count"),
     ({"seed": dict(CONFIG["seed"], family="schreier:x")},
-     "unknown family 'schreier:x'")],
-    ids=["explicit-eps-seq-length", "tsirelson-eps-seq-length", "family"])
+     "unknown family 'schreier:x'"),
+    ({"seed": dict(EXPLICIT_SEED, block_dims=[2, 1])},
+     "block 1 has dimension 2: the dense sets are built for dimension 1 "
+     "only$")],
+    ids=["explicit-eps-seq-length", "tsirelson-eps-seq-length", "family",
+         "block-dimension"])
 def test_config_rejected_by_seed_rules(tmp_path, change, why):
     # the seed construction's own rules end the build in one line and
     # nothing is written
@@ -150,9 +154,12 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
     ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
     ({"stage_caps": {"5": 1, "6": 1}}, "stage_caps must be a positive integer"),
     ({"stage_caps": "abc"}, "stage_caps must be a positive integer"),
-    ({"size_cap": "abc"}, "size_cap must be a positive integer")],
+    ({"size_cap": "abc"}, "size_cap must be a positive integer"),
+    ({"seed": dict(CONFIG["seed"], unconditional=True)},
+     "seed.unconditional can only be false: D is built the same way for "
+     "every seed")],
     ids=["upper_C", "upper_family", "upper_c", "theta", "stage_bound",
-         "stage_caps-dict", "stage_caps", "size_cap"])
+         "stage_caps-dict", "stage_caps", "size_cap", "unconditional"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
     # keys that only verify reads are parsed when the build starts, so a
     # build never records a config whose verify would end in a traceback;
@@ -181,6 +188,19 @@ def test_config_file_rejected_in_one_line(tmp_path, text, why):
                        match=f"^config rejected: {re.escape(str(p))} {why}$"):
         main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
     assert not (tmp_path / "o").exists()
+
+
+def test_unconditional_key_absent_builds_as_false(built, tmp_path):
+    # D is built one way for every seed, so leaving the key out changes no
+    # dump; seed.json has no such field
+    _, _, out = built
+    seed = {k: v for k, v in CONFIG["seed"].items() if k != "unconditional"}
+    p = tmp_path / "nokey.json"
+    p.write_text(json.dumps(dict(CONFIG, seed=seed)))
+    assert main(["build", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    for name in ("seed.json", "stages.json", "normingset.json", "coding.json"):
+        assert (tmp_path / "o" / name).read_bytes() == (out / name).read_bytes()
+    assert "unconditional" not in json.loads((out / "seed.json").read_text())
 
 
 def test_tsirelson_seed_reads_eps_seq(tmp_path):
@@ -263,6 +283,18 @@ def test_report_without_verdicts_asks_for_verify(tmp_path):
                "violations": [], "details": {}}]}
     (tmp_path / "report.json").write_text(json.dumps(old))
     with pytest.raises(SystemExit, match="run verify again"):
+        main(["report", "--build", str(tmp_path)])
+
+
+@pytest.mark.parametrize("text", ["[]", "{}", '{"reports": 3}',
+                                  '{"reports": [1]}'],
+                         ids=["list", "empty", "reports-not-a-list",
+                              "report-not-an-object"])
+def test_report_of_wrong_shape_rejected_in_one_line(tmp_path, text):
+    (tmp_path / "report.json").write_text(text)
+    with pytest.raises(SystemExit, match="^corrupt report: report.json is "
+                                         "not a JSON object with a failed "
+                                         "flag and a list of reports$"):
         main(["report", "--build", str(tmp_path)])
 
 
@@ -351,9 +383,10 @@ def test_recorded_config_rejected_in_one_line(built, tmp_path, command):
      "manifest.json is not a JSON object with a config object"),
     ("manifest-without-config",
      "manifest.json is not a JSON object with a config object"),
+    ("hashes-not-an-object", "manifest.json hashes is not a JSON object"),
     ("missing-dump", "stages.json missing")],
     ids=["malformed-manifest", "manifest-not-an-object",
-         "manifest-without-config", "missing-dump"])
+         "manifest-without-config", "hashes-not-an-object", "missing-dump"])
 def test_broken_build_rejected_in_one_line(built, tmp_path, command, fault,
                                            why):
     _, _, out = built
@@ -365,6 +398,10 @@ def test_broken_build_rejected_in_one_line(built, tmp_path, command, fault,
         (broken / "manifest.json").write_text("[]")
     elif fault == "manifest-without-config":
         (broken / "manifest.json").write_text("{}")
+    elif fault == "hashes-not-an-object":
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["hashes"] = ["seed.json"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
     else:
         (broken / "stages.json").unlink()
     extra = (["--suite", "schema"] if command == "verify"
@@ -435,9 +472,6 @@ def test_report_details_are_json(tmp_path):
 def test_norm_command(capsys):
     assert main(["norm", "--family", "schreier:1", "--c", "1/2",
                  "3:1,4:1,5:1"]) == 0
-    assert capsys.readouterr().out.strip() == "3/2"
-    assert main(["norm", "--family", "schreier:1", "--c", "1/2",
-                 "--vector", "3:1,4:1,5:1"]) == 0
     assert capsys.readouterr().out.strip() == "3/2"
 
 

@@ -255,7 +255,7 @@ def test_tsirelson_seed_cut_matches_unpruned(k, n):
     c = F(1, 16)
     members = build_dual_norming_set(TsirelsonSpec(schreier(k), c),
                                      n, n).members()
-    full = SeedSpace("cut", [1] * n, members, c, c / 2, unconditional=True)
+    full = SeedSpace("cut", [1] * n, members, c, c / 2)
     cut = tsirelson_seed("cut", schreier(k), c, n)
     assert cut.to_json_obj() == full.to_json_obj()
     assert len(cut.norming) == 2 * n
@@ -478,18 +478,6 @@ def test_verify_norming_set(acc_seed, acc_D, monkeypatch):
     assert rep.verdict is Verdict.FAIL
     assert len(rep.violations) == 3
     assert rep.violations[0].startswith("norming margin")
-
-
-def test_unconditional_variant_atoms():
-    seed = tsirelson_seed("u", S1, F(1, 16), 3)
-    D = build_norming_set_D(seed)
-    assert member_band_report(D) == []
-    assert rounding_error_report(D) == []
-    assert decomposition_closure_report(D) == []
-    # a') atoms coincide with the dense sets, no normalization factor
-    for blk in range(1, 4):
-        atoms = {D.members[i].vec for i in D.atoms_of(blk)}
-        assert atoms == set(seed.atilde[blk - 1])
 
 
 def test_case_coverage_for_coding(acc_D):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdspace.exact import (FinVec, TriangularBasisChange, UniverseMismatch,
-                           l1_norm, linf_norm, pair, unit)
+from bdspace.exact import FinVec, TriangularBasisChange, UniverseMismatch
 from oracles import dense_unitriangular_solve
 
 F = Fraction
@@ -17,26 +16,26 @@ def fv(entries, uni="u"):
 
 
 def test_l1_norm_examples():
-    assert l1_norm(fv({})) == 0
-    assert l1_norm(fv({1: F(1, 2), 2: F(-1, 2)})) == 1
-    assert l1_norm(fv({1: F(3, 10), 2: F(3, 10), 3: F(4, 5)})) == F(7, 5)
+    assert fv({}).l1() == 0
+    assert fv({1: F(1, 2), 2: F(-1, 2)}).l1() == 1
+    assert fv({1: F(3, 10), 2: F(3, 10), 3: F(4, 5)}).l1() == F(7, 5)
 
 
 def test_linf_norm_examples():
-    assert linf_norm(fv({})) == 0
-    assert linf_norm(fv({1: F(-3, 4)})) == F(3, 4)
-    assert linf_norm(fv({1: F(1, 2), 2: F(1)})) == 1
+    assert fv({}).linf() == 0
+    assert fv({1: F(-3, 4)}).linf() == F(3, 4)
+    assert fv({1: F(1, 2), 2: F(1)}).linf() == 1
 
 
 def test_pair_examples():
-    assert pair(fv({5: 1}), fv({5: 1})) == 1
-    assert pair(fv({1: F(1, 2)}), fv({2: 1})) == 0
-    assert pair(fv({1: F(1, 3), 2: F(2, 3)}), fv({1: 3, 2: F(-3, 2)})) == 0
+    assert fv({5: 1}).pair(fv({5: 1})) == 1
+    assert fv({1: F(1, 2)}).pair(fv({2: 1})) == 0
+    assert fv({1: F(1, 3), 2: F(2, 3)}).pair(fv({1: 3, 2: F(-3, 2)})) == 0
 
 
 def test_pair_universe_mismatch():
     with pytest.raises(UniverseMismatch):
-        pair(fv({1: 1}, "a"), fv({1: 1}, "b"))
+        fv({1: 1}, "a").pair(fv({1: 1}, "b"))
 
 
 def test_zero_entries_never_stored():
@@ -66,18 +65,18 @@ vectors = st.dictionaries(st.integers(min_value=1, max_value=12), rationals,
 @given(vectors, vectors, rationals)
 def test_norm_axioms(a, b, r):
     va, vb = fv(a), fv(b)
-    assert l1_norm(va.scale(r)) == abs(r) * l1_norm(va)
-    assert linf_norm(va.scale(r)) == abs(r) * linf_norm(va)
-    assert l1_norm(va + vb) <= l1_norm(va) + l1_norm(vb)
-    assert linf_norm(va + vb) <= linf_norm(va) + linf_norm(vb)
+    assert va.scale(r).l1() == abs(r) * va.l1()
+    assert va.scale(r).linf() == abs(r) * va.linf()
+    assert (va + vb).l1() <= va.l1() + vb.l1()
+    assert (va + vb).linf() <= va.linf() + vb.linf()
 
 
 @settings(max_examples=40, deadline=None)
 @given(vectors, vectors)
 def test_pair_bilinear(a, b):
     va, vb = fv(a), fv(b)
-    assert pair(va + vb, vb) == pair(va, vb) + pair(vb, vb)
-    assert abs(pair(va, vb)) <= l1_norm(va) * linf_norm(vb)
+    assert (va + vb).pair(vb) == va.pair(vb) + vb.pair(vb)
+    assert abs(va.pair(vb)) <= va.l1() * vb.linf()
 
 
 # -- triangular basis change -------------------------------------------------
@@ -97,15 +96,15 @@ def depth3_change():
 def test_to_d_trivial_cases():
     bc, rows = depth3_change()
     # no correction: d = e
-    assert bc.to_d(unit("u", 1)) == unit("u", 1)
+    assert bc.to_d(fv({1: 1})) == fv({1: 1})
     # one-step substitution: e_2 = d_2 + (1/2) e_0 with c_0 = 0
-    assert bc.to_d(unit("u", 2)) == fv({2: 1, 0: F(1, 2)})
+    assert bc.to_d(fv({2: 1})) == fv({2: 1, 0: F(1, 2)})
 
 
 def test_unitriangularity():
     bc, rows = depth3_change()
     for g in rows:
-        a = bc.to_d(unit("u", g))
+        a = bc.to_d(fv({g: 1}))
         assert a[g] == 1
         assert all(i <= g for i in a.support())
 
@@ -153,7 +152,7 @@ def test_to_d_rejects_row_on_non_earlier_index():
     bc = TriangularBasisChange("u", lambda g: (g,), rows.__getitem__)
     with pytest.raises(ValueError, match="correction row of 2 touches "
                                          "non-earlier index 3"):
-        bc.to_d(unit("u", 2))
+        bc.to_d(fv({2: 1}))
 
 
 def test_projection_through_basis_change():

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bdspace"
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "bdspace"
+TRACING = REPO / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 OUTSIDE_LP = [p for p in MODULES if p.name != "lp.py"]
 
@@ -246,8 +247,7 @@ def test_pipeline_hashes_dumps_without_hashlib(tmp_path):
 # ---------------------------------------------------------------------------
 
 PUBLIC_API = {
-    "exact": "FinVec TriangularBasisChange UniverseMismatch l1_norm "
-             "linf_norm pair unit",
+    "exact": "FinVec TriangularBasisChange UniverseMismatch",
     "families": "RegularFamily explicit is_admissible is_member is_spread "
                 "max_union schreier singleton_plus_pair",
     "tsirelson": "DominationCertificate DualNormingSet TsirelsonSpec "
@@ -273,7 +273,7 @@ PUBLIC_API = {
 def test_public_names_resolve_to_their_layer():
     import bdspace
     names = [n for layer in PUBLIC_API.values() for n in layer.split()]
-    assert len(names) == len(set(names)) == 61
+    assert len(names) == len(set(names)) == 57
     assert sorted(bdspace.__all__) == sorted(names)
     for layer, listed in PUBLIC_API.items():
         module = importlib.import_module(f"bdspace.{layer}")
@@ -291,3 +291,93 @@ def test_namespace_star_dir_and_missing_name():
     assert set(bdspace.__all__) <= set(dir(bdspace))
     with pytest.raises(AttributeError, match="'no_such_name'"):
         bdspace.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# no knob that no caller sets
+# ---------------------------------------------------------------------------
+
+CALLERS = sorted([*MODULES, *(REPO / "demos").glob("*.py"),
+                  *(REPO / "bench").glob("*.py")])
+
+# parameters that only the tests pass, each for its reason
+TEST_SEAMS = {
+    ("build_dual_norming_set", "member_cap"): "tests shrink the cap to hit it",
+    ("build_dual_norming_set", "signs"): "the bf_vstar_norm oracle builds "
+                                         "the all-plus trees",
+}
+
+
+def _signatures(tree: ast.Module, names) -> dict:
+    """Name -> (positional, keyword-only) parameters of each of ``names``
+    defined at the top of ``tree``: a function's, or the explicit
+    ``__init__``'s of a class, without self."""
+    out = {}
+    for node in tree.body:
+        fn = node
+        if isinstance(node, ast.ClassDef):
+            fn = next((b for b in node.body if isinstance(b, ast.FunctionDef)
+                       and b.name == "__init__"), None)
+        if (getattr(node, "name", None) in names
+                and isinstance(fn, ast.FunctionDef)):
+            a = fn.args
+            pos = [p.arg for p in a.posonlyargs + a.args]
+            out[node.name] = (pos[1:] if fn is not node else pos,
+                              [p.arg for p in a.kwonlyargs])
+    return out
+
+
+def _unpassed(signatures: dict, trees) -> set:
+    """(name, parameter) for every parameter of a called name that no call
+    passes, by position or by keyword; ``*args`` or ``**kwargs`` in a call
+    passes every parameter it could.  A name no call reaches is an entry
+    point, whose parameters are all its user's to set."""
+    called, passed = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name not in signatures:
+                continue
+            pos, kw = signatures[name]
+            called.add(name)
+            given = set(pos[:len(node.args)])
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                given = set(pos)
+            for k in node.keywords:
+                given |= set(pos + kw) if k.arg is None else {k.arg}
+            passed |= {(name, p) for p in given}
+    return {(n, p) for n in called for p in sum(signatures[n], [])} - passed
+
+
+def test_every_public_parameter_is_passed():
+    # a parameter that no call in the package, the demos or the benchmark
+    # passes is a knob that cannot help: it keeps a second path that no
+    # workload runs
+    import bdspace
+    signatures = {}
+    for layer, names in bdspace._LAYERS.items():
+        signatures.update(_signatures(
+            ast.parse((SRC / f"{layer}.py").read_text()), names))
+    assert len(signatures) > 30
+    trees = [ast.parse(p.read_text()) for p in CALLERS]
+    assert _unpassed(signatures, trees) == set(TEST_SEAMS)
+
+
+def test_parameter_rule_fires():
+    lib = ast.parse("def certify(aug, blocks, alphas=None, *, cap=1): pass\n"
+                    "class Seed:\n"
+                    "    def __init__(self, name, atilde=None): pass\n"
+                    "def entry(x, y=0): pass\n")
+    sigs = _signatures(lib, {"certify", "Seed", "entry"})
+    assert sigs["Seed"] == (["name", "atilde"], [])
+    calls = ast.parse("certify(a, b, cap=2)\n"
+                      "seed = mod.Seed('s')\n")
+    assert _unpassed(sigs, [calls]) == {("certify", "alphas"),
+                                        ("Seed", "atilde")}
+    calls = ast.parse("certify(a, *rest, cap=2)\n"
+                      "seed = Seed(**opts)\n")
+    assert _unpassed(sigs, [calls]) == set()
