@@ -32,7 +32,7 @@ base = build_embedding(seed, D, stage_bound=8)
 
 # target: the (S_1, 1/2) space; augmentation weight stays at 1/16
 vspec = TsirelsonSpec(schreier(1), Fraction(1, 2))
-aug = AugmentedBuild(base, vspec, c, mode="fdd")
+aug = AugmentedBuild(base, vspec, c)
 
 # carriers: new coordinates at distance-interval [16/17, 1] from the
 # reembedded space, placed with the separation the chain needs

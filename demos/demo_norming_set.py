@@ -39,7 +39,7 @@ print(f"\nseed space: 4 blocks, {len(dns.members())} tree functionals"
 print("validation issues:", seed.validate())
 
 D = build_norming_set_D(seed)
-print(f"\nnorming set D: {len(D.members)} members (pruned: {D.pruned})")
+print(f"\nnorming set D: {len(D.members)} members")
 print("band violations     :", member_band_report(D))
 print("rounding violations :", rounding_error_report(D))
 print("closure violations  :", decomposition_closure_report(D))

@@ -14,9 +14,9 @@ classes are
   (1,2)  (n, k, xi, r, e*_eta)   extends xi's shadow by eta's piece.
 
 New elements annihilate the blockwise reembedding psi of the base space
-(their d* functionals vanish on it), and in with-FDD mode the registered
-dense-set vectors annihilate psi(X) as well, so admission of the type-1
-classes is exact.
+(their d* functionals vanish on it).  The base space is built over an FDD,
+so every registered dense-set vector and every type-1 correction c* must
+annihilate psi(X) as well, and admission is that exact check.
 
 The chain constructor lifts a dual coefficient functional w* = sum beta_n
 v*_{q_n} (a member of V's norming set) into a single element gamma whose
@@ -28,9 +28,9 @@ provided the windows are separated by q_n + n < p_{n+1}.  Lower-estimate
 certificates evaluate e*_gamma on a block combination exactly and compare
 against the guaranteed constant, whose decomposition constant M is derived
 from the merged build.  The distance from a block to psi(X) is reported as
-an interval: in either mode its lower end is certified by an l1-normalized
-window functional annihilating psi(X), its upper end is the exact l_inf
-distance on the built coordinates, from one certified LP.
+an interval: its lower end is certified by an l1-normalized window
+functional annihilating psi(X), its upper end is the exact l_inf distance
+on the built coordinates, from one certified LP.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ class BEntry:
     vec: FinVec
     k: int
     n: int
-    target: FinVec | None
-    proximity: Fraction | None
 
 
 @dataclass
@@ -107,17 +105,13 @@ class ThetaInfo:
 class AugmentedBuild:
     """Base build replayed into a larger universe, plus the new elements."""
 
-    def __init__(self, base: EmbeddingBuild, vspec: TsirelsonSpec, c_aug,
-                 mode: str = "fdd"):
-        if mode not in ("fdd", "free"):
-            raise BuildError("mode must be fdd or free")
+    def __init__(self, base: EmbeddingBuild, vspec: TsirelsonSpec, c_aug):
         self.base = base
         self.vspec = vspec
         self.c_aug = Fraction(c_aug)
         if not (0 < self.c_aug <= WEIGHT_CAP):
             raise BuildError(
                 f"augmentation weight must satisfy 0 < c <= {WEIGHT_CAP}")
-        self.mode = mode
         self.bd = BDBuild(base.bd.universe + ":aug")
         self.theta: dict[int, ThetaInfo] = {}
         self.bentries: list[BEntry] = []
@@ -189,60 +183,34 @@ class AugmentedBuild:
 
     # -- dense sets ------------------------------------------------------------------
 
-    def density_bound(self, n: int, m: Fraction) -> Fraction:
-        """Registered vectors must approximate their targets to within
-        eps_{n+1} / (2 M + 4), M from ``bdcore.decomposition_constant``."""
-        eps_seq = self.base.seed.eps_seq
-        return eps_seq[min(n, len(eps_seq) - 1)] / (2 * m + 4)
-
-    def register_b(self, k: int, n: int, vec: FinVec,
-                   target: FinVec | None = None) -> int:
+    def register_b(self, k: int, n: int, vec: FinVec) -> int:
+        """Register +-vec for the interval (k, n]: it must lie in the l1
+        ball, be supported on ranks k+1..n and, projected to the interval,
+        annihilate psi(X).  Returns the index of +vec."""
         if vec.l1() > 1:
             raise BuildError("dense-set member outside the l1 ball")
         for i in vec.support():
             if not (k < self.bd.rank[i] <= n):
                 raise BuildError("dense-set member outside the interval span")
-        if self.mode == "fdd":
-            proj = self.bd.project(vec, k, n)
-            for sx in self.spanning:
-                if proj.pair(sx):
-                    raise BuildError(
-                        "with-FDD dense-set member must annihilate psi(X)")
-        prox = None if target is None else (vec - target).l1()
-        self.bentries.append(BEntry(vec, k, n, target, prox))
-        self.bentries.append(BEntry(-vec, k, n,
-                                    -target if target is not None else None,
-                                    prox))
+        proj = self.bd.project(vec, k, n)
+        if any(proj.pair(sx) for sx in self.spanning):
+            raise BuildError("dense-set member must annihilate psi(X)")
+        self.bentries += [BEntry(vec, k, n), BEntry(-vec, k, n)]
         return len(self.bentries) - 2
 
     def dense_set_ledger(self) -> list[dict]:
-        """The registry as JSON, each entry with its bound after the lift."""
-        m = decomposition_constant(self.bd)[1]
-        return [{"interval": [b.k, b.n], "l1": _enc(b.vec.l1()),
-                 "proximity": _enc(b.proximity),
-                 "bound": _enc(None if b.proximity is None or m is None
-                               else self.density_bound(b.n, m))}
+        """The registry as JSON: each entry's interval and l1 norm."""
+        return [{"interval": [b.k, b.n], "l1": _enc(b.vec.l1())}
                 for b in self.bentries]
 
     # -- admission ---------------------------------------------------------------
 
     def _admission_ok(self, cstar: FinVec) -> tuple[bool, str]:
-        if self.mode == "fdd":
-            for sx in self.spanning:
-                v = cstar.pair(sx)
-                if v:
-                    return False, f"c* does not annihilate psi(X): {v}"
-            return True, ""
-        # sufficient exact criterion: the pullback to the seed has dual norm
-        # at most (1 - eps), hence |c*(psi x)| <= ||phi x|| for all x
-        s = self.base.seed
-        pull = FinVec(s.universe,
-                      {i: cstar.pair(self.spanning[i - 1])
-                       for i in range(1, s.ncoords + 1)})
-        nrm = s.dual_norm(pull)
-        if nrm <= 1 - s.eps:
-            return True, ""
-        return False, f"pullback dual norm {nrm} exceeds 1 - eps"
+        for sx in self.spanning:
+            v = cstar.pair(sx)
+            if v:
+                return False, f"c* does not annihilate psi(X): {v}"
+        return True, ""
 
     # -- the four classes -----------------------------------------------------------
 
@@ -253,12 +221,12 @@ class AugmentedBuild:
             raise BuildError("shadow support exceeds the stage index")
 
     def add_theta_01(self, rank: int, sign: int, bvec: FinVec,
-                     scaled: bool = False, target: FinVec | None = None) -> int:
+                     scaled: bool = False) -> int:
         """(0,1): weight r c with shadow (r v*_rank); r = +-1, or the
         V-weight itself when ``scaled`` (a one-leaf prefix shadow)."""
         if sign not in (1, -1):
             raise BuildError("sign must be +-1")
-        bref = self.register_b(0, rank - 1, bvec.scale(sign), target)
+        bref = self.register_b(0, rank - 1, bvec.scale(sign))
         leaf = ("leaf", sign, rank)
         if scaled:
             vc = VCode("pfx", (leaf,))
@@ -285,15 +253,14 @@ class AugmentedBuild:
         self.theta[g] = ThetaInfo("02", vc, None)
         return g
 
-    def add_theta_11(self, rank: int, xi: int, sign: int, bvec: FinVec,
-                     target: FinVec | None = None) -> int:
+    def add_theta_11(self, rank: int, xi: int, sign: int, bvec: FinVec) -> int:
         inf = self.theta.get(xi)
         if inf is None or inf.vcode.kind != "pfx":
             raise BuildError("xi must be a new element with a prefix shadow")
         k = self.bd.rank[xi]
         vc = VCode("pfx", inf.vcode.payload + (("leaf", sign, rank),))
         self._check_shadow(vc, rank)
-        bref = self.register_b(k, rank - 1, bvec.scale(sign), target)
+        bref = self.register_b(k, rank - 1, bvec.scale(sign))
         weight = self.vspec.c * self.c_aug
         cstar = (FinVec(self.bd.universe, {xi: 1})
                  + self.bd.project(bvec.scale(sign), k, rank - 1).scale(weight))
@@ -347,7 +314,7 @@ class AugmentedBuild:
             raise BuildError("no annihilating combination available")
         b = FinVec(self.bd.universe, dict(zip(earlier, vec)))
         b = b.scale(1 / b.l1())
-        return self.add_theta_01(rank, 1, b, target=b)
+        return self.add_theta_01(rank, 1, b)
 
     def carrier_block(self, g: int) -> FinVec:
         """The unit vector of the carrier's coordinate, extended to the top."""
@@ -425,8 +392,7 @@ def lift_dual_functional(aug: AugmentedBuild, wtree,
         if tree[0] == "leaf":
             _, sign, q = tree
             w = windows[q]
-            return aug.add_theta_01(q, sign, w.bvec, scaled=False,
-                                    target=w.bvec)
+            return aug.add_theta_01(q, sign, w.bvec)
         children = tree[1]
         assert len(children) >= 2
         prev = None
@@ -436,11 +402,9 @@ def lift_dual_functional(aug: AugmentedBuild, wtree,
                 _, sign, q = ch
                 w = windows[q]
                 if j == 0:
-                    prev = aug.add_theta_01(q, sign, w.bvec, scaled=True,
-                                            target=w.bvec)
+                    prev = aug.add_theta_01(q, sign, w.bvec, scaled=True)
                 else:
-                    prev = aug.add_theta_11(q, prev, sign, w.bvec,
-                                            target=w.bvec)
+                    prev = aug.add_theta_11(q, prev, sign, w.bvec)
             else:
                 eta = lift(ch)
                 if j == 0:
@@ -467,9 +431,8 @@ def verify_lift_identities(aug: AugmentedBuild, g: int, wtree,
         if aug.bd.project(e, w.p, w.q - 1) != w.zstar.scale(aug.c_aug * beta):
             rep.violations.append(
                 f"window {q}: P*(e*) != c beta z* (beta = {beta})")
-    if aug.mode == "fdd" and any(e.pair(sx) for sx in aug.spanning):
-        rep.violations.append(
-            "e*(psi x) must vanish on the base space in with-FDD mode")
+    if any(e.pair(sx) for sx in aug.spanning):
+        rep.violations.append("e*(psi x) must vanish on the base space")
     return rep
 
 
@@ -524,19 +487,6 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
         if (any(aug.pi(y) != x for x, y in zip(cols, images))
                 or row_l1_max(images) > 1):
             rep.violations.append(f"psi not isometric on a stage-{j} pattern")
-    # registered dense-set vectors lie within the bound of their targets
-    theta_star, m = decomposition_constant(aug.bd)
-    for i, b in enumerate(aug.bentries):
-        if b.proximity is None:
-            continue
-        bound = None if m is None else aug.density_bound(b.n, m)
-        if bound is None:
-            rep.unsettled = Verdict.INCONCLUSIVE
-            rep.reason = ("no M bounds the dense-set proximities: theta* = "
-                          f"{theta_star} >= 1/2")
-        elif b.proximity > bound:
-            rep.violations.append(f"dense-set entry {i}: proximity "
-                                  f"{b.proximity} exceeds its bound {bound}")
     return rep
 
 
@@ -589,7 +539,7 @@ def _annihilating_witness(aug: AugmentedBuild, p: int, q: int,
     the representative, f among them, then annihilates psi(X); that f does
     is checked.  So f is feasible for the LP of ``_hull_distance`` and, by
     weak duality, its value is a certified lower bound for the distance
-    from z to psi(X), in either mode.  Returns (value, representative b*,
+    from z to psi(X).  Returns (value, representative b*,
     its window projection z* = f).
     """
     bd = aug.bd

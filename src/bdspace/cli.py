@@ -37,7 +37,13 @@ if TYPE_CHECKING:
 
 
 def _frac(s) -> Fraction:
-    return Fraction(s) if not isinstance(s, list) else Fraction(s[0], s[1])
+    """A config rational: a string such as '1/2', a number, or a pair
+    [numerator, denominator] of integers."""
+    if not isinstance(s, list):
+        return Fraction(s)
+    if len(s) != 2 or not all(type(v) is int for v in s):
+        raise ValueError(f"not a [numerator, denominator] pair: {s!r}")
+    return Fraction(*s)
 
 
 def parse_rational(flag: str, text: str) -> Fraction:
@@ -149,42 +155,92 @@ def load_config(path: str) -> dict:
     raise SystemExit(f"config rejected: {path} {problem}")
 
 
+def _positive_int(value) -> bool:
+    try:
+        return int(value) >= 1
+    except (ValueError, TypeError, OverflowError):
+        return False
+
+
+def _is_rational(value) -> bool:
+    try:
+        _frac(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        return False
+    return True
+
+
+def _is_vector(value) -> bool:
+    """The entries of a ``FinVec`` as JSON: [i, numerator, denominator]
+    integer triples with nonzero denominators."""
+    return isinstance(value, list) and all(
+        isinstance(e, list) and len(e) == 3
+        and all(type(v) is int for v in e) and e[2] != 0 for e in value)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# the shape of each optional config key and seed key, as (test, shape);
+# the rationals among them are checked in ``check_config``
+_SHAPES = {
+    "seed.name": (_is_str, "be a string"),
+    "seed.family": (_is_str, "be a string such as 'schreier:1'"),
+    "seed.blocks": (_positive_int, "be a positive integer"),
+    "seed.block_dims": (lambda v: isinstance(v, list) and bool(v)
+                        and all(map(_positive_int, v)),
+                        "be a nonempty list of positive integers"),
+    "seed.norming": (lambda v: isinstance(v, list) and all(map(_is_vector, v)),
+                     "be a list of vectors, each a list of [i, numerator, "
+                     "denominator] integer triples"),
+    "eps_seq": (lambda v: isinstance(v, list),
+                "be a list of rationals such as 1/2"),
+    "upper_family": (_is_str, "be a string such as 'schreier:1'"),
+}
+
+
 def check_config(cfg: dict) -> dict:
-    """``cfg`` if it parses, else one ``config rejected`` line naming what
-    is wrong.  The rules on c, eps and eps_seq are ``SeedSpace``'s, and
-    ``realize_seed`` reports them.  The keys only ``verify`` reads, those of
-    ``_upper_target``, are read here too, so that a build never records a
-    config its verify cannot read; theta, which ``verify`` derives from the
-    build, is refused, not ignored, and so is a seed's ``unconditional``
-    unless false, the value older configs carry: no build reads it.
-    ``verify`` and ``augment`` check the config a build recorded as well:
-    its manifest is not hash-checked."""
+    """``cfg`` if it parses, else one ``config rejected`` line naming each
+    key that is wrong and the shape it expects.  The rules on c, eps and
+    eps_seq are ``SeedSpace``'s, and ``realize_seed`` reports them.  The
+    keys only ``verify`` reads, those of ``_upper_target``, are read here
+    too, so that a build never records a config its verify cannot read;
+    theta, which ``verify`` derives from the build, is refused, not
+    ignored, and so are the caps ``stage_caps`` and ``size_cap`` (no build
+    is cut) and a seed's ``unconditional`` unless false, the value older
+    configs carry: no build reads it.  ``verify`` and ``augment`` check
+    the config a build recorded as well: its manifest is not hash-checked."""
     errors = []
     seed = cfg.get("seed", {})
+    if not isinstance(seed, dict):
+        raise SystemExit("config rejected: seed must be a JSON object")
     if seed.get("kind") not in ("tsirelson", "explicit"):
         errors.append("seed.kind must be 'tsirelson' or 'explicit'")
     if seed.get("unconditional", False) is not False:
         errors.append("seed.unconditional can only be false: D is built the "
                       "same way for every seed")
-    try:
-        bound = int(cfg["stage_bound"])
-    except (KeyError, ValueError, TypeError):
-        bound = 0
-    if bound < 1:
+    if seed.get("kind") == "explicit":
+        errors += [f"seed.{key} is required for an explicit seed"
+                   for key in ("name", "block_dims", "norming")
+                   if key not in seed]
+    if not _positive_int(cfg.get("stage_bound")):
         errors.append("stage_bound must be a positive integer")
-    for key in ("stage_caps", "size_cap"):
-        if key in cfg and (type(cfg[key]) is not int or cfg[key] < 1):
-            errors.append(f"{key} must be a positive integer")
+    for key, (test, shape) in _SHAPES.items():
+        where, _, name = key.rpartition(".")
+        obj = seed if where else cfg
+        if name in obj and not test(obj[name]):
+            errors.append(f"{key} must {shape}")
     values = [("seed.c", seed.get("c", 0)), ("eps", cfg.get("eps", 0))]
-    values += [("eps_seq", e) for e in cfg.get("eps_seq", ())]
+    if isinstance(cfg.get("eps_seq"), list):
+        values += [("eps_seq", e) for e in cfg["eps_seq"]]
     values += [(k, cfg[k]) for k in ("upper_c", "upper_C") if k in cfg]
-    for key, value in values:
-        try:
-            _frac(value)
-        except (ValueError, TypeError, ZeroDivisionError):
-            errors.append(f"{key} takes a rational such as 1/2, not {value!r}")
+    errors += [f"{key} takes a rational such as 1/2, not {value!r}"
+               for key, value in values if not _is_rational(value)]
     if "theta" in cfg:
         errors.append("theta is derived from the build, not set in the config")
+    errors += [f"{key} is refused: no build is cut"
+               for key in ("stage_caps", "size_cap") if key in cfg]
     if not errors:
         try:
             _upper_target(cfg)
@@ -216,21 +272,26 @@ def realize_seed(cfg: dict) -> SeedSpace:
                        for e in s["norming"]]
             seed = SeedSpace(s["name"], s["block_dims"], norming, c, eps,
                              eps_seq=eps_seq)
+        issues = seed.validate()
     except (ValueError, CapExceeded) as exc:
         raise SystemExit(f"seed rejected: {exc}") from None
-    issues = seed.validate()
     if issues:
         raise SystemExit("seed rejected:\n  " + "\n  ".join(issues))
     return seed
 
 
 def realize_build(cfg: dict):
-    from .decomp import D_SIZE_CAP, build_norming_set_D
+    """The seed, the norming set D and the embedding, each built whole;
+    a D that reaches ``decomp.D_SIZE_CAP`` members ends in one ``build
+    rejected`` line."""
+    from .decomp import NormingSetCap, build_norming_set_D
     from .construction import build_embedding
     seed = realize_seed(cfg)
-    D = build_norming_set_D(seed, size_cap=cfg.get("size_cap", D_SIZE_CAP))
-    eb = build_embedding(seed, D, int(cfg["stage_bound"]),
-                         stage_caps=cfg.get("stage_caps"))
+    try:
+        D = build_norming_set_D(seed)
+    except NormingSetCap as exc:
+        raise SystemExit(f"build rejected: {exc}") from None
+    eb = build_embedding(seed, D, int(cfg["stage_bound"]))
     return seed, D, eb
 
 
@@ -296,9 +357,6 @@ def cmd_build(args) -> int:
         "stage_cardinalities": {str(n): len(v)
                                 for n, v in sorted(eb.bd.stages.items())},
         "norming_set_size": len(D.members),
-        "norming_set_pruned": D.pruned,
-        "pruned": eb.pruned,
-        "prune_log": eb.prune_log,
         "hashes": hashes,
     }
     _write(out / "manifest.json", manifest)
@@ -333,7 +391,7 @@ def cmd_augment(args) -> int:
     seed, D, eb = realize_build(cfg)
     c_aug = seed.c if c_aug is None else c_aug
     try:
-        aug = AugmentedBuild(eb, vspec, c_aug, mode=args.mode)
+        aug = AugmentedBuild(eb, vspec, c_aug)
         thetas = [aug.make_carrier(r) for r in carriers]
         cert = certify_lower_estimate(
             aug, [aug.carrier_block(t) for t in thetas]) if thetas else None
@@ -350,7 +408,6 @@ def cmd_augment(args) -> int:
         "v_family": args.v_family,
         "v_c": str(vspec.c),
         "c_aug": str(c_aug),
-        "mode": args.mode,
         "carriers": carriers,
         "theta_cardinalities": {str(n): sum(1 for g in aug.bd.stage(n)
                                             if aug.is_theta(g))
@@ -475,7 +532,12 @@ def cmd_dump(args) -> int:
     path = Path(args.build) / f"{args.what}.json"
     if not path.exists():
         raise SystemExit(f"{path} not found")
-    print(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True))
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SystemExit(
+            f"corrupt dump: {path.name} is not JSON ({exc})") from None
+    print(json.dumps(obj, indent=2, sort_keys=True))
     return 0
 
 
@@ -528,7 +590,6 @@ def main(argv=None) -> int:
     p.add_argument("--v-family", default="schreier:1")
     p.add_argument("--v-c", default="1/2")
     p.add_argument("--c", default=None, help="augmentation weight (default: seed c)")
-    p.add_argument("--mode", default="fdd", choices=["fdd", "free"])
     p.add_argument("--carriers", default="2,6,11",
                    help="comma-separated carrier ranks ('' for none)")
     p.set_defaults(fn=cmd_augment)

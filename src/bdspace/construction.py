@@ -31,7 +31,7 @@ gauge per unit restriction of the norming set, and a witness attaining it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -105,8 +105,6 @@ class EmbeddingBuild:
     bd: BDBuild
     code_of: dict                          # coded tuple -> bd id
     info: dict                             # bd id -> CodedInfo
-    pruned: bool = False
-    prune_log: list = field(default_factory=list)
 
     def nblocks_covered(self) -> int:
         return min(i0_of_rank(self.stage_bound), self.seed.nblocks)
@@ -151,15 +149,11 @@ def _recode(D: NormingSetD, t: tuple):
             Fraction(1), t[-1][0])
 
 
-def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
-                    stage_caps: int | None = None) -> EmbeddingBuild:
-    """Generate the coded index set up to ``stage_bound`` and register it.
-
-    ``stage_caps`` caps the elements of every rank: pruning is
-    deterministic (canonical tuple order) and keeps every referenced
-    element, so all per-element identities remain exactly checkable on
-    pruned builds; pruning is recorded.
-    """
+def build_embedding(seed: SeedSpace, D: NormingSetD,
+                    stage_bound: int) -> EmbeddingBuild:
+    """Generate the coded index set up to ``stage_bound`` and register it:
+    every prefix of every member's recorded decomposition whose rank is at
+    most ``stage_bound``, so no stage is ever cut."""
     s = seed
 
     # collect every prefix of every member's recorded decomposition
@@ -171,33 +165,6 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
 
     ranked: dict[tuple, int] = {t: _tuple_rank(D, t) for t in tuples}
     kept = {t for t, r in ranked.items() if r <= stage_bound}
-
-    pruned = False
-    prune_log = []
-    if stage_caps is not None:
-        by_rank: dict[int, list[tuple]] = {}
-        for t in kept:
-            by_rank.setdefault(ranked[t], []).append(t)
-        chosen: set[tuple] = set()
-        for n in sorted(by_rank):
-            cands = sorted(by_rank[n])
-            if len(cands) > stage_caps:
-                pruned = True
-                prune_log.append(
-                    f"stage {n}: kept {stage_caps} of {len(cands)}")
-                cands = cands[:stage_caps]
-            chosen.update(cands)
-        # dependency closure: every reference of a kept tuple is kept
-        frontier = list(chosen)
-        while frontier:
-            t = frontier.pop()
-            for ref in _recode(D, t)[1:3]:
-                if ref is not None and ref not in chosen:
-                    if ranked.get(ref) is None:
-                        ranked[ref] = _tuple_rank(D, ref)
-                    chosen.add(ref)
-                    frontier.append(ref)
-        kept = chosen
 
     bd = BDBuild(f"bd:{s.name}")
     code_of: dict[tuple, int] = {}
@@ -234,8 +201,7 @@ def build_embedding(seed: SeedSpace, D: NormingSetD, stage_bound: int,
         code_of[t] = g
 
     bd.freeze()
-    return EmbeddingBuild(seed, D, stage_bound, bd, code_of, info,
-                          pruned=pruned, prune_log=prune_log)
+    return EmbeddingBuild(seed, D, stage_bound, bd, code_of, info)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +229,11 @@ def verify_coding(eb: EmbeddingBuild) -> Report:
         min_rank = min(bd.rank[t] for t in bd.bc.to_d(bd.estar(g)).support())
         if min_rank < m_seq(inf.supp_blocks[0]):
             rep.violations.append(f"{g}: d-support starts before m_(min block)")
+        # v_g, which the embedding suite reads, is sum r_j x*_j over D
+        vsum = sum((D.members[j].vec.scale(r) for r, j in inf.entries),
+                   FinVec(s.universe))
+        if inf.vecsum != vsum:
+            rep.violations.append(f"{g}: v_g differs from sum r_j x*_j over D")
         if inf.case == "i":
             if bd.cstar(g):
                 rep.violations.append(f"{g}: block-rank element with c* != 0")
@@ -326,13 +297,13 @@ def embed_phi(eb: EmbeddingBuild, x: FinVec) -> FinVec:
 
 def phi_functional_identity(eb: EmbeddingBuild, x: FinVec,
                             image: FinVec | None = None) -> Report:
-    """e*_g(phi(x)) = sum_j r_j x*_j(x) for every built element, exactly."""
+    """e*_g(phi(x)) = v_g(x), v_g = sum_j r_j x*_j, for every built
+    element, exactly; ``verify_coding`` ties each v_g to D."""
     rep = Report("embedding-identity")
     if image is None:
         image = embed_phi(eb, x)
     for g, inf in eb.info.items():
-        expect = sum((r * eb.D.members[j].vec.pair(x) for r, j in inf.entries),
-                     Fraction(0))
+        expect = inf.vecsum.pair(x)
         if image[g] != expect:
             rep.violations.append(
                 f"{g}: e*(phi x) = {image[g]} != {expect}")
@@ -344,8 +315,8 @@ def verify_embedding(eb: EmbeddingBuild) -> Report:
     [1, n], from three exact checks.
 
     Identity: phi is linear, so the functional identity on a basis of the
-    covered blocks gives e*_g(phi x) = v_g(x), v_g = sum_j r_j x*_j, for
-    every x.  Upper: ||phi x|| = max_g |v_g(x)|, so ||phi|| is the largest
+    covered blocks gives e*_g(phi x) = v_g(x), v_g = sum_j r_j x*_j (tied
+    to D by ``verify_coding``), for every x.  Upper: ||phi x|| = max_g |v_g(x)|, so ||phi|| is the largest
     ||v_g||*.  Lower: ||x|| = max_u u(x) over the unit restrictions u of +-G
     to [1, n], so the best constant is lambda* = 1 / max_u rho(u), rho the
     gauge of conv(+-v_g) (bipolar theorem); every block interval lies in

@@ -21,7 +21,8 @@ pieces are themselves members.  The builder is target-driven: for every
 block interval it materializes members approximating each restriction of G,
 which yields an exactly checkable (1 - eps)-norming certificate while
 keeping the set small (the full set of the underlying recursion is
-astronomically large; pruning is dependency-closed by construction).
+astronomically large).  D is never cut: a build that reaches
+``D_SIZE_CAP`` members is refused.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .tsirelson import (TsirelsonSpec, build_dual_norming_set,
                         tree_l1_ceiling, vstar_norm)
 
 WEIGHT_CAP = Fraction(1, 16)  # the largest weight c of a seed or augmentation
-D_SIZE_CAP = 20_000  # members of D; a build that reaches it stops, pruned
+D_SIZE_CAP = 20_000  # members of D; a build that reaches it is refused
 
 
 def _pow2_at_least(x: Fraction) -> int:
@@ -382,7 +383,6 @@ class NormingSetCap(RuntimeError):
 class NormingSetD:
     seed: SeedSpace
     members: list[DMember]
-    pruned: bool = False
 
     def indices_in(self, lo: int, hi: int) -> list[int]:
         return [i for i, m in enumerate(self.members)
@@ -394,7 +394,7 @@ class NormingSetD:
     def to_json_obj(self) -> dict:
         return {
             "seed": self.seed.name,
-            "pruned": self.pruned,
+            "pruned": False,  # D is never cut; bench/run.py pins this dump
             "members": [
                 {
                     "vec": m.vec.to_json_obj(),
@@ -417,16 +417,15 @@ class _DBuilder:
     [1/2, 1] with no claim about the seed's basis.  The norming-set suite
     checks the band and each rounding error exactly."""
 
-    def __init__(self, seed: SeedSpace, size_cap: int):
+    def __init__(self, seed: SeedSpace):
         self.seed = seed
-        self.cap = size_cap
         self.members: list[DMember] = []
         self.by_pre: dict[FinVec, int] = {}
         self.factor = 1 + seed.eps / 4
 
     def _admit(self, m: DMember) -> int:
-        if len(self.members) >= self.cap:
-            raise NormingSetCap(f"norming set cap {self.cap} hit")
+        if len(self.members) >= D_SIZE_CAP:
+            raise NormingSetCap(f"norming set cap {D_SIZE_CAP} hit")
         self.members.append(m)
         self.by_pre[m.pre] = len(self.members) - 1
         return len(self.members) - 1
@@ -520,54 +519,50 @@ def unit_restrictions(seed: SeedSpace,
     return out
 
 
-def build_norming_set_D(seed: SeedSpace,
-                        size_cap: int = D_SIZE_CAP) -> NormingSetD:
+def build_norming_set_D(seed: SeedSpace) -> NormingSetD:
     """Target-driven construction of D with recorded decompositions.
 
     Materializes every dense-set atom, one member per interval restriction
     of the (symmetrized) norming set, and a full-support and a head-light
-    member per block interval.  All members referenced by a recorded
-    decomposition are materialized too, so pruning is dependency-closed by
-    construction.
+    member per block interval.  Every member referenced by a recorded
+    decomposition is materialized too.  D is built whole or not at all:
+    reaching ``D_SIZE_CAP`` members (read when the call runs) raises
+    ``NormingSetCap``.
     """
-    b = _DBuilder(seed, size_cap)
+    b = _DBuilder(seed)
     nb = seed.nblocks
-    pruned = False
-    try:
-        for blk in range(1, nb + 1):
-            for aidx in range(len(seed.atilde[blk - 1])):
-                b.atom(blk, aidx)
-        # only unit restrictions matter: the extreme points of every section
-        # dual ball lie among them, and they 1-norm the section
-        targets = unit_restrictions(
-            seed, [(lo, hi) for lo in range(1, nb + 1)
-                   for hi in range(lo, nb + 1)])
-        seen = set(targets)
-        for lo in range(1, nb + 1):
-            for hi in range(lo + 1, nb + 1):
-                full = FinVec(seed.universe,
-                              {seed.offsets[blk - 1]: 1 for blk in range(lo, hi + 1)})
-                nrm = seed.dual_norm(full)
-                full = full.scale(1 / nrm)
-                if full not in seen:
-                    seen.add(full)
-                    targets.append(full)
-                # head-light profile: leading blocks below the splitting
-                # threshold, so the greedy decomposition opens with a
-                # multi-block piece
-                graded = FinVec(seed.universe,
-                                dict([(seed.offsets[blk - 1], seed.c / 4)
-                                      for blk in range(lo, hi)]
-                                     + [(seed.offsets[hi - 1], 1)]))
-                graded = graded.scale(1 / seed.dual_norm(graded))
-                if graded not in seen:
-                    seen.add(graded)
-                    targets.append(graded)
-        for g in targets:
-            b.from_combination(*b.combination_for_target(g))
-    except NormingSetCap:
-        pruned = True
-    return NormingSetD(seed, b.members, pruned=pruned)
+    for blk in range(1, nb + 1):
+        for aidx in range(len(seed.atilde[blk - 1])):
+            b.atom(blk, aidx)
+    # only unit restrictions matter: the extreme points of every section
+    # dual ball lie among them, and they 1-norm the section
+    targets = unit_restrictions(
+        seed, [(lo, hi) for lo in range(1, nb + 1)
+               for hi in range(lo, nb + 1)])
+    seen = set(targets)
+    for lo in range(1, nb + 1):
+        for hi in range(lo + 1, nb + 1):
+            full = FinVec(seed.universe,
+                          {seed.offsets[blk - 1]: 1 for blk in range(lo, hi + 1)})
+            nrm = seed.dual_norm(full)
+            full = full.scale(1 / nrm)
+            if full not in seen:
+                seen.add(full)
+                targets.append(full)
+            # head-light profile: leading blocks below the splitting
+            # threshold, so the greedy decomposition opens with a
+            # multi-block piece
+            graded = FinVec(seed.universe,
+                            dict([(seed.offsets[blk - 1], seed.c / 4)
+                                  for blk in range(lo, hi)]
+                                 + [(seed.offsets[hi - 1], 1)]))
+            graded = graded.scale(1 / seed.dual_norm(graded))
+            if graded not in seen:
+                seen.add(graded)
+                targets.append(graded)
+    for g in targets:
+        b.from_combination(*b.combination_for_target(g))
+    return NormingSetD(seed, b.members)
 
 
 # ---------------------------------------------------------------------------

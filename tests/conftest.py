@@ -83,7 +83,7 @@ def build_6x16():
 def acc_aug(acc_build):
     from bdspace.augmentation import AugmentedBuild
     return AugmentedBuild(acc_build, TsirelsonSpec(schreier(1), Fraction(1, 16)),
-                          Fraction(1, 16), mode="fdd")
+                          Fraction(1, 16))
 
 
 def lift_acceptance(build):
@@ -91,7 +91,7 @@ def lift_acceptance(build):
     and 11, and the chain element that certifying their blocks lifts."""
     from bdspace.augmentation import AugmentedBuild, certify_lower_estimate
     aug = AugmentedBuild(build, TsirelsonSpec(schreier(1), Fraction(1, 2)),
-                         Fraction(1, 16), mode="fdd")
+                         Fraction(1, 16))
     blocks = [aug.carrier_block(aug.make_carrier(r)) for r in (2, 6, 11)]
     assert certify_lower_estimate(aug, blocks).status == "PASS"
     return aug

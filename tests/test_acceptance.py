@@ -41,8 +41,7 @@ def report(num, text):
 def aug_paper(acc_build):
     """Paper-conform augmentation: V = (S1, 1/16), weights satisfy the
     theta split, so the merged decomposition bound stays at 2."""
-    aug = AugmentedBuild(acc_build, TsirelsonSpec(S1, F(1, 16)), F(1, 16),
-                         mode="fdd")
+    aug = AugmentedBuild(acc_build, TsirelsonSpec(S1, F(1, 16)), F(1, 16))
     thetas = [aug.make_carrier(r) for r in (2, 6, 11)]
     blocks = [aug.carrier_block(t) for t in thetas]
     cert = certify_lower_estimate(aug, blocks)
@@ -163,7 +162,7 @@ def test_criterion_6_embedding(acc_build):
 
 def test_criterion_7_chain_identities(acc_build):
     vhalf = TsirelsonSpec(S1, F(1, 2))
-    aug = AugmentedBuild(acc_build, vhalf, F(1, 16), mode="fdd")
+    aug = AugmentedBuild(acc_build, vhalf, F(1, 16))
     thetas = [aug.make_carrier(r) for r in (2, 6, 11)]
     wins = {}
     for t in thetas:
@@ -186,7 +185,7 @@ def test_criterion_7_chain_identities(acc_build):
         rep = verify_lift_identities(aug, g, tree, wins)
         assert rep.ok, (n, rep.violations[:3])
     # single-block certified value against the guaranteed constant
-    aug2 = AugmentedBuild(acc_build, vhalf, F(1, 16), mode="fdd")
+    aug2 = AugmentedBuild(acc_build, vhalf, F(1, 16))
     t = aug2.make_carrier(2)
     cert = certify_lower_estimate(aug2, [aug2.carrier_block(t)])
     assert cert.status == "PASS"

@@ -1,6 +1,7 @@
 import ast
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -130,6 +131,65 @@ def test_config_rejected_by_seed_rules(tmp_path, change, why):
     assert not (tmp_path / "o").exists()
 
 
+def test_build_rejected_at_norming_set_cap(tmp_path, monkeypatch):
+    # D is built whole or not at all: a cap hit ends the build in one line
+    # and nothing is written
+    monkeypatch.setattr(decomp, "D_SIZE_CAP", 5)
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(CONFIG))
+    with pytest.raises(SystemExit,
+                       match="^build rejected: norming set cap 5 hit$"):
+        main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
+def _config_keys() -> set[str]:
+    """Every key cli.py reads from a config or a seed object: the string
+    constants of ``.get(...)`` calls, subscripts and ``in`` tests, of
+    tuples a loop runs over, and the keys of ``_SHAPES``."""
+    keys = set()
+
+    def strings(node):
+        return [n.value for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"):
+            keys.update(strings(node.args[0]))
+        elif isinstance(node, ast.Subscript):
+            keys.update(strings(node.slice))
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
+            keys.update(strings(node.left))
+        elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(
+                node.iter, ast.Tuple):
+            keys.update(strings(node.iter))
+    keys.update(k.rpartition(".")[2] for k in cli._SHAPES)
+    return {k for k in keys if k.isidentifier()}
+
+
+def test_config_of_any_shape_ends_in_one_line():
+    # every key read from a config or a seed, given null, a list, an
+    # object, a string or a number, at either level and for either seed
+    # kind, parses and builds its seed or ends in one rejected line; the
+    # keys are read from cli.py's source, so a new key cannot skip this
+    keys = _config_keys()
+    assert {"seed", "stage_bound", "eps_seq", "upper_family", "theta",
+            "stage_caps", "size_cap", "kind", "family", "blocks", "norming",
+            "block_dims", "name", "c"} <= keys
+    explicit = dict(CONFIG, seed=EXPLICIT_SEED)
+    for base, key, value in itertools.product(
+            (CONFIG, explicit), sorted(keys),
+            (None, [], [1], {}, {"a": 1}, "abc", 2)):
+        for cfg in (dict(base, **{key: value}),
+                    dict(base, seed=dict(base["seed"], **{key: value}))):
+            try:
+                cli.realize_seed(cli.check_config(cfg))
+            except SystemExit as exc:
+                assert re.match(r"(config|seed) rejected: [^\n]+$",
+                                str(exc)), (cfg, exc)
+
+
 def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
     # 31 blocks at c = 1/16 have a tree l1 ceiling of 1, so the seed
     # enumerates every tree; at a cap of 100 members (past the 62 leaves)
@@ -152,9 +212,9 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
     ({"upper_c": "2"}, "upper_family, upper_c: weight must satisfy 0 < c < 1"),
     ({"theta": "1/8"}, "theta is derived from the build, not set in the config"),
     ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
-    ({"stage_caps": {"5": 1, "6": 1}}, "stage_caps must be a positive integer"),
-    ({"stage_caps": "abc"}, "stage_caps must be a positive integer"),
-    ({"size_cap": "abc"}, "size_cap must be a positive integer"),
+    ({"stage_caps": {"5": 1, "6": 1}}, "stage_caps is refused: no build is cut"),
+    ({"stage_caps": 3}, "stage_caps is refused: no build is cut"),
+    ({"size_cap": 20_000}, "size_cap is refused: no build is cut"),
     ({"seed": dict(CONFIG["seed"], unconditional=True)},
      "seed.unconditional can only be false: D is built the same way for "
      "every seed")],
@@ -163,9 +223,9 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
 def test_config_rejected_in_one_line(tmp_path, change, why):
     # keys that only verify reads are parsed when the build starts, so a
     # build never records a config whose verify would end in a traceback;
-    # the caps, once read only by the build, never pruned (a JSON object)
-    # or ended in a traceback; theta, which verify derives from the build,
-    # is refused rather than ignored
+    # the caps stage_caps and size_cap, which no build reads since none is
+    # cut, and theta, which verify derives from the build, are refused
+    # rather than ignored
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(CONFIG, **change)))
     with pytest.raises(SystemExit, match=f"^config rejected: {why}$"):
@@ -296,6 +356,13 @@ def test_report_of_wrong_shape_rejected_in_one_line(tmp_path, text):
                                          "not a JSON object with a failed "
                                          "flag and a list of reports$"):
         main(["report", "--build", str(tmp_path)])
+
+
+def test_dump_not_json_rejected_in_one_line(tmp_path):
+    (tmp_path / "report.json").write_text("{")
+    with pytest.raises(SystemExit, match=r"^corrupt dump: report.json is "
+                                         r"not JSON \(.+\)$"):
+        main(["dump", "--build", str(tmp_path), "--what", "report"])
 
 
 def test_report_not_json_rejected_in_one_line(tmp_path):
@@ -582,31 +649,8 @@ def test_augment_rejects_bad_options(built, tmp_path, monkeypatch, argv, why,
     assert not (tmp_path / "a").exists()
 
 
-def test_augmentation_modes_match_cli():
-    # AugmentedBuild accepts exactly the --mode choices of ``augment``,
-    # read from the CLI's source; the library keeps no mode of its own
-    from bdspace.augmentation import AugmentedBuild
-    from bdspace.bdcore import BuildError
-    from bdspace.tsirelson import TsirelsonSpec
-    choices = next(
-        ast.literal_eval(kw.value)
-        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
-        if isinstance(node, ast.Call) and node.args
-        and isinstance(node.args[0], ast.Constant)
-        and node.args[0].value == "--mode"
-        for kw in node.keywords if kw.arg == "choices")
-    eb = cli.realize_build(CONFIG)[2]
-    vspec = TsirelsonSpec(parse_family("schreier:1"), Fraction(1, 2))
-    for mode in [*choices, "skipped", "bogus"]:
-        if mode in choices:
-            assert AugmentedBuild(eb, vspec, Fraction(1, 16), mode).mode == mode
-        else:
-            with pytest.raises(BuildError, match="^mode must be"):
-                AugmentedBuild(eb, vspec, Fraction(1, 16), mode)
-
-
 def test_augment_rejects_skipped_mode(built, tmp_path):
-    # skipped mode needs a lower-estimate constant the CLI does not take
+    # augment has one admission rule and takes no --mode at all
     _, _, out = built
     with pytest.raises(SystemExit) as exc:
         main(["augment", "--build", str(out), "--out", str(tmp_path / "a"),

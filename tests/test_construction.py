@@ -6,8 +6,8 @@ import pytest
 
 from bdspace import bdcore, construction
 from bdspace.bdcore import Verdict
-from bdspace.construction import (build_embedding, check_block_rank_order,
-                                  embed_phi, i0_of_rank, interval_from_rank,
+from bdspace.construction import (check_block_rank_order, embed_phi,
+                                  i0_of_rank, interval_from_rank,
                                   interval_rank, m_seq,
                                   phi_functional_identity, verify_coding,
                                   verify_cuts, verify_embedding)
@@ -253,18 +253,31 @@ def _with_info(eb, g, **changes):
 
 
 def test_embedding_perturbed_coefficient_fails(acc_build):
+    # the identity compares e*_g(phi x) with v_g, and the coding suite ties
+    # v_g to sum r_j x*_j over D: a coefficient moved in the coded tuple
+    # FAILs coding, and one moved in v_g FAILs the embedding as well
     g = next(g for g, inf in acc_build.info.items() if len(inf.entries) >= 2)
     (r, j), *rest = acc_build.info[g].entries
+    tie = f"{g}: v_g differs from sum r_j x*_j over D"
     eb = _with_info(acc_build, g, entries=((r + F(1, 64), j), *rest))
+    assert verify_coding(eb).violations == [tie]
+    moved = acc_build.info[g].vecsum + acc_build.D.members[j].vec.scale(
+        F(1, 64))
+    eb = _with_info(acc_build, g, vecsum=moved)
+    assert tie in verify_coding(eb).violations
     rep = verify_embedding(eb)
     assert rep.verdict is Verdict.FAIL
-    assert all(v.startswith(f"{g}: ") for v in rep.violations)
+    assert any(v.startswith(f"{g}: e*(phi x) = ") for v in rep.violations)
 
 
-def test_embedding_vecsum_above_dual_unit_fails(acc_build):
+def test_embedding_vecsum_above_dual_unit_fails(acc_build, monkeypatch):
+    # the identity reads v_g too and would fail on the doubled one; it is
+    # taken out so that the upper bound alone is judged
     s = acc_build.seed
     g = max(acc_build.info, key=lambda g: s.dual_norm(acc_build.info[g].vecsum))
     eb = _with_info(acc_build, g, vecsum=acc_build.info[g].vecsum.scale(2))
+    monkeypatch.setattr(construction, "phi_functional_identity",
+                        lambda eb, x: bdcore.Report("embedding-identity"))
     rep = verify_embedding(eb)
     assert rep.verdict is Verdict.FAIL
     assert rep.details["||phi||"] > 1
@@ -309,14 +322,18 @@ def test_embedding_dropped_coded_element_is_inconclusive(acc_build,
         assert (rep.details["witness"] is None) == (expect == 0)
 
 
-def test_embedding_gauge_prices_columns_outside_supp_u(acc_build):
+def test_embedding_gauge_prices_columns_outside_supp_u(acc_build,
+                                                       monkeypatch):
     # with the block-1 atoms' v_g shrunk to a quarter, the columns inside
     # supp e*_1 give it gauge 129/32, and v_g reaching other blocks do
     # better: the price must add them.  lambda* is then 1 / max_u rho(u),
-    # each rho(u) one LP over every +-v_g at once
+    # each rho(u) one LP over every +-v_g at once.  The identity reads v_g
+    # too, so it is taken out: the lower bound alone is judged
     eb = dataclasses.replace(acc_build, info={
         g: dataclasses.replace(inf, vecsum=inf.vecsum.scale(F(1, 4)))
         if inf.rank == 1 else inf for g, inf in acc_build.info.items()})
+    monkeypatch.setattr(construction, "phi_functional_identity",
+                        lambda eb, x: bdcore.Report("embedding-identity"))
     rep = verify_embedding(eb)
     vecs = [inf.vecsum for inf in eb.info.values()]
 
@@ -369,15 +386,3 @@ def test_cuts_verdict_is_inconclusive(acc_build):
     assert found
 
 
-def test_pruned_build_keeps_references():
-    from conftest import make_acceptance_seed
-    from bdspace.decomp import build_norming_set_D
-    seed = make_acceptance_seed()
-    D = build_norming_set_D(seed)
-    eb = build_embedding(seed, D, stage_bound=8, stage_caps=3)
-    assert eb.pruned and eb.prune_log
-    # every reference of a kept element is kept, so all checks still run
-    assert verify_coding(eb).ok
-    assert bdcore.validate_schema(eb.bd).ok
-    rep = bdcore.verify_analysis(eb.bd)
-    assert rep.ok

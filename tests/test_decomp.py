@@ -428,14 +428,12 @@ def test_atoms_equal_scaled_dense_sets(acc_seed, acc_D):
         assert set(acc_D.indices_in(blk, blk)) == set(acc_D.atoms_of(blk))
 
 
-def test_norming_set_cap_flags_pruned(acc_seed):
-    D = build_norming_set_D(acc_seed, size_cap=5)
-    assert D.pruned
-    assert len(D.members) <= 5
-    # whatever was kept still satisfies the per-member invariants
-    assert member_band_report(D) == []
-    assert rounding_error_report(D) == []
-    assert decomposition_closure_report(D) == []
+def test_norming_set_cap_refuses_build(acc_seed, monkeypatch):
+    # D is built whole or not at all: the cap is read when the call runs,
+    # and reaching it raises instead of returning a cut D
+    monkeypatch.setattr(decomp, "D_SIZE_CAP", 5)
+    with pytest.raises(decomp.NormingSetCap, match="^norming set cap 5 hit$"):
+        build_norming_set_D(acc_seed)
 
 
 def test_member_band_exact(acc_seed, acc_D):
