@@ -35,7 +35,6 @@ on the built coordinates, from one certified LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,10 +58,10 @@ def _enc(v: Fraction | None):
 # V-side shadows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class VCode:
-    kind: str        # "d0" | "pfx"
-    payload: tuple   # d0: ("leaf", sign, j); pfx: tuple of trees
+    def __init__(self, kind: str, payload: tuple):
+        self.kind = kind          # "d0" | "pfx"
+        self.payload = payload    # d0: ("leaf", sign, j); pfx: tuple of trees
 
     def trees(self) -> tuple:
         return (self.payload,) if self.kind == "d0" else self.payload
@@ -88,18 +87,16 @@ def vcode_admissible(vc: VCode, vspec: TsirelsonSpec) -> bool:
 # dense-set registry
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BEntry:
-    vec: FinVec
-    k: int
-    n: int
+    def __init__(self, vec: FinVec, k: int, n: int):
+        self.vec, self.k, self.n = vec, k, n
 
 
-@dataclass
 class ThetaInfo:
-    klass: str           # "01" | "02" | "11" | "12"
-    vcode: VCode
-    bref: int | None     # index into the registry when b* came from it
+    def __init__(self, klass: str, vcode: VCode, bref: int | None):
+        self.klass = klass    # "01" | "02" | "11" | "12"
+        self.vcode = vcode
+        self.bref = bref      # index into the registry when b* came from it
 
 
 class AugmentedBuild:
@@ -356,12 +353,11 @@ def _kernel_vector(rows: list[list[Fraction]], n: int) -> list[Fraction] | None:
 # the chain constructor
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Window:
-    p: int
-    q: int
-    bvec: FinVec      # dense-set member, unit-vector support in (p, q-1]
-    zstar: FinVec     # its projection onto the open window, d-supported inside
+    def __init__(self, p: int, q: int, bvec: FinVec, zstar: FinVec):
+        self.p, self.q = p, q
+        self.bvec = bvec    # dense-set member, unit-vector support in (p, q-1]
+        self.zstar = zstar  # its projection onto the open window, inside it
 
 
 def lift_dual_functional(aug: AugmentedBuild, wtree,
@@ -417,7 +413,9 @@ def lift_dual_functional(aug: AugmentedBuild, wtree,
                     prev = aug.add_theta_12(rank, prev, eta)
         return prev
 
-    return lift(wtree)
+    g = lift(wtree)
+    lift = None  # it refers to itself: release aug now, not at a GC pass
+    return g
 
 
 def verify_lift_identities(aug: AugmentedBuild, g: int, wtree,
@@ -494,24 +492,30 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
 # lower-estimate certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DistanceInterval:
-    lower: Fraction     # certified: witnessed by an annihilating functional
-    upper: Fraction     # exact: the distance on the built coordinates
-    witness: FinVec
+    def __init__(self, lower: Fraction, upper: Fraction, witness: FinVec):
+        self.lower = lower      # certified: witnessed by an annihilating f
+        self.upper = upper      # exact: the distance on the built coordinates
+        self.witness = witness
 
 
-@dataclass
 class LowerEstimateCertificate:
-    status: Verdict                  # PASS, FAIL or INCONCLUSIVE
-    gamma: int | None = None
-    exact_value: Fraction | None = None
-    bound: Fraction | None = None
-    delta0: DistanceInterval | None = None
-    betas: tuple | None = None
-    detail: str = ""
-    theta_star: Fraction | None = None   # the merged build's split theta
-    m_bound: Fraction | None = None      # apriori_bound(theta_star)
+    def __init__(self, status: Verdict, gamma: int | None = None,
+                 exact_value: Fraction | None = None,
+                 bound: Fraction | None = None,
+                 delta0: DistanceInterval | None = None,
+                 betas: tuple | None = None, detail: str = "",
+                 theta_star: Fraction | None = None,
+                 m_bound: Fraction | None = None):
+        self.status = status              # PASS, FAIL or INCONCLUSIVE
+        self.gamma = gamma
+        self.exact_value = exact_value
+        self.bound = bound
+        self.delta0 = delta0
+        self.betas = betas
+        self.detail = detail
+        self.theta_star = theta_star      # the merged build's split theta
+        self.m_bound = m_bound            # apriori_bound(theta_star)
 
     def to_json_obj(self) -> dict:
         return {

@@ -53,34 +53,28 @@ linear identities on a basis, operator norms exactly from columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from .exact import FinVec, TriangularBasisChange
 
 
-@dataclass(frozen=True)
 class Gamma0:
-    beta: Fraction
-    bstar: FinVec
-    free: object = None
+    def __init__(self, beta: Fraction, bstar: FinVec, free: object = None):
+        self.beta, self.bstar, self.free = beta, bstar, free
 
 
-@dataclass(frozen=True)
 class Gamma1:
-    alpha: Fraction
-    k: int
-    xi: int
-    beta: Fraction
-    bstar: FinVec
-    free: object = None
+    def __init__(self, alpha: Fraction, k: int, xi: int, beta: Fraction,
+                 bstar: FinVec, free: object = None):
+        self.alpha, self.k, self.xi = alpha, k, xi
+        self.beta, self.bstar, self.free = beta, bstar, free
 
 
-@dataclass
 class AnalysisRecord:
-    gamma: int
-    terms: list            # (alpha_j, xi_j, beta_j, bstar_j, (p_{j-1}, p_j))
-    cuts: tuple[int, ...]
+    def __init__(self, gamma: int, terms: list, cuts: tuple[int, ...]):
+        self.gamma = gamma
+        self.terms = terms  # (alpha_j, xi_j, beta_j, bstar_j, (p_{j-1}, p_j))
+        self.cuts = cuts
 
 
 class BuildError(ValueError):
@@ -369,15 +363,18 @@ class Verdict(str, Enum):
         return self.value
 
 
-@dataclass
 class Report:
     """A check's violations and details; a check that cannot settle its
     property records INCONCLUSIVE or AT-CAP as ``unsettled``, and why."""
-    name: str
-    violations: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    unsettled: Verdict | None = None
-    reason: str = ""
+
+    def __init__(self, name: str, violations: list | None = None,
+                 details: dict | None = None,
+                 unsettled: Verdict | None = None, reason: str = ""):
+        self.name = name
+        self.violations = [] if violations is None else violations
+        self.details = {} if details is None else details
+        self.unsettled = unsettled
+        self.reason = reason
 
     @property
     def verdict(self) -> Verdict:

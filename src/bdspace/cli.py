@@ -17,7 +17,9 @@ first, so a process compiles only those: ``build`` and ``verify`` never load
 the augmentation, and ``norm`` loads none of the BD core, the norming set or
 the embedding.  Dumps are hashed with CPython's own SHA-256 module, not
 ``hashlib``, which maps OpenSSL's libcrypto (about 3.4 MB resident), and
-``argparse`` is imported only by ``main``.
+``argparse`` is imported only by ``main``.  No layer imports
+``dataclasses``, which would load ``inspect``, ``ast``, ``dis``,
+``tokenize``, ``linecache`` and ``copy`` into every command.
 """
 
 from __future__ import annotations
@@ -208,8 +210,9 @@ def check_config(cfg: dict) -> dict:
     too, so that a build never records a config its verify cannot read;
     theta, which ``verify`` derives from the build, is refused, not
     ignored, and so are the caps ``stage_caps`` and ``size_cap`` (no build
-    is cut) and a seed's ``unconditional`` unless false, the value older
-    configs carry: no build reads it.  ``verify`` and ``augment`` check
+    is cut), a seed's ``unconditional`` unless false, the value older
+    configs carry, since no build reads it, and a ``stage_bound`` above the
+    full stage, which builds nothing more.  ``verify`` and ``augment`` check
     the config a build recorded as well: its manifest is not hash-checked."""
     errors = []
     seed = cfg.get("seed", {})
@@ -242,6 +245,14 @@ def check_config(cfg: dict) -> dict:
     errors += [f"{key} is refused: no build is cut"
                for key in ("stage_caps", "size_cap") if key in cfg]
     if not errors:
+        # Gamma stops growing at the full stage N(N+1)/2, the number of
+        # block intervals of N blocks: a larger bound cannot change a build
+        n = int(seed.get("blocks", 3) if seed["kind"] == "tsirelson"
+                else len(seed["block_dims"]))
+        bound, full = int(cfg["stage_bound"]), n * (n + 1) // 2
+        if bound > full:
+            errors.append(f"stage_bound {bound} is above the full stage "
+                          f"{full} of {n} blocks")
         try:
             _upper_target(cfg)
         except ValueError as exc:

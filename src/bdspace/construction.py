@@ -31,7 +31,6 @@ gauge per unit restriction of the norming set, and a witness attaining it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -85,26 +84,28 @@ def is_block_rank(n: int) -> bool:
 # coded elements
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CodedInfo:
-    entries: tuple                 # ((r, member index), ...)
-    case: str                      # "i" | "ii" | "iii" | "iv"
-    rank: int
-    vecsum: FinVec                 # sum r_i x*_i over the seed coordinates
-    supp_blocks: tuple[int, ...]
-    xi: tuple | None = None        # coded tuple of the xi reference
-    eta: tuple | None = None       # coded tuple of the eta reference
-    coeffs: tuple | None = None    # (alpha, beta) of c* = alpha e_xi + beta e_eta
+    def __init__(self, entries: tuple, case: str, rank: int, vecsum: FinVec,
+                 supp_blocks: tuple[int, ...], xi: tuple | None = None,
+                 eta: tuple | None = None, coeffs: tuple | None = None):
+        self.entries = entries    # ((r, member index), ...)
+        self.case = case          # "i" | "ii" | "iii" | "iv"
+        self.rank = rank
+        self.vecsum = vecsum      # sum r_i x*_i over the seed coordinates
+        self.supp_blocks = supp_blocks
+        self.xi = xi              # coded tuple of the xi reference
+        self.eta = eta            # coded tuple of the eta reference
+        self.coeffs = coeffs      # (alpha, beta) of c* = alpha e_xi + beta e_eta
 
 
-@dataclass
 class EmbeddingBuild:
-    seed: SeedSpace
-    D: NormingSetD
-    stage_bound: int
-    bd: BDBuild
-    code_of: dict                          # coded tuple -> bd id
-    info: dict                             # bd id -> CodedInfo
+    def __init__(self, seed: SeedSpace, D: NormingSetD, stage_bound: int,
+                 bd: BDBuild, code_of: dict, info: dict):
+        self.seed, self.D = seed, D
+        self.stage_bound = stage_bound
+        self.bd = bd
+        self.code_of = code_of    # coded tuple -> bd id
+        self.info = info          # bd id -> CodedInfo
 
     def nblocks_covered(self) -> int:
         return min(i0_of_rank(self.stage_bound), self.seed.nblocks)

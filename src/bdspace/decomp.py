@@ -27,7 +27,6 @@ astronomically large).  D is never cut: a build that reaches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
@@ -114,6 +113,12 @@ class SeedSpace:
         for d in self.block_dims:
             self.offsets.append(self.offsets[-1] + d)
         self.ncoords = self.offsets[-1] - 1
+        for gi, g in enumerate(norming):
+            sup = g.support()  # increasing
+            if sup and not 1 <= sup[0] <= sup[-1] <= self.ncoords:
+                bad = sup[0] if sup[0] < 1 else sup[-1]
+                raise SeedSpaceError(f"generator {gi} has coordinate {bad} "
+                                     f"outside 1..{self.ncoords}")
         self.c = Fraction(c)
         self.eps = Fraction(eps) if eps is not None else self.c / 2
         if not (0 < self.eps < self.c <= WEIGHT_CAP):
@@ -314,11 +319,12 @@ def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
 # optimal c-decompositions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CDecomposition:
-    parent: FinVec
-    pieces: tuple[FinVec, ...]       # aligned with consecutive breakpoints
-    breakpoints: tuple[int, ...]     # n_1 < ... < n_{l+1}
+    def __init__(self, parent: FinVec, pieces: tuple[FinVec, ...],
+                 breakpoints: tuple[int, ...]):
+        self.parent = parent
+        self.pieces = pieces            # aligned with consecutive breakpoints
+        self.breakpoints = breakpoints  # n_1 < ... < n_{l+1}
 
     def blocks(self) -> tuple[FinVec, ...]:
         return tuple(p for p in self.pieces if p)
@@ -364,25 +370,25 @@ def optimal_c_decomposition(x: FinVec, c, norm: Callable[[FinVec], Fraction],
 # the norming set D
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DMember:
-    vec: FinVec                       # the functional (after rounding)
-    pre: FinVec                       # the normalized combination it rounds
-    block_lo: int
-    block_hi: int
-    decomp: tuple = ()                # ((r_i, member_index), ...)
-    atom_block: int | None = None     # set for single-block members
-    atom_index: int | None = None     # index into the block's dense set
+    def __init__(self, vec: FinVec, pre: FinVec, block_lo: int, block_hi: int,
+                 decomp: tuple = (), atom_block: int | None = None,
+                 atom_index: int | None = None):
+        self.vec = vec                # the functional (after rounding)
+        self.pre = pre                # the normalized combination it rounds
+        self.block_lo, self.block_hi = block_lo, block_hi
+        self.decomp = decomp          # ((r_i, member_index), ...)
+        self.atom_block = atom_block  # set for single-block members
+        self.atom_index = atom_index  # index into the block's dense set
 
 
 class NormingSetCap(RuntimeError):
     pass
 
 
-@dataclass
 class NormingSetD:
-    seed: SeedSpace
-    members: list[DMember]
+    def __init__(self, seed: SeedSpace, members: list[DMember]):
+        self.seed, self.members = seed, members
 
     def indices_in(self, lo: int, hi: int) -> list[int]:
         return [i for i, m in enumerate(self.members)
@@ -671,13 +677,14 @@ def norming_certificate(D: NormingSetD, lo: int, hi: int,
 # subsequential upper-estimate checker
 # ---------------------------------------------------------------------------
 
-@dataclass
 class UpperEstimateCertificate:
-    status: Verdict          # PASS, FAIL or AT_CAP
-    constant: Fraction
-    checked: int
-    max_value: Fraction
-    witness: tuple | None    # (member index, cut tuple, value)
+    def __init__(self, status: Verdict, constant: Fraction, checked: int,
+                 max_value: Fraction, witness: tuple | None):
+        self.status = status        # PASS, FAIL or AT_CAP
+        self.constant = constant
+        self.checked = checked
+        self.max_value = max_value
+        self.witness = witness      # (member index, cut tuple, value)
 
     def report(self) -> Report:
         """The upper-estimates suite: PASS when every cut sequence of every

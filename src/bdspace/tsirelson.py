@@ -52,10 +52,13 @@ budgets and the program is polynomial.  The step function is fetched from
 the family once per search.  Its memo lives for one call and holds, per
 (s, q), only the value G(s, q) and an argmax pointer (next breakpoint, next
 state); block norms come from the global memo, and a block of one
-coordinate is its magnitude.  Candidates are scanned in the preorder of
-the depth-first search over breakpoint sets (a split before its extensions,
-next breakpoints in increasing order) and replaced only on a strictly
-larger value, so the split returned is the first optimal one in that order.
+coordinate is its magnitude.  The recursive step is a closure that refers
+to itself, so the search unbinds it before returning: no reference cycle
+keeps the memo or the block table alive until the cyclic GC runs.
+Candidates are scanned in the preorder of the depth-first search over
+breakpoint sets (a split before its extensions, next breakpoints in
+increasing order) and replaced only on a strictly larger value, so the
+split returned is the first optimal one in that order.
 
 The splits whose first block starts at s >= 1 are exactly the splits of the
 suffix x[1:], on the same coordinates, so
@@ -87,7 +90,6 @@ not a walk over its leaves.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -103,22 +105,30 @@ if TYPE_CHECKING:
 NAT = "nat"  # universe tag for c00(N) vectors
 
 
-@dataclass(frozen=True)
 class TsirelsonSpec:
-    family: RegularFamily
-    c: Fraction
+    """The Tsirelson norm of a regular family at a weight 0 < c < 1: a
+    value, equal to and hashed as any spec of the same family and weight."""
 
-    def __post_init__(self):
-        c = Fraction(self.c)
-        object.__setattr__(self, "c", c)
+    __slots__ = ("family", "c", "_key")
+
+    def __init__(self, family: RegularFamily, c):
+        c = Fraction(c)
         if not (0 < c < 1):
             raise ValueError("weight must satisfy 0 < c < 1")
+        self.family, self.c = family, c
         # c as two ints: memo keys are hashed on every lookup
-        object.__setattr__(self, "_key",
-                           (self.family, c.numerator, c.denominator))
+        self._key = (family, c.numerator, c.denominator)
 
     def key(self):
         return self._key
+
+    def __eq__(self, other):
+        if not isinstance(other, TsirelsonSpec):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
 
 class CapExceeded(RuntimeError):
@@ -267,6 +277,7 @@ def _search(spec_key, fam: RegularFamily, c: Fraction,
                 rest = block(1, n)
             if q * rest > best:
                 best, first = q * rest, (1, None, None)
+    later = None  # it refers to itself: free blocks now, not at a GC pass
     return best, first, tails
 
 
@@ -329,8 +340,10 @@ def tree_l1_ceiling(spec: TsirelsonSpec, n: int) -> Fraction:
             if nxt is not None:
                 best = max(best, ones(s, t) + split(t, nxt, False))
         return best
-    return spec.c * max((split(s, member_start(fam, s), True)
+    best = spec.c * max((split(s, member_start(fam, s), True)
                          for s in range(1, n + 1)), default=Fraction(0))
+    split = None  # it refers to itself: free its cache now, not at a GC pass
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +410,13 @@ def norming_functional(x, spec: TsirelsonSpec):
 # dual norming set
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DualNormingSet:
-    spec: TsirelsonSpec
-    trees: list          # canonical trees, all levels, deduplicated
-    level_of: dict       # tree -> first level it appears at
-    vec_of: dict         # tree -> FinVec
+    def __init__(self, spec: TsirelsonSpec, trees: list, level_of: dict,
+                 vec_of: dict):
+        self.spec = spec
+        self.trees = trees        # canonical trees, all levels, deduplicated
+        self.level_of = level_of  # tree -> first level it appears at
+        self.vec_of = vec_of      # tree -> FinVec
 
     def members(self) -> list[FinVec]:
         return [self.vec_of[t] for t in self.trees]
@@ -482,6 +496,7 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
             break
         pool.extend(fresh)
 
+    grow = None  # it refers to itself: free spans and scaled entries now
     return DualNormingSet(spec, trees, level_of, vec_of)
 
 
@@ -513,12 +528,13 @@ def vstar_norm(coeffs: dict[int, Fraction], spec: TsirelsonSpec) -> Fraction:
                     price)[0]
 
 
-@dataclass
 class DominationCertificate:
-    status: Verdict              # PASS or FAIL
-    constant: Fraction           # the C checked
-    best: Fraction               # the least C for which the estimate holds
-    witness: FinVec | None       # a member of ``norming`` attaining ``best``
+    def __init__(self, status: Verdict, constant: Fraction, best: Fraction,
+                 witness: FinVec | None):
+        self.status = status      # PASS or FAIL
+        self.constant = constant  # the C checked
+        self.best = best          # the least C for which the estimate holds
+        self.witness = witness    # a member of ``norming`` attaining ``best``
 
 
 def certify_domination(lhs: Sequence[FinVec], rhs_indices: Sequence[int],

@@ -1,3 +1,4 @@
+import copy
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,14 @@ from bdspace.decomp import SeedSpace, build_norming_set_D
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
+
+
+def replaced(obj, **changes):
+    """A shallow copy of ``obj`` with the given attributes changed, to
+    inject a fault into one part of a build."""
+    new = copy.copy(obj)
+    vars(new).update(changes)
+    return new
 
 
 def make_acceptance_seed(nblocks: int = 4) -> SeedSpace:

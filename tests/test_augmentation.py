@@ -1,4 +1,4 @@
-import dataclasses
+import gc
 import random
 from fractions import Fraction
 
@@ -15,6 +15,7 @@ from bdspace.construction import embed_phi
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec, tree_vec
+from conftest import lift_acceptance, replaced
 from oracles import bf_hull_distance, bf_psi
 
 F = Fraction
@@ -204,6 +205,15 @@ def test_flat_signed_lift_passes_verification(aug_half):
         for b in aug_half.bentries[-2:]]
 
 
+def test_lift_leaves_no_reference_cycles(acc_build):
+    # the recursive lift unbinds itself before lift_dual_functional returns,
+    # so no reference cycle holds the augmentation until the cyclic GC runs
+    gc.collect()
+    aug = lift_acceptance(acc_build)
+    assert gc.collect() == 0
+    assert aug.theta
+
+
 def test_lift_window_separation_enforced(aug_half):
     t1 = aug_half.make_carrier(2)
     t2 = aug_half.make_carrier(5)  # too close: q1 + 1 = 4 >= p2 = 4
@@ -318,7 +328,7 @@ def test_verify_suites_name_theta_star_when_weight_split_fails(
     # suites that need M are INCONCLUSIVE, and each names theta*
     wins = carrier_windows(aug_half)
     lift_dual_functional(aug_half, nested_tree(sorted(wins)), wins)
-    eb = dataclasses.replace(acc_build, bd=aug_half.bd)
+    eb = replaced(acc_build, bd=aug_half.bd)
     runners = cli._suite_runners(eb, {})
     got = {name: runners[name]() for name in
            ("weight-split", "projection-norms", "dual-norms")}

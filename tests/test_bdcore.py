@@ -133,6 +133,23 @@ def test_constants_trivial_stage():
     assert rep.details["M_computed"] <= 1 + cn[4]
 
 
+def test_constants_fault_injection():
+    # c*_c moved onto e*_a, a of rank 1: P*_[1,1] e*_c = c*_c, so the
+    # prefix norms on every Gamma_n holding c exceed 1 + C_n; at weight
+    # 1000 the projection P*_(1,2] e*_c = e*_c - c*_c, which b*_e reads,
+    # also lifts C_3 and C_4 past max(2t/(1-2t), C_n(t)) = 1 at t = 1/4
+    for weight, first in ((2, "||P*_[1,1]|_l1(Gamma_2)|| = 2 > 1 + C_2 = 1"),
+                          (1000, "C_3 = 2003/24 exceeds max(2t/(1-2t), "
+                                 "C_n(t)) = 1")):
+        bd, ids = tiny_build()
+        a, b, c, *_ = ids
+        bd.cstar_table[c] = FinVec("bd:tiny", {a: weight})
+        rep = bdcore.compute_constants(bd, F(1, 4))
+        assert rep.verdict is bdcore.Verdict.FAIL
+        assert rep.violations[0] == first
+        assert len(rep.violations) == (3 if weight == 2 else 5)
+
+
 def test_weight_split_and_apriori_bound():
     bd, _ = tiny_build()
     rep = bdcore.condition_weight_split(bd, F(1, 4))
@@ -259,6 +276,17 @@ def test_analysis_records():
     assert rec.cuts == (2, 4)  # chain passes through xi = c directly
     rep = bdcore.verify_analysis(bd)
     assert rep.ok, rep.violations
+
+
+def test_analysis_fault_injection():
+    # c*_f gains 2 e*_d: the analysis of f re-expands e*_f through
+    # d*_f = e*_f - c*_f, which moves, and no other expansion changes
+    bd, ids = tiny_build()
+    a, b, c, d, e, f, g, h = ids
+    bd.cstar_table[f] = bd.cstar(f) + FinVec("bd:tiny", {d: 2})
+    rep = bdcore.verify_analysis(bd)
+    assert rep.verdict is bdcore.Verdict.FAIL
+    assert rep.violations == [f"{f}: analysis expansion differs from e*"]
 
 
 def test_analysis_partial_coefficients():

@@ -116,14 +116,20 @@ EXPLICIT_SEED = {"kind": "explicit", "name": "linf", "block_dims": [1] * 3,
     ({"eps_seq": ["1/600", "1/2000"]}, "eps_seq length must match block count"),
     ({"seed": dict(CONFIG["seed"], family="schreier:x")},
      "unknown family 'schreier:x'"),
-    ({"seed": dict(EXPLICIT_SEED, block_dims=[2, 1])},
+    ({"seed": dict(EXPLICIT_SEED, block_dims=[2, 1]), "stage_bound": 3},
      "block 1 has dimension 2: the dense sets are built for dimension 1 "
-     "only$")],
+     "only$"),
+    ({"seed": dict(EXPLICIT_SEED, block_dims=[1, 1],
+                   norming=[[[i, 1, 1]] for i in (0, 1, 2)]),
+      "stage_bound": 3}, "generator 0 has coordinate 0 outside 1..2$"),
+    ({"seed": dict(EXPLICIT_SEED, block_dims=[1, 1],
+                   norming=[[[i, 1, 1]] for i in (1, 2, 3)]),
+      "stage_bound": 3}, "generator 2 has coordinate 3 outside 1..2$")],
     ids=["explicit-eps-seq-length", "tsirelson-eps-seq-length", "family",
-         "block-dimension"])
+         "block-dimension", "coordinate-0", "coordinate-past-last"])
 def test_config_rejected_by_seed_rules(tmp_path, change, why):
     # the seed construction's own rules end the build in one line and
-    # nothing is written
+    # nothing is written; the bound of 3 is the full stage of 2 blocks
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(CONFIG, **change)))
     with pytest.raises(SystemExit, match=f"^seed rejected: {why}"):
@@ -212,6 +218,10 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
     ({"upper_c": "2"}, "upper_family, upper_c: weight must satisfy 0 < c < 1"),
     ({"theta": "1/8"}, "theta is derived from the build, not set in the config"),
     ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
+    ({"stage_bound": 7}, "stage_bound 7 is above the full stage 6 of 3 "
+     "blocks"),
+    ({"seed": EXPLICIT_SEED, "stage_bound": 7},
+     "stage_bound 7 is above the full stage 6 of 3 blocks"),
     ({"stage_caps": {"5": 1, "6": 1}}, "stage_caps is refused: no build is cut"),
     ({"stage_caps": 3}, "stage_caps is refused: no build is cut"),
     ({"size_cap": 20_000}, "size_cap is refused: no build is cut"),
@@ -219,6 +229,7 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
      "seed.unconditional can only be false: D is built the same way for "
      "every seed")],
     ids=["upper_C", "upper_family", "upper_c", "theta", "stage_bound",
+         "stage_bound-tsirelson-full", "stage_bound-explicit-full",
          "stage_caps-dict", "stage_caps", "size_cap", "unconditional"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
     # keys that only verify reads are parsed when the build starts, so a

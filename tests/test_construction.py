@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from bdspace.construction import (check_block_rank_order, embed_phi,
                                   verify_cuts, verify_embedding)
 from bdspace.decomp import unit_restrictions
 from bdspace.exact import FinVec
+from conftest import replaced
 from oracles import bf_apply_Jm, bf_maximize
 
 F = Fraction
@@ -248,8 +248,8 @@ def test_embedding_witness_attains_lambda(build, request):
 def _with_info(eb, g, **changes):
     """A copy of the build whose element g carries changed coded data."""
     info = dict(eb.info)
-    info[g] = dataclasses.replace(info[g], **changes)
-    return dataclasses.replace(eb, info=info)
+    info[g] = replaced(info[g], **changes)
+    return replaced(eb, info=info)
 
 
 def test_embedding_perturbed_coefficient_fails(acc_build):
@@ -297,7 +297,7 @@ def test_embedding_dropped_coded_element_is_inconclusive(acc_build,
     tight = {g for g, inf in acc_build.info.items()
              if abs(inf.vecsum.pair(x)) == 1}
     assert tight and all(acc_build.info[g].rank == 1 for g in tight)
-    eb = dataclasses.replace(acc_build, info={
+    eb = replaced(acc_build, info={
         g: inf for g, inf in acc_build.info.items() if g not in tight})
     monkeypatch.setattr(construction, "phi_functional_identity",
                         lambda eb, x: bdcore.Report("embedding-identity"))
@@ -313,7 +313,7 @@ def test_embedding_dropped_coded_element_is_inconclusive(acc_build,
     # coordinate 1 at all, e*_1 is outside their span and lambda* = 0
     for dropped, expect in ((lambda v: v.support() == (1,),
                              F(174592, 528427)), (lambda v: 1 in v, 0)):
-        eb = dataclasses.replace(acc_build, info={
+        eb = replaced(acc_build, info={
             g: inf for g, inf in acc_build.info.items()
             if not dropped(inf.vecsum)})
         rep = verify_embedding(eb)
@@ -329,8 +329,8 @@ def test_embedding_gauge_prices_columns_outside_supp_u(acc_build,
     # better: the price must add them.  lambda* is then 1 / max_u rho(u),
     # each rho(u) one LP over every +-v_g at once.  The identity reads v_g
     # too, so it is taken out: the lower bound alone is judged
-    eb = dataclasses.replace(acc_build, info={
-        g: dataclasses.replace(inf, vecsum=inf.vecsum.scale(F(1, 4)))
+    eb = replaced(acc_build, info={
+        g: replaced(inf, vecsum=inf.vecsum.scale(F(1, 4)))
         if inf.rank == 1 else inf for g, inf in acc_build.info.items()})
     monkeypatch.setattr(construction, "phi_functional_identity",
                         lambda eb, x: bdcore.Report("embedding-identity"))

@@ -226,7 +226,9 @@ def test_build_and_verify_load_no_augmentation(tmp_path):
 
 def test_pipeline_hashes_dumps_without_hashlib(tmp_path):
     # hashlib maps OpenSSL's libcrypto only to hash a few KB of JSON;
-    # build, verify and augment hash with CPython's own SHA-256 module
+    # build, verify and augment hash with CPython's own SHA-256 module.
+    # No layer imports dataclasses, which loads inspect, ast, dis, tokenize,
+    # linecache and copy into every process
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(ACC_CONFIG))
     build, aug = tmp_path / "build", tmp_path / "aug"
@@ -235,11 +237,12 @@ def test_pipeline_hashes_dumps_without_hashlib(tmp_path):
         + "".join(f"assert main({argv!r}) == 0\n" for argv in (
             ["build", "--config", str(cfg), "--out", str(build)],
             ["verify", "--build", str(build)],
-            ["augment", "--build", str(build), "--out", str(aug)])),
+            ["augment", "--build", str(build), "--out", str(aug)],
+            ["norm", "3:1,4:1,5:1"])),
         tmp_path)
     assert "bdspace.augmentation" in modules
     assert (aug / "manifest.json").exists()
-    assert not modules & {"hashlib", "_hashlib"}
+    assert not modules & {"dataclasses", "inspect", "hashlib", "_hashlib"}
 
 
 # ---------------------------------------------------------------------------

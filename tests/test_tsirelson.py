@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -432,6 +433,21 @@ def test_tree_l1_ceiling_under_s1_sixteenth():
         F(8, 16), F(15, 16), 1, 1, F(17, 16)]
     ones = {i: 1 for i in range(1, 33)}
     assert tsirelson_norm(ones, spec) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tsirelson_norm({i: F(i, 97) for i in range(1, 12)}, HALF),
+    lambda: norming_functional({i: F(i, 89) for i in range(1, 10)}, HALF),
+    lambda: build_dual_norming_set(TsirelsonSpec(S1, F(1, 16)), 4, 5),
+    lambda: tree_l1_ceiling(TsirelsonSpec(S1, F(1, 16)), 9)],
+    ids=["tsirelson_norm", "norming_functional", "build_dual_norming_set",
+         "tree_l1_ceiling"])
+def test_searches_leave_no_reference_cycles(fresh_memos, call):
+    # each recursive search unbinds itself before it returns, so its tables
+    # are freed then, not at the next pass of the cyclic GC
+    gc.collect()
+    assert call() is not None
+    assert gc.collect() == 0
 
 
 def test_tree_vec_scaling():
