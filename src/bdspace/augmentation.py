@@ -316,7 +316,7 @@ class AugmentedBuild:
     def carrier_block(self, g: int) -> FinVec:
         """The unit vector of the carrier's coordinate, extended to the top."""
         pattern = FinVec(self.bd.universe, {g: 1})
-        return self.bd.apply_Jm(pattern, self.bd.rank[g], self.bd.max_rank())
+        return self.bd.apply_Jm(pattern, self.bd.rank[g])
 
 
 def _kernel_vector(rows: list[list[Fraction]], n: int) -> list[Fraction] | None:

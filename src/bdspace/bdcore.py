@@ -13,16 +13,18 @@ projections, norm constants and the stagewise analysis of each e*_gamma are
 all exact rational computations.
 
 A vector x of the space is handled through its d*-coordinates
-a_t = <d*_t, x> = x(t) - <c*_t, x> (``dcoords``) and rebuilt by the
-synthesis x = sum_t a_t d_t (``synthesize``): x(g) = a_g + <c*_g, x>, one
-forward pass over the stages in rank order, as c*_g reads only lower ranks.
-It keeps no memo and never calls ``to_d``, so the columns J_n e_t and the
-rows P*_[1,n] e*_g of the dual-norm suite share no code.  The c* table
-has one writer, ``BDBuild._set_cstar``, which also lists each s under every
-t in supp c*_s; a_t can be nonzero only for t in supp x or for a row c*_t
-meeting supp x, so ``dcoords`` reads only those rows, and a unit vector
-meets a handful of them.  ``validate_schema`` rebuilds that index.  Every
-extension-operator helper is a filter on these coordinates:
+a_t = <d*_t, x> = x(t) - <c*_t, x> (``dcoords``) and rebuilt over the whole
+build by the synthesis x = sum_t a_t d_t (``synthesize``): x(g) = a_g +
+<c*_g, x>, forward substitution, as c*_g reads only lower ranks.  Both read
+the c* table through the index that its one writer, ``BDBuild._set_cstar``,
+keeps (each s listed under every t in supp c*_s; ``validate_schema``
+rebuilds it).  a_t can be nonzero only for t in supp x or for a row c*_t
+meeting supp x, and x(g) only for g in supp a or for a row c*_g meeting
+supp x: ``dcoords`` reads only those rows, and ``synthesize`` only the rows
+it reaches from supp a, in (rank, id) order.  It keeps no memo and never
+calls ``to_d``, so the columns J_n e_t and the rows P*_[1,n] e*_g of the
+dual-norm suite share no code.  Every extension-operator helper synthesizes
+a filter of these coordinates over the whole build:
 J_m x keeps the ranks <= m, the j-th FDD component keeps rank j, and the
 stage pattern of block j is the rank-j coordinates themselves.  This is
 exact because ``add_type0``/``add_type1`` keep c*_g on ranks strictly below
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from .exact import FinVec, TriangularBasisChange
 
 
@@ -93,16 +96,15 @@ class BDBuild:
         self._cstar_rows: dict[int, list[int]] = {}  # t -> [s : t in supp c*_s]
         self.frozen = False
         self._next = 0
-        self.bc = TriangularBasisChange(universe, self.order_key,
-                                        self.cstar)
+        # accessors that hold the tables, not the build: no reference cycle
+        rank = self.rank
+        self.bc = TriangularBasisChange(universe, lambda g: (rank[g], g),
+                                        self.cstar_table.__getitem__)
 
     # -- structure ----------------------------------------------------------
 
-    def order_key(self, g: int):
-        return (self.rank[g], g)
-
     def ids(self) -> list[int]:
-        return sorted(self.rank, key=self.order_key)
+        return sorted(self.rank, key=self.bc.order_key)
 
     def stage(self, n: int) -> list[int]:
         return self.stages.get(n, [])
@@ -197,9 +199,8 @@ class BDBuild:
     # -- extension operators ----------------------------------------------------
 
     def dcoords(self, x: FinVec) -> dict[int, Fraction]:
-        """The nonzero d*-coordinates of x, in id order: <d*_t, x> = x(t) -
-        <c*_t, x>, which can be nonzero only for t in supp x or for a row
-        c*_t meeting supp x, so only those rows are read."""
+        """The nonzero d*-coordinates <d*_t, x> = x(t) - <c*_t, x> of x, in
+        id order, read off the rows t in supp x and the rows meeting it."""
         table, rows = self.cstar_table, self._cstar_rows
         hit = {t for t in x.support() if t in table}
         for i in x.support():
@@ -211,59 +212,58 @@ class BDBuild:
                 out[t] = v
         return out
 
-    def synthesize(self, a, upto: int | None = None) -> FinVec:
-        """sum_t a_t d_t on Gamma_upto by forward substitution, rank by rank:
-        x(g) = a_g + <c*_g, x>; ``a`` maps indices to coefficients."""
-        if upto is None:
-            upto = self.max_rank()
-        rank, table = self.rank, self.cstar_table
-        x = {}
-        for r in sorted(n for n in self.stages if n <= upto):
-            for g in self.stages[r]:
-                v = a.get(g, 0)
-                for t, c in table[g].items():
-                    if rank[t] >= r:
-                        raise ValueError(f"correction row of {g} touches "
-                                         f"non-earlier index {t}")
-                    w = x.get(t)
-                    if w is not None:
-                        v += c * w
-                if v:
-                    x[g] = v
+    def synthesize(self, a) -> FinVec:
+        """sum_t a_t d_t, ``a`` mapping ids of the build to coefficients:
+        x(g) = a_g + <c*_g, x> on the rows reached from supp a through the
+        c*-support index, read in (rank, id) order."""
+        rank, table, rows = self.rank, self.cstar_table, self._cstar_rows
+        todo = sorted((rank[g], g) for g in a)  # a sorted list is a heap
+        x, seen = {}, set(a)
+        while todo:
+            r, g = heappop(todo)
+            v = a.get(g, 0)
+            for t, c in table[g].items():
+                if rank[t] >= r:
+                    raise ValueError(f"correction row of {g} touches "
+                                     f"non-earlier index {t}")
+                w = x.get(t)
+                if w is not None:
+                    v += c * w
+            if v:
+                x[g] = v
+                for s in rows.get(g, ()):
+                    if s not in seen:
+                        seen.add(s)
+                        heappush(todo, (rank[s], s))
         return FinVec(self.universe, x)
 
-    def apply_Jm(self, x: FinVec, m: int, target_stage: int | None = None) -> FinVec:
+    def apply_Jm(self, x: FinVec, m: int) -> FinVec:
         """Extension of x from Gamma_m: (J_m x)(g) = <P*_[1,m] e*_g, x>, the
         synthesis of the d*-coordinates of x of rank <= m."""
         for i in x.support():
             if self.rank.get(i, m + 1) > m:
                 raise BuildError(f"x not supported on Gamma_{m}")
         return self.synthesize({t: v for t, v in self.dcoords(x).items()
-                                if self.rank[t] <= m}, target_stage)
+                                if self.rank[t] <= m})
 
-    def block_component(self, x: FinVec, j: int, upto: int | None = None) -> FinVec:
+    def block_component(self, x: FinVec, j: int) -> FinVec:
         """The j-th coordinate of x for the finite-dimensional decomposition:
         the synthesis of its d*-coordinates of rank j."""
         return self.synthesize({t: v for t, v in self.dcoords(x).items()
-                                if self.rank[t] == j}, upto)
+                                if self.rank[t] == j})
 
-    def fdd_support(self, x: FinVec, upto: int | None = None) -> list[int]:
-        return [j for j, _ in self.stage_patterns(x, upto)]
+    def fdd_support(self, x: FinVec) -> list[int]:
+        return [j for j, _ in self.stage_patterns(x)]
 
-    def stage_patterns(self, x: FinVec, upto: int | None = None
-                       ) -> list[tuple[int, FinVec]]:
+    def stage_patterns(self, x: FinVec) -> list[tuple[int, FinVec]]:
         """The defining stage data of x: per block j, the restriction of its
         j-th component to Delta_j, which is its d*-coordinates of rank j."""
-        if upto is None:
-            upto = self.max_rank()
         by_rank: dict[int, dict[int, Fraction]] = {}
         for t, v in self.dcoords(x).items():
-            if self.rank[t] <= upto:
-                by_rank.setdefault(self.rank[t], {})[t] = v
+            by_rank.setdefault(self.rank[t], {})[t] = v
         return [(j, FinVec(self.universe, by_rank[j])) for j in sorted(by_rank)]
 
-    def reextend(self, patterns: list[tuple[int, FinVec]],
-                 target_stage: int | None = None) -> FinVec:
+    def reextend(self, patterns: list[tuple[int, FinVec]]) -> FinVec:
         """Rebuild a vector from stage patterns over a grown coordinate
         system; values at preexisting coordinates are unchanged."""
         a = {}
@@ -272,7 +272,7 @@ class BDBuild:
                 if self.rank.get(t) != j:
                     raise BuildError(f"pattern not supported on Delta_{j}")
                 a[t] = a.get(t, 0) + v
-        return self.synthesize(a, target_stage)
+        return self.synthesize(a)
 
     # -- analysis ------------------------------------------------------------------
 

@@ -26,7 +26,9 @@ elements to the right).  Four finitely described shapes are supported:
 * ``max_union(families)``: the union of finitely many regular families.
 
 Schreier membership runs a budget automaton over the sorted elements (see
-``_open`` and ``_step``); the other shapes are decided by their definitions.
+``_open`` and ``_step``), and refuses a family whose automaton would pass
+``MAX_FRAMES`` frames on the sets asked about; the other shapes are decided
+by their definitions.
 ``member_start`` and the step function from ``member_stepper`` expose
 membership one element at a time, which is how the Tsirelson norm and the
 dual norming set walk the minima of admissible block sequences.  The
@@ -173,6 +175,7 @@ def _dominated(F: tuple[int, ...], A: frozenset) -> bool:
 
 
 def _schreier_member(cnf: tuple[tuple[int, int], ...], F: tuple[int, ...]) -> bool:
+    _check_frames(cnf, F[-1])
     state = _open(cnf, F[0])
     for x in F[1:]:
         state = _step(state, x)
@@ -212,6 +215,33 @@ def _open(cnf: tuple[tuple[int, int], ...], m: int) -> tuple:
         else:       # limit: the approximant mu + omega^(k-1) * m
             cnf = head + ((k - 1, m),)
     return tuple(frames)
+
+
+# The most frames the automaton builds.  ``_open(cnf, m)`` builds
+# sum c * m^k of them over the CNF terms (k, c), for m >= 2: a successor
+# unit opens one frame, and a limit omega^k opens as m copies of
+# omega^(k-1).  No state of a set in [1, n] holds more than {n}'s (the
+# tests check this exhaustively on small families), so one count admits a
+# family for every set in [1, n] before any state is built.  The largest
+# state the tests reach is S_(omega^2)'s on [1, 24], 576 frames, and the
+# bound is the next power of two: a state of 2^10 frames takes about
+# 0.2 MB and 3 ms to open, and a step copies its stack in about 10 us.  It
+# admits S_k for k <= 1024, S_omega on [1, 1024], S_(omega^2) on [1, 32]
+# and S_(omega^3) on [1, 10], and refuses S_(omega^4) on [1, 16] (65,536
+# frames, 12 MB and 0.3 s to open, 1.6 ms a step).
+MAX_FRAMES = 1 << 10
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _check_frames(cnf: tuple[tuple[int, int], ...], n: int) -> None:
+    """Raise ValueError when a set in [1, n] takes the automaton of S_cnf
+    past ``MAX_FRAMES`` frames.  Exponents are capped where n^k already
+    exceeds the bound, so a huge CNF costs nothing to refuse."""
+    cap = MAX_FRAMES.bit_length()
+    if n > 1 and sum(c * n ** min(k, cap) for k, c in cnf) > MAX_FRAMES:
+        text = "+".join(f"w^{k}*{c}" if k else str(c) for k, c in cnf)
+        raise ValueError(f"schreier:{text} on [1, {n}] needs more than "
+                         f"{MAX_FRAMES} automaton frames")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -264,22 +294,25 @@ def is_member(F: Iterable[int], fam: RegularFamily) -> bool:
 
 def member_start(fam: RegularFamily, m: int):
     """Membership state of the one-element set {m}, a member of every
-    regular family.  Feed later elements to ``member_stepper(fam)``."""
+    regular family.  Feed later elements to ``member_stepper(fam, n)``."""
     if m < 1:
         raise ValueError("family members are subsets of {1, 2, ...}")
     return _open(fam.payload, m) if fam.kind == "schreier" else (m,)
 
 
-def member_stepper(fam: RegularFamily):
-    """The step function of ``fam``: it maps (state of F, x) for x > max F
-    to the state of F u {x}, or to None when that is not a member.
+def member_stepper(fam: RegularFamily, n: int):
+    """The step function of ``fam`` on sets in [1, n]: it maps (state of F,
+    x) for x > max F to the state of F u {x}, or to None when that is not a
+    member.
 
-    Schreier families step their automaton; the other shapes carry F itself
-    and test it.  States are hashable, and equal states accept the same
-    continuations.  A search fetches the function once, so it dispatches on
-    the family's shape once, not at every step.
+    Schreier families step their automaton, and a ValueError refuses one
+    whose states on [1, n] would pass ``MAX_FRAMES``; the other shapes
+    carry F itself and test it.  States are hashable, and equal states
+    accept the same continuations.  A search fetches the function once, so
+    it dispatches on the family's shape once, not at every step.
     """
     if fam.kind == "schreier":
+        _check_frames(fam.payload, n)
         return _step
 
     def step(F: tuple[int, ...], x: int):

@@ -228,7 +228,7 @@ def _search(spec_key, fam: RegularFamily, c: Fraction,
     # a block of a split has at most n - 1 coordinates, so q^(n-2) times its
     # norm is an integer: sums and comparisons below are exact int arithmetic
     unit = [q ** (n - 1 - length) for length in range(n)]
-    step = member_stepper(fam)
+    step = member_stepper(fam, coords[-1])
     # blocks[s][t]: q^(n-2) times the norm of the block [s, t), filled on
     # first use; a block of one coordinate has its magnitude as its norm
     blocks = [[None] * (n + 1) for _ in range(n)]
@@ -327,7 +327,7 @@ def tree_l1_ceiling(spec: TsirelsonSpec, n: int) -> Fraction:
     E has l1 at most ||1_E|| (its all-plus tree pairs with 1_E to it), and
     the blocks' norming trees attain the bound.  ||1_[1,n]|| = max(1, this)
     cannot tell a ceiling of 1 from one below 1."""
-    fam, step = spec.family, member_stepper(spec.family)
+    fam, step = spec.family, member_stepper(spec.family, n)
     ones = cache(lambda s, t: tsirelson_norm(dict.fromkeys(range(s, t), 1),
                                              spec))  # ||1_[s,t)||
 
@@ -432,7 +432,7 @@ def build_dual_norming_set(spec: TsirelsonSpec, depth: int, support_bound: int,
     member of the family.  Raises CapExceeded past ``member_cap``.
     """
     fam, c = spec.family, spec.c
-    step = member_stepper(fam)
+    step = member_stepper(fam, support_bound)
     level_of: dict = {}
     vec_of: dict = {}
     span_of: dict = {}   # tree -> (min, max) of its support

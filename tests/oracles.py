@@ -233,13 +233,11 @@ def bf_dcoords(bd, x) -> dict:
     return out
 
 
-def bf_apply_Jm(bd, x, m: int, upto: int):
-    """(J_m x)(g) = <P*_[1,m] e*_g, x> for every g of rank <= upto, with
+def bf_apply_Jm(bd, x, m: int):
+    """(J_m x)(g) = <P*_[1,m] e*_g, x> for every g of the build, with
     P*_[1,m] e*_g = sum over rank t <= m of a_t (e*_t - c*_t)."""
     out = {}
     for g, a in bf_estar_dcoords(bd).items():
-        if bd.rank[g] > upto:
-            continue
         f: dict = {}
         for t, at in a.items():
             if bd.rank[t] <= m:
@@ -250,19 +248,19 @@ def bf_apply_Jm(bd, x, m: int, upto: int):
     return FinVec(bd.universe, out)
 
 
-def bf_block_component(bd, x, j: int, upto: int):
+def bf_block_component(bd, x, j: int):
     """The j-th FDD component J_j R_j x - J_{j-1} R_{j-1} x."""
     rj = x.restrict(lambda i: bd.rank[i] <= j)
     rj1 = x.restrict(lambda i: bd.rank[i] <= j - 1)
-    return bf_apply_Jm(bd, rj, j, upto) - bf_apply_Jm(bd, rj1, j - 1, upto)
+    return bf_apply_Jm(bd, rj, j) - bf_apply_Jm(bd, rj1, j - 1)
 
 
-def bf_stage_patterns(bd, x, upto: int) -> list:
+def bf_stage_patterns(bd, x) -> list:
     """(j, restriction of the j-th component to Delta_j) for each nonzero
     component."""
     out = []
-    for j in range(1, upto + 1):
-        comp = bf_block_component(bd, x, j, upto)
+    for j in range(1, bd.max_rank() + 1):
+        comp = bf_block_component(bd, x, j)
         if comp:
             out.append((j, comp.restrict(lambda i: bd.rank[i] == j)))
     return out
@@ -275,10 +273,10 @@ def bf_psi(aug, x):
     xb = FinVec(src.universe, dict(x.items()))
     out = FinVec(bd.universe)
     for j in sorted(src.stages):
-        comp = bf_block_component(src, xb, j, src.max_rank())
+        comp = bf_block_component(src, xb, j)
         u = FinVec(bd.universe, {i: v for i, v in comp.items()
                                  if src.rank[i] == j})
-        out = out + bf_apply_Jm(bd, u, j, bd.max_rank())
+        out = out + bf_apply_Jm(bd, u, j)
     return out
 
 

@@ -207,11 +207,14 @@ def test_flat_signed_lift_passes_verification(aug_half):
 
 def test_lift_leaves_no_reference_cycles(acc_build):
     # the recursive lift unbinds itself before lift_dual_functional returns,
-    # so no reference cycle holds the augmentation until the cyclic GC runs
+    # so no reference cycle holds the augmentation until the cyclic GC runs;
+    # dropped, the augmentation and its merged build go at once
     gc.collect()
     aug = lift_acceptance(acc_build)
     assert gc.collect() == 0
     assert aug.theta
+    del aug
+    assert gc.collect() == 0
 
 
 def test_lift_window_separation_enforced(aug_half):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -26,6 +27,16 @@ def tiny_build():
     h = bd.add_type1(4, F(1, 3), 1, b, F(1, 2), u({d: 1}))  # exempt: c*_d = 0
     bd.freeze()
     return bd, (a, b, c, d, e, f, g, h)
+
+
+def test_dropped_build_leaves_no_reference_cycle():
+    # the basis change holds the build's tables, not the build, so a build
+    # is freed when its last reference goes, not at a pass of the cyclic GC
+    gc.collect()
+    bd, _ = tiny_build()
+    assert bd.bc.to_d(bd.estar(0)) == bd.estar(0)
+    del bd
+    assert gc.collect() == 0
 
 
 def test_schema_valid():
@@ -218,10 +229,12 @@ def test_extension_isometry_on_stage_patterns():
 def test_extension_isometry_fault_injection():
     # one changed c* entry: c*_f gains e*_d, so every synthesis adds x(d)
     # to x(f) and row f of the columns J_2 e_t, t in Delta_2, has l1 above
-    # 1; only stage 2 sees it (x(d) = 0 in the columns of other stages)
+    # 1; only stage 2 sees it (x(d) = 0 in the columns of other stages).
+    # It goes through the table's writer, which lists f under d: the
+    # synthesis reads only the rows the index leads it to
     bd, ids = tiny_build()
     a, b, c, d, e, f, g, h = ids
-    bd.cstar_table[f] = bd.cstar(f) + FinVec("bd:tiny", {d: 1})
+    bd._set_cstar(f, bd.cstar(f) + FinVec("bd:tiny", {d: 1}))
     for m in sorted(bd.stages):
         rep = bdcore.verify_extension_isometry(bd, m)
         if m == 2:
@@ -244,8 +257,8 @@ def test_extension_compatibility_fault_injection(monkeypatch):
     bd, ids = tiny_build()
     apply_Jm = bd.apply_Jm
 
-    def faulty(x, m, target_stage=None):
-        out = apply_Jm(x, m, target_stage)
+    def faulty(x, m):
+        out = apply_Jm(x, m)
         return out + FinVec("bd:tiny", {ids[4]: 1}) if m == 2 else out
 
     monkeypatch.setattr(bd, "apply_Jm", faulty)
@@ -351,11 +364,12 @@ def test_dual_norm_band_to_d_fault_injection(monkeypatch):
 
 def test_synthesize_rejects_row_on_non_earlier_rank():
     # c*_e reaching f (same rank, later id) and c*_f reaching e (same rank,
-    # earlier id): forward substitution needs rows on lower ranks only
+    # earlier id): forward substitution needs rows on lower ranks only, and
+    # the synthesis of e_a reads both rows
     for row, reach in ((4, 5), (5, 4)):
         bd, ids = tiny_build()
         g, t = ids[row], ids[reach]
-        bd.cstar_table[g] = bd.cstar(g) + FinVec("bd:tiny", {t: 1})
+        bd._set_cstar(g, bd.cstar(g) + FinVec("bd:tiny", {t: 1}))
         with pytest.raises(ValueError, match=(
                 f"correction row of {g} touches non-earlier index {t}")):
             bd.synthesize({ids[0]: 1})
@@ -401,21 +415,20 @@ def test_extension_operators_match_oracles(big_build):
     rng = random.Random(11)
     for _ in range(6):
         m = rng.randint(1, N)
-        upto = rng.randint(m, N)
         x = FinVec(bd.universe, {g: F(rng.randint(-8, 8), 8)
                                  for g in bd.gamma_upto(m)})
-        assert bd.apply_Jm(x, m, upto) == bf_apply_Jm(bd, x, m, upto)
+        assert bd.apply_Jm(x, m) == bf_apply_Jm(bd, x, m)
         # an arbitrary vector, not an extension of its restrictions
         y = FinVec(bd.universe, {g: F(rng.randint(-8, 8), 8)
                                  for g in rng.sample(ids, rng.randint(1, 12))})
         for j in range(1, N + 1):
-            assert bd.block_component(y, j) == bf_block_component(bd, y, j, N)
-        pats = bf_stage_patterns(bd, y, upto)
-        assert bd.stage_patterns(y, upto) == pats
-        assert bd.fdd_support(y, upto) == [j for j, _ in pats]
+            assert bd.block_component(y, j) == bf_block_component(bd, y, j)
+        pats = bf_stage_patterns(bd, y)
+        assert bd.stage_patterns(y) == pats
+        assert bd.fdd_support(y) == [j for j, _ in pats]
         again = FinVec(bd.universe)
         for j, u in pats:
-            again = again + bf_apply_Jm(bd, u, j, N)
+            again = again + bf_apply_Jm(bd, u, j)
         assert bd.reextend(pats) == again
 
 
@@ -427,22 +440,58 @@ def any_build(request):
 
 
 def test_synthesize_matches_dense_oracle(any_build):
-    # coefficient maps over every rank, the top rank included, synthesized
-    # below the top: x(g) = sum_t <e*_g, d_t> a_t, with <e*_g, d_t> the
+    # coefficient maps over every rank, the top rank included, some with
+    # zero coefficients: x(g) = sum_t <e*_g, d_t> a_t, with <e*_g, d_t> the
     # d*-coordinates of e*_g from dense elimination
     bd = any_build
-    ids, N = bd.ids(), bd.max_rank()
+    ids = bd.ids()
     estar_d = bf_estar_dcoords(bd)
     rng = random.Random(13)
     for _ in range(12):
         a = {t: F(rng.randint(-8, 8), rng.randint(1, 4))
              for t in rng.sample(ids, rng.randint(1, min(30, len(ids))))}
-        upto = rng.randint(1, N - 1)
         want = FinVec(bd.universe, {
             g: sum((v * a[t] for t, v in estar_d[g].items() if t in a),
                    F(0))
-            for g in ids if bd.rank[g] <= upto})
-        assert bd.synthesize(a, upto) == want
+            for g in ids})
+        assert bd.synthesize(a) == want
+
+
+class _CountingTable(dict):
+    """A c* table that records which rows are read."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = []
+
+    def __getitem__(self, g):
+        self.reads.append(g)
+        return super().__getitem__(g)
+
+
+def test_synthesize_reads_only_reached_rows(any_build, monkeypatch):
+    # a unit vector on the top stage reaches no other row, so its synthesis
+    # reads that one row; from a lower coefficient map the synthesis reads
+    # each row once, in (rank, id) order: supp a and the rows c*_g that meet
+    # the support of the result, and no other
+    bd = any_build
+    rows = bd.cstar_table
+    table = _CountingTable(rows)
+    monkeypatch.setattr(bd, "cstar_table", table)
+    for g in bd.stage(bd.max_rank()):
+        table.reads.clear()
+        assert bd.synthesize({g: 1}) == bd.estar(g)
+        assert table.reads == [g]
+    rng = random.Random(14)
+    for _ in range(6):
+        a = {t: F(rng.randint(1, 8), 8)
+             for t in rng.sample(bd.gamma_upto(2), 2)}
+        table.reads.clear()
+        x = bd.synthesize(a)
+        reached = set(a) | {g for g in bd.ids()
+                            if any(t in x for t in rows[g].support())}
+        assert table.reads == sorted(reached, key=bd.bc.order_key)
+        assert len(reached) < len(bd.ids())
 
 
 def test_dcoords_matches_full_scan(any_build):
@@ -466,9 +515,8 @@ def test_lifted_columns_match_oracle(acc_lifted):
     # column J_m e_t, t in Gamma_m, of the lifted build matches the dense
     # oracle (for t below rank m it reads the rows c*_s that meet t)
     bd = acc_lifted.bd
-    N = bd.max_rank()
-    assert any(bd.rank[g] == N for g in acc_lifted.theta)
+    assert any(bd.rank[g] == bd.max_rank() for g in acc_lifted.theta)
     for m in sorted(bd.stages):
         for t in bd.gamma_upto(m):
             assert bd.apply_Jm(bd.estar(t), m) == bf_apply_Jm(
-                bd, bd.estar(t), m, N)
+                bd, bd.estar(t), m)

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -572,6 +573,30 @@ def test_norm_rejects_bad_input(argv, why):
     # each bad input ends the command with one line, not a traceback
     with pytest.raises(SystemExit, match=f"^norm rejected: {why}"):
         main(["norm", *argv])
+
+
+@pytest.mark.parametrize("command", ["norm", "build"])
+def test_family_past_frame_bound_rejected_at_once(tmp_path, command):
+    # the Schreier automaton of omega^3 * 999999999 would open 125 *
+    # 999999999 frames at 5: the family is refused in one line, before any
+    # state is built
+    fam = "schreier:w^3*999999999"
+    if command == "norm":
+        argv, n = ["norm", "--family", fam, "5:1,6:1,7:1"], 7
+    else:
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(dict(CONFIG, seed=dict(CONFIG["seed"],
+                                                       family=fam))))
+        argv = ["build", "--config", str(p), "--out", str(tmp_path / "o")]
+        n = CONFIG["seed"]["blocks"]
+    line = {"norm": "norm", "build": "seed"}[command]
+    start = time.perf_counter()
+    with pytest.raises(SystemExit, match=(
+            rf"^{line} rejected: {re.escape(fam)} on \[1, {n}\] needs more "
+            r"than 1024 automaton frames$")):
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, why", [

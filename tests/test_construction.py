@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 
 from bdspace import bdcore, construction
 from bdspace.bdcore import Verdict
-from bdspace.construction import (check_block_rank_order, embed_phi,
-                                  i0_of_rank, interval_from_rank,
+from bdspace.construction import (build_embedding, check_block_rank_order,
+                                  embed_phi, i0_of_rank, interval_from_rank,
                                   interval_rank, m_seq,
                                   phi_functional_identity, verify_coding,
                                   verify_cuts, verify_embedding)
@@ -49,6 +50,16 @@ def test_i0_window():
 
 
 # -- the coding ---------------------------------------------------------------
+
+def test_dropped_embedding_leaves_no_reference_cycle(acc_seed, acc_D):
+    # an embedding and its build are freed when the last reference goes,
+    # not at a pass of the cyclic GC
+    gc.collect()
+    eb = build_embedding(acc_seed, acc_D, stage_bound=8)
+    assert eb.bd.max_rank() == 8
+    del eb
+    assert gc.collect() == 0
+
 
 def test_every_stage_nonempty(acc_build):
     for n in range(1, acc_build.stage_bound + 1):
@@ -166,7 +177,7 @@ def test_phi_matches_blockwise_oracle(acc_build):
             u = FinVec(bd.universe, {
                 g: r * D.members[j].vec.pair(xb) for g in bd.stage(mi)
                 for r, j in acc_build.info[g].entries})
-            expect = expect + bf_apply_Jm(bd, u, mi, bd.max_rank())
+            expect = expect + bf_apply_Jm(bd, u, mi)
         assert embed_phi(acc_build, x) == expect
 
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -156,7 +157,7 @@ def test_membership_matches_definition_exhaustive(fam):
 def _walk(fam, F):
     """Membership of every prefix of the increasing tuple F, one step at a
     time; a prefix after a rejected one is rejected too (hereditary)."""
-    step = member_stepper(fam)
+    step = member_stepper(fam, F[-1])
     state = member_start(fam, F[0])
     out = [True]
     for x in F[1:]:
@@ -244,3 +245,52 @@ def test_profile_key_check_can_fail():
         return coords
     for fam in (S1, S2, SW2):
         assert _profile_violations(fam, clamp_too_far)
+
+
+def _frames(cnf, n):
+    """The frame count that ``MAX_FRAMES`` bounds: sum c * n^k, 0 at n = 1."""
+    return sum(c * n ** k for k, c in cnf) if n > 1 else 0
+
+
+@pytest.mark.parametrize("cnf, n", [
+    (((0, 1),), 9), (((0, 2),), 9), (((1, 1),), 8), (((1, 1), (0, 1)), 8),
+    (((1, 2),), 7), (((2, 1),), 7), (((2, 1), (1, 2), (0, 2)), 6),
+    (((3, 1),), 5)],
+    ids=["S1", "S2", "Sw", "Sw+1", "Sw2", "Sww", "Sww+w2+2", "Swww"])
+def test_no_state_on_an_interval_outgrows_the_top_singleton(cnf, n):
+    # every state of every set in [1, n] has at most sum c * n^k frames,
+    # the count of {n}'s state, which the frame bound checks
+    fam = schreier(cnf)
+    step = member_stepper(fam, n)
+    largest, seen = 0, set()
+    todo = [(member_start(fam, m), m) for m in range(1, n + 1)]
+    while todo:
+        state, last = todo.pop()
+        if (state, last) not in seen:
+            seen.add((state, last))
+            largest = max(largest, len(state))
+            todo += [(nxt, x) for x in range(last + 1, n + 1)
+                     if (nxt := step(state, x)) is not None]
+    assert largest == len(member_start(fam, n)) == _frames(cnf, n)
+
+
+def test_frame_bound_admits_and_refuses():
+    # S_(omega^2) reaches 32^2 = MAX_FRAMES frames on [1, 32], and 33^2
+    # on [1, 33]; omega^3 * 999999999 is refused at once, before any state
+    # is built, where opening {5} would build 125 * 999999999 frames
+    sww = schreier(((2, 1),))
+    assert _frames(sww.payload, 32) == families.MAX_FRAMES
+    assert member_stepper(sww, 32) is not None
+    assert is_member(range(20, 33), sww)
+    with pytest.raises(ValueError, match=r"^schreier:w\^2\*1 on \[1, 33\] "
+                       "needs more than 1024 automaton frames$"):
+        member_stepper(sww, 33)
+    huge = schreier(((3, 999_999_999),))
+    start = time.perf_counter()
+    for refuse in (lambda: is_member({5, 6, 7}, huge),
+                   lambda: member_stepper(huge, 7),
+                   lambda: is_member({16}, schreier(((4, 1),))),
+                   lambda: member_stepper(schreier(2000), 2)):
+        with pytest.raises(ValueError, match="automaton frames$"):
+            refuse()
+    assert time.perf_counter() - start < 1
