@@ -20,6 +20,7 @@ at a time.  Values computed here are exact.
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 
 from bdspace.exact import FinVec
@@ -206,19 +207,19 @@ def dense_unitriangular_solve(order: list, cstar_rows: dict, target: dict
 
 
 
-_estar_memo: dict = {}  # (build, size) -> {g: d-coordinates of e*_g}
+# build -> (size, {g: d-coordinates of e*_g}); an entry goes with its build
+_estar_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def bf_estar_dcoords(bd) -> dict:
     """{g: a} with e*_g = sum_t a_t d*_t for every element of a build, by
     dense elimination over its stored c* table (memoized per build size)."""
-    key = (bd, len(bd.rank))
-    got = _estar_memo.get(key)
-    if got is None:
+    size, got = _estar_memo.get(bd, (None, None))
+    if size != len(bd.rank):
         order = sorted(bd.rank, key=lambda g: (bd.rank[g], g))
-        got = _estar_memo[key] = {
-            g: dense_unitriangular_solve(order, bd.cstar_table, {g: 1})
-            for g in order}
+        got = {g: dense_unitriangular_solve(order, bd.cstar_table, {g: 1})
+               for g in order}
+        _estar_memo[bd] = (len(bd.rank), got)
     return got
 
 
@@ -233,19 +234,22 @@ def bf_dcoords(bd, x) -> dict:
     return out
 
 
+def bf_project_estar(bd, g, k: int, m: int):
+    """P*_(k,m] e*_g = sum over k < rank t <= m of a_t (e*_t - c*_t), with
+    a the dense d*-coordinates of e*_g."""
+    f: dict = {}
+    for t, at in bf_estar_dcoords(bd)[g].items():
+        if k < bd.rank[t] <= m:
+            f[t] = f.get(t, 0) + at
+            for i, c in bd.cstar_table[t].items():
+                f[i] = f.get(i, 0) - at * c
+    return FinVec(bd.universe, f)
+
+
 def bf_apply_Jm(bd, x, m: int):
-    """(J_m x)(g) = <P*_[1,m] e*_g, x> for every g of the build, with
-    P*_[1,m] e*_g = sum over rank t <= m of a_t (e*_t - c*_t)."""
-    out = {}
-    for g, a in bf_estar_dcoords(bd).items():
-        f: dict = {}
-        for t, at in a.items():
-            if bd.rank[t] <= m:
-                f[t] = f.get(t, 0) + at
-                for i, c in bd.cstar_table[t].items():
-                    f[i] = f.get(i, 0) - at * c
-        out[g] = sum((v * x[i] for i, v in f.items()), Fraction(0))
-    return FinVec(bd.universe, out)
+    """(J_m x)(g) = <P*_[1,m] e*_g, x> for every g of the build."""
+    return FinVec(bd.universe, {g: bf_project_estar(bd, g, 0, m).pair(x)
+                                for g in bf_estar_dcoords(bd)})
 
 
 def bf_block_component(bd, x, j: int):

@@ -110,9 +110,9 @@ def test_criterion_4_dual_norm_band(acc_build, aug_paper):
         assert jmax[-1] == bdcore.compute_constants(
             bd, theta).details["M_computed"]
     assert jmax[0] == F(64553, 32768)
-    report(4, "dual-norm inequalities and the factored interval "
-              "representation hold exactly (||J_n|| <= 2 from columns, "
-              "2M^2 on every column) on both builds; max ||J_n|| = "
+    report(4, "dual-norm inequalities hold exactly (||J_n|| <= 2 from "
+              "columns, equal to ||P*_[1,n]|| from rows, 2M^2 on every "
+              "column P*_(m,n] e*_g) on both builds; max ||J_n|| = "
               "M_computed")
 
 

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from bdspace import bdcore
 from bdspace.bdcore import BDBuild, BuildError, Gamma1
 from bdspace.exact import FinVec
 from oracles import (bf_apply_Jm, bf_block_component, bf_dcoords,
-                     bf_estar_dcoords, bf_stage_patterns)
+                     bf_estar_dcoords, bf_project_estar, bf_stage_patterns)
 
 F = Fraction
 
@@ -252,8 +254,8 @@ def test_extension_compatibility():
 
 
 def test_extension_compatibility_fault_injection(monkeypatch):
-    # J_2 off by e_e, e of rank 3: R_2 J_2 = id still holds, but
-    # J_2 R_2 J_1 = J_1 and J_3 R_3 J_2 = J_2 fail on every basis vector
+    # J_2 off by e_e, e of rank 3: the rank filter J_2 e_t = d_t fails on
+    # each t in Delta_2 and nowhere else, as J_2 is applied only there
     bd, ids = tiny_build()
     apply_Jm = bd.apply_Jm
 
@@ -263,9 +265,43 @@ def test_extension_compatibility_fault_injection(monkeypatch):
 
     monkeypatch.setattr(bd, "apply_Jm", faulty)
     rep = bdcore.verify_extension_compatibility(bd)
-    assert sorted(v[:10] for v in rep.violations) == (
-        ["J_2 R_2 J_"] * len(bd.gamma_upto(1))
-        + ["J_3 R_3 J_"] * len(bd.gamma_upto(2)))
+    assert rep.violations == [f"J_2 e_{t} != d_{t}" for t in bd.stage(2)]
+
+
+def test_extension_compatibility_catches_faulty_dcoords(monkeypatch):
+    # a dcoords that forgets the correction <c*_t, x>: it still gives
+    # dcoords(e_t) = {t: 1} at rank t, so the rank filter holds, but
+    # dcoords(d_t) is d_t itself, which differs from e_t exactly for the t
+    # that some row c*_s reads
+    bd, ids = tiny_build()
+    table = bd.cstar_table
+
+    def faulty(x):
+        return {t: v for t, v in x.items() if t in table}
+
+    monkeypatch.setattr(bd, "dcoords", faulty)
+    rep = bdcore.verify_extension_compatibility(bd)
+    read = [t for t in ids if any(t in table[s] for s in ids)]
+    assert 0 < len(read) < len(ids)
+    assert rep.violations == [f"dcoords(d_{t}) != e_{t}" for t in read]
+
+
+def test_compat_and_prefix_norms_expand_each_element_once(monkeypatch):
+    # one to_d of e*_g for all the prefix norms of g, not one per rank
+    # m = 1 .. N-1 (24 here), and one column J_m e_t per element for compat,
+    # not every J_m e_t, t in Gamma_m, each re-extended (32 here)
+    bd, ids = tiny_build()
+    calls = []
+    for obj, name in ((bd.bc, "to_d"), (bd, "apply_Jm")):
+        def counted(*args, _f=getattr(obj, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(obj, name, counted)
+    bdcore.prefix_norms(bd)
+    assert calls.count("to_d") == len(ids) == 8
+    calls.clear()
+    assert bdcore.verify_extension_compatibility(bd).ok
+    assert calls.count("apply_Jm") == len(ids)
 
 
 def test_extension_norm_bound():
@@ -325,21 +361,44 @@ def test_dual_norm_band():
 
 
 def test_dual_norm_band_projection_fault_injection(monkeypatch):
-    # a faulty P*_(m,n] that adds mass on rank 1 <= m: the factored check
-    # cannot see it (the restriction to (m,n] drops the mass, the faulty
-    # projection adds it back); the bound l1(P* y*) <= 2M^2 l1(y*) does
+    # a faulty P*_(k,m] that adds mass on rank 1 <= k: the band reads its
+    # columns off one d-expansion of each e*_g and never projects, but the
+    # c* rows of the type-1 elements and their analyses are projections,
+    # so schema and analysis see the fault
     bd, ids = tiny_build()
+    a, b, c, d, e, f, g, h = ids
     m = bdcore.decomposition_constant(bd)[1]
     project = bd.project
 
     def faulty(v, k, n):
         out = project(v, k, n)
-        return out + FinVec("bd:tiny", {ids[0]: 1000}) if k >= 1 else out
+        return out + FinVec("bd:tiny", {a: 1000}) if k >= 1 else out
 
     monkeypatch.setattr(bd, "project", faulty)
-    rep = bdcore.verify_dual_norms(bd, m)
-    assert rep.violations
-    assert all("exceeds 2M^2 l1(y*)" in v for v in rep.violations)
+    assert bdcore.validate_schema(bd).violations == [
+        f"{t}: stored c* differs from recomputation" for t in (e, g, h)]
+    assert bdcore.verify_analysis(bd).violations == [
+        f"{t}: analysis expansion differs from e*" for t in (e, g, h)]
+    assert bdcore.verify_dual_norms(bd, m).ok
+
+
+def test_dual_norm_band_catches_large_d_expansion(monkeypatch):
+    # a faulty to_d(e*_f) that gains 1000 d*_d, d of rank 2: the columns
+    # P*_(m,3] e*_f for m < 2 carry it, far past 2M^2 = 8
+    bd, ids = tiny_build()
+    a, b, c, d, e, f, g, h = ids
+    to_d = bd.bc.to_d
+
+    def faulty(v):
+        out = to_d(v)
+        return out + FinVec("bd:tiny", {d: 1000}) if v == bd.estar(f) else out
+
+    monkeypatch.setattr(bd.bc, "to_d", faulty)
+    rep = bdcore.verify_dual_norms(bd, bdcore.decomposition_constant(bd)[1])
+    assert rep.verdict is bdcore.Verdict.FAIL
+    assert [v for v in rep.violations if "2M^2" in v] == [
+        f"l1(P*_(0,3] e*_{f}) = 1001 exceeds 2M^2 l1(y*) = 8",
+        f"l1(P*_(1,3] e*_{f}) = 2003/2 exceeds 2M^2 l1(y*) = 8"]
 
 
 def test_dual_norm_band_to_d_fault_injection(monkeypatch):
@@ -520,3 +579,85 @@ def test_lifted_columns_match_oracle(acc_lifted):
         for t in bd.gamma_upto(m):
             assert bd.apply_Jm(bd.estar(t), m) == bf_apply_Jm(
                 bd, bd.estar(t), m)
+
+
+GRID = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+WEIGHTS = [F(0), F(1, 8), F(1, 4), F(3, 8)]  # type-1: theta* < 1/2
+
+
+@st.composite
+def random_builds(draw):
+    """A build of 1-6 ranks with 1-5 elements each, made through
+    ``add_type0``/``add_type1`` only, so every table it holds is valid:
+    alpha and beta on a grid (type-1 weights below 1/2, so M exists), b*
+    in the l1 ball on the ranks its type allows."""
+    uni = "bd:rand"
+    bd = BDBuild(uni)
+    for r in range(1, draw(st.integers(1, 6)) + 1):
+        for _ in range(draw(st.integers(1, 5))):
+            if r == 1:
+                bd.add_type0(1, 0, FinVec(uni))
+                continue
+            k = draw(st.integers(0, r - 2))  # 0: type 0
+            pool = [g for g in bd.ids() if k < bd.rank[g] < r]
+            sup = draw(st.lists(st.sampled_from(pool), max_size=3,
+                                unique=True))
+            num = [draw(st.sampled_from((-2, -1, 1, 2))) for _ in sup]
+            den = max(sum(map(abs, num)), draw(st.integers(1, 4)))
+            bstar = FinVec(uni, {t: F(v, den) for t, v in zip(sup, num)})
+            if k:
+                bd.add_type1(r, draw(st.sampled_from(GRID)), k,
+                             draw(st.sampled_from(bd.stage(k))),
+                             draw(st.sampled_from(WEIGHTS)), bstar)
+            else:
+                bd.add_type0(r, draw(st.sampled_from(GRID)), bstar)
+    bd.freeze()
+    return bd
+
+
+# no shrink or explain phase: a BDBuild prints as its id, so a shrunk build
+# reads no better, and a failing run took minutes to shrink and then ended
+# in an internal error of the explain phase instead of the failure
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(random_builds(), st.randoms(use_true_random=False))
+def test_random_builds_match_dense_oracles(bd, rnd):
+    ids, N, rank = bd.ids(), bd.max_rank(), bd.rank
+    # prefix norms: the dense columns P*_[1,m] e*_g, maxima over Gamma_n
+    assert bdcore.prefix_norms(bd) == {
+        (m, n): max(bf_project_estar(bd, g, 0, m).l1()
+                    for g in bd.gamma_upto(n))
+        for n in range(1, N + 1) for m in range(n)}
+    # ladders: the l1 of the projection onto each prefix of a rank order
+    orders = [range(1, N + 1), range(N, 0, -1), rnd.sample(range(1, N + 1), N)]
+    vecs = [bd.estar(g) for g in ids] + [
+        e.bstar for e in bd.elems.values() if isinstance(e, Gamma1)]
+    for v in vecs:
+        for order in orders:
+            assert bdcore._l1_ladder(bd, v, order) == [
+                bd.bc.project(v, lambda t: rank[t] in order[:j + 1]).l1()
+                for j in range(N)]
+    # the factored identity: P*_(m,n] of the restriction of P*_(m,n] e*_g
+    # to ranks m+1 .. n is P*_(m,n] e*_g; what it drops lives on ranks <= m
+    for g in ids:
+        n = rank[g]
+        for m in range(n):
+            y = bd.project(bd.estar(g), m, n)
+            assert y == bf_project_estar(bd, g, m, n)
+            assert bd.project(y.restrict(lambda i: m < rank[i] <= n),
+                              m, n) == y
+    # the extension operators: one random vector on Gamma_m
+    m = rnd.randint(1, N)
+    x = FinVec(bd.universe, {g: F(rnd.randint(-4, 4), 4)
+                             for g in bd.gamma_upto(m)})
+    assert bd.dcoords(x) == bf_dcoords(bd, x)
+    assert bd.apply_Jm(x, m) == bf_apply_Jm(bd, x, m)
+    theta, mbound = bdcore.decomposition_constant(bd)
+    for rep in (bdcore.verify_extension_compatibility(bd),
+                bdcore.verify_projection_idempotence(bd),
+                bdcore.verify_dual_norms(bd, mbound)):
+        assert rep.verdict is bdcore.Verdict.PASS, rep.violations
+    # one c* entry written into the table, past its writer: schema FAILs
+    g, t = ids[-1], ids[0]
+    bd.cstar_table[g] = bd.cstar(g) + FinVec(bd.universe, {t: 1})
+    assert bdcore.validate_schema(bd).verdict is bdcore.Verdict.FAIL
