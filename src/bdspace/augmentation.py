@@ -1,22 +1,24 @@
 """Augmenting a built index set toward a space with 1-unconditional basis.
 
-An augmentation adjoins new elements (four classes) to the stages of a base
-build so that the union is again a valid sequence of index sets.  Each new
-element carries a *shadow* on the target space V: either a signed unit
-functional or a tuple of dual-norming-set trees scaled by V's weight, and
-the cut set of the element is a spread of the shadow's piece minima.  The
-classes are
+An augmentation adjoins new elements to the stages of a base build so that
+the union is again a valid sequence of index sets.  Each new element carries
+a *shadow* on the target space V, a prefix of one of V's norming trees, and
+the cut set of the element is a spread of the shadow's piece minima.  An
+element starts the prefix (type 0) or extends the one of an earlier element
+xi (type 1, k = rank xi), by a signed leaf r v*_n (b* = r b from the dense
+set, weight c c_V) or by a complete node eta (b* = e*_eta, weight c_V):
 
-  (0,1)  (n, r c, b*)            shadow (r v*_n), b* from a dense set;
-  (0,2)  (n, r, e*_eta)          shadow a one-piece tuple, eta's shadow the
-                                 full decomposition of that piece;
-  (1,1)  (n, k, xi, r c, b*)     extends xi's shadow by a signed unit;
-  (1,2)  (n, k, xi, r, e*_eta)   extends xi's shadow by eta's piece.
+  (0,1)  (n, c c_V, r b)           (1,1)  (n, 1, k, xi, c c_V, r b)
+  (0,2)  (n, c_V, e*_eta)          (1,2)  (n, 1, k, xi, c_V, e*_eta)
+
+A carrier or a one-leaf lift adjoins the (0,1) element (n, c, r b) whose
+shadow is r v*_n itself.  All go through ``AugmentedBuild._adjoin``.
 
 New elements annihilate the blockwise reembedding psi of the base space
 (their d* functionals vanish on it).  The base space is built over an FDD,
 so every registered dense-set vector and every type-1 correction c* must
-annihilate psi(X) as well, and admission is that exact check.
+annihilate psi(X) as well, and admission, in ``_adjoin``, is that exact
+check.
 
 The chain constructor lifts a dual coefficient functional w* = sum beta_n
 v*_{q_n} (a member of V's norming set) into a single element gamma whose
@@ -93,10 +95,9 @@ class BEntry:
 
 
 class ThetaInfo:
-    def __init__(self, klass: str, vcode: VCode, bref: int | None):
+    def __init__(self, klass: str, vcode: VCode):
         self.klass = klass    # "01" | "02" | "11" | "12"
         self.vcode = vcode
-        self.bref = bref      # index into the registry when b* came from it
 
 
 class AugmentedBuild:
@@ -157,9 +158,6 @@ class AugmentedBuild:
         return FinVec(self.base.bd.universe,
                       {i: val for i, val in z.items() if i in self.base_ids})
 
-    def is_theta(self, g: int) -> bool:
-        return g not in self.base_ids
-
     # -- psi ---------------------------------------------------------------------
 
     def psi(self, x: FinVec) -> FinVec:
@@ -180,10 +178,12 @@ class AugmentedBuild:
 
     # -- dense sets ------------------------------------------------------------------
 
-    def register_b(self, k: int, n: int, vec: FinVec) -> int:
+    def register_b(self, k: int, n: int, vec: FinVec):
         """Register +-vec for the interval (k, n]: it must lie in the l1
         ball, be supported on ranks k+1..n and, projected to the interval,
-        annihilate psi(X).  Returns the index of +vec."""
+        annihilate psi(X).  A frozen build takes no new members."""
+        if self.bd.frozen:
+            raise BuildError("build is frozen")
         if vec.l1() > 1:
             raise BuildError("dense-set member outside the l1 ball")
         for i in vec.support():
@@ -193,14 +193,13 @@ class AugmentedBuild:
         if any(proj.pair(sx) for sx in self.spanning):
             raise BuildError("dense-set member must annihilate psi(X)")
         self.bentries += [BEntry(vec, k, n), BEntry(-vec, k, n)]
-        return len(self.bentries) - 2
 
     def dense_set_ledger(self) -> list[dict]:
         """The registry as JSON: each entry's interval and l1 norm."""
         return [{"interval": [b.k, b.n], "l1": _enc(b.vec.l1())}
                 for b in self.bentries]
 
-    # -- admission ---------------------------------------------------------------
+    # -- admission and the four classes ---------------------------------------------
 
     def _admission_ok(self, cstar: FinVec) -> tuple[bool, str]:
         for sx in self.spanning:
@@ -209,89 +208,66 @@ class AugmentedBuild:
                 return False, f"c* does not annihilate psi(X): {v}"
         return True, ""
 
-    # -- the four classes -----------------------------------------------------------
-
-    def _check_shadow(self, vc: VCode, rank: int):
-        if not vcode_admissible(vc, self.vspec):
+    def _adjoin(self, klass: str, rank: int, vcode: VCode, beta,
+                bstar: FinVec, xi: int | None) -> int:
+        """Adjoin one element of class ``klass``: check its shadow, register
+        a leaf's b* in the dense set, admit a type-1 c* against psi(X), then
+        append the element (type 1, alpha = 1, k = rank xi, when xi is
+        given) and record its shadow."""
+        if not vcode_admissible(vcode, self.vspec):
             raise BuildError("shadow tuple is not admissible")
-        if vc.max_support() > rank:
+        if vcode.max_support() > rank:
             raise BuildError("shadow support exceeds the stage index")
-
-    def add_theta_01(self, rank: int, sign: int, bvec: FinVec,
-                     scaled: bool = False) -> int:
-        """(0,1): weight r c with shadow (r v*_rank); r = +-1, or the
-        V-weight itself when ``scaled`` (a one-leaf prefix shadow)."""
-        if sign not in (1, -1):
-            raise BuildError("sign must be +-1")
-        bref = self.register_b(0, rank - 1, bvec.scale(sign))
-        leaf = ("leaf", sign, rank)
-        if scaled:
-            vc = VCode("pfx", (leaf,))
-            weight = self.vspec.c * self.c_aug
+        k = 0 if xi is None else self.bd.rank[xi]
+        if klass[1] == "1":
+            self.register_b(k, rank - 1, bstar)
+        if xi is None:
+            g = self.bd.add_type0(rank, beta, bstar, free=(klass, rank))
         else:
-            vc = VCode("d0", leaf)
-            weight = self.c_aug
-        self._check_shadow(vc, rank)
-        g = self.bd.add_type0(rank, weight, bvec.scale(sign), free=("01", rank))
-        self.theta[g] = ThetaInfo("01", vc, bref)
+            ok, why = self._admission_ok(
+                self.bd.type1_cstar(rank, 1, xi, beta, bstar))
+            if not ok:
+                raise BuildError(
+                    f"admission filter rejects the candidate: {why}")
+            g = self.bd.add_type1(rank, 1, k, xi, beta, bstar,
+                                  free=(klass, rank))
+        self.theta[g] = ThetaInfo(klass, vcode)
         return g
 
-    def add_theta_02(self, rank: int, eta: int) -> int:
-        """(0,2): b* = e*_eta where eta's shadow is a complete decomposition."""
-        inf = self.theta.get(eta)
-        if inf is None or inf.vcode.kind != "pfx" or len(inf.vcode.payload) < 2:
-            raise BuildError("eta must carry a complete multi-piece shadow")
-        node = ("node", inf.vcode.payload)
-        vc = VCode("pfx", (node,))
-        self._check_shadow(vc, rank)
-        r = self.vspec.c  # the piece scalar; below c since the piece splits
-        g = self.bd.add_type0(rank, r, FinVec(self.bd.universe, {eta: 1}),
-                              free=("02", rank))
-        self.theta[g] = ThetaInfo("02", vc, None)
-        return g
-
-    def add_theta_11(self, rank: int, xi: int, sign: int, bvec: FinVec) -> int:
+    def _prefix(self, xi: int | None) -> tuple:
+        """The shadow pieces that an element extending xi starts from."""
+        if xi is None:
+            return ()
         inf = self.theta.get(xi)
         if inf is None or inf.vcode.kind != "pfx":
             raise BuildError("xi must be a new element with a prefix shadow")
-        k = self.bd.rank[xi]
-        vc = VCode("pfx", inf.vcode.payload + (("leaf", sign, rank),))
-        self._check_shadow(vc, rank)
-        bref = self.register_b(k, rank - 1, bvec.scale(sign))
-        weight = self.vspec.c * self.c_aug
-        cstar = (FinVec(self.bd.universe, {xi: 1})
-                 + self.bd.project(bvec.scale(sign), k, rank - 1).scale(weight))
-        ok, why = self._admission_ok(cstar)
-        if not ok:
-            raise BuildError(f"admission filter rejects the candidate: {why}")
-        g = self.bd.add_type1(rank, 1, k, xi, weight, bvec.scale(sign),
-                              free=("11", rank))
-        self.theta[g] = ThetaInfo("11", vc, bref)
-        return g
+        return inf.vcode.payload
 
-    def add_theta_12(self, rank: int, xi: int, eta: int) -> int:
-        infx = self.theta.get(xi)
-        infe = self.theta.get(eta)
-        if infx is None or infx.vcode.kind != "pfx":
-            raise BuildError("xi must be a new element with a prefix shadow")
-        if infe is None or infe.vcode.kind != "pfx" or len(infe.vcode.payload) < 2:
+    def add_theta_01(self, rank: int, sign: int, bvec: FinVec) -> int:
+        """(0,1) with the one-leaf shadow r v*_rank itself, r = sign: weight
+        c and b* = r bvec, the element of a carrier or a one-leaf lift."""
+        return self._adjoin("01", rank, VCode("d0", _leaf(sign, rank)),
+                            self.c_aug, bvec.scale(sign), None)
+
+    def add_leaf(self, rank: int, sign: int, bvec: FinVec,
+                 xi: int | None) -> int:
+        """Start a prefix shadow with the leaf r v*_rank, r = sign, as class
+        (0,1) when xi is None, or extend xi's by it as class (1,1): weight
+        c c_V and b* = r bvec."""
+        vc = VCode("pfx", self._prefix(xi) + (_leaf(sign, rank),))
+        return self._adjoin("01" if xi is None else "11", rank, vc,
+                            self.vspec.c * self.c_aug, bvec.scale(sign), xi)
+
+    def add_node(self, rank: int, eta: int, xi: int | None) -> int:
+        """Start a prefix shadow with eta's complete decomposition as one
+        node, as class (0,2) when xi is None, or extend xi's by it as class
+        (1,2): weight c_V and b* = e*_eta."""
+        inf = self.theta.get(eta)
+        if inf is None or inf.vcode.kind != "pfx" or len(inf.vcode.payload) < 2:
             raise BuildError("eta must carry a complete multi-piece shadow")
-        k = self.bd.rank[xi]
-        node = ("node", infe.vcode.payload)
-        vc = VCode("pfx", infx.vcode.payload + (node,))
-        self._check_shadow(vc, rank)
-        r = self.vspec.c
-        cstar = (FinVec(self.bd.universe, {xi: 1})
-                 + self.bd.project(FinVec(self.bd.universe, {eta: 1}),
-                                   k, rank - 1).scale(r))
-        ok, why = self._admission_ok(cstar)
-        if not ok:
-            raise BuildError(f"admission filter rejects the candidate: {why}")
-        g = self.bd.add_type1(rank, 1, k, xi, r,
-                              FinVec(self.bd.universe, {eta: 1}),
-                              free=("12", rank))
-        self.theta[g] = ThetaInfo("12", vc, None)
-        return g
+        vc = VCode("pfx", self._prefix(xi) + (("node", inf.vcode.payload),))
+        return self._adjoin("02" if xi is None else "12", rank, vc,
+                            self.vspec.c, self.bd.estar(eta), xi)
 
     # -- carriers -------------------------------------------------------------------
 
@@ -317,6 +293,13 @@ class AugmentedBuild:
         """The unit vector of the carrier's coordinate, extended to the top."""
         pattern = FinVec(self.bd.universe, {g: 1})
         return self.bd.apply_Jm(pattern, self.bd.rank[g])
+
+
+def _leaf(sign: int, rank: int) -> tuple:
+    """The shadow piece r v*_rank, r = sign = +-1."""
+    if sign not in (1, -1):
+        raise BuildError("sign must be +-1")
+    return ("leaf", sign, rank)
 
 
 def _kernel_vector(rows: list[list[Fraction]], n: int) -> list[Fraction] | None:
@@ -387,30 +370,22 @@ def lift_dual_functional(aug: AugmentedBuild, wtree,
     def lift(tree) -> int:
         if tree[0] == "leaf":
             _, sign, q = tree
-            w = windows[q]
-            return aug.add_theta_01(q, sign, w.bvec)
+            return aug.add_theta_01(q, sign, windows[q].bvec)
         children = tree[1]
         assert len(children) >= 2
         prev = None
         for j, ch in enumerate(children):
-            leaves = sorted(tree_support(ch))
             if ch[0] == "leaf":
                 _, sign, q = ch
-                w = windows[q]
-                if j == 0:
-                    prev = aug.add_theta_01(q, sign, w.bvec, scaled=True)
-                else:
-                    prev = aug.add_theta_11(q, prev, sign, w.bvec)
+                prev = aug.add_leaf(q, sign, windows[q].bvec, prev)
+                continue
+            eta = lift(ch)
+            if j == 0:
+                rank = windows[min(tree_support(children[1]))].p
             else:
-                eta = lift(ch)
-                if j == 0:
-                    nxt = children[j + 1]
-                    next_first = sorted(tree_support(nxt))[0]
-                    rank = windows[next_first].p
-                    prev = aug.add_theta_02(rank, eta)
-                else:
-                    rank = windows[leaves[-1]].q + len(leaves) + 1
-                    prev = aug.add_theta_12(rank, prev, eta)
+                leaves = tree_support(ch)
+                rank = windows[max(leaves)].q + len(leaves) + 1
+            prev = aug.add_node(rank, eta, prev)
         return prev
 
     g = lift(wtree)

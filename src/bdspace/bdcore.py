@@ -143,8 +143,6 @@ class BDBuild:
                     + (f" minus Gamma_{k}" if k else ""))
 
     def add_type0(self, rank: int, beta, bstar: FinVec, free=None) -> int:
-        if self.frozen:
-            raise BuildError("build is frozen")
         beta = Fraction(beta)
         if rank < 1:
             raise BuildError("rank must be >= 1")
@@ -153,18 +151,10 @@ class BDBuild:
         if rank == 1 and (beta != 0 or bstar):
             raise BuildError("rank-1 elements must carry c* = 0")
         self._check_bstar(bstar, rank)
-        g = self._next
-        self._next += 1
-        self.elems[g] = Gamma0(beta, bstar, free)
-        self.rank[g] = rank
-        self.stages.setdefault(rank, []).append(g)
-        self._set_cstar(g, bstar.scale(beta))
-        return g
+        return self._append(rank, Gamma0(beta, bstar, free), bstar.scale(beta))
 
     def add_type1(self, rank: int, alpha, k: int, xi: int, beta,
                   bstar: FinVec, free=None) -> int:
-        if self.frozen:
-            raise BuildError("build is frozen")
         alpha, beta = Fraction(alpha), Fraction(beta)
         if not (0 <= alpha <= 1 and 0 <= beta <= 1):
             raise BuildError("alpha, beta must lie in [0, 1]")
@@ -173,13 +163,26 @@ class BDBuild:
         if self.rank.get(xi) != k:
             raise BuildError(f"xi must lie in Delta_{k}")
         self._check_bstar(bstar, rank, k)
+        return self._append(rank, Gamma1(alpha, k, xi, beta, bstar, free),
+                            self.type1_cstar(rank, alpha, xi, beta, bstar))
+
+    def type1_cstar(self, rank: int, alpha, xi: int, beta,
+                    bstar: FinVec) -> FinVec:
+        """c* = alpha e*_xi + beta P*_(k, rank-1] b* of a type-1 element of
+        rank ``rank``, where k = rank(xi)."""
+        return (FinVec(self.universe, {xi: alpha})
+                + self.project(bstar, self.rank[xi], rank - 1).scale(beta))
+
+    def _append(self, rank: int, e: Gamma0 | Gamma1, cs: FinVec) -> int:
+        """Append a checked element with its c* to Delta_rank."""
+        if self.frozen:
+            raise BuildError("build is frozen")
         g = self._next
         self._next += 1
-        self.elems[g] = Gamma1(alpha, k, xi, beta, bstar, free)
+        self.elems[g] = e
         self.rank[g] = rank
         self.stages.setdefault(rank, []).append(g)
-        self._set_cstar(g, FinVec(self.universe, {xi: alpha})
-                        + self.project(bstar, k, rank - 1).scale(beta))
+        self._set_cstar(g, cs)
         return g
 
     def _set_cstar(self, g: int, cs: FinVec):
@@ -331,22 +334,14 @@ class BDBuild:
             rows = []
             for g in self.stages[n]:
                 e = self.elems[g]
-                if isinstance(e, Gamma0):
-                    rows.append({
-                        "id": g, "type": 0,
-                        "beta": [e.beta.numerator, e.beta.denominator],
-                        "bstar": e.bstar.to_json_obj()["entries"],
-                        "free": repr(e.free) if e.free is not None else None,
-                    })
-                else:
-                    rows.append({
-                        "id": g, "type": 1,
-                        "alpha": [e.alpha.numerator, e.alpha.denominator],
-                        "k": e.k, "xi": e.xi,
-                        "beta": [e.beta.numerator, e.beta.denominator],
-                        "bstar": e.bstar.to_json_obj()["entries"],
-                        "free": repr(e.free) if e.free is not None else None,
-                    })
+                row = {"id": g, "type": 0,
+                       "beta": [e.beta.numerator, e.beta.denominator],
+                       "bstar": e.bstar.to_json_obj()["entries"],
+                       "free": repr(e.free) if e.free is not None else None}
+                if isinstance(e, Gamma1):
+                    row.update({"type": 1, "k": e.k, "xi": e.xi, "alpha": [
+                        e.alpha.numerator, e.alpha.denominator]})
+                rows.append(row)
             stages[str(n)] = rows
         return {"universe": self.universe, "stages": stages}
 

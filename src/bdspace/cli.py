@@ -346,6 +346,8 @@ def cmd_build(args) -> int:
     seed, D, eb = realize_build(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a report that verify wrote to out judged an earlier build
+    (out / "report.json").unlink(missing_ok=True)
     hashes = {}
     hashes["seed.json"] = _write(out / "seed.json", seed.to_json_obj())
     hashes["normingset.json"] = _write(out / "normingset.json", D.to_json_obj())
@@ -386,6 +388,9 @@ def cmd_augment(args) -> int:
     from .bdcore import BuildError, Verdict
     from .augmentation import (AugmentedBuild, certify_lower_estimate,
                                verify_augmentation)
+    if Path(args.out).resolve() == Path(args.build).resolve():
+        raise SystemExit(f"augment rejected: --out {args.out} is the build "
+                         "directory; its dumps would be overwritten")
     try:
         carriers = ([int(r) for r in args.carriers.split(",")]
                     if args.carriers else [])
@@ -421,7 +426,7 @@ def cmd_augment(args) -> int:
         "c_aug": str(c_aug),
         "carriers": carriers,
         "theta_cardinalities": {str(n): sum(1 for g in aug.bd.stage(n)
-                                            if aug.is_theta(g))
+                                            if g in aug.theta)
                                 for n in sorted(aug.bd.stages)},
         "dense_set_ledger": aug.dense_set_ledger(),
         "certificate": cert.to_json_obj() if cert else None,

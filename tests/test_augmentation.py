@@ -166,18 +166,21 @@ def nested_tree(qs):
                      ("node", (("leaf", 1, qs[1]), ("leaf", -1, qs[2])))))
 
 
-def test_lift_flat_and_nested_shapes(aug_half):
-    wins = carrier_windows(aug_half)
-    qs = sorted(wins)
-    # flat pair, flat triple, nested both ways
-    shapes = [
+def lift_shapes(qs):
+    """Flat pair, flat triple, nested both ways: together their lifts adjoin
+    every class."""
+    return [
         ("node", (("leaf", 1, qs[0]), ("leaf", -1, qs[1]))),
         ("node", (("leaf", 1, qs[0]), ("leaf", 1, qs[1]), ("leaf", 1, qs[2]))),
         nested_tree(qs),
         ("node", (("node", (("leaf", 1, qs[0]), ("leaf", 1, qs[1]))),
                   ("leaf", 1, qs[2]))),
     ]
-    for tree in shapes:
+
+
+def test_lift_flat_and_nested_shapes(aug_half):
+    wins = carrier_windows(aug_half)
+    for tree in lift_shapes(sorted(wins)):
         g = lift_dual_functional(aug_half, tree, wins)
         rep = verify_lift_identities(aug_half, g, tree, wins)
         assert rep.ok, (tree, rep.violations)
@@ -187,6 +190,97 @@ def test_lift_flat_and_nested_shapes(aug_half):
         assert rep.verdict == "PASS", (tree, rep.violations[:5], rep.reason)
     klasses = {i.klass for i in aug_half.theta.values()}
     assert klasses == {"01", "02", "11", "12"}
+
+
+def test_class_table(aug_half):
+    # each element's class, type, alpha, beta, xi and b* follow from its
+    # shadow: a d0 carrier has weight c; a prefix element starts the prefix
+    # (type 0) or extends xi, whose shadow is its prefix (type 1, alpha 1);
+    # a leaf r v*_q has weight c c_V and b* = r bvec of window q, a node
+    # weight c_V and b* = e*_eta, where eta's shadow is the node's pieces
+    wins = carrier_windows(aug_half)
+    for tree in lift_shapes(sorted(wins)):
+        lift_dual_functional(aug_half, tree, wins)
+    bd, c, cv = aug_half.bd, aug_half.c_aug, aug_half.vspec.c
+    table = []
+    for g, inf in sorted(aug_half.theta.items()):
+        e, vc = bd.elems[g], inf.vcode
+        if vc.kind == "d0":
+            assert (inf.klass, type(e), e.beta) == ("01", bdcore.Gamma0, c)
+            table.append("d0")
+            continue
+        *prefix, piece = vc.payload
+        leaf = piece[0] == "leaf"
+        klass = ("1" if prefix else "0") + ("1" if leaf else "2")
+        assert inf.klass == klass, g
+        assert e.beta == (c * cv if leaf else cv), g
+        if leaf:
+            _, sign, q = piece
+            assert e.bstar == wins[q].bvec.scale(sign), g
+        else:
+            (eta,) = e.bstar.support()
+            assert e.bstar == bd.estar(eta), g
+            assert aug_half.theta[eta].vcode.payload == piece[1], g
+        if prefix:
+            assert isinstance(e, bdcore.Gamma1) and e.alpha == 1, g
+            assert aug_half.theta[e.xi].vcode.payload == tuple(prefix), g
+            assert e.k == bd.rank[e.xi], g
+        else:
+            assert isinstance(e, bdcore.Gamma0), g
+        table.append(klass)
+    assert sorted(table) == sorted(["d0"] * 3 + ["01"] * 5 + ["11"] * 6
+                                   + ["02", "12"])
+    assert verify_augmentation(aug_half).verdict == "PASS"
+
+
+def test_refused_adjoins_change_nothing(aug_half):
+    # a refused call leaves the merged build, the shadows and the dense
+    # set as they were; on a frozen build every entry point refuses, and
+    # the same calls adjoin once it thaws
+    wins = carrier_windows(aug_half)
+    q0, q1, q2 = sorted(wins)
+    carrier = min(aug_half.theta)
+    start = aug_half.add_leaf(q0, 1, wins[q0].bvec, None)
+    pair = lift_dual_functional(
+        aug_half, ("node", (("leaf", 1, q1), ("leaf", -1, q2))), wins)
+
+    def state():
+        return (dict(aug_half.bd.rank), list(aug_half.bentries),
+                {g: (i.klass, i.vcode.payload)
+                 for g, i in aug_half.theta.items()})
+
+    before = state()
+    refused = [
+        (lambda: aug_half.add_theta_01(q2, 0, wins[q2].bvec), "sign must be"),
+        (lambda: aug_half.add_leaf(q1, 0, wins[q1].bvec, start),
+         "sign must be"),
+        (lambda: aug_half.add_leaf(q1, 1, wins[q1].bvec, carrier),
+         "xi must be a new element with a prefix shadow"),
+        (lambda: aug_half.add_node(wins[q2].q + 3, pair, carrier),
+         "xi must be a new element with a prefix shadow"),
+        (lambda: aug_half.add_node(wins[q2].p, start, None),
+         "eta must carry a complete multi-piece shadow"),
+        (lambda: aug_half.add_node(wins[q2].q + 3, carrier, start),
+         "eta must carry a complete multi-piece shadow"),
+    ]
+    for call, why in refused:
+        with pytest.raises(BuildError, match=f"^{why}"):
+            call()
+        assert state() == before, why
+    valid = [lambda: aug_half.add_theta_01(q2, 1, wins[q2].bvec),
+             lambda: aug_half.add_leaf(q2, -1, wins[q2].bvec, None),
+             lambda: aug_half.add_leaf(q1, 1, wins[q1].bvec, start),
+             lambda: aug_half.add_node(wins[q2].q + 3, pair, start),
+             lambda: aug_half.add_node(wins[q2].q + 3, pair, None)]
+    aug_half.bd.freeze()
+    for call in valid:
+        with pytest.raises(BuildError, match="^build is frozen$"):
+            call()
+        assert state() == before
+    aug_half.bd.frozen = False
+    klasses = [aug_half.theta[call()].klass for call in valid]
+    assert klasses == ["01", "01", "11", "12", "02"]
+    assert verify_augmentation(aug_half).verdict == "PASS"
 
 
 def test_flat_signed_lift_passes_verification(aug_half):

@@ -346,6 +346,23 @@ def test_verify_fail_exits_nonzero(built, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
 
 
+def test_rebuild_removes_stale_report(built, tmp_path, capsys):
+    # a report that verify wrote to a directory judged the build there; a
+    # build of another config into that directory removes it, so report
+    # asks for verify instead of passing the new build on the old verdicts
+    _, _, out = built
+    again = tmp_path / "build"
+    shutil.copytree(out, again)
+    assert main(["verify", "--build", str(again), "--suite", "schema"]) == 0
+    cfg = tmp_path / "smaller.json"
+    cfg.write_text(json.dumps(CONFIG | {"stage_bound": 4}))
+    assert main(["build", "--config", str(cfg), "--out", str(again)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit, match=f"^no report.json in "
+                       f"{re.escape(str(again))}; run verify first$"):
+        main(["report", "--build", str(again)])
+
+
 def test_report_without_verdicts_asks_for_verify(tmp_path):
     # a report.json written before verdicts were recorded carries the same
     # schema tag but no verdict or reason fields
@@ -683,6 +700,20 @@ def test_augment_rejects_bad_options(built, tmp_path, monkeypatch, argv, why,
         main(["augment", "--build", str(out), "--out", str(tmp_path / "a"),
               *argv])
     assert not (tmp_path / "a").exists()
+
+
+def test_augment_refuses_out_at_the_build(built, tmp_path, monkeypatch):
+    # augment writes stages.json and manifest.json, so an --out that
+    # resolves to the build directory would overwrite the build; it is
+    # refused in one line before the rebuild, and the build is unchanged
+    _, _, out = built
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(cli, "realize_build", None)
+    for alias in (out, out / ".", out / ".." / out.name):
+        with pytest.raises(SystemExit, match=f"^augment rejected: --out "
+                           f"{re.escape(str(alias))} is the build directory"):
+            main(["augment", "--build", str(out), "--out", str(alias)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_augment_rejects_skipped_mode(built, tmp_path):

@@ -312,29 +312,42 @@ TEST_SEAMS = {
 
 
 def _signatures(tree: ast.Module, names) -> dict:
-    """Name -> (positional, keyword-only) parameters of each of ``names``
+    """Name -> [(positional, keyword-only) parameters] of each of ``names``
     defined at the top of ``tree``: a function's, or the explicit
-    ``__init__``'s of a class, without self."""
+    ``__init__``'s of a class, without self; and, under its own name, each
+    public method's of such a class, without self (a property takes no
+    call).  Methods of one name in several classes each add an entry."""
     out = {}
+
+    def add(name, fn, bound):
+        a = fn.args
+        pos = [p.arg for p in a.posonlyargs + a.args]
+        out.setdefault(name, []).append(
+            (pos[1:] if bound else pos, [p.arg for p in a.kwonlyargs]))
+
     for node in tree.body:
-        fn = node
-        if isinstance(node, ast.ClassDef):
-            fn = next((b for b in node.body if isinstance(b, ast.FunctionDef)
-                       and b.name == "__init__"), None)
-        if (getattr(node, "name", None) in names
-                and isinstance(fn, ast.FunctionDef)):
-            a = fn.args
-            pos = [p.arg for p in a.posonlyargs + a.args]
-            out[node.name] = (pos[1:] if fn is not node else pos,
-                              [p.arg for p in a.kwonlyargs])
+        if getattr(node, "name", None) not in names:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            add(node.name, node, False)
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            decorators = {ast.unparse(d) for d in fn.decorator_list}
+            if fn.name == "__init__":
+                add(node.name, fn, True)
+            elif not fn.name.startswith("_") and "property" not in decorators:
+                add(fn.name, fn, "staticmethod" not in decorators)
     return out
 
 
 def _unpassed(signatures: dict, trees) -> set:
     """(name, parameter) for every parameter of a called name that no call
     passes, by position or by keyword; ``*args`` or ``**kwargs`` in a call
-    passes every parameter it could.  A name no call reaches is an entry
-    point, whose parameters are all its user's to set."""
+    passes every parameter it could.  A call by a name passes its arguments
+    to every signature listed under the name.  A name no call reaches is an
+    entry point, whose parameters are all its user's to set."""
     called, passed = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -345,27 +358,30 @@ def _unpassed(signatures: dict, trees) -> set:
                 func, "attr", None)
             if name not in signatures:
                 continue
-            pos, kw = signatures[name]
             called.add(name)
-            given = set(pos[:len(node.args)])
-            if any(isinstance(a, ast.Starred) for a in node.args):
-                given = set(pos)
-            for k in node.keywords:
-                given |= set(pos + kw) if k.arg is None else {k.arg}
-            passed |= {(name, p) for p in given}
-    return {(n, p) for n in called for p in sum(signatures[n], [])} - passed
+            for pos, kw in signatures[name]:
+                given = set(pos[:len(node.args)])
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    given = set(pos)
+                for k in node.keywords:
+                    given |= set(pos + kw) if k.arg is None else {k.arg}
+                passed |= {(name, p) for p in given}
+    return {(n, p) for n in called for pos, kw in signatures[n]
+            for p in pos + kw} - passed
 
 
 def test_every_public_parameter_is_passed():
-    # a parameter that no call in the package, the demos or the benchmark
-    # passes is a knob that cannot help: it keeps a second path that no
-    # workload runs
+    # a parameter of a public function, class or public method that no
+    # call in the package, the demos or the benchmark passes is a knob that
+    # cannot help: it keeps a second path that no workload runs
     import bdspace
     signatures = {}
     for layer, names in bdspace._LAYERS.items():
-        signatures.update(_signatures(
-            ast.parse((SRC / f"{layer}.py").read_text()), names))
-    assert len(signatures) > 30
+        for name, sigs in _signatures(
+                ast.parse((SRC / f"{layer}.py").read_text()), names).items():
+            signatures.setdefault(name, []).extend(sigs)
+    assert len(signatures) > 100
+    assert len(signatures["to_json_obj"]) > 5
     trees = [ast.parse(p.read_text()) for p in CALLERS]
     assert _unpassed(signatures, trees) == set(TEST_SEAMS)
 
@@ -374,13 +390,26 @@ def test_parameter_rule_fires():
     lib = ast.parse("def certify(aug, blocks, alphas=None, *, cap=1): pass\n"
                     "class Seed:\n"
                     "    def __init__(self, name, atilde=None): pass\n"
+                    "    def widen(self, by, scaled=False): pass\n"
+                    "    @property\n"
+                    "    def size(self): pass\n"
+                    "    @staticmethod\n"
+                    "    def parse(text, strict=True): pass\n"
+                    "class Other:\n"
+                    "    def widen(self, by): pass\n"
                     "def entry(x, y=0): pass\n")
-    sigs = _signatures(lib, {"certify", "Seed", "entry"})
-    assert sigs["Seed"] == (["name", "atilde"], [])
+    sigs = _signatures(lib, {"certify", "Seed", "Other", "entry"})
+    assert sigs["Seed"] == [(["name", "atilde"], [])]
+    assert sigs["widen"] == [(["by", "scaled"], []), (["by"], [])]
+    assert sigs["parse"] == [(["text", "strict"], [])]
+    assert "size" not in sigs
     calls = ast.parse("certify(a, b, cap=2)\n"
-                      "seed = mod.Seed('s')\n")
+                      "seed = mod.Seed('s')\n"
+                      "seed.widen(2)\n"
+                      "Seed.parse('t', strict=False)\n")
     assert _unpassed(sigs, [calls]) == {("certify", "alphas"),
-                                        ("Seed", "atilde")}
+                                        ("Seed", "atilde"), ("widen", "scaled")}
     calls = ast.parse("certify(a, *rest, cap=2)\n"
-                      "seed = Seed(**opts)\n")
+                      "seed = Seed(**opts)\n"
+                      "seed.widen(2, scaled=True)\n")
     assert _unpassed(sigs, [calls]) == set()
