@@ -42,7 +42,7 @@ from typing import Sequence
 
 from . import lp
 from .bdcore import (BDBuild, BuildError, Gamma0, Report, Verdict,
-                     decomposition_constant, extension_columns, row_l1_max)
+                     decomposition_constant, row_l1_max)
 from .construction import EmbeddingBuild, embed_phi
 from .decomp import WEIGHT_CAP
 from .exact import FinVec
@@ -450,12 +450,12 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
             ok, why = aug._admission_ok(bd.cstar(g))
             if not ok:
                 rep.violations.append(f"{g}: admission recheck fails: {why}")
-    # psi is isometric on each block: psi(J_j u) agrees with J_j u, which
-    # has norm ||u||, on base coordinates, and the columns psi(J_j e_t),
-    # t in Delta_j, have largest row l1 <= 1, so ||psi(J_j u)|| = ||u||
+    # psi is isometric on each block: psi(J_j u) agrees with J_j u (norm
+    # ||u||) on base coordinates, and the columns psi(J_j e_t), J_j e_t = d_t
+    # (compat), t in Delta_j, have row l1 <= 1, so ||psi(J_j u)|| = ||u||
     src = aug.base.bd
     for j in sorted(src.stages):
-        cols = extension_columns(src, j, src.stage(j))
+        cols = [src.synthesize({t: 1}) for t in src.stage(j)]
         images = [aug.psi(aug.to_merged(x)) for x in cols]
         if (any(aug.pi(y) != x for x, y in zip(cols, images))
                 or row_l1_max(images) > 1):

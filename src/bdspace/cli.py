@@ -2,7 +2,9 @@
 
 Builds are reproducible byte for byte: every artifact is canonical JSON
 (sorted keys, fixed separators) derived from the config alone, and the
-manifest records content hashes.  Each verification suite is
+manifest records content hashes.  ``verify`` and ``augment`` judge a
+rebuild from the recorded config, so they refuse one whose dumps differ
+from those hashes (``_rebuild``).  Each verification suite is
 one library call whose reports carry their own verdict (``bdcore.Verdict``:
 PASS, FAIL, INCONCLUSIVE or AT-CAP).  ``verify`` prints one line per report,
 ``[VERDICT] suite: name :: first violation or reason``, and stores the
@@ -121,8 +123,12 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
+def _encode(obj) -> bytes:
+    return (canonical_json(obj) + "\n").encode()
+
+
 def _write(path: Path, obj) -> str:
-    data = (canonical_json(obj) + "\n").encode()
+    data = _encode(obj)
     path.write_bytes(data)
     return _sha256_hex(data)
 
@@ -213,7 +219,8 @@ def check_config(cfg: dict) -> dict:
     is cut), a seed's ``unconditional`` unless false, the value older
     configs carry, since no build reads it, and a ``stage_bound`` above the
     full stage, which builds nothing more.  ``verify`` and ``augment`` check
-    the config a build recorded as well: its manifest is not hash-checked."""
+    the config a build recorded as well: its manifest is not hash-checked,
+    though the dumps it rebuilds are (``_rebuild``)."""
     errors = []
     seed = cfg.get("seed", {})
     if not isinstance(seed, dict):
@@ -306,12 +313,34 @@ def realize_build(cfg: dict):
     return seed, D, eb
 
 
+def _dumps(seed: SeedSpace, D, eb) -> dict:
+    """The four dumps of a build by file name: ``build`` writes them, and
+    ``verify`` and ``augment`` compare their rebuild's with the manifest."""
+    return {
+        "seed.json": seed.to_json_obj(),
+        "normingset.json": D.to_json_obj(),
+        "stages.json": eb.bd.to_json_obj(),
+        "coding.json": {
+            str(g): {
+                "tuple": [[r.numerator, r.denominator, j]
+                          for r, j in inf.entries],
+                "case": inf.case,
+                "rank": inf.rank,
+                "xi": eb.code_of.get(inf.xi) if inf.xi else None,
+                "eta": eb.code_of.get(inf.eta) if inf.eta else None,
+            }
+            for g, inf in sorted(eb.info.items())
+        },
+    }
+
+
 def _load_manifest(build: str) -> dict:
     """The build's manifest, after checking every dump against its hash.
-    A manifest that is not a JSON object holding the build's config and an
-    object of hashes, a dump name that is not a plain file name (so no dump
-    is read outside the build), or a dump that is missing or differs from
-    its hash, ends in one ``corrupt dump`` line."""
+    A directory holding an augmentation is refused in one ``not a build``
+    line.  A manifest that is not a JSON object holding the build's config
+    and an object of hashes, a dump name that is not a plain file name (so
+    no dump is read outside the build), or a dump that is missing or
+    differs from its hash, ends in one ``corrupt dump`` line."""
     manifest_path = Path(build) / "manifest.json"
     if not manifest_path.exists():
         raise SystemExit(f"no manifest in {build}")
@@ -320,6 +349,9 @@ def _load_manifest(build: str) -> dict:
     except ValueError as exc:
         raise SystemExit(
             f"corrupt dump: manifest.json is not JSON ({exc})") from None
+    if isinstance(manifest, dict) and (
+            manifest.get("schema") == "bdspace-augment-v1"):
+        raise SystemExit(f"not a build: {build} holds an augmentation")
     if not isinstance(manifest, dict) or not isinstance(
             manifest.get("config"), dict):
         raise SystemExit("corrupt dump: manifest.json is not a JSON object "
@@ -341,6 +373,21 @@ def _load_manifest(build: str) -> dict:
     return manifest
 
 
+def _rebuild(build: str):
+    """The recorded config, its rebuilt seed and embedding, after
+    ``_load_manifest``.  A rebuild whose dumps differ from the manifest's
+    hashes, from a config edited there or a change in the code, ends in
+    one ``build drift`` line before any suite runs."""
+    manifest = _load_manifest(build)
+    cfg = check_config(manifest["config"])
+    seed, D, eb = realize_build(cfg)
+    hashes = manifest.get("hashes", {})
+    for name, obj in _dumps(seed, D, eb).items():
+        if _sha256_hex(_encode(obj)) != hashes.get(name):
+            raise SystemExit(f"build drift: {name} differs from its rebuild")
+    return cfg, seed, eb
+
+
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
     seed, D, eb = realize_build(cfg)
@@ -348,21 +395,8 @@ def cmd_build(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # a report that verify wrote to out judged an earlier build
     (out / "report.json").unlink(missing_ok=True)
-    hashes = {}
-    hashes["seed.json"] = _write(out / "seed.json", seed.to_json_obj())
-    hashes["normingset.json"] = _write(out / "normingset.json", D.to_json_obj())
-    hashes["stages.json"] = _write(out / "stages.json", eb.bd.to_json_obj())
-    coding = {
-        str(g): {
-            "tuple": [[r.numerator, r.denominator, j] for r, j in inf.entries],
-            "case": inf.case,
-            "rank": inf.rank,
-            "xi": eb.code_of.get(inf.xi) if inf.xi else None,
-            "eta": eb.code_of.get(inf.eta) if inf.eta else None,
-        }
-        for g, inf in sorted(eb.info.items())
-    }
-    hashes["coding.json"] = _write(out / "coding.json", coding)
+    hashes = {name: _write(out / name, obj)
+              for name, obj in _dumps(seed, D, eb).items()}
     manifest = {
         "schema": "bdspace-build-v1",
         "config": cfg,
@@ -388,9 +422,13 @@ def cmd_augment(args) -> int:
     from .bdcore import BuildError, Verdict
     from .augmentation import (AugmentedBuild, certify_lower_estimate,
                                verify_augmentation)
-    if Path(args.out).resolve() == Path(args.build).resolve():
-        raise SystemExit(f"augment rejected: --out {args.out} is the build "
-                         "directory; its dumps would be overwritten")
+    try:
+        held = json.loads((Path(args.out) / "manifest.json").read_text())
+    except (OSError, ValueError):
+        held = None
+    if isinstance(held, dict) and held.get("schema") == "bdspace-build-v1":
+        raise SystemExit(f"augment rejected: --out {args.out} holds a build; "
+                         "its dumps would be overwritten")
     try:
         carriers = ([int(r) for r in args.carriers.split(",")]
                     if args.carriers else [])
@@ -403,8 +441,7 @@ def cmd_augment(args) -> int:
         c_aug = parse_rational("--c", args.c) if args.c else None
     except ValueError as exc:
         raise SystemExit(f"augment rejected: {exc}") from None
-    cfg = check_config(_load_manifest(args.build)["config"])
-    seed, D, eb = realize_build(cfg)
+    cfg, seed, eb = _rebuild(args.build)
     c_aug = seed.c if c_aug is None else c_aug
     try:
         aug = AugmentedBuild(eb, vspec, c_aug)
@@ -453,8 +490,7 @@ def _suite_runners(eb, cfg):
     are INCONCLUSIVE."""
     from . import bdcore
     from .decomp import check_subsequential_upper, verify_norming_set
-    from .construction import (check_block_rank_order, verify_coding,
-                               verify_cuts, verify_embedding)
+    from .construction import verify_coding, verify_cuts, verify_embedding
     bd, D = eb.bd, eb.D
     theta, M = bdcore.decomposition_constant(bd)
     upper, upper_C = _upper_target(cfg)
@@ -476,9 +512,7 @@ def _suite_runners(eb, cfg):
         "idempotence": lambda: [bdcore.verify_projection_idempotence(bd)],
         "dual-norms": given_m("dual-norm-band", lambda:
                               bdcore.verify_dual_norms(bd, M)),
-        "coding": lambda: [verify_coding(eb)] + [
-            check_block_rank_order(eb, j)
-            for j in range(1, eb.nblocks_covered() + 1)],
+        "coding": lambda: [verify_coding(eb)],
         "norming-set": lambda: [verify_norming_set(D, eb.nblocks_covered())],
         "embedding": lambda: [verify_embedding(eb)],
         "cuts": lambda: [verify_cuts(eb)],
@@ -496,8 +530,8 @@ def _verdict_line(r: dict) -> str:
 
 def cmd_verify(args) -> int:
     from .bdcore import Verdict
-    cfg = check_config(_load_manifest(args.build)["config"])
-    runners = _suite_runners(realize_build(cfg)[2], cfg)
+    cfg, _, eb = _rebuild(args.build)
+    runners = _suite_runners(eb, cfg)
     if args.suite and args.suite not in runners:
         raise SystemExit(f"unknown suite {args.suite!r}; have {sorted(runners)}")
     names = [args.suite] if args.suite else sorted(runners)

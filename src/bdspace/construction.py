@@ -210,7 +210,10 @@ def build_embedding(seed: SeedSpace, D: NormingSetD,
 # ---------------------------------------------------------------------------
 
 def verify_coding(eb: EmbeddingBuild) -> Report:
-    """Exact per-element checks tying the coded data to the schema data."""
+    """Exact per-element checks tying the coded data to the schema data.
+    The span and window checks also fix the order around each block stage:
+    rank < m_j exactly when the last support block b < j, and rank > m_j
+    exactly when b >= j and the support is not the one block j."""
     rep = Report("coding")
     bd, D, s = eb.bd, eb.D, eb.seed
     covered = eb.nblocks_covered()
@@ -252,22 +255,6 @@ def verify_coding(eb: EmbeddingBuild) -> Report:
                + eb.info[eta_id].vecsum.scale(beta))
         if lhs != rhs:
             rep.violations.append(f"{g}: seed-side coefficient identity fails")
-    return rep
-
-
-def check_block_rank_order(eb: EmbeddingBuild, j: int) -> Report:
-    """Order structure around the rank-m_j stage, as set equalities."""
-    rep = Report(f"order-at-block-{j}")
-    mj = m_seq(j)
-    below = {g for g, i in eb.info.items() if i.rank < mj}
-    below_expect = {g for g, i in eb.info.items() if i.supp_blocks[-1] < j}
-    if below != below_expect:
-        rep.violations.append(f"below-set mismatch at block {j}")
-    above = {g for g, i in eb.info.items() if i.rank > mj}
-    above_expect = {g for g, i in eb.info.items()
-                    if i.supp_blocks[-1] >= j and i.supp_blocks != (j,)}
-    if above != above_expect:
-        rep.violations.append(f"above-set mismatch at block {j}")
     return rep
 
 

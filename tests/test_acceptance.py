@@ -96,8 +96,7 @@ def test_criterion_3_extension_isometry(acc_build, aug_paper):
             assert rep.ok, (m, rep.violations[:3])
             checked += 1
     report(3, f"J_m isometric on stage patterns, zero violations over "
-              f"{checked} stages (exact: restriction on a basis, "
-              f"||J_m on l_inf(Delta_m)|| = 1)")
+              f"{checked} stages (exact: ||J_m on l_inf(Delta_m)|| = 1)")
 
 
 def test_criterion_4_dual_norm_band(acc_build, aug_paper):

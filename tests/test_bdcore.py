@@ -286,6 +286,28 @@ def test_extension_compatibility_catches_faulty_dcoords(monkeypatch):
     assert rep.violations == [f"dcoords(d_{t}) != e_{t}" for t in read]
 
 
+def test_dual_norm_band_catches_dcoords_off_the_index(monkeypatch):
+    # a dcoords that reads only the rows t in supp x, not the rows the
+    # c*-support index lists under supp x: right on every d_t and at rank
+    # t, so compat holds, but dcoords(e_t) misses -c*_s(t) for the rows s
+    # that read t; the columns J_n e_t of dual-norms are built from the
+    # d*-coordinates of each e_t, so they become d_t, and ||J_n|| leaves
+    # ||P*_[1,n]|| and, at the top rank, M
+    bd, ids = tiny_build()
+    table = bd.cstar_table
+
+    def faulty(x):
+        return {t: v for t in x.support()
+                if t in table and (v := x[t] - table[t].pair(x))}
+
+    monkeypatch.setattr(bd, "dcoords", faulty)
+    assert bdcore.verify_extension_compatibility(bd).ok
+    rep = bdcore.verify_dual_norms(bd, bdcore.decomposition_constant(bd)[1])
+    assert rep.violations == ["||J_2|| = 3/2 != ||P*_[1,2]|| = 1",
+                              "||J_3|| = 2 != ||P*_[1,3]|| = 221/192",
+                              "||J_4|| = 21/8 exceeds M = 2"]
+
+
 def test_compat_and_prefix_norms_expand_each_element_once(monkeypatch):
     # one to_d of e*_g for all the prefix norms of g, not one per rank
     # m = 1 .. N-1 (24 here), and one column J_m e_t per element for compat,
@@ -302,6 +324,27 @@ def test_compat_and_prefix_norms_expand_each_element_once(monkeypatch):
     calls.clear()
     assert bdcore.verify_extension_compatibility(bd).ok
     assert calls.count("apply_Jm") == len(ids)
+
+
+def test_isometry_and_dual_norms_synthesize_each_element_once(monkeypatch):
+    # the columns J_m e_t are d_t = synthesize({t: 1}) for isometry, and
+    # sum <d*_s, e_t> d_s for dual-norms: one synthesis per element of the
+    # stage, or one dcoords and one synthesis per element of the build, and
+    # no J_m applied (dual-norms applied one per column at every rank, 24)
+    bd, ids = tiny_build()
+    calls = []
+    for name in ("synthesize", "apply_Jm", "dcoords"):
+        def counted(*args, _f=getattr(bd, name), _name=name):
+            calls.append((_name, *args))
+            return _f(*args)
+        monkeypatch.setattr(bd, name, counted)
+    assert bdcore.verify_dual_norms(bd, 2).ok
+    assert calls == [("dcoords", bd.estar(t)) for t in bd.ids()] + [
+        ("synthesize", {t: 1}) for t in bd.ids()]
+    for m in sorted(bd.stages):
+        calls.clear()
+        assert bdcore.verify_extension_isometry(bd, m).ok
+        assert calls == [("synthesize", {t: 1}) for t in bd.stage(m)]
 
 
 def test_extension_norm_bound():
@@ -419,6 +462,29 @@ def test_dual_norm_band_to_d_fault_injection(monkeypatch):
     assert rep.verdict is bdcore.Verdict.FAIL
     assert rep.violations == ["||J_2|| = 1 != ||P*_[1,2]|| = 2",
                               "||J_3|| = 221/192 != ||P*_[1,3]|| = 2"]
+
+
+def test_dual_norm_band_synthesize_fault_injection(monkeypatch):
+    # a synthesis that drops the term c*_f(a) x(a): the columns J_n e_t
+    # read it and the rows P*_[1,n] e*_g, from to_d, do not, so ||J_3||
+    # differs from ||P*_[1,3]||: the column side does not lean on the rows
+    bd, ids = tiny_build()
+    a, b, c, d, e, f, g, h = ids
+    table = bd.cstar_table
+
+    def faulty(coeffs):
+        x = {}
+        for s in bd.ids():
+            v = coeffs.get(s, 0) + sum(w * x.get(t, 0)
+                                       for t, w in table[s].items()
+                                       if (s, t) != (f, a))
+            if v:
+                x[s] = v
+        return FinVec(bd.universe, x)
+
+    monkeypatch.setattr(bd, "synthesize", faulty)
+    rep = bdcore.verify_dual_norms(bd, bdcore.decomposition_constant(bd)[1])
+    assert rep.violations == ["||J_3|| = 3/2 != ||P*_[1,3]|| = 221/192"]
 
 
 def test_synthesize_rejects_row_on_non_earlier_rank():
@@ -652,6 +718,25 @@ def test_random_builds_match_dense_oracles(bd, rnd):
                              for g in bd.gamma_upto(m)})
     assert bd.dcoords(x) == bf_dcoords(bd, x)
     assert bd.apply_Jm(x, m) == bf_apply_Jm(bd, x, m)
+    # ||J_n||: the largest row l1 of the dense columns J_n e_t, t in Gamma_n,
+    # (J_n e_t)(g) = <P*_[1,n] e*_g, e_t> as in bf_apply_Jm, with each
+    # P*_[1,n] e*_g solved once instead of once per column
+    proj = {(g, n): bf_project_estar(bd, g, 0, n)
+            for g in ids for n in range(1, N + 1)}
+    assert bdcore._jn_norms(bd) == {
+        n: max(sum((abs(proj[g, n][t]) for t in bd.gamma_upto(n)), F(0))
+               for g in ids)
+        for n in range(1, N + 1)}
+    # synthesis, FDD components and stage patterns: a random vector over
+    # the whole build, against the dense solves
+    y = FinVec(bd.universe, {g: F(rnd.randint(-4, 4), 4) for g in
+                             rnd.sample(ids, rnd.randint(1, len(ids)))})
+    estar_d = bf_estar_dcoords(bd)
+    assert bd.synthesize(dict(y.items())) == FinVec(bd.universe, {
+        g: sum((v * y[t] for t, v in estar_d[g].items()), F(0)) for g in ids})
+    for j in range(1, N + 1):
+        assert bd.block_component(y, j) == bf_block_component(bd, y, j)
+    assert bd.stage_patterns(y) == bf_stage_patterns(bd, y)
     theta, mbound = bdcore.decomposition_constant(bd)
     for rep in (bdcore.verify_extension_compatibility(bd),
                 bdcore.verify_projection_idempotence(bd),

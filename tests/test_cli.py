@@ -711,9 +711,63 @@ def test_augment_refuses_out_at_the_build(built, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "realize_build", None)
     for alias in (out, out / ".", out / ".." / out.name):
         with pytest.raises(SystemExit, match=f"^augment rejected: --out "
-                           f"{re.escape(str(alias))} is the build directory"):
+                           f"{re.escape(str(alias))} holds a build"):
             main(["augment", "--build", str(out), "--out", str(alias)])
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_augment_refuses_out_holding_another_build(built, tmp_path,
+                                                   monkeypatch):
+    # an --out holding another build would keep its seed, norming-set and
+    # coding dumps beside an augment manifest, which no command could read
+    _, _, out = built
+    other = tmp_path / "other"
+    shutil.copytree(out, other)
+    before = {p.name: p.read_bytes() for p in other.iterdir()}
+    monkeypatch.setattr(cli, "realize_build", None)
+    with pytest.raises(SystemExit, match=f"^augment rejected: --out "
+                       f"{re.escape(str(other))} holds a build; its dumps "
+                       "would be overwritten$"):
+        main(["augment", "--build", str(out), "--out", str(other)])
+    assert {p.name: p.read_bytes() for p in other.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["verify", "augment"])
+def test_augmentation_is_not_a_build(built, tmp_path, command):
+    # an augmentation directory is named as such, not as a corrupt build;
+    # augmenting again into it is allowed, as it holds no build
+    _, _, out = built
+    aug = tmp_path / "aug"
+    for _ in range(2):
+        assert main(["augment", "--build", str(out), "--out", str(aug),
+                     "--carriers", ""]) == 0
+    extra = (["--suite", "schema"] if command == "verify"
+             else ["--out", str(tmp_path / "again")])
+    with pytest.raises(SystemExit, match=f"^not a build: {re.escape(str(aug))}"
+                                         " holds an augmentation$"):
+        main([command, "--build", str(aug)] + extra)
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "augment"])
+def test_rebuild_drift_rejected_in_one_line(built, tmp_path, command):
+    # a valid config edited in the manifest rebuilds other stages than the
+    # dumps hold; the rebuild's dumps are hashed against the manifest's
+    # before any suite runs, and nothing is written
+    _, _, out = built
+    edited = tmp_path / "edited"
+    shutil.copytree(out, edited)
+    manifest = json.loads((edited / "manifest.json").read_text())
+    manifest["config"]["stage_bound"] = 4
+    (edited / "manifest.json").write_text(json.dumps(manifest))
+    before = {p.name: p.read_bytes() for p in edited.iterdir()}
+    extra = ([] if command == "verify"
+             else ["--out", str(tmp_path / "aug")])
+    with pytest.raises(SystemExit, match="^build drift: stages.json differs "
+                                         "from its rebuild$"):
+        main([command, "--build", str(edited)] + extra)
+    assert {p.name: p.read_bytes() for p in edited.iterdir()} == before
+    assert not (tmp_path / "aug").exists()
 
 
 def test_augment_rejects_skipped_mode(built, tmp_path):

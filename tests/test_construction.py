@@ -6,9 +6,8 @@ import pytest
 
 from bdspace import bdcore, construction
 from bdspace.bdcore import Verdict
-from bdspace.construction import (build_embedding, check_block_rank_order,
-                                  embed_phi, i0_of_rank, interval_from_rank,
-                                  interval_rank, m_seq,
+from bdspace.construction import (build_embedding, embed_phi, i0_of_rank,
+                                  interval_from_rank, interval_rank, m_seq,
                                   phi_functional_identity, verify_coding,
                                   verify_cuts, verify_embedding)
 from bdspace.decomp import unit_restrictions
@@ -94,8 +93,20 @@ def test_schema_weights_and_constants(acc_build):
 
 
 def test_partial_order_sets(acc_build):
+    # the order around each block stage m_j follows from the coding suite's
+    # span and window checks: a block element's coded rank moved across
+    # m_j, which puts it in the wrong below- or above-set, FAILs coding
+    bd = acc_build.bd
+    assert verify_coding(acc_build).ok
     for j in (1, 2, 3, 4):
-        assert check_block_rank_order(acc_build, j).ok
+        g = bd.stage(m_seq(j))[0]
+        for rank in (m_seq(j) - 1, m_seq(j) + 1):
+            if rank < 1:
+                continue
+            rep = verify_coding(_with_info(acc_build, g, rank=rank))
+            assert rep.verdict is Verdict.FAIL
+            assert rep.violations[0] == (
+                f"{g}: rank does not match the support span")
 
 
 def test_rank_window_vs_support(acc_build):

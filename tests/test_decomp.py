@@ -14,7 +14,7 @@ from bdspace.decomp import (SeedSpace, SeedSpaceError, build_norming_set_D,
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
-from conftest import make_acceptance_seed
+from conftest import make_acceptance_seed, make_halfnorm_seed
 from oracles import polytope_vertices
 
 F = Fraction
@@ -259,6 +259,22 @@ def test_tsirelson_seed_cut_matches_unpruned(k, n):
     cut = tsirelson_seed("cut", schreier(k), c, n)
     assert cut.to_json_obj() == full.to_json_obj()
     assert len(cut.norming) == 2 * n
+
+
+def test_sign_norm_once_per_pattern(monkeypatch):
+    # on the (S_1, 1/2) seed the lower bound l1(f)/||sign f|| is asked 290
+    # times while G' is chosen, the seed validated and D built, over 31
+    # sign patterns; primal_norm runs once for each pattern
+    seen, asked = [], []
+    primal, lower = SeedSpace.primal_norm, SeedSpace._dual_lower
+    monkeypatch.setattr(SeedSpace, "primal_norm",
+                        lambda self, x: seen.append(x) or primal(self, x))
+    monkeypatch.setattr(SeedSpace, "_dual_lower",
+                        lambda self, f: asked.append(f) or lower(self, f))
+    seed = make_halfnorm_seed()
+    assert seed.validate() == []
+    build_norming_set_D(seed)
+    assert len(seen) == len(set(seen)) == 31 and len(asked) == 290
 
 
 def test_seed_space_first_pass(monkeypatch):
