@@ -14,11 +14,14 @@ set, weight c c_V) or by a complete node eta (b* = e*_eta, weight c_V):
 A carrier or a one-leaf lift adjoins the (0,1) element (n, c, r b) whose
 shadow is r v*_n itself.  All go through ``AugmentedBuild._adjoin``.
 
-New elements annihilate the blockwise reembedding psi of the base space
-(their d* functionals vanish on it).  The base space is built over an FDD,
-so every registered dense-set vector and every type-1 correction c* must
-annihilate psi(X) as well, and admission, in ``_adjoin``, is that exact
-check.
+Admission, in ``_adjoin``, asks that each new c*_g annihilate psi(X), the
+blockwise reembedding of the base space: a leaf's b* joins the dense set
+only if it annihilates psi(X), a node's b* = e*_eta reads a new coordinate,
+and a type-1 c* is checked whole.  Then the synthesis gives psi x(g) =
+<c*_g, psi x> = 0 at every new coordinate, so psi(X) never moves and
+``AugmentedBuild.spanning``, the images of the seed's basis, is computed
+once.  ``verify_augmentation`` asks the same of every element outside the
+base, however it was adjoined.
 
 The chain constructor lifts a dual coefficient functional w* = sum beta_n
 v*_{q_n} (a member of V's norming set) into a single element gamma whose
@@ -113,14 +116,10 @@ class AugmentedBuild:
         self.bd = BDBuild(base.bd.universe + ":aug")
         self.theta: dict[int, ThetaInfo] = {}
         self.bentries: list[BEntry] = []
-        self._epoch = -1
         self._replay()
-        self.spanning_seed = [base.seed.basis_vector(i)
-                              for i in range(1, base.seed.ncoords + 1)]
-        self._spanning_base = [self.to_merged(embed_phi(base, x))
-                               for x in self.spanning_seed]
-        self._spanning: list[FinVec] = []
-        self._refresh()
+        self.spanning = [
+            self.psi(self.to_merged(embed_phi(base, base.seed.basis_vector(i))))
+            for i in range(1, base.seed.ncoords + 1)]
 
     # -- plumbing -----------------------------------------------------------
 
@@ -138,19 +137,6 @@ class AugmentedBuild:
                 raise BuildError("replay must preserve identifiers")
         self.base_ids = set(src.rank)
 
-    def _refresh(self):
-        """Recompute psi images after the coordinate system grew: values at
-        existing coordinates are stable, but new coordinates appear."""
-        if self._epoch == len(self.bd.rank):
-            return
-        self._spanning = [self.psi(x) for x in self._spanning_base]
-        self._epoch = len(self.bd.rank)
-
-    @property
-    def spanning(self) -> list[FinVec]:
-        self._refresh()
-        return self._spanning
-
     def to_merged(self, v: FinVec) -> FinVec:
         return FinVec(self.bd.universe, dict(v.items()))
 
@@ -164,17 +150,15 @@ class AugmentedBuild:
         """Blockwise reembedding of a base-span vector into the augmentation.
 
         x is given by its coordinates over the merged universe but supported
-        on base indices.  The rank-j d*-coordinates of x in the base build
-        are the stage pattern of its j-th block component, and J_j of that
-        pattern in the merged build is its synthesis there (see ``bdcore``),
-        so psi x is the merged synthesis of the base d*-coordinates of x.
+        on base indices.  Its rank-j base d*-coordinates u_j are a pattern on
+        Delta_j, whose merged d*-coordinates of rank <= j are u_j itself
+        (c*_t reads only ranks below rank t), so J_j u_j is the merged
+        synthesis of u_j, and psi x, the sum of these, is the merged
+        synthesis of the base d*-coordinates of x.
         """
         src = self.base.bd
         return self.bd.synthesize(
             src.dcoords(FinVec(src.universe, dict(x.items()))))
-
-    def psi_of_seed(self, x_seed: FinVec) -> FinVec:
-        return self.psi(self.to_merged(embed_phi(self.base, x_seed)))
 
     # -- dense sets ------------------------------------------------------------------
 
@@ -404,8 +388,9 @@ def verify_lift_identities(aug: AugmentedBuild, g: int, wtree,
         if aug.bd.project(e, w.p, w.q - 1) != w.zstar.scale(aug.c_aug * beta):
             rep.violations.append(
                 f"window {q}: P*(e*) != c beta z* (beta = {beta})")
-    if any(e.pair(sx) for sx in aug.spanning):
-        rep.violations.append("e*(psi x) must vanish on the base space")
+    ok, why = aug._admission_ok(aug.bd.cstar(g))
+    if not ok:  # psi x(g) = <c*_g, psi x> must vanish
+        rep.violations.append(f"{g}: {why}")
     return rep
 
 
@@ -416,17 +401,13 @@ def verify_lift_identities(aug: AugmentedBuild, g: int, wtree,
 def verify_augmentation(aug: AugmentedBuild) -> Report:
     rep = Report("augmentation")
     bd = aug.bd
-    # new coordinates vanish on the reembedded base space
-    for g in sorted(aug.theta):
-        for sx in aug.spanning:
-            if bd.dstar(g).pair(sx):
-                rep.violations.append(f"{g}: d* does not annihilate psi(X)")
-                break
-    # pi o psi = identity on the spanning seed vectors
-    for i, x in enumerate(aug.spanning_seed):
-        img = aug.to_merged(embed_phi(aug.base, x))
-        if aug.pi(aug.psi(img)) != FinVec(aug.base.bd.universe, dict(img.items())):
-            rep.violations.append(f"pi(psi(x)) != x for spanning vector {i}")
+    # every element outside the base annihilates psi(X): by induction in
+    # rank order, psi x(g) = <c*_g, psi x> = 0, so psi(X) is aug.spanning
+    for g in bd.ids():
+        if g not in aug.base_ids:
+            ok, why = aug._admission_ok(bd.cstar(g))
+            if not ok:
+                rep.violations.append(f"{g}: {why}")
     # shadows: admissible, rank-bounded, and cut sets spread the minima
     for g, inf in sorted(aug.theta.items()):
         vc = inf.vcode
@@ -446,13 +427,10 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
             if e.beta > aug.vspec.c:
                 rep.violations.append(
                     f"{g}: piece scalar {e.beta} above the V weight")
-        if inf.klass in ("11", "12"):
-            ok, why = aug._admission_ok(bd.cstar(g))
-            if not ok:
-                rep.violations.append(f"{g}: admission recheck fails: {why}")
     # psi is isometric on each block: psi(J_j u) agrees with J_j u (norm
     # ||u||) on base coordinates, and the columns psi(J_j e_t), J_j e_t = d_t
-    # (compat), t in Delta_j, have row l1 <= 1, so ||psi(J_j u)|| = ||u||
+    # (compat), t in Delta_j, have row l1 <= 1, so ||psi(J_j u)|| = ||u||;
+    # pi o psi = id on these columns, so on the whole base space by linearity
     src = aug.base.bd
     for j in sorted(src.stages):
         cols = [src.synthesize({t: 1}) for t in src.stage(j)]
@@ -601,12 +579,13 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec]
     build after the lift; both go into the certificate.  When theta* >= 1/2 no a
     priori M exists and the certificate is INCONCLUSIVE.
 
-    Blocks must carry their values on every currently built coordinate
-    (recompute extensions after adding elements); the growth caused by the
-    lift inside this call is handled by re-extending from stage patterns.
+    Blocks must carry their values on every currently built coordinate.
+    Each block's d*-coordinates are taken before the lift and their sum is
+    synthesized once after it, over the grown build (see ``bdcore``).
     """
     bd = aug.bd
-    sup = [bd.fdd_support(z) for z in blocks]
+    coords = [bd.dcoords(z) for z in blocks]
+    sup = [sorted({bd.rank[t] for t in a}) for a in coords]
     for s in sup:
         if not s:
             return LowerEstimateCertificate(Verdict.INCONCLUSIVE,
@@ -617,7 +596,6 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec]
     ps = [s[0] - 1 for s in sup]
     qs = [s[-1] + 1 for s in sup]
 
-    patterns = [bd.stage_patterns(z) for z in blocks]
     witnesses = []
     vals = []
     for z, p, q in zip(blocks, ps, qs):
@@ -641,12 +619,13 @@ def certify_lower_estimate(aug: AugmentedBuild, blocks: Sequence[FinVec]
             windows[q] = Window(p, q, bvec, f)
     g = lift_dual_functional(aug, wtree, windows)
 
-    # the lift enlarged the coordinate system; blocks extend compatibly
-    # from their stage patterns
-    zsum = FinVec(bd.universe)
-    for pat in patterns:
-        zsum = zsum + bd.reextend(pat)
-    exact = zsum[g]
+    # the lift enlarged the coordinate system: the sum of the blocks is
+    # the synthesis of their d*-coordinates over it
+    total: dict[int, Fraction] = {}
+    for a in coords:
+        for t, v in a.items():
+            total[t] = total.get(t, 0) + v
+    exact = bd.synthesize(total)[g]
     cross = sum((aug.c_aug * betas[q] * windows[q].zstar.pair(z)
                  for z, q in zip(blocks, qs) if q in windows),
                 Fraction(0))

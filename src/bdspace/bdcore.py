@@ -23,16 +23,11 @@ meeting supp x, and x(g) only for g in supp a or for a row c*_g meeting
 supp x: ``dcoords`` reads only those rows, and ``synthesize`` only the rows
 it reaches from supp a, in (rank, id) order.  It keeps no memo and never
 calls ``to_d``, so the columns J_n e_t and the rows P*_[1,n] e*_g of the
-dual-norm suite share no code.  Every extension-operator helper synthesizes
-a filter of these coordinates over the whole build:
-J_m x keeps the ranks <= m, the j-th FDD component keeps rank j, and the
-stage pattern of block j is the rank-j coordinates themselves.  This is
-exact because ``add_type0``/``add_type1`` keep c*_g on ranks strictly below
-rank(g): then e*_g = d*_g + (terms of lower rank), so the d-expansion of
-e*_g restricted to rank(g) is {g: 1}.  Hence the synthesis of coordinates
-carried by Delta_j equals them on Delta_j, and a pattern u on Delta_j has
-d*-coordinates u in ranks <= j (x(t) = 0 and <c*_t, u> = 0 below j), so
-J_j u is its synthesis.
+dual-norm suite share no code.  J_m x (``apply_Jm``) is the synthesis of
+the d*-coordinates of x of rank <= m.  The pair is also the one encoding of
+a vector while a build grows: c*_g is fixed when g is added, so the
+d*-coordinates of x taken before, synthesized after, keep every old value
+and give an added g the value <c*_g, x>.
 
 Verified here, stage by stage and with zero tolerance, nothing sampled:
 linear identities on a basis, operator norms exactly from columns.
@@ -47,7 +42,7 @@ linear identities on a basis, operator norms exactly from columns.
  * extension operators J_m: the compatibility and restriction identities
    for every x (R_m J_m = id among them), from biorthogonality, dcoords(d_t)
    = e_t, and J_m e_t = d_t at m = rank t, both checked once per element,
-   and isometry on stage patterns from those columns d_t, t in Delta_m;
+   and isometry on l_inf(Delta_m) from those columns d_t, t in Delta_m;
  * idempotence of the interval projections P*_(k,m];
  * the analysis of gamma: the unfolding of e*_gamma into d* terms and
    projected b* terms, re-verified by exact expansion, with its cut set;
@@ -254,34 +249,6 @@ class BDBuild:
                 raise BuildError(f"x not supported on Gamma_{m}")
         return self.synthesize({t: v for t, v in self.dcoords(x).items()
                                 if self.rank[t] <= m})
-
-    def block_component(self, x: FinVec, j: int) -> FinVec:
-        """The j-th coordinate of x for the finite-dimensional decomposition:
-        the synthesis of its d*-coordinates of rank j."""
-        return self.synthesize({t: v for t, v in self.dcoords(x).items()
-                                if self.rank[t] == j})
-
-    def fdd_support(self, x: FinVec) -> list[int]:
-        return [j for j, _ in self.stage_patterns(x)]
-
-    def stage_patterns(self, x: FinVec) -> list[tuple[int, FinVec]]:
-        """The defining stage data of x: per block j, the restriction of its
-        j-th component to Delta_j, which is its d*-coordinates of rank j."""
-        by_rank: dict[int, dict[int, Fraction]] = {}
-        for t, v in self.dcoords(x).items():
-            by_rank.setdefault(self.rank[t], {})[t] = v
-        return [(j, FinVec(self.universe, by_rank[j])) for j in sorted(by_rank)]
-
-    def reextend(self, patterns: list[tuple[int, FinVec]]) -> FinVec:
-        """Rebuild a vector from stage patterns over a grown coordinate
-        system; values at preexisting coordinates are unchanged."""
-        a = {}
-        for j, u in patterns:
-            for t, v in u.items():
-                if self.rank.get(t) != j:
-                    raise BuildError(f"pattern not supported on Delta_{j}")
-                a[t] = a.get(t, 0) + v
-        return self.synthesize(a)
 
     # -- analysis ------------------------------------------------------------------
 

@@ -313,14 +313,18 @@ def realize_build(cfg: dict):
     return seed, D, eb
 
 
+DUMPS = ("seed.json", "normingset.json", "stages.json", "coding.json")
+
+
 def _dumps(seed: SeedSpace, D, eb) -> dict:
-    """The four dumps of a build by file name: ``build`` writes them, and
-    ``verify`` and ``augment`` compare their rebuild's with the manifest."""
-    return {
-        "seed.json": seed.to_json_obj(),
-        "normingset.json": D.to_json_obj(),
-        "stages.json": eb.bd.to_json_obj(),
-        "coding.json": {
+    """The four dumps of a build by file name, in the order of ``DUMPS``:
+    ``build`` writes them, and ``verify`` and ``augment`` compare their
+    rebuild's with the manifest."""
+    return dict(zip(DUMPS, (
+        seed.to_json_obj(),
+        D.to_json_obj(),
+        eb.bd.to_json_obj(),
+        {
             str(g): {
                 "tuple": [[r.numerator, r.denominator, j]
                           for r, j in inf.entries],
@@ -330,17 +334,17 @@ def _dumps(seed: SeedSpace, D, eb) -> dict:
                 "eta": eb.code_of.get(inf.eta) if inf.eta else None,
             }
             for g, inf in sorted(eb.info.items())
-        },
-    }
+        })))
 
 
 def _load_manifest(build: str) -> dict:
     """The build's manifest, after checking every dump against its hash.
     A directory holding an augmentation is refused in one ``not a build``
     line.  A manifest that is not a JSON object holding the build's config
-    and an object of hashes, a dump name that is not a plain file name (so
-    no dump is read outside the build), or a dump that is missing or
-    differs from its hash, ends in one ``corrupt dump`` line."""
+    and an object of hashes, a dump of ``DUMPS`` with no hash, a dump name
+    that is not a plain file name (so no dump is read outside the build),
+    or a dump that is missing or differs from its hash, ends in one
+    ``corrupt dump`` line."""
     manifest_path = Path(build) / "manifest.json"
     if not manifest_path.exists():
         raise SystemExit(f"no manifest in {build}")
@@ -360,6 +364,10 @@ def _load_manifest(build: str) -> dict:
     if not isinstance(hashes, dict):
         raise SystemExit("corrupt dump: manifest.json hashes is not a JSON "
                          "object")
+    for name in DUMPS:
+        if name not in hashes:
+            raise SystemExit(f"corrupt dump: manifest.json has no hash for "
+                             f"{name}")
     for name, h in hashes.items():
         if name in ("", ".", "..") or Path(name).name != name:
             raise SystemExit(

@@ -94,26 +94,6 @@ class RegularFamily:
     def __repr__(self):
         return f"RegularFamily({self.kind}, {self.payload!r})"
 
-    def to_json_obj(self) -> dict:
-        if self.kind == "schreier":
-            return {"kind": "schreier", "cnf": [list(t) for t in self.payload]}
-        if self.kind == "pairplus":
-            return {"kind": "pairplus", "base": self.payload.to_json_obj()}
-        if self.kind == "explicit":
-            return {"kind": "explicit", "sets": [sorted(s) for s in self.payload]}
-        return {"kind": "union", "parts": [f.to_json_obj() for f in self.payload]}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "RegularFamily":
-        kind = obj["kind"]
-        if kind == "schreier":
-            return schreier(tuple((k, m) for k, m in obj["cnf"]))
-        if kind == "pairplus":
-            return singleton_plus_pair(RegularFamily.from_json_obj(obj["base"]))
-        if kind == "explicit":
-            return explicit([frozenset(s) for s in obj["sets"]])
-        return max_union([RegularFamily.from_json_obj(o) for o in obj["parts"]])
-
 
 def schreier(ordinal) -> RegularFamily:
     return RegularFamily("schreier", _cnf(ordinal))

@@ -259,17 +259,6 @@ def bf_block_component(bd, x, j: int):
     return bf_apply_Jm(bd, rj, j) - bf_apply_Jm(bd, rj1, j - 1)
 
 
-def bf_stage_patterns(bd, x) -> list:
-    """(j, restriction of the j-th component to Delta_j) for each nonzero
-    component."""
-    out = []
-    for j in range(1, bd.max_rank() + 1):
-        comp = bf_block_component(bd, x, j)
-        if comp:
-            out.append((j, comp.restrict(lambda i: bd.rank[i] == j)))
-    return out
-
-
 def bf_psi(aug, x):
     """psi of a base-span vector as the per-block loop: each base component
     restricted to its base stage, extended by J_j of the merged build."""

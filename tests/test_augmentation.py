@@ -113,8 +113,48 @@ def test_new_elements_annihilate_psi(aug_half):
     ths = carriers(aug_half)
     for t in ths:
         for sx in aug_half.spanning:
-            assert aug_half.bd.dstar(t).pair(sx) == 0
-            assert aug_half.bd.estar(t).pair(sx) == 0
+            assert aug_half.bd.cstar(t).pair(sx) == 0
+
+
+def seed_images(aug):
+    """psi(phi e_i) for every seed basis vector, over the build as it is."""
+    seed = aug.base.seed
+    return [aug.psi(aug.to_merged(embed_phi(aug.base, seed.basis_vector(i))))
+            for i in range(1, seed.ncoords + 1)]
+
+
+def test_psi_never_moves(acc_lifted):
+    # the carriers and the certificate's lift adjoin elements whose c*
+    # annihilates psi(X), so psi(phi e_i) over the grown build is still
+    # the spanning vector computed before any of them
+    aug = acc_lifted
+    assert len(aug.bd.rank) > len(aug.base_ids)
+    assert seed_images(aug) == aug.spanning
+
+
+def last_only_coordinate(aug):
+    """The lowest coordinate t that only the last spanning vector sx
+    reaches, with sx."""
+    *rest, sx = aug.spanning
+    t = min((i for i in sx.support() if not any(s[i] for s in rest)),
+            key=lambda i: (aug.bd.rank[i], i))
+    return t, sx
+
+
+def test_unadmitted_element_fails_verification(aug_half):
+    # a (0,1) element adjoined past _adjoin, with a b* that pairs negatively
+    # with the last spanning vector only: psi(phi e_4) gains a value at the
+    # new coordinate, and verification names the element
+    t, sx = last_only_coordinate(aug_half)
+    sign = -1 if sx[t] > 0 else 1
+    rank = aug_half.bd.rank[t] + 1
+    bstar = FinVec(aug_half.bd.universe, {t: sign})
+    g = aug_half.bd.add_type0(rank, aug_half.c_aug, bstar, free=("01", rank))
+    v = aug_half.c_aug * sign * sx[t]
+    assert seed_images(aug_half)[-1][g] == v < 0
+    rep = verify_augmentation(aug_half)
+    assert rep.verdict == "FAIL"
+    assert f"{g}: c* does not annihilate psi(X): {v}" in rep.violations
 
 
 # -- class guards -----------------------------------------------------------------
@@ -136,6 +176,17 @@ def test_dense_set_registration_guards(aug_half):
     if any(probe.pair(sx) for sx in aug_half.spanning):
         with pytest.raises(BuildError):
             aug_half.register_b(0, 1, probe)
+    # so is one that only the last spanning vector sees, and one a rank
+    # past the interval; an admitted vector is registered with both signs
+    t, _ = last_only_coordinate(aug_half)
+    r, unit = aug_half.bd.rank[t], FinVec(aug_half.bd.universe, {t: 1})
+    with pytest.raises(BuildError, match="must annihilate psi"):
+        aug_half.register_b(0, r, unit)
+    with pytest.raises(BuildError, match="outside the interval span"):
+        aug_half.register_b(0, r - 1, unit)
+    assert aug_half.bentries == []
+    b = aug_half.bd.elems[aug_half.make_carrier(2)].bstar
+    assert [e.vec for e in aug_half.bentries] == [b, -b]
 
 
 def test_lift_n1_both_signs(aug_half):
@@ -500,9 +551,9 @@ def test_certificate_not_applicable_inside_psi(aug_half):
     aug_half.make_carrier(2)
     aug_half.make_carrier(6)
     # a block inside psi(X) has certified distance zero
-    x = FinVec(aug_half.base.seed.universe, {1: 1})
-    z = aug_half.psi_of_seed(x)
-    comp = aug_half.bd.block_component(z, 1)
+    bd = aug_half.bd
+    comp = bd.synthesize({t: v for t, v in bd.dcoords(aug_half.spanning[0])
+                          .items() if bd.rank[t] == 1})
     cert = certify_lower_estimate(aug_half, [comp])
     assert cert.status == "INCONCLUSIVE"
 
@@ -524,10 +575,10 @@ def test_domination_after_augmentation(acc_build):
     aug = AugmentedBuild(acc_build, VHALF, F(1, 16))
     ths = carriers(aug)
     blocks = [aug.carrier_block(t) for t in ths]
-    patterns = [aug.bd.stage_patterns(z) for z in blocks]
+    coords = [aug.bd.dcoords(z) for z in blocks]
     cert = certify_lower_estimate(aug, blocks)
     assert cert.status == "PASS"
-    blocks_ext = [aug.bd.reextend(p) for p in patterns]
+    blocks_ext = [aug.bd.synthesize(a) for a in coords]
     qs = [aug.bd.rank[t] + 1 for t in ths]
     eps = aug.base.seed.eps
     d0p = cert.delta0.lower / (1 + eps)

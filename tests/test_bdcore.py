@@ -10,7 +10,7 @@ from bdspace import bdcore
 from bdspace.bdcore import BDBuild, BuildError, Gamma1
 from bdspace.exact import FinVec
 from oracles import (bf_apply_Jm, bf_block_component, bf_dcoords,
-                     bf_estar_dcoords, bf_project_estar, bf_stage_patterns)
+                     bf_estar_dcoords, bf_project_estar)
 
 F = Fraction
 
@@ -500,25 +500,6 @@ def test_synthesize_rejects_row_on_non_earlier_rank():
             bd.synthesize({ids[0]: 1})
 
 
-def test_block_components_sum_back():
-    bd, ids = tiny_build()
-    rng = random.Random(10)
-    for _ in range(10):
-        x = FinVec("bd:tiny", {g: F(rng.randint(-8, 8), 8) for g in ids})
-        x = bd.apply_Jm(x.restrict(lambda i: bd.rank[i] <= 4), 4)
-        total = FinVec("bd:tiny")
-        for j in range(1, 5):
-            total = total + bd.block_component(x, j)
-        assert total == x
-
-
-def test_stage_patterns_reextend():
-    bd, ids = tiny_build()
-    x = bd.apply_Jm(FinVec("bd:tiny", {ids[2]: 1, ids[0]: F(-1, 2)}), 2)
-    pats = bd.stage_patterns(x)
-    assert bd.reextend(pats) == x
-
-
 @pytest.fixture(params=["acc", "lifted"])
 def big_build(request):
     if request.param == "acc":
@@ -534,6 +515,13 @@ def test_dexp_is_unit_on_own_rank(big_build):
         assert own == FinVec(bd.universe, {g: 1})
 
 
+def component(bd, x, j: int):
+    """The j-th FDD component of x: the synthesis of its rank-j
+    d*-coordinates."""
+    return bd.synthesize({t: v for t, v in bd.dcoords(x).items()
+                          if bd.rank[t] == j})
+
+
 def test_extension_operators_match_oracles(big_build):
     bd = big_build
     N, ids = bd.max_rank(), bd.ids()
@@ -547,14 +535,8 @@ def test_extension_operators_match_oracles(big_build):
         y = FinVec(bd.universe, {g: F(rng.randint(-8, 8), 8)
                                  for g in rng.sample(ids, rng.randint(1, 12))})
         for j in range(1, N + 1):
-            assert bd.block_component(y, j) == bf_block_component(bd, y, j)
-        pats = bf_stage_patterns(bd, y)
-        assert bd.stage_patterns(y) == pats
-        assert bd.fdd_support(y) == [j for j, _ in pats]
-        again = FinVec(bd.universe)
-        for j, u in pats:
-            again = again + bf_apply_Jm(bd, u, j)
-        assert bd.reextend(pats) == again
+            assert component(bd, y, j) == bf_block_component(bd, y, j)
+        assert bd.synthesize(bd.dcoords(y)) == y
 
 
 @pytest.fixture(params=["acc", "halfnorm", "6x16", "lifted"])
@@ -727,16 +709,15 @@ def test_random_builds_match_dense_oracles(bd, rnd):
         n: max(sum((abs(proj[g, n][t]) for t in bd.gamma_upto(n)), F(0))
                for g in ids)
         for n in range(1, N + 1)}
-    # synthesis, FDD components and stage patterns: a random vector over
-    # the whole build, against the dense solves
+    # synthesis and FDD components: a random vector over the whole build,
+    # against the dense solves
     y = FinVec(bd.universe, {g: F(rnd.randint(-4, 4), 4) for g in
                              rnd.sample(ids, rnd.randint(1, len(ids)))})
     estar_d = bf_estar_dcoords(bd)
     assert bd.synthesize(dict(y.items())) == FinVec(bd.universe, {
         g: sum((v * y[t] for t, v in estar_d[g].items()), F(0)) for g in ids})
     for j in range(1, N + 1):
-        assert bd.block_component(y, j) == bf_block_component(bd, y, j)
-    assert bd.stage_patterns(y) == bf_stage_patterns(bd, y)
+        assert component(bd, y, j) == bf_block_component(bd, y, j)
     theta, mbound = bdcore.decomposition_constant(bd)
     for rep in (bdcore.verify_extension_compatibility(bd),
                 bdcore.verify_projection_idempotence(bd),

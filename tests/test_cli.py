@@ -480,9 +480,12 @@ def test_recorded_config_rejected_in_one_line(built, tmp_path, command):
     ("manifest-without-config",
      "manifest.json is not a JSON object with a config object"),
     ("hashes-not-an-object", "manifest.json hashes is not a JSON object"),
-    ("missing-dump", "stages.json missing")],
+    ("missing-dump", "stages.json missing"),
+    ("no-hashes", "manifest.json has no hash for seed.json"),
+    ("dump-and-hash-removed", "manifest.json has no hash for coding.json")],
     ids=["malformed-manifest", "manifest-not-an-object",
-         "manifest-without-config", "hashes-not-an-object", "missing-dump"])
+         "manifest-without-config", "hashes-not-an-object", "missing-dump",
+         "no-hashes", "dump-and-hash-removed"])
 def test_broken_build_rejected_in_one_line(built, tmp_path, command, fault,
                                            why):
     _, _, out = built
@@ -494,9 +497,18 @@ def test_broken_build_rejected_in_one_line(built, tmp_path, command, fault,
         (broken / "manifest.json").write_text("[]")
     elif fault == "manifest-without-config":
         (broken / "manifest.json").write_text("{}")
-    elif fault == "hashes-not-an-object":
+    elif fault in ("hashes-not-an-object", "no-hashes",
+                   "dump-and-hash-removed"):
+        # without a hash for every dump, the rebuild would be judged
+        # against nothing and end in "build drift"
         manifest = json.loads((broken / "manifest.json").read_text())
-        manifest["hashes"] = ["seed.json"]
+        if fault == "hashes-not-an-object":
+            manifest["hashes"] = ["seed.json"]
+        elif fault == "no-hashes":
+            manifest["hashes"] = {}
+        else:
+            del manifest["hashes"]["coding.json"]
+            (broken / "coding.json").unlink()
         (broken / "manifest.json").write_text(json.dumps(manifest))
     else:
         (broken / "stages.json").unlink()

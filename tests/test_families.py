@@ -107,12 +107,6 @@ def test_schreier_limit_ordinal():
     assert not is_member({1, 2}, SW)      # S_1 with n = 1 rejects pairs at 1
 
 
-def test_json_round_trip():
-    for fam in (S1, SW2, singleton_plus_pair(S1),
-                explicit([{1, 2}]), max_union([S1, S2])):
-        assert RegularFamily.from_json_obj(fam.to_json_obj()) is fam
-
-
 def test_families_are_interned_and_held_weakly():
     # one object per (kind, payload), whichever way it is described, so
     # every cache a family keys compares it by identity
