@@ -12,16 +12,20 @@ set, weight c c_V) or by a complete node eta (b* = e*_eta, weight c_V):
   (0,2)  (n, c_V, e*_eta)          (1,2)  (n, 1, k, xi, c_V, e*_eta)
 
 A carrier or a one-leaf lift adjoins the (0,1) element (n, c, r b) whose
-shadow is r v*_n itself.  All go through ``AugmentedBuild._adjoin``.
+shadow is r v*_n itself.  All go through ``AugmentedBuild._adjoin``.  Each
+rule is stated once, as a list of the constraints it breaks: the shadow
+rule (``VCode.faults``), the dense-set rule (``dense_faults``, also for
+``register_b`` and the lift's windows) and admission (``_admission_faults``).
+A builder raises the first fault; ``verify_augmentation`` reports them all.
 
-Admission, in ``_adjoin``, asks that each new c*_g annihilate psi(X), the
-blockwise reembedding of the base space: a leaf's b* joins the dense set
-only if it annihilates psi(X), a node's b* = e*_eta reads a new coordinate,
-and a type-1 c* is checked whole.  Then the synthesis gives psi x(g) =
-<c*_g, psi x> = 0 at every new coordinate, so psi(X) never moves and
+Admission asks that each new c*_g annihilate psi(X), the blockwise
+reembedding of the base space: a leaf's b* joins the dense set only if it
+annihilates psi(X), a node's b* = e*_eta reads a new coordinate, and a
+type-1 c* is checked whole.  Then the synthesis gives psi x(g) = <c*_g, psi
+x> = 0 at every new coordinate, so psi(X) never moves and
 ``AugmentedBuild.spanning``, the images of the seed's basis, is computed
 once.  ``verify_augmentation`` asks the same of every element outside the
-base, however it was adjoined.
+base, however it was adjoined, and that psi is the extension there.
 
 The chain constructor lifts a dual coefficient functional w* = sum beta_n
 v*_{q_n} (a member of V's norming set) into a single element gamma whose
@@ -44,8 +48,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp
-from .bdcore import (BDBuild, BuildError, Gamma0, Report, Verdict,
-                     decomposition_constant, row_l1_max)
+from .bdcore import (BDBuild, BuildError, Gamma0, Gamma1, Report, Verdict,
+                     decomposition_constant, raise_first, row_l1_max)
 from .construction import EmbeddingBuild, embed_phi
 from .decomp import WEIGHT_CAP
 from .exact import FinVec
@@ -80,12 +84,26 @@ class VCode:
     def max_support(self) -> int:
         return max(s[-1] for s in self.supports())
 
+    def faults(self, rank: int, vspec: TsirelsonSpec) -> list[str]:
+        """The shadow rule for an element of Delta_rank: admissible pieces,
+        support within the rank; every constraint that it breaks."""
+        try:
+            ok = is_admissible(self.supports(), vspec.family)
+        except ValueError:  # the pieces are not successive
+            ok = False
+        out = [] if ok else ["shadow tuple is not admissible"]
+        if self.max_support() > rank:
+            out.append("shadow support exceeds the stage index")
+        return out
 
-def vcode_admissible(vc: VCode, vspec: TsirelsonSpec) -> bool:
-    try:
-        return is_admissible(vc.supports(), vspec.family)
-    except ValueError:  # the pieces are not successive
-        return False
+
+def dense_faults(bd: BDBuild, vec: FinVec, k: int, n: int) -> list[str]:
+    """The dense-set rule for the interval (k, n]: l1 <= 1, support on ranks
+    k+1 .. n; every constraint that vec breaks."""
+    out = ["dense-set member outside the l1 ball"] if vec.l1() > 1 else []
+    if any(not k < bd.rank.get(i, 0) <= n for i in vec.support()):
+        out.append("dense-set member outside the interval span")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +186,7 @@ class AugmentedBuild:
         annihilate psi(X).  A frozen build takes no new members."""
         if self.bd.frozen:
             raise BuildError("build is frozen")
-        if vec.l1() > 1:
-            raise BuildError("dense-set member outside the l1 ball")
-        for i in vec.support():
-            if not (k < self.bd.rank[i] <= n):
-                raise BuildError("dense-set member outside the interval span")
+        raise_first(dense_faults(self.bd, vec, k, n))
         proj = self.bd.project(vec, k, n)
         if any(proj.pair(sx) for sx in self.spanning):
             raise BuildError("dense-set member must annihilate psi(X)")
@@ -185,12 +199,11 @@ class AugmentedBuild:
 
     # -- admission and the four classes ---------------------------------------------
 
-    def _admission_ok(self, cstar: FinVec) -> tuple[bool, str]:
-        for sx in self.spanning:
-            v = cstar.pair(sx)
-            if v:
-                return False, f"c* does not annihilate psi(X): {v}"
-        return True, ""
+    def _admission_faults(self, cstar: FinVec) -> list[str]:
+        """The admission rule: c* annihilates psi(X), or the first nonzero
+        pairing is reported."""
+        v = next((v for v in map(cstar.pair, self.spanning) if v), 0)
+        return [f"c* does not annihilate psi(X): {v}"] if v else []
 
     def _adjoin(self, klass: str, rank: int, vcode: VCode, beta,
                 bstar: FinVec, xi: int | None) -> int:
@@ -198,21 +211,16 @@ class AugmentedBuild:
         a leaf's b* in the dense set, admit a type-1 c* against psi(X), then
         append the element (type 1, alpha = 1, k = rank xi, when xi is
         given) and record its shadow."""
-        if not vcode_admissible(vcode, self.vspec):
-            raise BuildError("shadow tuple is not admissible")
-        if vcode.max_support() > rank:
-            raise BuildError("shadow support exceeds the stage index")
+        raise_first(vcode.faults(rank, self.vspec))
         k = 0 if xi is None else self.bd.rank[xi]
         if klass[1] == "1":
             self.register_b(k, rank - 1, bstar)
         if xi is None:
             g = self.bd.add_type0(rank, beta, bstar, free=(klass, rank))
         else:
-            ok, why = self._admission_ok(
-                self.bd.type1_cstar(rank, 1, xi, beta, bstar))
-            if not ok:
-                raise BuildError(
-                    f"admission filter rejects the candidate: {why}")
+            raise_first(self._admission_faults(self.bd.cstar_of(
+                rank, Gamma1(1, k, xi, beta, bstar))),
+                "admission filter rejects the candidate: ")
             g = self.bd.add_type1(rank, 1, k, xi, beta, bstar,
                                   free=(klass, rank))
         self.theta[g] = ThetaInfo(klass, vcode)
@@ -343,11 +351,8 @@ def lift_dual_functional(aug: AugmentedBuild, wtree,
     for q, w in windows.items():
         if w.q != q:
             raise BuildError("window key must be its upper index")
-        if w.bvec.l1() > 1:
-            raise BuildError(f"window {q}: dense-set member outside the ball")
-        for i in w.bvec.support():
-            if not (w.p < aug.bd.rank[i] <= w.q - 1):
-                raise BuildError(f"window {q}: b* support outside (p, q-1]")
+        raise_first(dense_faults(aug.bd, w.bvec, w.p, w.q - 1),
+                    f"window {q}: ")
         if aug.bd.project(w.bvec, w.p, w.q - 1) != w.zstar:
             raise BuildError(f"window {q}: z* is not the projection of b*")
 
@@ -388,9 +393,9 @@ def verify_lift_identities(aug: AugmentedBuild, g: int, wtree,
         if aug.bd.project(e, w.p, w.q - 1) != w.zstar.scale(aug.c_aug * beta):
             rep.violations.append(
                 f"window {q}: P*(e*) != c beta z* (beta = {beta})")
-    ok, why = aug._admission_ok(aug.bd.cstar(g))
-    if not ok:  # psi x(g) = <c*_g, psi x> must vanish
-        rep.violations.append(f"{g}: {why}")
+    # psi x(g) = <c*_g, psi x> must vanish
+    rep.violations += [f"{g}: {f}"
+                       for f in aug._admission_faults(aug.bd.cstar(g))]
     return rep
 
 
@@ -403,34 +408,30 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
     bd = aug.bd
     # every element outside the base annihilates psi(X): by induction in
     # rank order, psi x(g) = <c*_g, psi x> = 0, so psi(X) is aug.spanning
-    for g in bd.ids():
-        if g not in aug.base_ids:
-            ok, why = aug._admission_ok(bd.cstar(g))
-            if not ok:
-                rep.violations.append(f"{g}: {why}")
-    # shadows: admissible, rank-bounded, and cut sets spread the minima
+    new = [g for g in bd.ids() if g not in aug.base_ids]
+    rep.violations += [f"{g}: {f}" for g in new
+                       for f in aug._admission_faults(bd.cstar(g))]
+    # shadows obey the shadow rule and their minima spread to the cut set;
+    # a leaf's b* obeys the dense-set rule, and weights are the class's
     for g, inf in sorted(aug.theta.items()):
-        vc = inf.vcode
-        if not vcode_admissible(vc, aug.vspec):
-            rep.violations.append(f"{g}: inadmissible shadow")
-        if vc.max_support() > bd.rank[g]:
-            rep.violations.append(f"{g}: shadow support exceeds the rank")
+        vc, e, n = inf.vcode, bd.elems[g], bd.rank[g]
+        faults = vc.faults(n, aug.vspec)
         cuts = bd.cuts(g)
         if not is_spread(vc.minima(), cuts):
-            rep.violations.append(
-                f"{g}: cuts {cuts} are not a spread of {vc.minima()}")
-        e = bd.elems[g]
-        if inf.klass in ("01", "11"):
+            faults.append(f"cuts {cuts} are not a spread of {vc.minima()}")
+        if inf.klass[1] == "1":
+            faults += dense_faults(bd, e.bstar, getattr(e, "k", 0), n - 1)
             if e.beta not in (aug.c_aug, aug.c_aug * aug.vspec.c):
-                rep.violations.append(f"{g}: unexpected weight {e.beta}")
-        else:
-            if e.beta > aug.vspec.c:
-                rep.violations.append(
-                    f"{g}: piece scalar {e.beta} above the V weight")
+                faults.append(f"unexpected weight {e.beta}")
+        elif e.beta > aug.vspec.c:
+            faults.append(f"piece scalar {e.beta} above the V weight")
+        rep.violations += [f"{g}: {f}" for f in faults]
     # psi is isometric on each block: psi(J_j u) agrees with J_j u (norm
     # ||u||) on base coordinates, and the columns psi(J_j e_t), J_j e_t = d_t
     # (compat), t in Delta_j, have row l1 <= 1, so ||psi(J_j u)|| = ||u||;
-    # pi o psi = id on these columns, so on the whole base space by linearity
+    # pi o psi = id on these columns, so on the whole base space by linearity.
+    # psi is the extension: each column y has y(g) = <c*_g, y> at every g
+    # outside the base, read from the c* table apart from the synthesis
     src = aug.base.bd
     for j in sorted(src.stages):
         cols = [src.synthesize({t: 1}) for t in src.stage(j)]
@@ -438,6 +439,9 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
         if (any(aug.pi(y) != x for x, y in zip(cols, images))
                 or row_l1_max(images) > 1):
             rep.violations.append(f"psi not isometric on a stage-{j} pattern")
+        rep.violations += [
+            f"{g}: psi is not the extension on a stage-{j} pattern" for g in new
+            if any(y[g] != bd.cstar(g).pair(y) for y in images)]
     return rep
 
 

@@ -31,9 +31,10 @@ and give an added g the value <c*_g, x>.
 
 Verified here, stage by stage and with zero tolerance, nothing sampled:
 linear identities on a basis, operator norms exactly from columns.
- * schema conformance (shapes, ball memberships, support constraints,
-   consistency of the stored c* table with the defining fields, and of
-   the c*-support index with the table);
+ * schema conformance: every element against the element rule
+   (``element_faults``, whose first fault ``add_type0``/``add_type1``
+   raise), the stored c* table against ``BDBuild.cstar_of``, and the
+   c*-support index against the table;
  * the projection-norm ladder ||P*_[1,m]|_{l1(Gamma_n)}|| <= 1 + C_n and the
    theta-split bound C_n <= max(2 theta/(1-2 theta), C_n(theta));
  * the weight condition (each type-1 weight is <= theta unless b* is a unit
@@ -85,6 +86,41 @@ class BuildError(ValueError):
     pass
 
 
+def raise_first(faults: list[str], where: str = ""):
+    """A builder's refusal: the first of a rule's ``faults``, if any."""
+    if faults:
+        raise BuildError(where + faults[0])
+
+
+def element_faults(build: BDBuild, rank: int, e: Gamma0 | Gamma1) -> list[str]:
+    """Every constraint that e, an element of Delta_rank over ``build``,
+    breaks: the one statement of the element rule, in the order in which
+    ``add_type0``/``add_type1`` raise the first and ``validate_schema``
+    reports them all."""
+    one = isinstance(e, Gamma1)
+    k, alpha = (e.k, e.alpha) if one else (0, 0)
+    out = ["rank must be >= 1"] if rank < 1 and not one else []
+    if not (0 <= alpha <= 1 and 0 <= e.beta <= 1):
+        out.append("alpha, " * one + "beta must lie in [0, 1]")
+    if one:
+        if not 1 <= k <= rank - 2:
+            out.append(f"need 1 <= k <= rank - 2, got k={k}, rank={rank}")
+        if build.rank.get(e.xi) != k:
+            out.append(f"xi must lie in Delta_{k}")
+    elif rank == 1 and (e.beta or e.bstar):
+        out.append("rank-1 elements must carry c* = 0")
+    if e.bstar.universe != build.universe:
+        out.append("b* universe mismatch")
+    if e.bstar.l1() > 1:
+        out.append(f"b* outside the l1 ball: {e.bstar.l1()}")
+    i = next((i for i in e.bstar.support()
+              if not k < build.rank.get(i, 0) <= rank - 1), None)
+    if i is not None:
+        out.append(f"b* support index {i} outside Gamma_{rank - 1}"
+                   + (f" minus Gamma_{k}" if k else ""))
+    return out
+
+
 class BDBuild:
     """Mutable while stages are added; freeze before verification runs."""
 
@@ -127,51 +163,26 @@ class BDBuild:
 
     # -- construction ---------------------------------------------------------
 
-    def _check_bstar(self, bstar: FinVec, rank: int, k: int = 0):
-        if bstar.universe != self.universe:
-            raise BuildError("b* universe mismatch")
-        if bstar.l1() > 1:
-            raise BuildError(f"b* outside the l1 ball: {bstar.l1()}")
-        for i in bstar.support():
-            r = self.rank.get(i)
-            if r is None or not (k < r <= rank - 1):
-                raise BuildError(
-                    f"b* support index {i} outside Gamma_{rank - 1}"
-                    + (f" minus Gamma_{k}" if k else ""))
-
     def add_type0(self, rank: int, beta, bstar: FinVec, free=None) -> int:
-        beta = Fraction(beta)
-        if rank < 1:
-            raise BuildError("rank must be >= 1")
-        if not (0 <= beta <= 1):
-            raise BuildError("beta must lie in [0, 1]")
-        if rank == 1 and (beta != 0 or bstar):
-            raise BuildError("rank-1 elements must carry c* = 0")
-        self._check_bstar(bstar, rank)
-        return self._append(rank, Gamma0(beta, bstar, free), bstar.scale(beta))
+        return self._append(rank, Gamma0(Fraction(beta), bstar, free))
 
     def add_type1(self, rank: int, alpha, k: int, xi: int, beta,
                   bstar: FinVec, free=None) -> int:
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        if not (0 <= alpha <= 1 and 0 <= beta <= 1):
-            raise BuildError("alpha, beta must lie in [0, 1]")
-        if not (1 <= k <= rank - 2):
-            raise BuildError(f"need 1 <= k <= rank - 2, got k={k}, rank={rank}")
-        if self.rank.get(xi) != k:
-            raise BuildError(f"xi must lie in Delta_{k}")
-        self._check_bstar(bstar, rank, k)
-        return self._append(rank, Gamma1(alpha, k, xi, beta, bstar, free),
-                            self.type1_cstar(rank, alpha, xi, beta, bstar))
+        return self._append(rank, Gamma1(Fraction(alpha), k, xi,
+                                         Fraction(beta), bstar, free))
 
-    def type1_cstar(self, rank: int, alpha, xi: int, beta,
-                    bstar: FinVec) -> FinVec:
-        """c* = alpha e*_xi + beta P*_(k, rank-1] b* of a type-1 element of
-        rank ``rank``, where k = rank(xi)."""
-        return (FinVec(self.universe, {xi: alpha})
-                + self.project(bstar, self.rank[xi], rank - 1).scale(beta))
+    def cstar_of(self, rank: int, e: Gamma0 | Gamma1) -> FinVec:
+        """c* of e in Delta_rank: beta b* (type 0), alpha e*_xi + beta
+        P*_(k, rank-1] b* (type 1); ``verify_analysis`` unfolds it apart."""
+        if isinstance(e, Gamma0):
+            return e.bstar.scale(e.beta)
+        return (FinVec(self.universe, {e.xi: e.alpha})
+                + self.project(e.bstar, e.k, rank - 1).scale(e.beta))
 
-    def _append(self, rank: int, e: Gamma0 | Gamma1, cs: FinVec) -> int:
-        """Append a checked element with its c* to Delta_rank."""
+    def _append(self, rank: int, e: Gamma0 | Gamma1) -> int:
+        """Append e to Delta_rank with its c*, or raise the first constraint
+        of ``element_faults`` that it breaks."""
+        raise_first(element_faults(self, rank, e))
         if self.frozen:
             raise BuildError("build is frozen")
         g = self._next
@@ -179,7 +190,7 @@ class BDBuild:
         self.elems[g] = e
         self.rank[g] = rank
         self.stages.setdefault(rank, []).append(g)
-        self._set_cstar(g, cs)
+        self._set_cstar(g, self.cstar_of(rank, e))
         return g
 
     def _set_cstar(self, g: int, cs: FinVec):
@@ -373,39 +384,16 @@ def _detail_json(v):
 
 
 def validate_schema(build: BDBuild) -> Report:
-    """Recheck every stored element against the defining constraints."""
+    """Recheck every stored element against the element rule
+    (``element_faults``), and its stored c* against ``BDBuild.cstar_of``."""
     rep = Report("schema")
     for n in sorted(build.stages):
         if not build.stages[n]:
             rep.violations.append(f"stage {n} is empty")
     for g in build.ids():
-        e = build.elems[g]
-        n = build.rank[g]
-        if isinstance(e, Gamma0):
-            if not (0 <= e.beta <= 1):
-                rep.violations.append(f"{g}: beta out of range")
-            if e.bstar.l1() > 1:
-                rep.violations.append(f"{g}: b* outside the l1 ball")
-            if any(build.rank.get(i, n) > n - 1 for i in e.bstar.support()):
-                rep.violations.append(f"{g}: b* leaves Gamma_{n - 1}")
-            expect = e.bstar.scale(e.beta)
-        else:
-            if not (0 <= e.alpha <= 1 and 0 <= e.beta <= 1):
-                rep.violations.append(f"{g}: alpha/beta out of range")
-            if not (1 <= e.k <= n - 2):
-                rep.violations.append(f"{g}: k out of range")
-            if build.rank.get(e.xi) != e.k:
-                rep.violations.append(f"{g}: xi not in Delta_k")
-            if e.bstar.l1() > 1:
-                rep.violations.append(f"{g}: b* outside the l1 ball")
-            for i in e.bstar.support():
-                if not (e.k < build.rank.get(i, 0) <= n - 1):
-                    rep.violations.append(
-                        f"{g}: b* support leaves Gamma_{n-1} minus Gamma_{e.k}")
-                    break
-            expect = (FinVec(build.universe, {e.xi: e.alpha})
-                      + build.project(e.bstar, e.k, n - 1).scale(e.beta))
-        if expect != build.cstar_table[g]:
+        e, n = build.elems[g], build.rank[g]
+        rep.violations += [f"{g}: {f}" for f in element_faults(build, n, e)]
+        if build.cstar_of(n, e) != build.cstar_table[g]:
             rep.violations.append(f"{g}: stored c* differs from recomputation")
         if n == 1 and build.cstar_table[g]:
             rep.violations.append(f"{g}: rank-1 element with nonzero c*")

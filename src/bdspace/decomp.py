@@ -22,7 +22,9 @@ block interval it materializes members approximating each restriction of G,
 which yields an exactly checkable (1 - eps)-norming certificate while
 keeping the set small (the full set of the underlying recursion is
 astronomically large).  D is never cut: a build that reaches
-``D_SIZE_CAP`` members is refused.
+``D_SIZE_CAP`` members is refused.  The certificate measures each distance
+||g - f||_* of a target g and a member f once (``SeedSpace.distance``),
+however many intervals hold both.
 """
 
 from __future__ import annotations
@@ -146,6 +148,7 @@ class SeedSpace:
         if not kept:
             raise SeedSpaceError("norming set must be nonempty")
         self._dual_cache: dict[FinVec, Fraction] = {}
+        self._distances: dict[tuple[FinVec, FinVec], Fraction] = {}
         self._sign_norms: dict[FinVec, Fraction] = {}  # ||sign f|| by sign f
         self._columns = (None, None)  # a generator list and its +-G columns
         self.norming = sorted(kept, key=lambda v: tuple(v.items()))
@@ -227,6 +230,14 @@ class SeedSpace:
                 "functional outside the span of the norming set") from None
         self._dual_cache[f] = val
         return val
+
+    def distance(self, g: FinVec, f: FinVec) -> Fraction:
+        """||g - f||_*, kept by the pair (g, f): the norming certificate
+        asks for one pair on every interval that holds both."""
+        d = self._distances.get((g, f))
+        if d is None:
+            d = self._distances[g, f] = self.dual_norm(g - f)
+        return d
 
     # -- nets ------------------------------------------------------------------
 
@@ -653,24 +664,10 @@ def norming_certificate(D: NormingSetD, lo: int, hi: int,
     given f.  Returns (delta, per-target distances); the certificate passes
     when delta <= eps.
     """
-    s = D.seed
-    targets = unit_restrictions(s, [(lo, hi)])
-    worst = Fraction(0)
-    detail = []
-    for g in targets:
-        best = None
-        for i in members:
-            d = s.dual_norm(g - D.members[i].vec)
-            if best is None or d < best:
-                best = d
-            if best == 0:
-                break
-        if best is None:
-            best = Fraction(1)
-        detail.append((g, best))
-        if best > worst:
-            worst = best
-    return worst, detail
+    s, fs = D.seed, [D.members[i].vec for i in members]
+    detail = [(g, min((s.distance(g, f) for f in fs), default=Fraction(1)))
+              for g in unit_restrictions(s, [(lo, hi)])]
+    return max((d for _, d in detail), default=Fraction(0)), detail
 
 
 # ---------------------------------------------------------------------------

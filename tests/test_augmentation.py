@@ -1,11 +1,12 @@
 import gc
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from bdspace import bdcore, cli, lp
-from bdspace.augmentation import (AugmentedBuild, Window,
+from bdspace.augmentation import (AugmentedBuild, ThetaInfo, VCode, Window,
                                   _annihilating_witness, _hull_distance,
                                   certify_lower_estimate,
                                   lift_dual_functional, verify_augmentation,
@@ -98,15 +99,31 @@ def test_psi_matches_blockwise_oracle(acc_lifted):
 
 def test_psi_isometry_check_fault_injection(aug_half, monkeypatch):
     # a psi that adds 1 at a new coordinate still agrees with x on the base
-    # coordinates; the row l1 of the columns psi(J_j e_t) exposes it
+    # coordinates; the row l1 of the columns psi(J_j e_t) exposes it, and so
+    # does the extension check at that coordinate
     theta = aug_half.make_carrier(2)
     assert verify_augmentation(aug_half).ok
     psi = aug_half.psi
     monkeypatch.setattr(aug_half, "psi", lambda x: psi(x) + FinVec(
         aug_half.bd.universe, {theta: 1}))
     rep = verify_augmentation(aug_half)
-    assert rep.violations == [f"psi not isometric on a stage-{j} pattern"
-                              for j in sorted(aug_half.base.bd.stages)]
+    assert rep.violations == [
+        v for j in sorted(aug_half.base.bd.stages)
+        for v in (f"psi not isometric on a stage-{j} pattern",
+                  f"{theta}: psi is not the extension on a stage-{j} pattern")]
+
+
+def test_zero_extension_fails_verification(acc_build, monkeypatch):
+    # the zero extension agrees with psi on psi(X), so the carriers, the
+    # lift and the certificate all pass with it; on the columns d_t of the
+    # base it reads 0 at new coordinates g where <c*_g, d_t> does not
+    monkeypatch.setattr(AugmentedBuild, "psi", lambda self, x: FinVec(
+        self.bd.universe, dict(x.items())))
+    rep = verify_augmentation(lift_acceptance(acc_build))
+    assert rep.verdict == "FAIL"
+    assert len(rep.violations) == 5
+    assert all(re.fullmatch(r"\d+: psi is not the extension on a stage-\d+ "
+                            "pattern", v) for v in rep.violations)
 
 
 def test_new_elements_annihilate_psi(aug_half):
@@ -187,6 +204,86 @@ def test_dense_set_registration_guards(aug_half):
     assert aug_half.bentries == []
     b = aug_half.bd.elems[aug_half.make_carrier(2)].bstar
     assert [e.vec for e in aug_half.bentries] == [b, -b]
+
+
+def tampered(aug, g, **fields):
+    """A copy of aug whose merged element g has the given fields changed."""
+    bd = aug.bd
+    return replaced(aug, bd=replaced(bd, elems={
+        **bd.elems, g: replaced(bd.elems[g], **fields)}))
+
+
+def reshadowed(aug, g, kind, payload):
+    """A copy of aug whose element g carries another shadow."""
+    return replaced(aug, theta={**aug.theta, g: ThetaInfo(
+        aug.theta[g].klass, VCode(kind, payload))})
+
+
+def refuse_inadmissible(aug, wins):
+    q0 = min(wins)
+    start = aug.add_leaf(q0, 1, wins[q0].bvec, None)
+    return [(lambda: aug.add_leaf(q0, 1, wins[q0].bvec, start), "")]
+
+
+def refuse_shadow_past_rank(aug, wins):
+    _, q1, q2 = sorted(wins)
+    pair = lift_dual_functional(
+        aug, ("node", (("leaf", 1, q1), ("leaf", -1, q2))), wins)
+    return [(lambda: aug.add_node(wins[q2].p, pair, None), "")]
+
+
+def refuse_dense(bvec):
+    """An adjoined carrier leaf and a lift window, each with b* = bvec(w)
+    for the first window w."""
+    def refuse(aug, wins):
+        w = wins[min(wins)]
+        b = bvec(aug, w)
+        return [(lambda: aug.add_theta_01(w.q, 1, b), ""),
+                (lambda: lift_dual_functional(
+                    aug, ("leaf", 1, w.q), {w.q: replaced(w, bvec=b)}),
+                 f"window {w.q}: ")]
+    return refuse
+
+
+# each shadow and dense-set constraint, broken two ways: an entry point of
+# the augmentation (with the message prefix it adds), and a copy of the
+# acceptance lift with one element's shadow or b* changed; the entry point
+# raises the text, verify_augmentation reports it against the element
+AUG_RULES = {
+    "inadmissible": (
+        "shadow tuple is not admissible",
+        refuse_inadmissible,
+        lambda aug: (max(aug.theta), reshadowed(
+            aug, max(aug.theta), "pfx",
+            aug.theta[max(aug.theta)].vcode.payload * 2))),
+    "past-rank": (
+        "shadow support exceeds the stage index",
+        refuse_shadow_past_rank,
+        lambda aug: (min(aug.theta), reshadowed(
+            aug, min(aug.theta), "d0",
+            ("leaf", 1, aug.bd.rank[min(aug.theta)] + 1)))),
+    "dense-ball": (
+        "dense-set member outside the l1 ball",
+        refuse_dense(lambda aug, w: w.bvec.scale(2 / w.bvec.l1())),
+        lambda aug: (min(aug.theta), tampered(
+            aug, min(aug.theta), bstar=FinVec(aug.bd.universe, {0: 2})))),
+    "dense-span": (
+        "dense-set member outside the interval span",
+        refuse_dense(lambda aug, w: aug.bd.estar(aug.bd.stage(w.q)[0])),
+        lambda aug: (min(aug.theta), tampered(
+            aug, min(aug.theta), bstar=aug.bd.estar(min(aug.theta))))),
+}
+
+
+@pytest.mark.parametrize("rule", AUG_RULES)
+def test_shadow_and_dense_rules_refused_and_reported(rule, aug_half,
+                                                      acc_lifted):
+    text, refuse, tamper = AUG_RULES[rule]
+    for call, where in refuse(aug_half, carrier_windows(aug_half)):
+        with pytest.raises(BuildError, match=f"^{re.escape(where + text)}$"):
+            call()
+    g, copy = tamper(acc_lifted)
+    assert f"{g}: {text}" in verify_augmentation(copy).violations
 
 
 def test_lift_n1_both_signs(aug_half):
@@ -408,6 +505,27 @@ def test_spread_condition_on_thetas(aug_half):
         assert inf.vcode.max_support() <= aug_half.bd.rank[g]
 
 
+def test_spread_and_weight_checks(acc_lifted, aug_half):
+    # a shadow whose first minimum moves past the first cut, a leaf of
+    # another weight, and a node piece above the V weight: each copy
+    # breaks one check, and only that check reports
+    aug = acc_lifted
+    g = max(aug.theta)  # class (1,1), three leaves
+    cuts = aug.bd.cuts(g)
+    moved = (("leaf", 1, cuts[0] + 1),) + aug.theta[g].vcode.payload[1:]
+    minima = tuple(piece[2] for piece in moved)
+    assert verify_augmentation(reshadowed(aug, g, "pfx", moved)).violations \
+        == [f"{g}: cuts {cuts} are not a spread of {minima}"]
+    assert verify_augmentation(tampered(aug, g, beta=F(1, 8))).violations \
+        == [f"{g}: unexpected weight 1/8"]
+    wins = carrier_windows(aug_half)
+    lift_dual_functional(aug_half, nested_tree(sorted(wins)), wins)
+    node = next(t for t, i in aug_half.theta.items() if i.klass[1] == "2")
+    assert verify_augmentation(tampered(aug_half, node, beta=F(1))
+                               ).violations == [
+        f"{node}: piece scalar 1 above the V weight"]
+
+
 # -- certificates -----------------------------------------------------------------
 
 def test_certificate_passes(aug_half):
@@ -536,6 +654,24 @@ def test_hull_distance_lp_certificate_fault_injection(aug_half,
     monkeypatch.setattr(lp, "_solve", faulty)
     with pytest.raises(lp.CertificateError, match="objective values differ"):
         _hull_distance(aug_half, z)
+
+
+def test_certificate_empty_block_inconclusive(aug_half):
+    cert = certify_lower_estimate(aug_half, [FinVec(aug_half.bd.universe)])
+    assert (cert.status, cert.detail) == ("INCONCLUSIVE", "empty block")
+
+
+def test_certificate_pairing_expansion_mismatch(aug_half, monkeypatch):
+    # blocks whose d*-coordinates come back doubled: the synthesized sum
+    # pairs with the lifted element at twice the window pairings
+    blocks = [aug_half.carrier_block(t) for t in carriers(aug_half)]
+    dcoords = aug_half.bd.dcoords
+    monkeypatch.setattr(aug_half.bd, "dcoords", lambda x: {
+        t: 2 * v for t, v in dcoords(x).items()})
+    cert = certify_lower_estimate(aug_half, blocks)
+    exact = cert.exact_value
+    assert (cert.status, cert.detail) == (
+        "FAIL", f"pairing expansion mismatch: {exact} vs {exact / 2}")
 
 
 def test_certificate_single_block(aug_half):

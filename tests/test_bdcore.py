@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bdspace import bdcore
 from bdspace.bdcore import BDBuild, BuildError, Gamma1
 from bdspace.exact import FinVec
+from conftest import replaced
 from oracles import (bf_apply_Jm, bf_block_component, bf_dcoords,
                      bf_estar_dcoords, bf_project_estar)
 
@@ -46,20 +48,6 @@ def test_schema_valid():
     assert bdcore.validate_schema(bd).ok
 
 
-def test_insertion_guards():
-    bd = BDBuild("bd:t2")
-    u = lambda e: FinVec("bd:t2", e)  # noqa: E731
-    a = bd.add_type0(1, 0, u({}))
-    with pytest.raises(BuildError):
-        bd.add_type0(2, F(1, 2), u({a: 3}))          # l1 ball violated
-    with pytest.raises(BuildError):
-        bd.add_type0(1, F(1, 2), u({a: F(1, 2)}))    # rank-1 with c* != 0
-    b = bd.add_type0(2, 0, u({}))
-    with pytest.raises(BuildError):
-        # type-1 b* must avoid Gamma_k: support at rank 1 with k = 1
-        bd.add_type1(3, 1, 1, a, F(1, 2), u({a: 1}))
-
-
 def test_schema_fault_injection():
     bd, ids = tiny_build()
     a, b, c, *_ = ids
@@ -82,13 +70,110 @@ def test_schema_catches_skewed_cstar_index():
         f"c*-support index of {a}"]
 
 
-def test_schema_reports_ball_violation():
+def tampered(bd, g, **fields):
+    """A copy of bd whose element g has the given fields changed."""
+    return replaced(bd, elems={**bd.elems,
+                               g: replaced(bd.elems[g], **fields)})
+
+
+def u(entries, universe="bd:tiny"):
+    return FinVec(universe, entries)
+
+
+# each constraint of the element rule, broken two ways over tiny_build (ids
+# a..h = 0..7): an entry point of the builder, and one field of a built
+# element in a copy; the builder raises the text, the schema suite reports
+# it against the element
+ELEMENT_RULES = {
+    "rank": (
+        "rank must be >= 1",
+        lambda bd: bd.add_type0(0, 0, u({})),
+        lambda bd: (0, replaced(bd, rank={**bd.rank, 0: 0}))),
+    "beta": (
+        "beta must lie in [0, 1]",
+        lambda bd: bd.add_type0(2, 2, u({})),
+        lambda bd: (3, tampered(bd, 3, beta=F(2)))),
+    "alpha-beta": (
+        "alpha, beta must lie in [0, 1]",
+        lambda bd: bd.add_type1(3, 2, 1, 0, 0, u({})),
+        lambda bd: (4, tampered(bd, 4, alpha=F(2)))),
+    "rank-1": (
+        "rank-1 elements must carry c* = 0",
+        lambda bd: bd.add_type0(1, F(1, 2), u({})),
+        lambda bd: (0, tampered(bd, 0, beta=F(1, 2)))),
+    "k": (
+        "need 1 <= k <= rank - 2, got k=2, rank=3",
+        lambda bd: bd.add_type1(3, 1, 2, 2, 0, u({})),
+        lambda bd: (4, tampered(bd, 4, k=2))),
+    "xi": (
+        "xi must lie in Delta_1",
+        lambda bd: bd.add_type1(3, 1, 1, 2, 0, u({})),
+        lambda bd: (4, tampered(bd, 4, xi=2))),
+    "universe": (
+        "b* universe mismatch",
+        lambda bd: bd.add_type0(2, 0, u({}, "bd:other")),
+        lambda bd: (3, tampered(bd, 3, bstar=u({}, "bd:other")))),
+    "ball": (
+        "b* outside the l1 ball: 3",
+        lambda bd: bd.add_type0(2, F(1, 2), u({0: 3})),
+        lambda bd: (5, tampered(bd, 5, bstar=u({0: 3})))),
+    "support": (
+        "b* support index 2 outside Gamma_1",
+        lambda bd: bd.add_type0(2, 0, u({2: 1})),
+        lambda bd: (3, tampered(bd, 3, bstar=u({2: 1})))),
+    "support-k": (
+        "b* support index 0 outside Gamma_2 minus Gamma_1",
+        lambda bd: bd.add_type1(3, 1, 1, 0, 0, u({0: 1})),
+        lambda bd: (4, tampered(bd, 4, bstar=u({0: 1})))),
+}
+
+
+@pytest.mark.parametrize("rule", ELEMENT_RULES)
+def test_element_rule_refused_and_reported(rule):
+    text, add, tamper = ELEMENT_RULES[rule]
+    bd, _ = tiny_build()
+    bd.frozen = False
+    with pytest.raises(BuildError, match=f"^{re.escape(text)}$"):
+        add(bd)
+    assert len(bd.rank) == 8
+    g, copy = tamper(tiny_build()[0])
+    assert f"{g}: {text}" in bdcore.validate_schema(copy).violations
+
+
+def test_schema_reports_every_broken_rule():
+    # the builder raises the first constraint an element breaks; the
+    # schema suite lists them all, in the same order
+    bd, (a, *_, e, f, g, h) = tiny_build()
+    copy = tampered(bd, e, alpha=F(2), k=2, bstar=u({a: 2}))
+    assert bdcore.validate_schema(copy).violations == [
+        f"{e}: {v}" for v in ("alpha, beta must lie in [0, 1]",
+                              "need 1 <= k <= rank - 2, got k=2, rank=3",
+                              "xi must lie in Delta_2",
+                              "b* outside the l1 ball: 2",
+                              f"b* support index {a} outside Gamma_2 "
+                              "minus Gamma_2")] + [
+        f"{e}: stored c* differs from recomputation"]
+
+
+@pytest.mark.parametrize("cuts, text", [
+    (lambda rec, n: rec.cuts[:-1] + (n + 1,), "final cut is not the rank"),
+    (lambda rec, n: (n,) + rec.cuts, "cuts not strictly increasing"),
+], ids=["final-cut", "increasing"])
+def test_analysis_cut_checks(monkeypatch, cuts, text):
+    # an analysis whose cut set ends past the rank, or repeats a cut, keeps
+    # its terms, so only the cut check that it breaks reports it
     bd, ids = tiny_build()
     g = ids[6]
-    e = bd.elems[g]
-    object.__setattr__(e, "bstar", FinVec("bd:tiny", {ids[4]: F(3, 2)}))
-    rep = bdcore.validate_schema(bd)
-    assert any("ball" in v for v in rep.violations)
+    analyze = bd.analyze
+
+    def faulty(t):
+        rec = analyze(t)
+        if t == g:
+            rec.cuts = cuts(rec, bd.rank[g])
+        return rec
+
+    monkeypatch.setattr(bd, "analyze", faulty)
+    assert bdcore.verify_analysis(bd).violations == [f"{g}: {text}"]
 
 
 def test_projection_examples():

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -20,11 +21,20 @@ from bdspace.cli import main, parse_family, parse_vector
 from bdspace.families import is_member
 
 REPO = Path(__file__).resolve().parents[1]
-# the suite names the benchmark's report gate requires, read from its
-# source without importing it
-SUITES = next(ast.literal_eval(node.value) for node in ast.parse(
-    (REPO / "bench" / "run.py").read_text()).body
-    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SUITES")
+
+
+def _bench_constant(name: str):
+    """A constant of the benchmark runner, read from its source without
+    importing it."""
+    return next(ast.literal_eval(node.value) for node in ast.parse(
+        (REPO / "bench" / "run.py").read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name)
+
+
+# the suite names the benchmark's report gate requires, and the dump hashes
+# its correctness gate pins
+SUITES = _bench_constant("SUITES")
+PINNED_DUMPS = _bench_constant("PINNED_DUMPS")
 VERDICTS = {"PASS", "FAIL", "INCONCLUSIVE", "AT-CAP"}
 
 
@@ -45,6 +55,22 @@ def built(tmp_path_factory):
     out = root / "build"
     assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
     return root, cfg, out
+
+
+@pytest.mark.parametrize("workload, config", [
+    ("acc-pipeline", "acc_config"), ("halfnorm-pipeline", "halfnorm_config")])
+def test_build_matches_benchmark_pins(workload, config, tmp_path):
+    # the configs the benchmark builds, from its own input script, give
+    # the dumps it pins
+    inputs = runpy.run_path(str(REPO / "bench" / "inputs.py"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(inputs[config]()))
+    out = tmp_path / "build"
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+    pins = PINNED_DUMPS[workload]
+    assert set(pins) == {"stages.json", "normingset.json", "coding.json"}
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in pins} == pins
 
 
 def test_family_parser():

@@ -274,6 +274,49 @@ def _with_info(eb, g, **changes):
     return replaced(eb, info=info)
 
 
+def _first(eb, case):
+    return next(g for g, inf in sorted(eb.info.items()) if inf.case == case)
+
+
+def empty_stage(eb):
+    n = eb.stage_bound
+    bd = replaced(eb.bd, stages={**eb.bd.stages, n: []})
+    b = construction.interval_from_rank(n)[1]
+    return replaced(eb, bd=bd), f"stage {n} empty though blocks reach {b}"
+
+
+def early_d_support(eb):
+    # a block-rank element recoded to the next block: its d-support, on its
+    # own rank, starts before m of that block
+    g = _first(eb, "i")
+    (b,) = eb.info[g].supp_blocks
+    return (_with_info(eb, g, supp_blocks=(b + 1,)),
+            f"{g}: d-support starts before m_(min block)")
+
+
+def block_rank_cstar(eb):
+    g = _first(eb, "i")
+    table = {**eb.bd.cstar_table, g: eb.bd.estar(0)}
+    return (replaced(eb, bd=replaced(eb.bd, cstar_table=table)),
+            f"{g}: block-rank element with c* != 0")
+
+
+def coded_cstar(eb):
+    g = next(g for g, inf in sorted(eb.info.items()) if inf.case != "i")
+    alpha, beta = eb.info[g].coeffs
+    return (_with_info(eb, g, coeffs=(alpha, beta + F(1, 64))),
+            f"{g}: schema c* differs from alpha e_xi + beta e_eta "
+            "(projection must fix e_eta)")
+
+
+@pytest.mark.parametrize("tamper", [empty_stage, early_d_support,
+                                    block_rank_cstar, coded_cstar])
+def test_coding_reports_tampered_build(acc_build, tamper):
+    eb, text = tamper(acc_build)
+    assert text in verify_coding(eb).violations
+    assert verify_coding(acc_build).ok
+
+
 def test_embedding_perturbed_coefficient_fails(acc_build):
     # the identity compares e*_g(phi x) with v_g, and the coding suite ties
     # v_g to sum r_j x*_j over D: a coefficient moved in the coded tuple

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from bdspace.decomp import (SeedSpace, SeedSpaceError, build_norming_set_D,
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
-from conftest import make_acceptance_seed, make_halfnorm_seed
+from conftest import make_acceptance_seed, make_halfnorm_seed, replaced
 from oracles import polytope_vertices
 
 F = Fraction
@@ -492,6 +493,118 @@ def test_verify_norming_set(acc_seed, acc_D, monkeypatch):
     assert rep.verdict is Verdict.FAIL
     assert len(rep.violations) == 3
     assert rep.violations[0].startswith("norming margin")
+
+
+def reference_certificate(D, lo, hi):
+    """(delta, detail) on [lo, hi] as a double loop, every target against
+    every member of D inside the interval, each distance measured anew."""
+    s = D.seed
+    detail = [(g, min((s.dual_norm(g - D.members[i].vec)
+                       for i in D.indices_in(lo, hi)), default=F(1)))
+              for g in decomp.unit_restrictions(s, [(lo, hi)])]
+    return max((d for _, d in detail), default=F(0)), detail
+
+
+@pytest.mark.parametrize("build", ["acc_build", "build_6x16"])
+def test_norming_set_measures_each_pair_once(build, request, monkeypatch):
+    # with the targets and member checks fixed, every dual norm that
+    # verify_norming_set asks for is a distance ||g - f||_*, and it asks
+    # for each distinct pair (target g, member f) once however many
+    # intervals hold both; delta and the detail are the double loop's
+    eb = request.getfixturevalue(build)
+    seed = replaced(eb.D.seed, _distances={})
+    D, N = replaced(eb.D, seed=seed), eb.nblocks_covered()
+    intervals = [(lo, hi) for lo in range(1, N + 1) for hi in range(lo, N + 1)]
+    expect = {iv: reference_certificate(D, *iv) for iv in intervals}
+    targets = {iv: decomp.unit_restrictions(seed, [iv]) for iv in intervals}
+    pairs = {(g, D.members[i].vec) for iv in intervals
+             for g in targets[iv] for i in D.indices_in(*iv)}
+    calls = Counter()
+    dual_norm = seed.dual_norm
+    monkeypatch.setattr(seed, "dual_norm",
+                        lambda f: calls.update([f]) or dual_norm(f))
+    monkeypatch.setattr(decomp, "unit_restrictions",
+                        lambda s, ivs: targets[ivs[0]])
+    monkeypatch.setattr(decomp, "member_band_report", lambda D: [])
+    monkeypatch.setattr(decomp, "rounding_error_report", lambda D: [])
+    rep = verify_norming_set(D, N)
+    assert calls == Counter(g - f for g, f in pairs)
+    assert rep.details == {f"delta[{lo},{hi}]": expect[lo, hi][0]
+                           for lo, hi in intervals}
+    for lo, hi in intervals:
+        assert norming_certificate(D, lo, hi, D.indices_in(lo, hi)) \
+            == expect[lo, hi]
+    assert sum(calls.values()) == len(pairs)
+
+
+def with_member(D, i, **fields):
+    """A copy of D whose member i has the given fields changed."""
+    members = list(D.members)
+    members[i] = replaced(members[i], **fields)
+    return replaced(D, members=members)
+
+
+def combination(D, multi=False):
+    """The first member made of single-block pieces, or with a multi-block
+    first piece."""
+    return next(i for i, m in enumerate(D.members) if m.atom_block is None
+                and multi == (D.members[m.decomp[0][1]].block_lo
+                              != D.members[m.decomp[0][1]].block_hi))
+
+
+def band_fault(D):
+    vec = D.members[0].vec.scale(2)
+    return with_member(D, 0, vec=vec), (
+        f"member 0 has dual norm {D.seed.dual_norm(vec)} outside [1/2, 1]")
+
+
+def rounding_fault(D):
+    i, s = combination(D), D.seed
+    m = D.members[i]
+    bound = sum(s.eps_seq[b - 1] for b in range(m.block_lo, m.block_hi + 1))
+    return with_member(D, i, pre=-m.pre), (
+        f"member {i}: rounding error {s.dual_norm(m.vec + m.pre)} "
+        f"exceeds {bound}")
+
+
+def scalar_fault(r, text, multi=False):
+    """The first piece of a combination (with a multi-block first piece)
+    rescaled to r."""
+    def fault(D):
+        i = combination(D, multi)
+        (_, j), *rest = D.members[i].decomp
+        return with_member(D, i, decomp=((r, j), *rest)), f"member {i}: {text}"
+    return fault
+
+
+MEMBER_FAULTS = {
+    "band": (member_band_report, band_fault),
+    "rounding": (rounding_error_report, rounding_fault),
+    "atom": (decomposition_closure_report, lambda D: (
+        with_member(D, 0, decomp=((F(1), 1),)),
+        "atom 0 should be its own decomposition")),
+    "successive": (decomposition_closure_report, lambda D: (
+        with_member(D, combination(D), decomp=tuple(reversed(
+            D.members[combination(D)].decomp))),
+        f"member {combination(D)}: decomposition pieces not successive")),
+    "net": (decomposition_closure_report, scalar_fault(
+        F(1, 3), "scalar 1/3 not in net of block 1")),
+    "multi-block": (decomposition_closure_report, scalar_fault(
+        F(1), "multi-block piece scaled by 1 > c", multi=True)),
+    "sum": (decomposition_closure_report, lambda D: (
+        with_member(D, combination(D),
+                    vec=D.members[combination(D)].vec.scale(2)),
+        f"member {combination(D)}: decomposition does not sum to the "
+        "member")),
+}
+
+
+@pytest.mark.parametrize("fault", MEMBER_FAULTS)
+def test_member_reports_name_tampered_member(fault, acc_D):
+    report, tamper = MEMBER_FAULTS[fault]
+    D, text = tamper(acc_D)
+    assert text in report(D)
+    assert report(acc_D) == []
 
 
 def test_case_coverage_for_coding(acc_D):
