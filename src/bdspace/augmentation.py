@@ -137,7 +137,7 @@ class AugmentedBuild:
         self._replay()
         self.spanning = [
             self.psi(self.to_merged(embed_phi(base, base.seed.basis_vector(i))))
-            for i in range(1, base.seed.ncoords + 1)]
+            for i in range(1, base.seed.nblocks + 1)]
 
     # -- plumbing -----------------------------------------------------------
 

@@ -37,17 +37,6 @@ from .families import RegularFamily, schreier
 
 if TYPE_CHECKING:
     from .decomp import SeedSpace
-    from .tsirelson import TsirelsonSpec
-
-
-def _frac(s) -> Fraction:
-    """A config rational: a string such as '1/2', a number, or a pair
-    [numerator, denominator] of integers."""
-    if not isinstance(s, list):
-        return Fraction(s)
-    if len(s) != 2 or not all(type(v) is int for v in s):
-        raise ValueError(f"not a [numerator, denominator] pair: {s!r}")
-    return Fraction(*s)
 
 
 def parse_rational(flag: str, text: str) -> Fraction:
@@ -137,15 +126,6 @@ def _write(path: Path, obj) -> str:
 # config and build
 # ---------------------------------------------------------------------------
 
-def _upper_target(cfg: dict) -> tuple[TsirelsonSpec, Fraction]:
-    """The upper-estimates suite's space V, from ``upper_family`` and
-    ``upper_c``, and its constant C, from ``upper_C``."""
-    from .tsirelson import TsirelsonSpec
-    return (TsirelsonSpec(parse_family(cfg.get("upper_family", "schreier:1")),
-                          _frac(cfg.get("upper_c", "1/2"))),
-            _frac(cfg.get("upper_C", 4)))
-
-
 def load_config(path: str) -> dict:
     """The config at ``path`` if it parses, see ``check_config``; a file
     that cannot be read, is not JSON or holds no JSON object ends in one
@@ -172,7 +152,7 @@ def _positive_int(value) -> bool:
 
 def _is_rational(value) -> bool:
     try:
-        _frac(value)
+        Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         return False
     return True
@@ -202,25 +182,24 @@ _SHAPES = {
     "seed.norming": (lambda v: isinstance(v, list) and all(map(_is_vector, v)),
                      "be a list of vectors, each a list of [i, numerator, "
                      "denominator] integer triples"),
-    "eps_seq": (lambda v: isinstance(v, list),
-                "be a list of rationals such as 1/2"),
-    "upper_family": (_is_str, "be a string such as 'schreier:1'"),
 }
 
 
 def check_config(cfg: dict) -> dict:
     """``cfg`` if it parses, else one ``config rejected`` line naming each
-    key that is wrong and the shape it expects.  The rules on c, eps and
-    eps_seq are ``SeedSpace``'s, and ``realize_seed`` reports them.  The
-    keys only ``verify`` reads, those of ``_upper_target``, are read here
-    too, so that a build never records a config its verify cannot read;
-    theta, which ``verify`` derives from the build, is refused, not
-    ignored, and so are the caps ``stage_caps`` and ``size_cap`` (no build
-    is cut), a seed's ``unconditional`` unless false, the value older
-    configs carry, since no build reads it, and a ``stage_bound`` above the
-    full stage, which builds nothing more.  ``verify`` and ``augment`` check
-    the config a build recorded as well: its manifest is not hash-checked,
-    though the dumps it rebuilds are (``_rebuild``)."""
+    key that is wrong and the shape it expects.  A rational is a string
+    such as '1/2' or a number.  The rules on c and eps are ``SeedSpace``'s,
+    and ``realize_seed`` reports them.  Keys that could only repeat what
+    the code fixes are refused, not ignored: theta, which ``verify``
+    derives from the build; the caps ``stage_caps`` and ``size_cap`` (no
+    build is cut); ``eps_seq`` (the eps_i follow from eps) and the
+    upper-estimate target ``upper_family``, ``upper_c`` and ``upper_C``
+    (``decomp.UPPER_ESTIMATE``); a seed's ``unconditional`` unless false,
+    the value older configs carry, since no build reads it; and a
+    ``stage_bound`` above the full stage, which builds nothing more.
+    ``verify`` and ``augment`` check the config a build recorded as well:
+    its manifest is not hash-checked, though the dumps it rebuilds are
+    (``_rebuild``)."""
     errors = []
     seed = cfg.get("seed", {})
     if not isinstance(seed, dict):
@@ -242,15 +221,16 @@ def check_config(cfg: dict) -> dict:
         if name in obj and not test(obj[name]):
             errors.append(f"{key} must {shape}")
     values = [("seed.c", seed.get("c", 0)), ("eps", cfg.get("eps", 0))]
-    if isinstance(cfg.get("eps_seq"), list):
-        values += [("eps_seq", e) for e in cfg["eps_seq"]]
-    values += [(k, cfg[k]) for k in ("upper_c", "upper_C") if k in cfg]
     errors += [f"{key} takes a rational such as 1/2, not {value!r}"
                for key, value in values if not _is_rational(value)]
     if "theta" in cfg:
         errors.append("theta is derived from the build, not set in the config")
-    errors += [f"{key} is refused: no build is cut"
-               for key in ("stage_caps", "size_cap") if key in cfg]
+    errors += [f"{key} is refused: {why}" for keys, why in (
+        (("stage_caps", "size_cap"), "no build is cut"),
+        (("eps_seq",), "the eps_i follow from eps"),
+        (("upper_family", "upper_c", "upper_C"),
+         "the upper-estimates suite checks one fixed V and C"))
+        for key in keys if key in cfg]
     if not errors:
         # Gamma stops growing at the full stage N(N+1)/2, the number of
         # block intervals of N blocks: a larger bound cannot change a build
@@ -260,10 +240,6 @@ def check_config(cfg: dict) -> dict:
         if bound > full:
             errors.append(f"stage_bound {bound} is above the full stage "
                           f"{full} of {n} blocks")
-        try:
-            _upper_target(cfg)
-        except ValueError as exc:
-            errors.append(f"upper_family, upper_c: {exc}")
     if errors:
         raise SystemExit("config rejected: " + "; ".join(errors))
     return cfg
@@ -271,25 +247,23 @@ def check_config(cfg: dict) -> dict:
 
 def realize_seed(cfg: dict) -> SeedSpace:
     """The configured seed, or one ``seed rejected`` line when its
-    construction refuses it (an unknown family, a bad eps_seq, a cap hit)."""
+    construction refuses it (an unknown family, a bad eps, a cap hit)."""
     from .tsirelson import CapExceeded
     from .decomp import SeedSpace, tsirelson_seed
     s = cfg["seed"]
-    c = _frac(s.get("c", "1/16"))
-    eps = _frac(cfg["eps"]) if "eps" in cfg else None
-    eps_seq = [_frac(e) for e in cfg["eps_seq"]] if "eps_seq" in cfg else None
+    c = Fraction(s.get("c", "1/16"))
+    eps = Fraction(cfg["eps"]) if "eps" in cfg else None
     try:
         if s["kind"] == "tsirelson":
             seed = tsirelson_seed(
                 s.get("name", "tsirelson"),
                 parse_family(s.get("family", "schreier:1")), c,
-                int(s.get("blocks", 3)), eps=eps, eps_seq=eps_seq)
+                int(s.get("blocks", 3)), eps=eps)
         else:
             uni = f"seed:{s['name']}"
             norming = [FinVec.from_json_obj({"universe": uni, "entries": e})
                        for e in s["norming"]]
-            seed = SeedSpace(s["name"], s["block_dims"], norming, c, eps,
-                             eps_seq=eps_seq)
+            seed = SeedSpace(s["name"], s["block_dims"], norming, c, eps)
         issues = seed.validate()
     except (ValueError, CapExceeded) as exc:
         raise SystemExit(f"seed rejected: {exc}") from None
@@ -490,18 +464,18 @@ def cmd_augment(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_runners(eb, cfg):
+def _suite_runners(eb):
     """Suite name -> a call returning the suite's reports on the build
     ``eb`` (its seed, norming set D and BD build).  Each report carries its
     own verdict; nothing here judges one.  theta* and M are the build's
     (``bdcore.decomposition_constant``); with no M, the suites that use it
     are INCONCLUSIVE."""
     from . import bdcore
-    from .decomp import check_subsequential_upper, verify_norming_set
+    from .decomp import (UPPER_ESTIMATE, check_subsequential_upper,
+                         verify_norming_set)
     from .construction import verify_coding, verify_cuts, verify_embedding
     bd, D = eb.bd, eb.D
     theta, M = bdcore.decomposition_constant(bd)
-    upper, upper_C = _upper_target(cfg)
 
     def given_m(name, check):
         return lambda: [check() if M is not None else bdcore.Report(
@@ -525,7 +499,7 @@ def _suite_runners(eb, cfg):
         "embedding": lambda: [verify_embedding(eb)],
         "cuts": lambda: [verify_cuts(eb)],
         "upper-estimates": lambda: [check_subsequential_upper(
-            [m.vec for m in D.members], eb.seed, upper, upper_C).report()],
+            [m.vec for m in D.members], eb.seed, *UPPER_ESTIMATE).report()],
     }
 
 
@@ -538,8 +512,8 @@ def _verdict_line(r: dict) -> str:
 
 def cmd_verify(args) -> int:
     from .bdcore import Verdict
-    cfg, _, eb = _rebuild(args.build)
-    runners = _suite_runners(eb, cfg)
+    _, _, eb = _rebuild(args.build)
+    runners = _suite_runners(eb)
     if args.suite and args.suite not in runners:
         raise SystemExit(f"unknown suite {args.suite!r}; have {sorted(runners)}")
     names = [args.suite] if args.suite else sorted(runners)

@@ -1,16 +1,18 @@
 """Seed spaces, greedy c-decompositions, and net-rounded norming sets.
 
 A *seed space* is a finite-dimensional space with a blocked coordinate
-system: blocks E_1, ..., E_N (dimensions given), a finite symmetric set G of
-dual functionals defining the norm ||x|| = max_{g in G} |g(x)|, per-block
-dense subsets of the dual spheres, and implicit dyadic scalar nets.  G is
-stored reduced to its members of dual norm one, the only ones that attain
-the maximum, so `seed.json` lists only those.  Primal norms are finite
-maxima; dual norms are exact minimal-l1 representations over +-G.  Two
-exact bounds come first, l1(f) from above and f(y)/||y|| at y = sign(f)
-from below; when they are equal they are the value, and otherwise the
-certified LP ``lp.gauge`` over +-G gives it.  Bimonotonicity (every
-interval coordinate projection has norm one) is validated exactly.
+system: blocks E_1, ..., E_N, each one-dimensional so that block b is
+coordinate b, a finite symmetric set G of dual functionals defining the norm
+||x|| = max_{g in G} |g(x)|, per-block dense subsets of the dual spheres
+(+-e*_b), and dyadic scalar nets from the tolerances eps_b of
+``default_eps_seq``.  G is stored reduced to its members of dual norm one,
+the only ones that attain the maximum, so `seed.json` lists only those.
+Primal norms are finite maxima; dual norms are exact minimal-l1
+representations over +-G.  Two exact bounds come first, l1(f) from above and
+f(y)/||y|| at y = sign(f) from below; when they are equal they are the
+value, and otherwise the certified LP ``lp.gauge`` over +-G gives it.
+Bimonotonicity (every interval coordinate projection has norm one) is
+validated exactly.
 
 From a seed space the norming-set builder produces a finite set D of dual
 functionals in the band 1/2 <= ||f|| <= 1 together with a recorded *special
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 from . import lp
 from .bdcore import Report, Verdict
 from .exact import FinVec
-from .families import RegularFamily
+from .families import RegularFamily, schreier
 from .tsirelson import (TsirelsonSpec, build_dual_norming_set,
                         tree_l1_ceiling, vstar_norm)
 
@@ -101,8 +103,7 @@ class SeedSpace:
     """
 
     def __init__(self, name: str, block_dims: Sequence[int],
-                 norming: Sequence[FinVec], c, eps=None,
-                 eps_seq: Sequence[Fraction] | None = None):
+                 norming: Sequence[FinVec], c, eps=None):
         self.name = name
         self.universe = f"seed:{name}"
         self.block_dims = [int(d) for d in block_dims]
@@ -111,29 +112,17 @@ class SeedSpace:
                 raise SeedSpaceError(f"block {b} has dimension {d}: the dense "
                                      "sets are built for dimension 1 only")
         self.nblocks = len(self.block_dims)
-        self.offsets = [1]
-        for d in self.block_dims:
-            self.offsets.append(self.offsets[-1] + d)
-        self.ncoords = self.offsets[-1] - 1
         for gi, g in enumerate(norming):
             sup = g.support()  # increasing
-            if sup and not 1 <= sup[0] <= sup[-1] <= self.ncoords:
+            if sup and not 1 <= sup[0] <= sup[-1] <= self.nblocks:
                 bad = sup[0] if sup[0] < 1 else sup[-1]
                 raise SeedSpaceError(f"generator {gi} has coordinate {bad} "
-                                     f"outside 1..{self.ncoords}")
+                                     f"outside 1..{self.nblocks}")
         self.c = Fraction(c)
         self.eps = Fraction(eps) if eps is not None else self.c / 2
         if not (0 < self.eps < self.c <= WEIGHT_CAP):
             raise SeedSpaceError(f"need 0 < eps < c <= {WEIGHT_CAP}")
-        self.eps_seq = ([Fraction(e) for e in eps_seq] if eps_seq is not None
-                        else default_eps_seq(self.eps, self.nblocks))
-        if len(self.eps_seq) != self.nblocks:
-            raise SeedSpaceError("eps_seq length must match block count")
-        if sum(self.eps_seq) >= self.eps / 8:
-            raise SeedSpaceError("sum of eps_i must be < eps/8")
-        for n in range(self.nblocks):
-            if sum(self.eps_seq[n + 1:], Fraction(0)) >= self.eps_seq[n] / 2:
-                raise SeedSpaceError("eps_i tails must drop below eps_n / 2")
+        self.eps_seq = default_eps_seq(self.eps, self.nblocks)
 
         # the reduction to G' (class docstring); while the survivors are
         # decided, primal_norm and the LP read them as ``norming``
@@ -161,28 +150,18 @@ class SeedSpace:
         # the dense set of a one-dimensional block: its +-e*_i
         self.atilde = [[FinVec(self.universe, {i: 1}),
                         FinVec(self.universe, {i: -1})]
-                       for i in self.offsets[:-1]]
+                       for i in range(1, self.nblocks + 1)]
 
-    # -- coordinates ------------------------------------------------------
-
-    def block_of(self, idx: int) -> int:
-        for b in range(1, self.nblocks + 1):
-            if self.offsets[b - 1] <= idx < self.offsets[b]:
-                return b
-        raise SeedSpaceError(f"coordinate {idx} outside universe")
-
-    def block_coords(self, b: int) -> range:
-        return range(self.offsets[b - 1], self.offsets[b])
+    # -- coordinates (block b is coordinate b) ---------------------------
 
     def restrict_blocks(self, v: FinVec, lo: int, hi: int) -> FinVec:
-        a, b = self.offsets[lo - 1], self.offsets[hi]
-        return v.restrict(lambda i: a <= i < b)
+        return v.restrict(lambda i: lo <= i <= hi)
 
     def block_range(self, v: FinVec) -> tuple[int, int] | None:
         sup = v.support()
         if not sup:
             return None
-        return self.block_of(sup[0]), self.block_of(sup[-1])
+        return sup[0], sup[-1]
 
     def basis_vector(self, coord: int) -> FinVec:
         return FinVec(self.universe, {coord: 1})
@@ -262,15 +241,6 @@ class SeedSpace:
                 f"no net point near {s} in block {block} (cap {cap})")
         return r
 
-    def nearest_atilde(self, block: int, direction: FinVec) -> int:
-        """Index of the dense-set member closest to a unit dual direction."""
-        best = None
-        for idx, a in enumerate(self.atilde[block - 1]):
-            d = self.dual_norm(direction - a)
-            if best is None or d < best[0]:
-                best = (d, idx)
-        return best[1]
-
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -308,7 +278,7 @@ class SeedSpace:
 
 
 def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
-                   eps=None, eps_seq=None) -> SeedSpace:
+                   eps=None) -> SeedSpace:
     """Truncation of the Tsirelson space to [1, nblocks], one block per basis
     vector, normed exactly by its admissible tree functionals.
 
@@ -322,8 +292,7 @@ def tsirelson_seed(name: str, family: RegularFamily, c, nblocks: int,
     spec = TsirelsonSpec(family, c)
     depth = 0 if tree_l1_ceiling(spec, nblocks) < 1 else nblocks
     dns = build_dual_norming_set(spec, depth, nblocks)
-    return SeedSpace(name, [1] * nblocks, dns.members(), c, eps,
-                     eps_seq=eps_seq)
+    return SeedSpace(name, [1] * nblocks, dns.members(), c, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +310,20 @@ class CDecomposition:
         return tuple(p for p in self.pieces if p)
 
 
-def optimal_c_decomposition(x: FinVec, c, norm: Callable[[FinVec], Fraction],
-                            block_of: Callable[[int], int] | None = None
+def optimal_c_decomposition(x: FinVec, c, norm: Callable[[FinVec], Fraction]
                             ) -> CDecomposition:
-    """The greedy decomposition: breakpoints advance one step past any block
-    whose single norm exceeds c, otherwise to the first prefix exceeding c,
-    otherwise to the end."""
+    """The greedy decomposition over the coordinates of x: breakpoints
+    advance one step past any coordinate whose single norm exceeds c,
+    otherwise to the first prefix exceeding c, otherwise to the end."""
     c = Fraction(c)
     if not (0 < c < 1):
         raise ValueError("weight must satisfy 0 < c < 1")
-    if block_of is None:
-        block_of = lambda i: i  # noqa: E731
     if not x:
         return CDecomposition(x, (), ())
-    blocks = sorted({block_of(i) for i in x.support()})
-    first, last = blocks[0], blocks[-1]
+    first, last = x.support()[0], x.support()[-1]
 
-    def between(a, b):  # restriction to block indices in [a, b]
-        return x.restrict(lambda i: a <= block_of(i) <= b)
+    def between(a, b):  # restriction to coordinates in [a, b]
+        return x.restrict(lambda i: a <= i <= b)
 
     bps = [first]
     while bps[-1] != last + 1:
@@ -478,7 +443,7 @@ class _DBuilder:
             return self.atom(lo, entries[0][1])
 
         cprime = s.c / self.factor
-        dec = optimal_c_decomposition(pre, cprime, s.dual_norm, s.block_of)
+        dec = optimal_c_decomposition(pre, cprime, s.dual_norm)
         pieces = [(a, b - 1, p) for (a, b), p in
                   zip(zip(dec.breakpoints, dec.breakpoints[1:]), dec.pieces) if p]
         assert len(pieces) >= 2, "norm above c/(1+eps/4) must split"
@@ -505,9 +470,10 @@ class _DBuilder:
         for b in range(lo, hi + 1):
             gb = s.restrict_blocks(g, b, b)
             if gb:
-                nb = s.dual_norm(gb)
-                aidx = s.nearest_atilde(b, gb.scale(1 / nb))
-                a = s.net_round(min(nb, Fraction(1)), b, cap=None)
+                # the dense-set member nearest gb/||gb||_* has the sign of
+                # g_b: dual distance |1 - ||e*_b||_*| against 1 + ||e*_b||_*
+                aidx = 0 if g[b] > 0 else 1
+                a = s.net_round(min(s.dual_norm(gb), Fraction(1)), b, cap=None)
             else:
                 aidx = 0
                 a = Fraction(1, s.net_den[b - 1])
@@ -559,8 +525,7 @@ def build_norming_set_D(seed: SeedSpace) -> NormingSetD:
     seen = set(targets)
     for lo in range(1, nb + 1):
         for hi in range(lo + 1, nb + 1):
-            full = FinVec(seed.universe,
-                          {seed.offsets[blk - 1]: 1 for blk in range(lo, hi + 1)})
+            full = FinVec(seed.universe, dict.fromkeys(range(lo, hi + 1), 1))
             nrm = seed.dual_norm(full)
             full = full.scale(1 / nrm)
             if full not in seen:
@@ -570,9 +535,7 @@ def build_norming_set_D(seed: SeedSpace) -> NormingSetD:
             # threshold, so the greedy decomposition opens with a
             # multi-block piece
             graded = FinVec(seed.universe,
-                            dict([(seed.offsets[blk - 1], seed.c / 4)
-                                  for blk in range(lo, hi)]
-                                 + [(seed.offsets[hi - 1], 1)]))
+                            dict.fromkeys(range(lo, hi), seed.c / 4) | {hi: 1})
             graded = graded.scale(1 / seed.dual_norm(graded))
             if graded not in seen:
                 seen.add(graded)
@@ -688,8 +651,10 @@ class UpperEstimateCertificate:
         member was checked, FAIL with the witness, AT-CAP past the budget."""
         details = {"checked": self.checked, "max_value": self.max_value}
         if self.status is Verdict.FAIL:
-            return Report("upper-estimates", [f"witness: {self.witness}"],
-                          details)
+            zi, cuts, val = self.witness
+            return Report("upper-estimates", [
+                f"member {zi}, cuts {cuts}: {val} > C = {self.constant}"],
+                details)
         if self.status is Verdict.AT_CAP:
             return Report("upper-estimates", details=details,
                           unsettled=Verdict.AT_CAP,
@@ -700,6 +665,8 @@ class UpperEstimateCertificate:
 
 
 CUT_BUDGET = 2_000  # cut sequences checked before AT-CAP; 8 blocks need 1,124
+# the upper-estimates suite's space V = (S_1, 1/2) and its constant C
+UPPER_ESTIMATE = (TsirelsonSpec(schreier(1), Fraction(1, 2)), Fraction(4))
 
 
 def check_subsequential_upper(functionals: Sequence[FinVec], seed: SeedSpace,

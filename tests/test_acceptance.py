@@ -144,8 +144,7 @@ def test_criterion_6_embedding(acc_build):
     samples = []
     while len(samples) < 100:
         blocks = rng.sample(range(1, 4), rng.randint(1, 3))
-        x = FinVec(s.universe,
-                   {s.offsets[b - 1]: F(rng.randint(-8, 8), 8) for b in blocks})
+        x = FinVec(s.universe, {b: F(rng.randint(-8, 8), 8) for b in blocks})
         if x:
             samples.append(x)
     for x in samples:

@@ -137,7 +137,7 @@ def seed_images(aug):
     """psi(phi e_i) for every seed basis vector, over the build as it is."""
     seed = aug.base.seed
     return [aug.psi(aug.to_merged(embed_phi(aug.base, seed.basis_vector(i))))
-            for i in range(1, seed.ncoords + 1)]
+            for i in range(1, seed.nblocks + 1)]
 
 
 def test_psi_never_moves(acc_lifted):
@@ -595,7 +595,7 @@ def test_verify_suites_name_theta_star_when_weight_split_fails(
     wins = carrier_windows(aug_half)
     lift_dual_functional(aug_half, nested_tree(sorted(wins)), wins)
     eb = replaced(acc_build, bd=aug_half.bd)
-    runners = cli._suite_runners(eb, {})
+    runners = cli._suite_runners(eb)
     got = {name: runners[name]() for name in
            ("weight-split", "projection-norms", "dual-norms")}
     assert {name: [r.verdict for r in reps] for name, reps in got.items()} == {

@@ -124,27 +124,18 @@ def test_config_rejected_on_bad_eps(tmp_path):
         main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
 
 
-def test_config_rejected_on_eps_seq_sum(tmp_path):
-    bad = dict(CONFIG)
-    bad["eps_seq"] = ["1/100", "1/100", "1/100"]  # sum >= eps/8
-    p = tmp_path / "bad2.json"
-    p.write_text(json.dumps(bad))
-    with pytest.raises(SystemExit):
-        main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
-
-
 EXPLICIT_SEED = {"kind": "explicit", "name": "linf", "block_dims": [1] * 3,
                  "c": "1/16", "norming": [[[i, 1, 1]] for i in (1, 2, 3)]}
 
 
 @pytest.mark.parametrize("change, why", [
-    ({"seed": EXPLICIT_SEED, "eps_seq": ["1/600", "1/2000"]},
-     "eps_seq length must match block count"),
-    ({"eps_seq": ["1/600", "1/2000"]}, "eps_seq length must match block count"),
     ({"seed": dict(CONFIG["seed"], family="schreier:x")},
      "unknown family 'schreier:x'"),
     ({"seed": dict(EXPLICIT_SEED, block_dims=[2, 1]), "stage_bound": 3},
      "block 1 has dimension 2: the dense sets are built for dimension 1 "
+     "only$"),
+    ({"seed": dict(EXPLICIT_SEED, block_dims=[1, 2, 1])},
+     "block 2 has dimension 2: the dense sets are built for dimension 1 "
      "only$"),
     ({"seed": dict(EXPLICIT_SEED, block_dims=[1, 1],
                    norming=[[[i, 1, 1]] for i in (0, 1, 2)]),
@@ -152,8 +143,8 @@ EXPLICIT_SEED = {"kind": "explicit", "name": "linf", "block_dims": [1] * 3,
     ({"seed": dict(EXPLICIT_SEED, block_dims=[1, 1],
                    norming=[[[i, 1, 1]] for i in (1, 2, 3)]),
       "stage_bound": 3}, "generator 2 has coordinate 3 outside 1..2$")],
-    ids=["explicit-eps-seq-length", "tsirelson-eps-seq-length", "family",
-         "block-dimension", "coordinate-0", "coordinate-past-last"])
+    ids=["family", "block-dimension", "block-dimension-inner", "coordinate-0",
+         "coordinate-past-last"])
 def test_config_rejected_by_seed_rules(tmp_path, change, why):
     # the seed construction's own rules end the build in one line and
     # nothing is written; the bound of 3 is the full stage of 2 blocks
@@ -207,9 +198,9 @@ def test_config_of_any_shape_ends_in_one_line():
     # kind, parses and builds its seed or ends in one rejected line; the
     # keys are read from cli.py's source, so a new key cannot skip this
     keys = _config_keys()
-    assert {"seed", "stage_bound", "eps_seq", "upper_family", "theta",
-            "stage_caps", "size_cap", "kind", "family", "blocks", "norming",
-            "block_dims", "name", "c"} <= keys
+    assert {"seed", "stage_bound", "eps_seq", "upper_family", "upper_c",
+            "upper_C", "theta", "stage_caps", "size_cap", "kind", "family",
+            "blocks", "norming", "block_dims", "name", "c"} <= keys
     explicit = dict(CONFIG, seed=EXPLICIT_SEED)
     for base, key, value in itertools.product(
             (CONFIG, explicit), sorted(keys),
@@ -239,10 +230,15 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("change, why", [
-    ({"upper_C": "abc"}, "upper_C takes a rational such as 1/2, not 'abc'"),
-    ({"upper_family": "schreier:x"},
-     "upper_family, upper_c: unknown family 'schreier:x'"),
-    ({"upper_c": "2"}, "upper_family, upper_c: weight must satisfy 0 < c < 1"),
+    ({"upper_C": 4}, "upper_C is refused: the upper-estimates suite checks "
+     "one fixed V and C"),
+    ({"upper_family": "schreier:1"}, "upper_family is refused: the "
+     "upper-estimates suite checks one fixed V and C"),
+    ({"upper_c": "1/2"}, "upper_c is refused: the upper-estimates suite "
+     "checks one fixed V and C"),
+    ({"eps_seq": ["1/600"]}, "eps_seq is refused: the eps_i follow from eps"),
+    ({"seed": dict(CONFIG["seed"], c=[1, 16])},
+     r"seed.c takes a rational such as 1/2, not \[1, 16\]"),
     ({"theta": "1/8"}, "theta is derived from the build, not set in the config"),
     ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
     ({"stage_bound": 7}, "stage_bound 7 is above the full stage 6 of 3 "
@@ -255,15 +251,16 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
     ({"seed": dict(CONFIG["seed"], unconditional=True)},
      "seed.unconditional can only be false: D is built the same way for "
      "every seed")],
-    ids=["upper_C", "upper_family", "upper_c", "theta", "stage_bound",
-         "stage_bound-tsirelson-full", "stage_bound-explicit-full",
-         "stage_caps-dict", "stage_caps", "size_cap", "unconditional"])
+    ids=["upper_C", "upper_family", "upper_c", "eps_seq", "seed-c-pair",
+         "theta", "stage_bound", "stage_bound-tsirelson-full",
+         "stage_bound-explicit-full", "stage_caps-dict", "stage_caps",
+         "size_cap", "unconditional"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
-    # keys that only verify reads are parsed when the build starts, so a
-    # build never records a config whose verify would end in a traceback;
-    # the caps stage_caps and size_cap, which no build reads since none is
-    # cut, and theta, which verify derives from the build, are refused
-    # rather than ignored
+    # keys that could only repeat what the code fixes are refused rather
+    # than ignored, even at the values it uses: the caps stage_caps and
+    # size_cap, since no build is cut; eps_seq, since the eps_i follow from
+    # eps; the upper-estimate target; and theta, which verify derives from
+    # the build.  A rational is a string or a number, not a pair
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(CONFIG, **change)))
     with pytest.raises(SystemExit, match=f"^config rejected: {why}$"):
@@ -301,15 +298,6 @@ def test_unconditional_key_absent_builds_as_false(built, tmp_path):
     assert "unconditional" not in json.loads((out / "seed.json").read_text())
 
 
-def test_tsirelson_seed_reads_eps_seq(tmp_path):
-    seq = ["1/600", "1/2000", "1/8000"]
-    p = tmp_path / "seq.json"
-    p.write_text(json.dumps(dict(CONFIG, eps_seq=seq)))
-    assert main(["build", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
-    seed = json.loads((tmp_path / "o" / "seed.json").read_text())
-    assert [f"{n}/{d}" for n, d in seed["eps_seq"]] == seq
-
-
 def test_config_ignores_unread_keys(tmp_path):
     # "samples" sized a sampled embedding suite that no longer exists; a
     # config that still sets it loads like any key the driver does not read
@@ -321,7 +309,7 @@ def test_config_ignores_unread_keys(tmp_path):
 
 def test_suite_runners_match_benchmark_gate():
     # verify runs exactly the suites the benchmark's report gate requires
-    runners = cli._suite_runners(cli.realize_build(CONFIG)[2], CONFIG)
+    runners = cli._suite_runners(cli.realize_build(CONFIG)[2])
     assert sorted(runners) == sorted(SUITES)
 
 

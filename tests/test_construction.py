@@ -180,7 +180,7 @@ def test_phi_matches_blockwise_oracle(acc_build):
     rng = random.Random(6)
     for _ in range(8):
         x = FinVec(s.universe, {i: F(rng.randint(-8, 8), 8)
-                                for i in range(1, s.ncoords + 1)})
+                                for i in range(1, s.nblocks + 1)})
         expect = FinVec(bd.universe)
         for blk in range(1, s.nblocks + 1):
             xb = s.restrict_blocks(x, blk, blk)
@@ -200,8 +200,7 @@ def block_samples(eb, count, seed):
     while len(out) < count:
         blocks = rng.sample(range(1, covered + 1),
                             rng.randint(1, min(3, covered)))
-        x = FinVec(s.universe, {i: F(rng.randint(-8, 8), 8) for b in blocks
-                                for i in s.block_coords(b)})
+        x = FinVec(s.universe, {b: F(rng.randint(-8, 8), 8) for b in blocks})
         if x:
             out.append(x)
     return out

@@ -263,7 +263,7 @@ def test_tsirelson_seed_cut_matches_unpruned(k, n):
 
 
 def test_sign_norm_once_per_pattern(monkeypatch):
-    # on the (S_1, 1/2) seed the lower bound l1(f)/||sign f|| is asked 290
+    # on the (S_1, 1/2) seed the lower bound l1(f)/||sign f|| is asked 282
     # times while G' is chosen, the seed validated and D built, over 31
     # sign patterns; primal_norm runs once for each pattern
     seen, asked = [], []
@@ -275,7 +275,7 @@ def test_sign_norm_once_per_pattern(monkeypatch):
     seed = make_halfnorm_seed()
     assert seed.validate() == []
     build_norming_set_D(seed)
-    assert len(seen) == len(set(seen)) == 31 and len(asked) == 290
+    assert len(seen) == len(set(seen)) == 31 and len(asked) == 282
 
 
 def test_seed_space_first_pass(monkeypatch):
@@ -680,7 +680,9 @@ def test_upper_estimate_logged_constant(acc_seed, acc_D):
     cert = check_subsequential_upper(members, acc_seed, spec,
                                      logged - F(1, 10 ** 6))
     assert cert.status == "FAIL"
-    assert cert.witness[2] == cert.max_value == logged
+    assert cert.witness[2] == cert.max_value == logged == F(128, 129)
+    assert cert.report().violations == [
+        "member 0, cuts (1, 2): 128/129 > C = 127999871/129000000"]
 
 
 @pytest.mark.parametrize("name, checked", [("acc_build", 60),
@@ -708,7 +710,7 @@ def test_upper_estimate_report_verdicts(acc_seed, monkeypatch):
     z = FinVec(acc_seed.universe, {1: 1, 2: 1, 3: 1})
     rep = check_subsequential_upper([z], acc_seed, spec, F(1, 2)).report()
     assert rep.verdict is Verdict.FAIL
-    assert rep.violations[0].startswith("witness: (0, ")
+    assert rep.violations == ["member 0, cuts (1, 4): 3 > C = 1/2"]
     monkeypatch.setattr(decomp, "CUT_BUDGET", 3)  # z has 4 cut sequences
     rep = check_subsequential_upper([z], acc_seed, spec, 10).report()
     assert rep.ok and rep.verdict is Verdict.AT_CAP

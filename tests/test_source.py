@@ -202,12 +202,12 @@ def test_import_loads_only_its_layers(tmp_path, module, layers):
 
 def test_cli_import_loads_no_build_layer(tmp_path):
     # argument parsing needs only exact and families; each command imports
-    # the rest, and main imports argparse
+    # the rest, and main imports argparse.  The benchmark's set-up time
+    # compiles exactly these modules, so one more fails here first
     modules = _modules("import bdspace.cli", tmp_path)
-    assert {"bdspace.cli", "bdspace.exact", "bdspace.families"} <= modules
-    assert not modules & {"bdspace.decomp", "bdspace.construction",
-                          "bdspace.bdcore", "bdspace.augmentation",
-                          "bdspace.lp", "argparse"}
+    assert {m for m in modules if m.split(".")[0] == "bdspace"} == {
+        "bdspace", "bdspace.cli", "bdspace.exact", "bdspace.families"}
+    assert "argparse" not in modules
 
 
 def test_build_and_verify_load_no_augmentation(tmp_path):
