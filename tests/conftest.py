@@ -1,4 +1,6 @@
+import ast
 import copy
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +14,23 @@ from bdspace.decomp import SeedSpace, build_norming_set_D
 from bdspace.exact import FinVec
 from bdspace.families import schreier
 from bdspace.tsirelson import TsirelsonSpec, build_dual_norming_set
+
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def bench_constant(name: str):
+    """A constant of the benchmark runner, read from its source without
+    importing it."""
+    return next(ast.literal_eval(node.value) for node in ast.parse(
+        (REPO / "bench" / "run.py").read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name)
+
+
+def golden_config(name: str) -> dict:
+    """The config of the golden corpus entry ``golden/NAME``."""
+    return json.loads((GOLDEN / name / "config.json").read_text())
 
 
 def replaced(obj, **changes):
@@ -80,12 +99,9 @@ def halfnorm_build10(halfnorm_D):
 
 @pytest.fixture(scope="session")
 def build_6x16():
-    """The 6-block / stage-16 build of the CLI's Tsirelson config."""
+    """The 6-block / stage-16 build of the golden corpus."""
     from bdspace.cli import realize_build
-    return realize_build({
-        "schema": "bdspace-config-v1", "eps": "1/32", "stage_bound": 16,
-        "seed": {"kind": "tsirelson", "name": "acc", "family": "schreier:1",
-                 "c": "1/16", "blocks": 6, "unconditional": False}})[2]
+    return realize_build(golden_config("6x16"))[2]
 
 
 @pytest.fixture(scope="session")

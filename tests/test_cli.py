@@ -19,22 +19,15 @@ from bdspace import cli, construction, decomp
 from bdspace.bdcore import Report
 from bdspace.cli import main, parse_family, parse_vector
 from bdspace.families import is_member
+from conftest import bench_constant
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _bench_constant(name: str):
-    """A constant of the benchmark runner, read from its source without
-    importing it."""
-    return next(ast.literal_eval(node.value) for node in ast.parse(
-        (REPO / "bench" / "run.py").read_text()).body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name)
-
-
 # the suite names the benchmark's report gate requires, and the dump hashes
 # its correctness gate pins
-SUITES = _bench_constant("SUITES")
-PINNED_DUMPS = _bench_constant("PINNED_DUMPS")
+SUITES = bench_constant("SUITES")
+PINNED_DUMPS = bench_constant("PINNED_DUMPS")
 VERDICTS = {"PASS", "FAIL", "INCONCLUSIVE", "AT-CAP"}
 
 
