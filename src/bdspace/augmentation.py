@@ -1,7 +1,9 @@
 """Augmenting a built index set toward a space with 1-unconditional basis.
 
 An augmentation adjoins new elements to the stages of a base build so that
-the union is again a valid sequence of index sets.  Each new element carries
+the union is again a valid sequence of index sets, appending them to a copy
+of the base build over the same universe and ids (Z's index set contains
+the base's Gamma), which never changes the base.  Each new element carries
 a *shadow* on the target space V, a prefix of one of V's norming trees, and
 the cut set of the element is a spread of the shadow's piece minima.  An
 element starts the prefix (type 0) or extends the one of an earlier element
@@ -48,7 +50,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp
-from .bdcore import (BDBuild, BuildError, Gamma0, Gamma1, Report, Verdict,
+from .bdcore import (BDBuild, BuildError, Gamma1, Report, Verdict,
                      decomposition_constant, raise_first, row_l1_max)
 from .construction import EmbeddingBuild, embed_phi
 from .decomp import WEIGHT_CAP
@@ -122,7 +124,8 @@ class ThetaInfo:
 
 
 class AugmentedBuild:
-    """Base build replayed into a larger universe, plus the new elements."""
+    """The new elements appended to a copy (``BDBuild.copy``) of the base
+    build, whose ids are ``base_ids``; pi restricts to them."""
 
     def __init__(self, base: EmbeddingBuild, vspec: TsirelsonSpec, c_aug):
         self.base = base
@@ -131,52 +134,30 @@ class AugmentedBuild:
         if not (0 < self.c_aug <= WEIGHT_CAP):
             raise BuildError(
                 f"augmentation weight must satisfy 0 < c <= {WEIGHT_CAP}")
-        self.bd = BDBuild(base.bd.universe + ":aug")
+        self.bd = base.bd.copy()
+        self.base_ids = set(base.bd.rank)
         self.theta: dict[int, ThetaInfo] = {}
         self.bentries: list[BEntry] = []
-        self._replay()
-        self.spanning = [
-            self.psi(self.to_merged(embed_phi(base, base.seed.basis_vector(i))))
-            for i in range(1, base.seed.nblocks + 1)]
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _replay(self):
-        src = self.base.bd
-        for g in src.ids():
-            e = src.elems[g]
-            bstar = self.to_merged(e.bstar)
-            if isinstance(e, Gamma0):
-                nid = self.bd.add_type0(src.rank[g], e.beta, bstar, e.free)
-            else:
-                nid = self.bd.add_type1(src.rank[g], e.alpha, e.k, e.xi,
-                                        e.beta, bstar, e.free)
-            if nid != g:
-                raise BuildError("replay must preserve identifiers")
-        self.base_ids = set(src.rank)
-
-    def to_merged(self, v: FinVec) -> FinVec:
-        return FinVec(self.bd.universe, dict(v.items()))
+        self.spanning = [self.psi(embed_phi(base, base.seed.basis_vector(i)))
+                         for i in range(1, base.seed.nblocks + 1)]
 
     def pi(self, z: FinVec) -> FinVec:
-        return FinVec(self.base.bd.universe,
-                      {i: val for i, val in z.items() if i in self.base_ids})
+        return z.restrict(self.base_ids.__contains__)
 
     # -- psi ---------------------------------------------------------------------
 
     def psi(self, x: FinVec) -> FinVec:
         """Blockwise reembedding of a base-span vector into the augmentation.
 
-        x is given by its coordinates over the merged universe but supported
-        on base indices.  Its rank-j base d*-coordinates u_j are a pattern on
-        Delta_j, whose merged d*-coordinates of rank <= j are u_j itself
-        (c*_t reads only ranks below rank t), so J_j u_j is the merged
-        synthesis of u_j, and psi x, the sum of these, is the merged
-        synthesis of the base d*-coordinates of x.
+        x is supported on base ids.  Its rank-j d*-coordinates u_j in the
+        base build are a pattern on Delta_j, whose d*-coordinates of rank
+        <= j in the grown build are u_j itself (c*_t reads only ranks below
+        rank t), so J_j u_j is the synthesis of u_j there, and psi x, the
+        sum of these, is the synthesis of the base build's d*-coordinates
+        of x.  The grown build's would add -<c*_g, x> at each new g, and
+        their synthesis is x itself, which is not the extension.
         """
-        src = self.base.bd
-        return self.bd.synthesize(
-            src.dcoords(FinVec(src.universe, dict(x.items()))))
+        return self.bd.synthesize(self.base.bd.dcoords(x))
 
     # -- dense sets ------------------------------------------------------------------
 
@@ -435,7 +416,7 @@ def verify_augmentation(aug: AugmentedBuild) -> Report:
     src = aug.base.bd
     for j in sorted(src.stages):
         cols = [src.synthesize({t: 1}) for t in src.stage(j)]
-        images = [aug.psi(aug.to_merged(x)) for x in cols]
+        images = [aug.psi(x) for x in cols]
         if (any(aug.pi(y) != x for x, y in zip(cols, images))
                 or row_l1_max(images) > 1):
             rep.violations.append(f"psi not isometric on a stage-{j} pattern")

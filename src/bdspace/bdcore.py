@@ -203,6 +203,20 @@ class BDBuild:
     def freeze(self):
         self.frozen = True
 
+    def copy(self) -> BDBuild:
+        """An unfrozen build with this one's universe, ids and tables, that
+        grows apart from it: new dicts over the same elements and c* rows,
+        and copies of the stage and c*-support lists."""
+        new = BDBuild(self.universe)  # its accessors hold its own tables
+        new.elems.update(self.elems)
+        new.rank.update(self.rank)
+        new.cstar_table.update(self.cstar_table)
+        new.stages.update((n, list(v)) for n, v in self.stages.items())
+        new._cstar_rows.update((t, list(v))
+                               for t, v in self._cstar_rows.items())
+        new._next = self._next
+        return new
+
     # -- projections and expansions ---------------------------------------------
 
     def project(self, v: FinVec, k: int, m: int) -> FinVec:

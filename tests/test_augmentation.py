@@ -65,7 +65,7 @@ def test_psi_restriction_identity(aug_half):
     for _ in range(8):
         x = FinVec(base.seed.universe,
                    {i: F(rng.randint(-8, 8), 8) for i in range(1, 5)})
-        img = aug_half.to_merged(embed_phi(base, x))
+        img = embed_phi(base, x)
         back = aug_half.pi(aug_half.psi(img))
         assert back == FinVec(base.bd.universe, dict(img.items()))
 
@@ -79,7 +79,7 @@ def test_psi_blockwise_isometry(aug_half):
             u = FinVec(base.bd.universe,
                        {g: rng.choice((1, -1)) for g in stage})
             x = base.bd.apply_Jm(u, j)
-            assert aug_half.psi(aug_half.to_merged(x)).linf() == x.linf()
+            assert aug_half.psi(x).linf() == x.linf()
 
 
 def test_psi_matches_blockwise_oracle(acc_lifted):
@@ -89,7 +89,7 @@ def test_psi_matches_blockwise_oracle(acc_lifted):
     for _ in range(6):
         x = FinVec(base.seed.universe,
                    {i: F(rng.randint(-8, 8), 8) for i in range(1, 5)})
-        img = aug.to_merged(embed_phi(base, x))
+        img = embed_phi(base, x)
         assert aug.psi(img) == bf_psi(aug, img)
         # any base vector, not only the image of the seed
         ids = rng.sample(base.bd.ids(), 6)
@@ -126,6 +126,36 @@ def test_zero_extension_fails_verification(acc_build, monkeypatch):
                             "pattern", v) for v in rep.violations)
 
 
+@pytest.mark.parametrize("psi", [
+    lambda self, x: x,
+    lambda self, x: self.bd.synthesize(self.bd.dcoords(x))],
+    ids=["identity", "merged-dcoords"])
+def test_psi_mutant_fails_verification(acc_build, monkeypatch, psi):
+    # the base and the augmentation share one universe, so psi through the
+    # grown build's d*-coordinates, which synthesizes x itself, is as easy
+    # to write as the identity; both agree with psi on psi(X), and the
+    # extension check refuses both
+    monkeypatch.setattr(AugmentedBuild, "psi", psi)
+    rep = verify_augmentation(lift_acceptance(acc_build))
+    assert rep.verdict == "FAIL"
+    assert ("39: psi is not the extension on a stage-1 pattern"
+            in rep.violations)
+
+
+def test_augmentation_leaves_its_base_unchanged(acc_build):
+    # the augmentation appends to a copy of the base build over the same
+    # universe and ids: after the acceptance carriers and certificate, the
+    # base's four dumps hash as before
+    def hashes():
+        return {name: cli._sha256_hex(cli._encode(obj)) for name, obj in
+                cli._dumps(acc_build.seed, acc_build.D, acc_build).items()}
+    before = hashes()
+    aug = lift_acceptance(acc_build)
+    assert aug.bd.universe == acc_build.bd.universe
+    assert len(aug.bd.rank) > len(aug.base_ids) == len(acc_build.bd.rank)
+    assert hashes() == before
+
+
 def test_new_elements_annihilate_psi(aug_half):
     ths = carriers(aug_half)
     for t in ths:
@@ -136,7 +166,7 @@ def test_new_elements_annihilate_psi(aug_half):
 def seed_images(aug):
     """psi(phi e_i) for every seed basis vector, over the build as it is."""
     seed = aug.base.seed
-    return [aug.psi(aug.to_merged(embed_phi(aug.base, seed.basis_vector(i))))
+    return [aug.psi(embed_phi(aug.base, seed.basis_vector(i)))
             for i in range(1, seed.nblocks + 1)]
 
 

@@ -43,6 +43,22 @@ def test_dropped_build_leaves_no_reference_cycle():
     assert gc.collect() == 0
 
 
+def test_copy_grows_apart_from_its_build():
+    # a copy starts equal to its build; appending to one of its stages and
+    # to the c* rows under a leaves every table of the build as it was
+    bd, (a, *_) = tiny_build()
+    before = (bd.to_json_obj(), {n: list(v) for n, v in bd.stages.items()},
+              {t: list(v) for t, v in bd._cstar_rows.items()}, dict(bd.rank),
+              bd._next)
+    new = bd.copy()
+    assert not new.frozen and new.to_json_obj() == bd.to_json_obj()
+    g = new.add_type1(4, 1, 1, a, 0, u({}))
+    assert g == bd._next and g in new.stage(4) and g in new._cstar_rows[a]
+    assert bdcore.validate_schema(new).ok
+    assert (bd.to_json_obj(), bd.stages, bd._cstar_rows, bd.rank,
+            bd._next) == before
+
+
 def test_schema_valid():
     bd, _ = tiny_build()
     assert bdcore.validate_schema(bd).ok
