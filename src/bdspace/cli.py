@@ -97,19 +97,26 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), indent=None)
 
 
+_sha256 = None  # the SHA-256 constructor, found by the first _sha256_hex
+
+
 def _sha256_hex(data: bytes) -> str:
     """The SHA-256 hex digest of ``data``, from CPython's built-in module
     (``_sha2`` from 3.12, ``_sha256`` before), as ``random`` loads
     ``_sha512``; ``hashlib`` only where neither exists, since it maps
-    OpenSSL's libcrypto to hash a few KB of JSON."""
-    try:
-        from _sha2 import sha256
-    except ImportError:
+    OpenSSL's libcrypto to hash a few KB of JSON.  A failed import searches
+    the whole of ``sys.path``, so the constructor is found once."""
+    global _sha256
+    if _sha256 is None:
         try:
-            from _sha256 import sha256
+            from _sha2 import sha256
         except ImportError:
-            from hashlib import sha256
-    return sha256(data).hexdigest()
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        _sha256 = sha256
+    return _sha256(data).hexdigest()
 
 
 def _encode(obj) -> bytes:
@@ -151,6 +158,10 @@ def _positive_int(value) -> bool:
 
 
 def _is_rational(value) -> bool:
+    """A config rational: a string such as '1/2' or an integer.  A JSON
+    float is refused, since its binary value is not the decimal written."""
+    if isinstance(value, float):
+        return False
     try:
         Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
@@ -188,7 +199,7 @@ _SHAPES = {
 def check_config(cfg: dict) -> dict:
     """``cfg`` if it parses, else one ``config rejected`` line naming each
     key that is wrong and the shape it expects.  A rational is a string
-    such as '1/2' or a number.  The rules on c and eps are ``SeedSpace``'s,
+    such as '1/2' or an integer.  The rules on c and eps are ``SeedSpace``'s,
     and ``realize_seed`` reports them.  Keys that could only repeat what
     the code fixes are refused, not ignored: theta, which ``verify``
     derives from the build; the caps ``stage_caps`` and ``size_cap`` (no

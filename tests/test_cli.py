@@ -1,4 +1,5 @@
 import ast
+import builtins
 import functools
 import hashlib
 import itertools
@@ -97,6 +98,20 @@ def test_build_determinism(built, tmp_path):
     for name in ("manifest.json", "stages.json", "seed.json",
                  "normingset.json", "coding.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sha256_constructor_is_found_once(monkeypatch):
+    # a failed import of _sha2 searches the whole of sys.path, so the
+    # constructor is kept after the first call, and later calls import
+    # nothing
+    abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    assert cli._sha256_hex(b"abc") == abc
+    imports = []
+    real = builtins.__import__
+    monkeypatch.setattr(builtins, "__import__",
+                        lambda *a, **k: imports.append(a[0]) or real(*a, **k))
+    assert cli._sha256_hex(b"abc") == abc
+    assert imports == []
 
 
 def test_manifest_hashes_are_sha256_of_the_dumps(built):
@@ -232,6 +247,9 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
     ({"eps_seq": ["1/600"]}, "eps_seq is refused: the eps_i follow from eps"),
     ({"seed": dict(CONFIG["seed"], c=[1, 16])},
      r"seed.c takes a rational such as 1/2, not \[1, 16\]"),
+    ({"eps": 0.03}, "eps takes a rational such as 1/2, not 0.03"),
+    ({"seed": dict(CONFIG["seed"], c=0.0625)},
+     "seed.c takes a rational such as 1/2, not 0.0625"),
     ({"theta": "1/8"}, "theta is derived from the build, not set in the config"),
     ({"stage_bound": "abc"}, "stage_bound must be a positive integer"),
     ({"stage_bound": 7}, "stage_bound 7 is above the full stage 6 of 3 "
@@ -245,7 +263,7 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
      "seed.unconditional can only be false: D is built the same way for "
      "every seed")],
     ids=["upper_C", "upper_family", "upper_c", "eps_seq", "seed-c-pair",
-         "theta", "stage_bound", "stage_bound-tsirelson-full",
+         "eps-float", "seed-c-float", "theta", "stage_bound", "stage_bound-tsirelson-full",
          "stage_bound-explicit-full", "stage_caps-dict", "stage_caps",
          "size_cap", "unconditional"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
@@ -682,6 +700,13 @@ def test_augment_command(built, tmp_path, capsys):
     manifest = json.loads((aout / "manifest.json").read_text())
     assert manifest["verification_ok"]
     assert manifest["certificate"]["status"] == "PASS"
+    # the augmentation grows the build's own index set: at every rank its
+    # rows begin with the build's
+    base, grown = (json.loads((d / "stages.json").read_text())
+                   for d in (out, aout))
+    assert grown["universe"] == base["universe"]
+    for n, rows in base["stages"].items():
+        assert grown["stages"][n][:len(rows)] == rows
 
 
 @pytest.mark.parametrize("carriers, why", [
