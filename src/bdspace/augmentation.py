@@ -1,9 +1,9 @@
 """Augmenting a built index set toward a space with 1-unconditional basis.
 
 An augmentation adjoins new elements to the stages of a base build so that
-the union is again a valid sequence of index sets, appending them to a copy
-of the base build over the same universe and ids (Z's index set contains
-the base's Gamma), which never changes the base.  Each new element carries
+the union is again a valid sequence of index sets, in a copy of the base
+build with its universe and ids (Z's index set contains the base's Gamma):
+the base never changes.  Each new element carries
 a *shadow* on the target space V, a prefix of one of V's norming trees, and
 the cut set of the element is a spread of the shadow's piece minima.  An
 element starts the prefix (type 0) or extends the one of an earlier element
@@ -124,8 +124,7 @@ class ThetaInfo:
 
 
 class AugmentedBuild:
-    """The new elements appended to a copy (``BDBuild.copy``) of the base
-    build, whose ids are ``base_ids``; pi restricts to them."""
+    """New elements appended to a copy of the base build over ``base_ids``."""
 
     def __init__(self, base: EmbeddingBuild, vspec: TsirelsonSpec, c_aug):
         self.base = base
@@ -250,11 +249,10 @@ class AugmentedBuild:
         The dense-set vector is an exact kernel combination of earlier unit
         functionals (annihilating psi(X)), normalized into the ball.
         """
-        earlier = [g for g in self.bd.ids() if self.bd.rank[g] <= rank - 1]
+        earlier = self.bd.gamma_upto(rank - 1)
         if not earlier:
             raise BuildError("no earlier coordinates to build from")
-        rows = [[ (self.bd.estar(g)).pair(sx) for g in earlier]
-                for sx in self.spanning]
+        rows = [[sx[g] for g in earlier] for sx in self.spanning]
         vec = _kernel_vector(rows, len(earlier))
         if vec is None:
             raise BuildError("no annihilating combination available")
@@ -264,8 +262,7 @@ class AugmentedBuild:
 
     def carrier_block(self, g: int) -> FinVec:
         """The unit vector of the carrier's coordinate, extended to the top."""
-        pattern = FinVec(self.bd.universe, {g: 1})
-        return self.bd.apply_Jm(pattern, self.bd.rank[g])
+        return self.bd.apply_Jm(self.bd.estar(g), self.bd.rank[g])
 
 
 def _leaf(sign: int, rank: int) -> tuple:

@@ -204,9 +204,8 @@ class BDBuild:
         self.frozen = True
 
     def copy(self) -> BDBuild:
-        """An unfrozen build with this one's universe, ids and tables, that
-        grows apart from it: new dicts over the same elements and c* rows,
-        and copies of the stage and c*-support lists."""
+        """An unfrozen build with this one's universe, ids and tables, whose
+        dicts and lists are its own, so that it grows apart from this one."""
         new = BDBuild(self.universe)  # its accessors hold its own tables
         new.elems.update(self.elems)
         new.rank.update(self.rank)

@@ -97,15 +97,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), indent=None)
 
 
-_sha256 = None  # the SHA-256 constructor, found by the first _sha256_hex
+_sha256 = None  # found once: a failed import searches all of sys.path
 
 
 def _sha256_hex(data: bytes) -> str:
     """The SHA-256 hex digest of ``data``, from CPython's built-in module
     (``_sha2`` from 3.12, ``_sha256`` before), as ``random`` loads
     ``_sha512``; ``hashlib`` only where neither exists, since it maps
-    OpenSSL's libcrypto to hash a few KB of JSON.  A failed import searches
-    the whole of ``sys.path``, so the constructor is found once."""
+    OpenSSL's libcrypto to hash a few KB of JSON."""
     global _sha256
     if _sha256 is None:
         try:
@@ -158,9 +157,7 @@ def _positive_int(value) -> bool:
 
 
 def _is_rational(value) -> bool:
-    """A config rational: a string such as '1/2' or an integer.  A JSON
-    float is refused, since its binary value is not the decimal written."""
-    if isinstance(value, float):
+    if isinstance(value, float):  # its binary value: 0.03 is not 3/100
         return False
     try:
         Fraction(value)

@@ -263,10 +263,9 @@ def bf_psi(aug, x):
     """psi of a base-span vector as the per-block loop: each base component
     restricted to its base stage, extended by J_j of the merged build."""
     src, bd = aug.base.bd, aug.bd
-    xb = FinVec(src.universe, dict(x.items()))
     out = FinVec(bd.universe)
     for j in sorted(src.stages):
-        comp = bf_block_component(src, xb, j)
+        comp = bf_block_component(src, x, j)
         u = FinVec(bd.universe, {i: v for i, v in comp.items()
                                  if src.rank[i] == j})
         out = out + bf_apply_Jm(bd, u, j)

@@ -263,9 +263,9 @@ def test_seed_rejected_at_member_cap(tmp_path, monkeypatch):
      "seed.unconditional can only be false: D is built the same way for "
      "every seed")],
     ids=["upper_C", "upper_family", "upper_c", "eps_seq", "seed-c-pair",
-         "eps-float", "seed-c-float", "theta", "stage_bound", "stage_bound-tsirelson-full",
-         "stage_bound-explicit-full", "stage_caps-dict", "stage_caps",
-         "size_cap", "unconditional"])
+         "eps-float", "seed-c-float", "theta", "stage_bound",
+         "stage_bound-tsirelson-full", "stage_bound-explicit-full",
+         "stage_caps-dict", "stage_caps", "size_cap", "unconditional"])
 def test_config_rejected_in_one_line(tmp_path, change, why):
     # keys that could only repeat what the code fixes are refused rather
     # than ignored, even at the values it uses: the caps stage_caps and
