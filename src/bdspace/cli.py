@@ -150,18 +150,16 @@ def load_config(path: str) -> dict:
 
 
 def _positive_int(value) -> bool:
-    try:
-        return int(value) >= 1
-    except (ValueError, TypeError, OverflowError):
-        return False
+    return type(value) is int and value >= 1  # a JSON bool is no integer
 
 
 def _is_rational(value) -> bool:
-    if isinstance(value, float):  # its binary value: 0.03 is not 3/100
+    # not a bool, nor a float, whose binary value is not the decimal written
+    if type(value) not in (int, str):
         return False
     try:
         Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError):
         return False
     return True
 
@@ -174,77 +172,81 @@ def _is_vector(value) -> bool:
         and all(type(v) is int for v in e) and e[2] != 0 for e in value)
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
+_KINDS, _CONFIG = ("tsirelson", "explicit"), ("config",)  # a key's readers
+_RATIONAL = "takes a rational such as 1/2, not {}"
+_UPPER = (_CONFIG, None, "is refused: the upper-estimates suite checks one "
+          "fixed V and C")
 
+# the values a seed key left out takes, for the kinds that read it
+_SEED_DEFAULTS = {"name": "tsirelson", "family": "schreier:1", "c": "1/16",
+                 "blocks": 3}
 
-# the shape of each optional config key and seed key, as (test, shape);
-# the rationals among them are checked in ``check_config``
-_SHAPES = {
-    "seed.name": (_is_str, "be a string"),
-    "seed.family": (_is_str, "be a string such as 'schreier:1'"),
-    "seed.blocks": (_positive_int, "be a positive integer"),
-    "seed.block_dims": (lambda v: isinstance(v, list) and bool(v)
-                        and all(map(_positive_int, v)),
-                        "be a nonempty list of positive integers"),
-    "seed.norming": (lambda v: isinstance(v, list) and all(map(_is_vector, v)),
-                     "be a list of vectors, each a list of [i, numerator, "
-                     "denominator] integer triples"),
+# every key a config or its seed may hold, as (readers, test, the rest of
+# its rejection line with {} for the value as JSON); a key with no test
+# could only repeat what the code fixes, and is refused
+_KEYS = {
+    "schema": (_CONFIG, lambda v: v == "bdspace-config-v1",
+               "must be 'bdspace-config-v1'"),
+    "seed": (_CONFIG, lambda v: isinstance(v, dict), "must be a JSON object"),
+    "stage_bound": (_CONFIG, _positive_int, "must be a positive integer"),
+    "eps": (_CONFIG, _is_rational, _RATIONAL),
+    "theta": (_CONFIG, None,
+              "is derived from the build, not set in the config"),
+    "stage_caps": (_CONFIG, None, "is refused: no build is cut"),
+    "size_cap": (_CONFIG, None, "is refused: no build is cut"),
+    "eps_seq": (_CONFIG, None, "is refused: the eps_i follow from eps"),
+    "upper_family": _UPPER, "upper_c": _UPPER, "upper_C": _UPPER,
+    "kind": (_KINDS, lambda v: v in _KINDS,
+             "must be 'tsirelson' or 'explicit'"),
+    "name": (_KINDS, lambda v: isinstance(v, str), "must be a string"),
+    "c": (_KINDS, _is_rational, _RATIONAL),
+    "unconditional": (_KINDS, lambda v: v is False, "can only be false: D "
+                      "is built the same way for every seed"),
+    "family": (("tsirelson",), lambda v: isinstance(v, str),
+               "must be a string such as 'schreier:1'"),
+    "blocks": (("tsirelson",), _positive_int, "must be a positive integer"),
+    "block_dims": (("explicit",), lambda v: isinstance(v, list) and bool(v)
+                   and all(map(_positive_int, v)),
+                   "must be a nonempty list of positive integers"),
+    "norming": (("explicit",), lambda v: isinstance(v, list)
+                and all(map(_is_vector, v)), "must be a list of vectors, "
+                "each a list of [i, numerator, denominator] integer triples"),
 }
 
 
 def check_config(cfg: dict) -> dict:
     """``cfg`` if it parses, else one ``config rejected`` line naming each
-    key that is wrong and the shape it expects.  A rational is a string
-    such as '1/2' or an integer.  The rules on c and eps are ``SeedSpace``'s,
-    and ``realize_seed`` reports them.  Keys that could only repeat what
-    the code fixes are refused, not ignored: theta, which ``verify``
-    derives from the build; the caps ``stage_caps`` and ``size_cap`` (no
-    build is cut); ``eps_seq`` (the eps_i follow from eps) and the
-    upper-estimate target ``upper_family``, ``upper_c`` and ``upper_C``
-    (``decomp.UPPER_ESTIMATE``); a seed's ``unconditional`` unless false,
-    the value older configs carry, since no build reads it; and a
-    ``stage_bound`` above the full stage, which builds nothing more.
-    ``verify`` and ``augment`` check the config a build recorded as well:
-    its manifest is not hash-checked, though the dumps it rebuilds are
-    (``_rebuild``)."""
+    wrong key: one ``_KEYS`` does not hold or the seed's kind does not read,
+    or one whose value fails its test; an explicit seed's missing name,
+    block dimensions or norming set; a ``stage_bound`` past the full stage.
+    ``SeedSpace`` decides c and eps (``realize_seed``).  ``verify`` and
+    ``augment`` check a build's recorded config too: its manifest is not
+    hash-checked, though the dumps it rebuilds are (``_rebuild``)."""
     errors = []
-    seed = cfg.get("seed", {})
-    if not isinstance(seed, dict):
-        raise SystemExit("config rejected: seed must be a JSON object")
-    if seed.get("kind") not in ("tsirelson", "explicit"):
-        errors.append("seed.kind must be 'tsirelson' or 'explicit'")
-    if seed.get("unconditional", False) is not False:
-        errors.append("seed.unconditional can only be false: D is built the "
-                      "same way for every seed")
-    if seed.get("kind") == "explicit":
+    seed = cfg.get("seed")
+    kind = seed.get("kind") if isinstance(seed, dict) else None
+    kinds = (kind,) if kind in _KINDS else _KINDS
+    # a required key left out is checked as null
+    for where, readers, noun, given in (
+            ("", _CONFIG, "configs", {"seed": None, "stage_bound": None} | cfg),
+            ("seed.", kinds, " or ".join(kinds) + " seeds",
+             {"kind": None} | seed if isinstance(seed, dict) else {})):
+        for key, value in given.items():
+            read_by, test, text = _KEYS.get(key, ((), None, ""))
+            if not any(r in read_by for r in readers):
+                errors.append(f"{where}{key} is not read from {noun}")
+            elif test is None or not test(value):
+                errors.append(f"{where}{key} {text.format(json.dumps(value))}")
+    if kind == "explicit":
         errors += [f"seed.{key} is required for an explicit seed"
                    for key in ("name", "block_dims", "norming")
                    if key not in seed]
-    if not _positive_int(cfg.get("stage_bound")):
-        errors.append("stage_bound must be a positive integer")
-    for key, (test, shape) in _SHAPES.items():
-        where, _, name = key.rpartition(".")
-        obj = seed if where else cfg
-        if name in obj and not test(obj[name]):
-            errors.append(f"{key} must {shape}")
-    values = [("seed.c", seed.get("c", 0)), ("eps", cfg.get("eps", 0))]
-    errors += [f"{key} takes a rational such as 1/2, not {value!r}"
-               for key, value in values if not _is_rational(value)]
-    if "theta" in cfg:
-        errors.append("theta is derived from the build, not set in the config")
-    errors += [f"{key} is refused: {why}" for keys, why in (
-        (("stage_caps", "size_cap"), "no build is cut"),
-        (("eps_seq",), "the eps_i follow from eps"),
-        (("upper_family", "upper_c", "upper_C"),
-         "the upper-estimates suite checks one fixed V and C"))
-        for key in keys if key in cfg]
     if not errors:
         # Gamma stops growing at the full stage N(N+1)/2, the number of
         # block intervals of N blocks: a larger bound cannot change a build
-        n = int(seed.get("blocks", 3) if seed["kind"] == "tsirelson"
-                else len(seed["block_dims"]))
-        bound, full = int(cfg["stage_bound"]), n * (n + 1) // 2
+        n = (len(seed["block_dims"]) if kind == "explicit"
+             else (_SEED_DEFAULTS | seed)["blocks"])
+        bound, full = cfg["stage_bound"], n * (n + 1) // 2
         if bound > full:
             errors.append(f"stage_bound {bound} is above the full stage "
                           f"{full} of {n} blocks")
@@ -258,15 +260,13 @@ def realize_seed(cfg: dict) -> SeedSpace:
     construction refuses it (an unknown family, a bad eps, a cap hit)."""
     from .tsirelson import CapExceeded
     from .decomp import SeedSpace, tsirelson_seed
-    s = cfg["seed"]
-    c = Fraction(s.get("c", "1/16"))
+    s = _SEED_DEFAULTS | cfg["seed"]
+    c = Fraction(s["c"])
     eps = Fraction(cfg["eps"]) if "eps" in cfg else None
     try:
         if s["kind"] == "tsirelson":
-            seed = tsirelson_seed(
-                s.get("name", "tsirelson"),
-                parse_family(s.get("family", "schreier:1")), c,
-                int(s.get("blocks", 3)), eps=eps)
+            seed = tsirelson_seed(s["name"], parse_family(s["family"]), c,
+                                  s["blocks"], eps=eps)
         else:
             uni = f"seed:{s['name']}"
             norming = [FinVec.from_json_obj({"universe": uni, "entries": e})

@@ -176,15 +176,19 @@ def test_build_rejected_at_norming_set_cap(tmp_path, monkeypatch):
 
 
 def _config_keys() -> set[str]:
-    """Every key cli.py reads from a config or a seed object: the string
-    constants of ``.get(...)`` calls, subscripts and ``in`` tests, of
-    tuples a loop runs over, and the keys of ``_SHAPES``."""
+    """Every key cli.py reads from a config or a seed object, in the
+    functions that take a config (a ``cfg`` parameter): the string
+    constants of ``.get(...)`` calls, subscripts and ``in`` tests, and of
+    the tuples of strings a loop runs over."""
     keys = set()
 
     def strings(node):
         return [n.value for n in ast.walk(node)
                 if isinstance(n, ast.Constant) and isinstance(n.value, str)]
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+    readers = [f for f in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+               if isinstance(f, ast.FunctionDef)
+               and "cfg" in [a.arg for a in f.args.args]]
+    for node in (n for f in readers for n in ast.walk(f)):
         if (isinstance(node, ast.Call) and node.args
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "get"):
@@ -194,21 +198,23 @@ def _config_keys() -> set[str]:
         elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
             keys.update(strings(node.left))
         elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(
-                node.iter, ast.Tuple):
+                node.iter, ast.Tuple) and all(
+                    isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in node.iter.elts):
             keys.update(strings(node.iter))
-    keys.update(k.rpartition(".")[2] for k in cli._SHAPES)
     return {k for k in keys if k.isidentifier()}
 
 
 def test_config_of_any_shape_ends_in_one_line():
-    # every key read from a config or a seed, given null, a list, an
-    # object, a string or a number, at either level and for either seed
-    # kind, parses and builds its seed or ends in one rejected line; the
-    # keys are read from cli.py's source, so a new key cannot skip this
-    keys = _config_keys()
-    assert {"seed", "stage_bound", "eps_seq", "upper_family", "upper_c",
-            "upper_C", "theta", "stage_caps", "size_cap", "kind", "family",
-            "blocks", "norming", "block_dims", "name", "c"} <= keys
+    # every key the key table holds or cli.py reads from a config or a
+    # seed, given null, a list, an object, a string or a number, at either
+    # level and for either seed kind, parses and builds its seed or ends in
+    # one rejected line.  The keys read are scraped from cli.py's source,
+    # and each must be in the table, so a new key cannot skip its check
+    read = _config_keys()
+    assert {"seed", "stage_bound", "eps", "kind", "family", "blocks",
+            "norming", "block_dims", "name", "c"} <= read <= set(cli._KEYS)
+    keys = read | set(cli._KEYS)
     explicit = dict(CONFIG, seed=EXPLICIT_SEED)
     for base, key, value in itertools.product(
             (CONFIG, explicit), sorted(keys),
@@ -309,13 +315,43 @@ def test_unconditional_key_absent_builds_as_false(built, tmp_path):
     assert "unconditional" not in json.loads((out / "seed.json").read_text())
 
 
-def test_config_ignores_unread_keys(tmp_path):
-    # "samples" sized a sampled embedding suite that no longer exists; a
-    # config that still sets it loads like any key the driver does not read
-    old = dict(CONFIG, samples=10)
-    p = tmp_path / "old.json"
-    p.write_text(json.dumps(old))
-    assert cli.load_config(str(p)) == old
+@pytest.mark.parametrize("change, why", [
+    ({"samples": 10}, "samples is not read from configs"),
+    ({"epsilon": "1/64"}, "epsilon is not read from configs"),
+    ({"seed": dict(CONFIG["seed"], blokcs=4)},
+     "seed.blokcs is not read from tsirelson seeds"),
+    ({"seed": dict(CONFIG["seed"], norming=EXPLICIT_SEED["norming"])},
+     "seed.norming is not read from tsirelson seeds"),
+    ({"seed": dict(EXPLICIT_SEED, blocks=3)},
+     "seed.blocks is not read from explicit seeds")],
+    ids=["samples", "epsilon", "blokcs", "norming-on-tsirelson",
+         "blocks-on-explicit"])
+def test_config_refuses_unread_keys(tmp_path, change, why):
+    # a key no build reads is refused, not ignored: "samples" sized a
+    # sampled embedding suite that no longer exists, a misspelled key
+    # would build with the default, and a seed key its kind does not read
+    # would change nothing
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(CONFIG, **change)))
+    with pytest.raises(SystemExit, match=f"^config rejected: {why}$"):
+        main(["build", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    *itertools.product(("stage_bound", "seed.blocks", "seed.block_dims"),
+                       (8.9, True, "8")),
+    ("seed.c", True), ("eps", True)])
+def test_config_integers_as_written(key, value):
+    # an integer key takes only a JSON integer, so 8.9 is not read as 8,
+    # true as 1, nor "8" as 8; and true is not a rational either
+    seed = dict(EXPLICIT_SEED if key == "seed.block_dims" else CONFIG["seed"])
+    cfg = dict(CONFIG, seed=seed)
+    obj, name = (seed, key[5:]) if key.startswith("seed.") else (cfg, key)
+    obj[name] = [1, 1, value] if name == "block_dims" else value
+    with pytest.raises(SystemExit, match=rf"^config rejected: {key} "
+                                         r"(must|takes) [^\n;]+$"):
+        cli.check_config(cfg)
 
 
 def test_suite_runners_match_benchmark_gate():
